@@ -119,6 +119,8 @@ def _cmd_run(args) -> int:
     csv_path = emit_csv(records, out / "results.csv")
     plots = emit_plots(records, out / "plots")
     print(f"cells completed: {len(summary['cells'])}")
+    for name, p in summary["oracle_flagged"]:
+        print(f"warning: {name} P={p}: the finite-difference oracle did not converge")
     for name, p, diag in summary["aborted"]:
         print(f"aborted {name} P={p}: {diag}")
     wins = [flag for *_, flag in summary["dg_beats_ang"]]

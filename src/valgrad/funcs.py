@@ -22,6 +22,24 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
+# SquaredNorm, Huber and ElasticNet also evaluate an N x K block column by
+# column: value returns one entry per column, grad and prox act per column.
+
+
+def _norm(z):
+    """Euclidean norm of a vector, or of each column of a block."""
+    if z.ndim == 1:
+        return float(np.linalg.norm(z))
+    return np.linalg.norm(z, axis=0)
+
+
+def _sqnorm(z):
+    """Squared Euclidean norm of a vector, or of each column of a block."""
+    if z.ndim == 1:
+        return float(np.dot(z, z))
+    return np.einsum("ij,ij->j", z, z)
+
+
 @dataclass(frozen=True)
 class SmoothnessProfile:
     """Strong-convexity modulus m and gradient Lipschitz constant L (m <= L)."""
@@ -61,7 +79,7 @@ class SquaredNorm(ConvexFunction):
             raise ValueError("scale must be positive")
 
     def value(self, z):
-        return 0.5 * self.scale * float(np.dot(z, z))
+        return 0.5 * self.scale * _sqnorm(np.asarray(z, dtype=float))
 
     def grad(self, z):
         return self.scale * np.asarray(z, dtype=float)
@@ -90,17 +108,15 @@ class Huber(ConvexFunction):
             raise ValueError("delta must be positive")
 
     def value(self, z):
-        r = float(np.linalg.norm(z))
-        if r <= self.delta:
-            return 0.5 * r * r
-        return self.delta * (r - 0.5 * self.delta)
+        z = np.asarray(z, dtype=float)
+        r = _norm(z)
+        v = np.where(r <= self.delta, 0.5 * r * r, self.delta * (r - 0.5 * self.delta))
+        return v if z.ndim > 1 else float(v)
 
     def grad(self, z):
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
-        if r <= self.delta:
-            return z.copy()
-        return (self.delta / r) * z
+        # exactly 1 inside the delta-ball, delta / r outside
+        return z * (self.delta / np.maximum(_norm(z), self.delta))
 
     def hessian(self, z):
         z = np.asarray(z, dtype=float)
@@ -111,10 +127,11 @@ class Huber(ConvexFunction):
 
     def prox(self, tau, z):
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
-        if r <= self.delta * (1.0 + tau):
-            return z / (1.0 + tau)
-        return (1.0 - tau * self.delta / r) * z
+        r = _norm(z)
+        knee = self.delta * (1.0 + tau)
+        return np.where(
+            r <= knee, z / (1.0 + tau), (1.0 - tau * self.delta / np.maximum(r, knee)) * z
+        )
 
     def conjugate(self):
         return SquaredNormBall(self.delta)
@@ -177,9 +194,8 @@ class ElasticNet(ConvexFunction):
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
-        return 0.5 * self.lam * float(np.dot(z, z)) + self.gamma * float(
-            np.sum(np.abs(z))
-        )
+        v = 0.5 * self.lam * _sqnorm(z) + self.gamma * np.sum(np.abs(z), axis=0)
+        return v if z.ndim > 1 else float(v)
 
     def grad(self, z):
         z = np.asarray(z, dtype=float)

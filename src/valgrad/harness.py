@@ -89,24 +89,26 @@ def _ground_truth(pr, u, which, cfg):
 
     The fully quadratic problem has a closed form; the others use a
     high-budget dual solve cross-checked against the central-difference
-    oracle.  Returns (gradient, xstar, diagnostic); gradient is None on a
-    failed cross-check.
+    oracle, which starts from the primal oracle's minimizer.  Returns
+    (gradient, xstar, diagnostic, oracle_flagged); gradient is None on a
+    failed cross-check, and oracle_flagged is set when the finite-difference
+    oracle did not converge.
     """
     if which == 1:
         xstar, grad = closed_form_f1(pr.a, cfg.lam, u)
-        return grad, xstar, ""
+        return grad, xstar, "", False
     # fista, not heavy ball: the momentum variants can cycle when the dual
     # gradient is only piecewise linear, while fista converges globally
     est = dual_estimator(
         pr, u, SolverConfig(method="fista", iterations=cfg.oracle_iterations,
                             record_trace=False)
     )
-    fd = fd_oracle(pr, u)
+    xstar, _, _ = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
+    fd = fd_oracle(pr, u, warm=xstar)
     gap = float(np.max(np.abs(est.final - fd.final)))
     if gap > cfg.cross_check_tol:
-        return None, None, f"ground-truth cross-check failed: {gap:.3e}"
-    xstar, _, _ = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
-    return est.final, xstar, ""
+        return None, None, f"ground-truth cross-check failed: {gap:.3e}", fd.flagged
+    return est.final, xstar, "", fd.flagged
 
 
 def _primal_methods(which: int, inertia: str):
@@ -138,7 +140,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     """
     clock = time.perf_counter_ns if clock is None else clock
     records: list[ErrorRecord] = []
-    summary = {"cells": [], "aborted": [], "dg_beats_ang": []}
+    summary = {"cells": [], "aborted": [], "oracle_flagged": [], "dg_beats_ang": []}
     for name in cfg.problems:
         which = int(name[1])
         for p in cfg.p_list:
@@ -146,7 +148,9 @@ def run_grid(cfg: ExperimentConfig, clock=None):
                 cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio
             )
             pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
-            truth, xstar, diag = _ground_truth(pr, u, which, cfg)
+            truth, xstar, diag, oracle_flagged = _ground_truth(pr, u, which, cfg)
+            if oracle_flagged:
+                summary["oracle_flagged"].append((name, p))
             if truth is None:
                 summary["aborted"].append((name, p, diag))
                 continue

@@ -52,15 +52,20 @@ class StructuredProblem:
     def p(self) -> int:
         return self.a.shape[0]
 
-    def residual(self, x, u):
-        return self.b - self.a @ x + u
+    # residual, primal_value and primal_smooth_grad also take an N x K block
+    # of points x with a P x K block of parameters u, one problem per column.
 
-    def primal_value(self, x, u) -> float:
-        return (
-            float(np.dot(self.c, x))
+    def residual(self, x, u):
+        b = self.b if np.ndim(x) == 1 else self.b[:, None]
+        return b - self.a @ x + u
+
+    def primal_value(self, x, u):
+        val = (
+            np.dot(self.c, x)
             + self.h.value(self.residual(x, u))
             + self.k.value(x)
         )
+        return val if np.ndim(x) > 1 else float(val)
 
     def conjugate_value(self, v, y) -> float:
         """f*(v, y) = -<b, y> + k*(A^T y - c + v) + h*(y)."""
@@ -100,7 +105,8 @@ class StructuredProblem:
         return None
 
     def primal_smooth_grad(self, x, u):
-        g = self.c - self.a.T @ self.h.grad(self.residual(x, u))
+        c = self.c if np.ndim(x) == 1 else self.c[:, None]
+        g = c - self.a.T @ self.h.grad(self.residual(x, u))
         if self.prox_part() is None:
             g = g + self.k_modulus * np.asarray(x, dtype=float)
         return g

@@ -21,7 +21,7 @@ class NotSPDError(RuntimeError):
 class SolverConfig:
     method: str = "gd"  # gd | heavy_ball | ista | fista | ipiasco | pdhg | cg
     tau: float | None = None
-    beta: float = 0.0
+    beta: float | None = None
     iterations: int = 100
     pdhg_sigma: float | None = None
     pdhg_theta: float = 1.0
@@ -31,7 +31,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.tau is not None and self.tau <= 0:
             raise ValueError("step size must be positive")
-        if not 0.0 <= self.beta < 1.0:
+        if self.beta is not None and not 0.0 <= self.beta < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.iterations < 0:
             raise ValueError("iteration count must be nonnegative")

@@ -9,6 +9,7 @@ from valgrad.estimators import (
     error_trace,
     fd_oracle,
     implicit_estimator,
+    oracle_primal_solve,
     run_primal,
     run_toy,
     sensitivity_step,
@@ -17,7 +18,7 @@ from valgrad.estimators import (
 from valgrad.funcs import NonsmoothError
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import ToyProblem, closed_form_f1, make_experiment_problem
-from valgrad.solvers import SolverConfig
+from valgrad.solvers import SolverConfig, optimal_gd_step
 
 
 def instance(which=1, n=10, p=6, seed=0, cond=3.0):
@@ -177,6 +178,33 @@ def test_dual_estimator_huber_dual_solvers_agree(method):
     np.testing.assert_allclose(est.final, ref.final, atol=1e-6)
 
 
+@pytest.mark.parametrize("which,method", [
+    (1, "gd"), (1, "heavy_ball"), (1, "cg"),
+    (2, "ista"), (2, "fista"), (2, "ipiasco"), (2, "pdhg"),
+])
+def test_dual_estimator_record_trace_off_keeps_only_final(which, method):
+    pr, u = instance(which, cond=2.0)
+    full = dual_estimator(pr, u, SolverConfig(method=method, iterations=500))
+    last = dual_estimator(pr, u, SolverConfig(method=method, iterations=500,
+                                              record_trace=False))
+    assert len(last.per_iteration) == 1
+    np.testing.assert_array_equal(last.final, full.final)
+
+
+@pytest.mark.parametrize("which,plain,inertial", [
+    (1, "gd", "heavy_ball"), (2, "ista", "ipiasco"),
+])
+def test_dual_estimator_explicit_zero_momentum(which, plain, inertial):
+    # beta=0.0 means no momentum, not "use the optimal momentum"
+    pr, u = instance(which, cond=2.0)
+    tau = optimal_gd_step(*pr.dual_objective(u).curvature())
+    ref = dual_estimator(pr, u, SolverConfig(method=plain, tau=tau, iterations=60))
+    est = dual_estimator(pr, u, SolverConfig(method=inertial, tau=tau, beta=0.0,
+                                             iterations=60))
+    np.testing.assert_array_equal(np.array(est.per_iteration),
+                                  np.array(ref.per_iteration))
+
+
 def test_dual_estimator_rejects_plain_gd_on_constrained_dual():
     pr, u = instance(2)
     with pytest.raises(ValueError):
@@ -202,8 +230,6 @@ def test_value_function_closed_form_vs_oracle():
     val_cf, x_cf, ok = value_function(pr, u)
     assert ok
     # compare against the generic iterative path on the same problem
-    from valgrad.estimators import oracle_primal_solve
-
     x_it, val_it, ok_it = oracle_primal_solve(pr, u, max_iterations=20000)
     assert ok_it
     assert val_it == pytest.approx(val_cf, abs=1e-10)
@@ -244,6 +270,29 @@ def test_fd_oracle_nonsmooth_problem_vs_dual():
     dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=20000,
                                             record_trace=False))
     np.testing.assert_allclose(fd.final, dg.final, atol=1e-4)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_fd_oracle_within_tol_whatever_the_warm_start(which):
+    # tol bounds the solver part of the difference-quotient error, so a
+    # tightly solved oracle is the reference; the start point must not matter
+    pr, u = instance(which, n=12, p=8, seed=4, cond=5.0)
+    ref = fd_oracle(pr, u, tol=1e-11)
+    xstar, _, _ = oracle_primal_solve(pr, u)
+    rough, _, _ = oracle_primal_solve(pr, u, max_iterations=30)
+    cold = fd_oracle(pr, u)
+    assert not ref.flagged and not cold.flagged
+    np.testing.assert_allclose(cold.final, ref.final, atol=1e-6)
+    for start in (xstar, rough, np.zeros(pr.n)):
+        est = fd_oracle(pr, u, warm=start)
+        assert not est.flagged
+        np.testing.assert_allclose(est.final, cold.final, atol=1e-6)
+
+
+def test_fd_oracle_flags_iteration_cap():
+    pr, u = instance(2, n=12, p=8, seed=4, cond=5.0)
+    assert fd_oracle(pr, u, max_iterations=5).flagged
+    assert not fd_oracle(pr, u).flagged
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,22 @@ def test_prox_at_zero_step_limit(f):
         np.testing.assert_allclose(w, z, atol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "f", [SquaredNorm(2.0), Huber(0.1), Huber(1.5), ElasticNet(2.0, 0.1)],
+    ids=lambda f: repr(f),
+)
+def test_block_evaluation_matches_columns(f):
+    # column norms from 0.02 to 20 put Huber columns on both sides of its knee
+    gen = np.random.Generator(np.random.PCG64(11))
+    z = gen.standard_normal((5, 8)) * np.logspace(-2, 1, 8)
+    cols = z.T
+    np.testing.assert_allclose(f.value(z), [f.value(c) for c in cols], rtol=1e-13)
+    np.testing.assert_allclose(f.grad(z), np.array([f.grad(c) for c in cols]).T,
+                               rtol=1e-13)
+    np.testing.assert_allclose(f.prox(0.7, z),
+                               np.array([f.prox(0.7, c) for c in cols]).T, rtol=1e-13)
+
+
 def test_hessians_match_gradient_fd():
     eps = 1e-6
     for f in (SquaredNorm(2.0), Huber(0.8), ElasticNetConjugate(2.0, 0.3)):

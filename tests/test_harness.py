@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import valgrad.harness
 from valgrad.cli import main, parse_config
+from valgrad.estimators import fd_oracle
 from valgrad.harness import (
     ErrorRecord,
     ExperimentConfig,
@@ -214,6 +216,25 @@ def test_cli_run_small_grid(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "results.csv").exists()
     assert (out_dir / "plots" / "f1_P5.svg").exists()
+
+
+def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
+    cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
+                           cond_ratio=3.0, oracle_iterations=5000)
+    assert run_grid(cfg, clock=constant_clock)[1]["oracle_flagged"] == []
+
+    def capped(pr, u, **kwargs):
+        return fd_oracle(pr, u, max_iterations=5, **kwargs)
+
+    monkeypatch.setattr(valgrad.harness, "fd_oracle", capped)
+    _, summary = run_grid(cfg, clock=constant_clock)
+    assert summary["oracle_flagged"] == [("f3", 6)]
+    code = main(["run", "--n", "12", "--p", "6", "--problems", "f1,f3", "--iters", "10",
+                 "--cond", "3", "--out", str(tmp_path)])
+    assert code == (1 if summary["aborted"] else 0)
+    out = capsys.readouterr().out
+    assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
+    assert "f1 P=6" not in out
 
 
 def test_cli_bad_arguments_exit_2():

@@ -49,6 +49,27 @@ def test_primal_smooth_grad_matches_fd():
             assert g[i] == pytest.approx(fd, abs=1e-5)
 
 
+@pytest.mark.parametrize("h", [SquaredNorm(1.0), Huber(0.5)], ids=repr)
+@pytest.mark.parametrize("k", [SquaredNorm(2.0), ElasticNet(2.0, 0.1)], ids=repr)
+@pytest.mark.parametrize("cols", [4, 5])  # K = P and K = N
+def test_block_evaluation_matches_columns(h, k, cols):
+    gen = np.random.Generator(np.random.PCG64(5))
+    a = gen.standard_normal((4, 5))
+    pr = StructuredProblem(a=a, h=h, k=k, c=gen.standard_normal(5),
+                           b=gen.standard_normal(4))
+    x = gen.standard_normal((5, cols))
+    u = gen.standard_normal((4, cols))
+    pairs = list(zip(x.T, u.T))
+    np.testing.assert_allclose(pr.residual(x, u),
+                               np.array([pr.residual(xi, ui) for xi, ui in pairs]).T)
+    np.testing.assert_allclose(pr.primal_value(x, u),
+                               [pr.primal_value(xi, ui) for xi, ui in pairs], rtol=1e-13)
+    np.testing.assert_allclose(
+        pr.primal_smooth_grad(x, u),
+        np.array([pr.primal_smooth_grad(xi, ui) for xi, ui in pairs]).T, rtol=1e-13,
+    )
+
+
 def test_smooth_grad_excludes_prox_part_for_elastic_net():
     pr, u = small_problem(3)
     x = np.ones(pr.n)
