@@ -120,7 +120,11 @@ def _cmd_run(args) -> int:
     plots = emit_plots(records, out / "plots")
     print(f"cells completed: {len(summary['cells'])}")
     for name, p in summary["oracle_flagged"]:
-        print(f"warning: {name} P={p}: the finite-difference oracle did not converge")
+        print(f"warning: {name} P={p}: the finite-difference oracle did not converge "
+              "(its xstar solve or a perturbed solve reached its iteration cap)")
+    for name, p, solver in summary["implicit_flagged"]:
+        print(f"warning: {name} P={p} {solver}: the implicit estimator's CG solve "
+              "missed its tolerance")
     for name, p, diag in summary["aborted"]:
         print(f"aborted {name} P={p}: {diag}")
     wins = [flag for *_, flag in summary["dg_beats_ang"]]

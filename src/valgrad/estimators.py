@@ -78,16 +78,12 @@ def sensitivity_step(
     """
     x = np.asarray(x, dtype=float)
     if method in ("gd", "heavy_ball"):
-        hxx = pr.hess_xx(x, u)
-        hxu = pr.hess_xu(x, u)
-        jac_new = jac - tau * (hxx @ jac + hxu)
+        jac_new = jac - tau * (pr.hess_loss_jac(x, u, jac) + pr.k_modulus * jac)
         if beta:
             jac_new = jac_new + beta * (jac - jac_prev)
         return SensitivityState(jac_new, jac)
     if method in ("ista", "ipiasco"):
-        hxx = pr.hess_xx_loss(x, u)
-        hxu = pr.hess_xu(x, u)
-        inner = jac - tau * (hxx @ jac + hxu)
+        inner = jac - tau * pr.hess_loss_jac(x, u, jac)
         if beta:
             inner = inner + beta * (jac - jac_prev)
         z = x - tau * pr.primal_smooth_grad(x, u)
@@ -235,8 +231,7 @@ def implicit_estimator(
     flagged = float(np.linalg.norm(gx - hxx @ w)) > tol * max(
         1.0, float(np.linalg.norm(gx))
     )
-    hh = pr.h.hessian(pr.residual(x, u))
-    g3 = hh @ (pr.a @ w) + gu
+    g3 = -pr.hess_xu(x, u).T @ w + gu
     return GradientEstimate("implicit", [g3], flagged=flagged)
 
 
@@ -297,9 +292,8 @@ def dual_estimator(
 def _dual_pdhg(pr: StructuredProblem, dob: DualObjective, y0, cfg: SolverConfig):
     """PDHG on min_y k*(A^T y + shift) + [h*(y) - <linear, y>] with K = A^T."""
     from . import solvers
-    from .linalg import spectral_bounds
 
-    op_norm = float(np.sqrt(spectral_bounds(pr.a).lmax_ata))
+    op_norm = float(np.sqrt(pr.bounds().lmax_ata))
     sigma = cfg.pdhg_sigma or 1.0 / op_norm
     tau = cfg.tau or 1.0 / op_norm
     hstar = pr.h.conjugate()
@@ -377,7 +371,7 @@ def value_function(pr: StructuredProblem, u, warm=None, **kwargs):
         # Closed form up to the h scale: solve grad = 0 directly.
         s, lam = pr.h.scale, pr.k.scale
         rhs = s * pr.a.T @ (pr.b + u) - pr.c
-        x = np.linalg.solve(s * (pr.a.T @ pr.a) + lam * np.eye(pr.n), rhs)
+        x = np.linalg.solve(s * pr.gram + lam * np.eye(pr.n), rhs)
         return pr.primal_value(x, u), x, True
     x, val, ok = oracle_primal_solve(pr, u, x0=warm, **kwargs)
     return val, x, ok

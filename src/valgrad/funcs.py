@@ -87,6 +87,10 @@ class SquaredNorm(ConvexFunction):
     def hessian(self, z):
         return self.scale * np.eye(len(z))
 
+    def hessian_factors(self, z):
+        """(c, v) with hessian(z) = c (I - v v^T); v is None, the Hessian is scale I."""
+        return self.scale, None
+
     def prox(self, tau, z):
         return np.asarray(z, dtype=float) / (1.0 + tau * self.scale)
 
@@ -124,6 +128,16 @@ class Huber(ConvexFunction):
         if r <= self.delta:
             return np.eye(len(z))
         return (self.delta / r) * (np.eye(len(z)) - np.outer(z, z) / (r * r))
+
+    def hessian_factors(self, z):
+        """(c, v) with hessian(z) = c (I - v v^T): (1, None) inside the
+        delta-ball, with the same tie rule as ``hessian``, and
+        (delta / r, z / r) outside, where r = ||z||."""
+        z = np.asarray(z, dtype=float)
+        r = float(np.linalg.norm(z))
+        if r <= self.delta:
+            return 1.0, None
+        return self.delta / r, z / r
 
     def prox(self, tau, z):
         z = np.asarray(z, dtype=float)

@@ -91,8 +91,8 @@ def _ground_truth(pr, u, which, cfg):
     high-budget dual solve cross-checked against the central-difference
     oracle, which starts from the primal oracle's minimizer.  Returns
     (gradient, xstar, diagnostic, oracle_flagged); gradient is None on a
-    failed cross-check, and oracle_flagged is set when the finite-difference
-    oracle did not converge.
+    failed cross-check, and oracle_flagged is set when the primal oracle
+    solve for xstar or the finite-difference oracle did not converge.
     """
     if which == 1:
         xstar, grad = closed_form_f1(pr.a, cfg.lam, u)
@@ -103,12 +103,13 @@ def _ground_truth(pr, u, which, cfg):
         pr, u, SolverConfig(method="fista", iterations=cfg.oracle_iterations,
                             record_trace=False)
     )
-    xstar, _, _ = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
+    xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
     fd = fd_oracle(pr, u, warm=xstar)
+    flagged = fd.flagged or not converged
     gap = float(np.max(np.abs(est.final - fd.final)))
     if gap > cfg.cross_check_tol:
-        return None, None, f"ground-truth cross-check failed: {gap:.3e}", fd.flagged
-    return est.final, xstar, "", fd.flagged
+        return None, None, f"ground-truth cross-check failed: {gap:.3e}", flagged
+    return est.final, xstar, "", flagged
 
 
 def _primal_methods(which: int, inertia: str):
@@ -140,7 +141,8 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     """
     clock = time.perf_counter_ns if clock is None else clock
     records: list[ErrorRecord] = []
-    summary = {"cells": [], "aborted": [], "oracle_flagged": [], "dg_beats_ang": []}
+    summary = {"cells": [], "aborted": [], "oracle_flagged": [], "implicit_flagged": [],
+               "dg_beats_ang": []}
     for name in cfg.problems:
         which = int(name[1])
         for p in cfg.p_list:
@@ -154,8 +156,9 @@ def run_grid(cfg: ExperimentConfig, clock=None):
             if truth is None:
                 summary["aborted"].append((name, p, diag))
                 continue
-            cell = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
+            cell, ig_flagged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
             records.extend(cell)
+            summary["implicit_flagged"] += [(name, p, solver) for solver in ig_flagged]
             finals = {
                 (r.solver, r.estimator): r.error
                 for r in cell
@@ -173,7 +176,10 @@ def run_grid(cfg: ExperimentConfig, clock=None):
 
 
 def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
+    """Error records of one cell, and the primal methods whose implicit
+    estimate was flagged (its CG solve missed the tolerance)."""
     out = []
+    ig_flagged = []
     for method in _primal_methods(int(name[1]), cfg.inertia):
         t0 = clock()
         run = run_primal(pr, u, method, iterations=cfg.iterations)
@@ -192,6 +198,8 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
 
         t0 = clock()
         ig = implicit_estimator(pr, run.final, u)
+        if ig.flagged:
+            ig_flagged.append(method)
         out += _series(
             name, p, method, "ig", error_trace(ig, truth), int(clock() - t0),
             start_iter=cfg.iterations,
@@ -201,16 +209,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         t0 = clock()
         dg = dual_estimator(pr, u, SolverConfig(method=dg_method, iterations=cfg.iterations))
         out += _series(name, p, dg_method, "dg", error_trace(dg, truth), int(clock() - t0))
-    # both-inertia cells run the dual solver once per primal method; drop the
-    # duplicate series so (problem, P, solver, estimator, iteration) stays unique
-    seen = set()
-    unique = []
-    for r in out:
-        key = _sort_key(r)
-        if key not in seen:
-            seen.add(key)
-            unique.append(r)
-    return unique
+    return out, ig_flagged
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ class SpectralBounds:
     lmin_aat: float
 
 
-def spectral_bounds(a: np.ndarray) -> SpectralBounds:
+def spectral_bounds(a: np.ndarray, ata: np.ndarray | None = None) -> SpectralBounds:
     """Compute spectral extremes of A^T A and A A^T by dense symmetric
-    eigendecomposition."""
+    eigendecomposition; ``ata`` is A^T A when the caller already holds it."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError("matrix must be nonempty and two-dimensional")
-    eig_ata = np.linalg.eigvalsh(a.T @ a)
+    eig_ata = np.linalg.eigvalsh(a.T @ a if ata is None else ata)
     eig_aat = np.linalg.eigvalsh(a @ a.T)
     return SpectralBounds(
         lmax_ata=max(float(eig_ata[-1]), 0.0),

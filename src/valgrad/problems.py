@@ -12,6 +12,7 @@ assembled here together with its smooth/prox splitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,20 +115,60 @@ class StructuredProblem:
     def grad_u(self, x, u):
         return self.h.grad(self.residual(x, u))
 
+    # The loss Hessian has the form H_h = c (I - v v^T) (funcs.hessian_factors),
+    # so its pullbacks need only the cached Gram matrix A^T A and w = A^T v.
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A (N x N), computed once per problem and read-only."""
+        gram = self.a.T @ self.a
+        gram.flags.writeable = False
+        return gram
+
+    def _loss_hessian(self, x, u):
+        """(c, v, w) with H_h = c (I - v v^T) at the residual and w = A^T v;
+        v and w are None where H_h = c I."""
+        c, v = self.h.hessian_factors(self.residual(x, u))
+        return c, v, None if v is None else self.a.T @ v
+
     def hess_xx_loss(self, x, u):
-        """Pullback A^T H_h A of the loss Hessian at the residual."""
-        hh = self.h.hessian(self.residual(x, u))
-        return self.a.T @ hh @ self.a
+        """Pullback A^T H_h A = c (A^T A - w w^T) of the loss Hessian."""
+        c, _, w = self._loss_hessian(x, u)
+        hxx = c * self.gram
+        if w is not None:
+            hxx -= c * np.outer(w, w)
+        return hxx
 
     def hess_xx(self, x, u):
         """Smooth-surrogate Hessian A^T H_h A + lam I."""
         return self.hess_xx_loss(x, u) + self.k_modulus * np.eye(self.n)
 
     def hess_xu(self, x, u):
-        return -self.a.T @ self.h.hessian(self.residual(x, u))
+        """-A^T H_h = -c (A^T - w v^T)."""
+        c, v, w = self._loss_hessian(x, u)
+        hxu = -c * self.a.T
+        if v is not None:
+            hxu += c * np.outer(w, v)
+        return hxu
+
+    def hess_loss_jac(self, x, u, jac):
+        """hess_xx_loss @ jac + hess_xu = A^T H_h (A J - I) for an N x P
+        Jacobian J, as c [(A^T A) J - A^T - w (w^T J - v^T)] without forming
+        either Hessian block: one N x N by N x P product."""
+        c, v, w = self._loss_hessian(x, u)
+        out = self.gram @ jac - self.a.T
+        if v is not None:
+            out -= np.outer(w, w @ jac - v)
+        out *= c
+        return out
+
+    @cached_property
+    def _bounds(self) -> SpectralBounds:
+        return spectral_bounds(self.a, self.gram)
 
     def bounds(self) -> SpectralBounds:
-        return spectral_bounds(self.a)
+        """Spectral extremes of A, computed once per problem."""
+        return self._bounds
 
     def curvature(self) -> tuple[float, float]:
         """(L, m) of f(., u): L_h L_A + L_k and m_h m_p + m_k.

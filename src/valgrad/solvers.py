@@ -63,7 +63,7 @@ class IterateTrace:
         return len(self.points)
 
 
-def _trace(x0, objective, record):
+def _trace(x0, objective):
     tr = IterateTrace()
     tr.append(x0, objective)
     return tr
@@ -81,7 +81,7 @@ def _push(tr, x, objective, record):
 def gradient_descent(grad, x0, tau, iterations, objective=None, record_trace=True):
     """x+ = x - tau * grad(x)."""
     x = np.array(x0, dtype=float)
-    tr = _trace(x, objective, record_trace)
+    tr = _trace(x, objective)
     for _ in range(iterations):
         x = x - tau * grad(x)
         _push(tr, x, objective, record_trace)
@@ -92,7 +92,7 @@ def heavy_ball(grad, x0, tau, beta, iterations, objective=None, record_trace=Tru
     """x+ = x - tau * grad(x) + beta * (x - x_prev), with x_prev initialized to x0."""
     x = np.array(x0, dtype=float)
     x_prev = x.copy()
-    tr = _trace(x, objective, record_trace)
+    tr = _trace(x, objective)
     for _ in range(iterations):
         x_next = x - tau * grad(x) + beta * (x - x_prev)
         x_prev, x = x, x_next
@@ -103,7 +103,7 @@ def heavy_ball(grad, x0, tau, beta, iterations, objective=None, record_trace=Tru
 def ista(smooth_grad, prox_step, x0, tau, iterations, objective=None, record_trace=True):
     """Proximal gradient: x+ = prox(tau, x - tau * smooth_grad(x))."""
     x = np.array(x0, dtype=float)
-    tr = _trace(x, objective, record_trace)
+    tr = _trace(x, objective)
     for _ in range(iterations):
         x = prox_step(tau, x - tau * smooth_grad(x))
         _push(tr, x, objective, record_trace)
@@ -129,7 +129,7 @@ def fista(
     """
     x = np.array(x0, dtype=float)
     z = x.copy()
-    tr = _trace(x, objective, record_trace)
+    tr = _trace(x, objective)
     mu = sc_smooth + sc_prox
     if mu > 0:
         q = tau * mu / (1.0 + tau * sc_prox)
@@ -154,7 +154,7 @@ def ipiasco(
     """Inertial proximal gradient: x+ = prox(tau, x - tau*smooth_grad(x) + beta*(x - x_prev))."""
     x = np.array(x0, dtype=float)
     x_prev = x.copy()
-    tr = _trace(x, objective, record_trace)
+    tr = _trace(x, objective)
     for _ in range(iterations):
         x_next = prox_step(tau, x - tau * smooth_grad(x) + beta * (x - x_prev))
         x_prev, x = x, x_next
@@ -188,7 +188,7 @@ def pdhg(
     y = np.array(y0, dtype=float)
     y_bar = y.copy()
     z = np.zeros_like(k_op(y))
-    tr = _trace(y, objective, record_trace)
+    tr = _trace(y, objective)
     for _ in range(iterations):
         z = prox_conj(sigma, z + sigma * k_op(y_bar))
         y_next = prox_primal(tau, y - tau * k_op_adj(z))
@@ -219,7 +219,7 @@ def conjugate_gradient(
     r = np.asarray(rhs, dtype=float) - apply_q(y)
     p = r.copy()
     rr = float(np.dot(r, r))
-    tr = _trace(y, objective, record_trace)
+    tr = _trace(y, objective)
     for _ in range(iterations):
         if np.sqrt(rr) <= tol:
             break

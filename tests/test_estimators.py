@@ -88,6 +88,37 @@ def test_sensitivity_starts_from_zero(method):
         assert not np.any(run.jacobians[0])
 
 
+def _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev):
+    """The Jacobian recursion from dense Hessian blocks built from h.hessian."""
+    hh = pr.h.hessian(pr.residual(x, u))
+    hxx_loss, hxu = pr.a.T @ hh @ pr.a, -pr.a.T @ hh
+    if method in ("gd", "heavy_ball"):
+        hxx = hxx_loss + pr.k_modulus * np.eye(pr.n)
+        return jac - tau * (hxx @ jac + hxu) + beta * (jac - jac_prev)
+    inner = jac - tau * (hxx_loss @ jac + hxu) + beta * (jac - jac_prev)
+    z = x - tau * pr.primal_smooth_grad(x, u) + beta * (x - x_prev)
+    d = (np.abs(z) > tau * pr.k.gamma).astype(float) / (1.0 + tau * pr.k.lam)
+    return d[:, None] * inner
+
+
+@pytest.mark.parametrize(
+    "which, method", [(1, "gd"), (2, "gd"), (1, "heavy_ball"), (2, "heavy_ball"),
+                      (3, "ista"), (4, "ista"), (3, "ipiasco"), (4, "ipiasco")],
+)
+def test_sensitivity_step_matches_dense_hessians(which, method):
+    pr, u = instance(which)
+    gen = np.random.Generator(np.random.PCG64(which))
+    x, x_prev = gen.standard_normal(pr.n), gen.standard_normal(pr.n)
+    jac, jac_prev = gen.standard_normal((2, pr.n, pr.p))
+    if which in (2, 4):  # the rank-1 term is live outside the Huber ball
+        assert np.linalg.norm(pr.residual(x, u)) > pr.h.delta
+    tau, beta = 0.01, (0.3 if method in ("heavy_ball", "ipiasco") else 0.0)
+    state = sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev=x_prev)
+    want = _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev)
+    assert np.linalg.norm(state.jac - want) <= 1e-12 * np.linalg.norm(want)
+    assert state.jac_prev is jac
+
+
 def _fd_jacobian(pr, u, method, iterations, eps=1e-6):
     jac = np.zeros((pr.n, pr.p))
     for i in range(pr.p):

@@ -322,3 +322,20 @@ def test_hessians_match_gradient_fd():
                 e[i] = eps
                 col = (f.grad(z + e) - f.grad(z - e)) / (2 * eps)
                 np.testing.assert_allclose(hess[:, i], col, atol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "f, z",
+    [
+        (SquaredNorm(2.0), np.array([0.3, -1.2, 4.0])),
+        (Huber(0.1), np.array([0.02, -0.03, 0.05])),  # inside the delta-ball
+        (Huber(0.1), np.array([0.1, 0.0, 0.0])),  # exactly on ||z|| = delta
+        (Huber(0.1), np.array([0.3, -1.2, 4.0])),  # outside
+    ],
+    ids=["squared", "huber-inside", "huber-on-knee", "huber-outside"],
+)
+def test_hessian_factors_rebuild_hessian(f, z):
+    c, v = f.hessian_factors(z)
+    rank1 = 0.0 if v is None else np.outer(v, v)
+    np.testing.assert_allclose(c * (np.eye(len(z)) - rank1), f.hessian(z),
+                               rtol=1e-15, atol=1e-15)

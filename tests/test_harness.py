@@ -3,7 +3,7 @@ import pytest
 
 import valgrad.harness
 from valgrad.cli import main, parse_config
-from valgrad.estimators import fd_oracle
+from valgrad.estimators import fd_oracle, implicit_estimator, oracle_primal_solve
 from valgrad.harness import (
     ErrorRecord,
     ExperimentConfig,
@@ -58,6 +58,19 @@ def test_run_grid_produces_expected_series():
     assert [r.iteration for r in angs] == list(range(41))
     igs = [r for r in records if (r.problem, r.p, r.solver, r.estimator) == ("f1", 6, "gd", "ig")]
     assert [r.iteration for r in igs] == [40]
+
+
+def test_run_grid_keys_unique_on_every_problem():
+    # both inertias on all four problems: the two dual series of a cell never
+    # share a solver name, so every record key is unique without a dedup pass
+    cfg = ExperimentConfig(n=8, p_list=(3, 5), iterations=10, cond_ratio=3.0,
+                           oracle_iterations=5000)
+    records, summary = run_grid(cfg, clock=constant_clock)
+    assert not summary["aborted"]
+    keys = {(r.problem, r.p, r.solver, r.estimator, r.iteration) for r in records}
+    # per primal method: primal, ang, aug and dg over 0..K, plus one ig record
+    per_cell = 2 * (4 * (cfg.iterations + 1) + 1)
+    assert len(keys) == len(records) == 8 * per_cell
 
 
 def test_run_grid_deterministic_csv_bytes(tmp_path):
@@ -235,6 +248,50 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
     assert "f1 P=6" not in out
+
+
+def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
+    def capped(pr, u, **kwargs):
+        return oracle_primal_solve(pr, u, **{**kwargs, "max_iterations": 5})
+
+    monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", capped)
+    cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
+                           cond_ratio=3.0, oracle_iterations=5000)
+    _, summary = run_grid(cfg, clock=constant_clock)
+    # f1 takes its closed form; the finite-difference columns still converge
+    assert summary["oracle_flagged"] == [("f3", 6)]
+    code = main(["run", "--n", "12", "--p", "6", "--problems", "f1,f3", "--iters", "10",
+                 "--cond", "3", "--out", str(tmp_path)])
+    assert code == (1 if summary["aborted"] else 0)
+    out = capsys.readouterr().out
+    assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
+
+
+def test_flagged_implicit_estimate_is_reported(tmp_path, capsys, monkeypatch):
+    cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
+                           cond_ratio=3.0, oracle_iterations=5000)
+    assert run_grid(cfg, clock=constant_clock)[1]["implicit_flagged"] == []
+
+    def capped(pr, x, u, **kwargs):
+        return implicit_estimator(pr, x, u, max_iterations=1, **kwargs)
+
+    monkeypatch.setattr(valgrad.harness, "implicit_estimator", capped)
+    records, summary = run_grid(cfg, clock=constant_clock)
+    assert summary["implicit_flagged"] == [
+        ("f1", 6, "gd"), ("f1", 6, "heavy_ball"), ("f3", 6, "ista"), ("f3", 6, "ipiasco"),
+    ]
+    assert not summary["aborted"]
+    assert sum(r.estimator == "ig" for r in records) == 4  # the records stay
+    csv_dir = tmp_path / "res"
+    code = main(["run", "--n", "12", "--p", "6", "--problems", "f1,f3", "--iters", "10",
+                 "--cond", "3", "--out", str(csv_dir)])
+    assert code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("warning")]
+    assert lines == [
+        f"warning: {name} P=6 {solver}: the implicit estimator's CG solve missed its "
+        "tolerance"
+        for name, _, solver in summary["implicit_flagged"]
+    ]
 
 
 def test_cli_bad_arguments_exit_2():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import valgrad.problems
 from valgrad.funcs import BallIndicator, ElasticNet, Huber, SquaredNorm
-from valgrad.linalg import seeded_problem_data
+from valgrad.linalg import seeded_problem_data, spectral_bounds
 from valgrad.problems import (
     DualObjective,
     StructuredProblem,
@@ -107,6 +108,63 @@ def test_curvature_bounds_hessian_spectrum():
     ev = np.linalg.eigvalsh(pr.hess_xx(np.zeros(pr.n), u))
     assert ev[0] >= m - 1e-9
     assert ev[-1] <= lips + 1e-9
+
+
+def dense_loss_blocks(pr, x, u):
+    """A^T H_h A and -A^T H_h from the dense P x P loss Hessian."""
+    hh = pr.h.hessian(pr.residual(x, u))
+    return pr.a.T @ hh @ pr.a, -pr.a.T @ hh
+
+
+def assert_rel_close(got, want, rtol):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+# Residual norms as multiples of delta = 0.1 on the Huber problems f2 and f4:
+# inside the ball, outside it, and exactly on ||r|| = delta.  x = 0 and b = 0
+# make the residual u itself, so the tie is exact in floating point.
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+@pytest.mark.parametrize("radius", [0.5, 3.0, 1.0], ids=["inside", "outside", "on-knee"])
+def test_structured_hessians_match_dense(which, radius):
+    pr, _ = small_problem(which, n=9, p=6)
+    x = np.zeros(pr.n)
+    u = np.zeros(pr.p)
+    u[0] = radius * 0.1
+    if radius != 1.0:
+        gen = np.random.Generator(np.random.PCG64(which))
+        x = gen.standard_normal(pr.n)
+        r = gen.standard_normal(pr.p)
+        u = radius * 0.1 * r / np.linalg.norm(r) + pr.a @ x
+    if which in (2, 4):
+        assert (np.linalg.norm(pr.residual(x, u)) <= 0.1) == (radius <= 1.0)
+    hxx_loss, hxu = dense_loss_blocks(pr, x, u)
+    jac = np.random.Generator(np.random.PCG64(9)).standard_normal((pr.n, pr.p))
+    assert_rel_close(pr.hess_xx_loss(x, u), hxx_loss, 1e-12)
+    assert_rel_close(pr.hess_xx(x, u), hxx_loss + pr.k_modulus * np.eye(pr.n), 1e-12)
+    assert_rel_close(pr.hess_xu(x, u), hxu, 1e-12)
+    assert_rel_close(pr.hess_loss_jac(x, u, jac), hxx_loss @ jac + hxu, 1e-12)
+
+
+def test_gram_and_bounds_computed_once(monkeypatch):
+    calls = []
+
+    def counted(a, ata=None):
+        calls.append(ata)
+        return spectral_bounds(a, ata)
+
+    monkeypatch.setattr(valgrad.problems, "spectral_bounds", counted)
+    pr, u = small_problem(2)
+    gram = pr.gram
+    np.testing.assert_array_equal(gram, pr.a.T @ pr.a)
+    assert not gram.flags.writeable
+    first = pr.bounds()
+    pr.curvature()
+    pr.dual_objective(u).curvature()
+    pr.hess_xx(np.zeros(pr.n), u)
+    assert pr.gram is gram and pr.bounds() is first
+    assert len(calls) == 1 and calls[0] is gram
+    # taking A^T A from the cache leaves the bounds bit-identical
+    assert first == spectral_bounds(pr.a)
 
 
 def test_make_experiment_problem_variants():
