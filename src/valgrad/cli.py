@@ -127,6 +127,9 @@ def _cmd_run(args) -> int:
               "missed its tolerance")
     for name, p, diag in summary["aborted"]:
         print(f"aborted {name} P={p}: {diag}")
+    if summary["cross_check_gap"]:
+        name, p, gap = max(summary["cross_check_gap"], key=lambda cell: cell[2])
+        print(f"largest ground-truth vs finite-difference gap: {gap:.3e} ({name} P={p})")
     wins = [flag for *_, flag in summary["dg_beats_ang"]]
     if wins:
         print(f"dual beats analytic (P < N): {sum(wins)}/{len(wins)} cells")

@@ -67,6 +67,8 @@ def sensitivity_step(
     tau: float,
     beta: float = 0.0,
     x_prev=None,
+    *,
+    grad=None,
 ) -> SensitivityState:
     """One forward-mode step of the Jacobian recursion matching a solver step.
 
@@ -74,7 +76,8 @@ def sensitivity_step(
     (plus the inertial difference term); proximal methods post-compose with
     the prox derivative at the pre-prox point.  For the elastic-net prox the
     diagonal derivative is 0 where |z_i| <= tau*gamma and 1/(1+tau*lam)
-    elsewhere, with ties resolved to 0.
+    elsewhere, with ties resolved to 0.  ``grad``, if given, is
+    ``pr.primal_smooth_grad(x, u)``, which a solver step has already computed.
     """
     x = np.asarray(x, dtype=float)
     if method in ("gd", "heavy_ball"):
@@ -86,13 +89,14 @@ def sensitivity_step(
         inner = jac - tau * pr.hess_loss_jac(x, u, jac)
         if beta:
             inner = inner + beta * (jac - jac_prev)
-        z = x - tau * pr.primal_smooth_grad(x, u)
+        if grad is None:
+            grad = pr.primal_smooth_grad(x, u)
+        z = x - tau * grad
         if beta:
             z = z + beta * (x - x_prev)
-        k = pr.k
-        if not isinstance(k, ElasticNet):
+        if not isinstance(pr.k, ElasticNet):
             raise ValueError("proximal sensitivity requires an elastic-net regularizer")
-        d = (np.abs(z) > tau * k.gamma).astype(float) / (1.0 + tau * k.lam)
+        d = pr.k.prox_derivative(tau, z)
         return SensitivityState(d[:, None] * inner, jac)
     raise ValueError(f"unknown method {method!r}")
 
@@ -157,12 +161,12 @@ def run_primal(
         run.selections.append(pr.k.subgradient_min_norm(x))
 
     for _ in range(iterations):
+        g = pr.primal_smooth_grad(x, u)
         if with_sensitivity:
             state = sensitivity_step(
-                pr, method, x, u, jac, jac_prev, tau, beta, x_prev=x_prev
+                pr, method, x, u, jac, jac_prev, tau, beta, x_prev=x_prev, grad=g
             )
             jac, jac_prev = state.jac, state.jac_prev
-        g = pr.primal_smooth_grad(x, u)
         if proximal:
             z = x - tau * g + beta * (x - x_prev)
             x_next = pr.k.prox(tau, z)
@@ -211,7 +215,8 @@ def implicit_estimator(
 
     Nonsmooth regularizers are handled through the smooth surrogate Hessian
     and a minimal-norm subgradient; erratic output there is expected, not an
-    error.
+    error.  The estimate is flagged when CG reaches its iteration cap before
+    its residual test passes.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -227,12 +232,8 @@ def implicit_estimator(
         tr = conjugate_gradient(hxx, gx, np.zeros(pr.n), cap, tol=tol)
     except NotSPDError as exc:
         raise EstimatorInapplicable("surrogate Hessian is not positive definite") from exc
-    w = tr.final
-    flagged = float(np.linalg.norm(gx - hxx @ w)) > tol * max(
-        1.0, float(np.linalg.norm(gx))
-    )
-    g3 = -pr.hess_xu(x, u).T @ w + gu
-    return GradientEstimate("implicit", [g3], flagged=flagged)
+    g3 = -pr.hess_xu(x, u).T @ tr.final + gu
+    return GradientEstimate("implicit", [g3], flagged=not tr.converged)
 
 
 def dual_estimator(
@@ -321,46 +322,126 @@ def _dual_pdhg(pr: StructuredProblem, dob: DualObjective, y0, cfg: SolverConfig)
     )
 
 
+# Every NEWTON_EVERY iterations the certified solve tries NEWTON_STEPS chained
+# semismooth Newton steps per live column.
+NEWTON_EVERY = 25
+NEWTON_STEPS = 3
+
+
+def _newton_step(pr: StructuredProblem, x, par, tau: float):
+    """One semismooth Newton step per column on F(x) = x - T(x), where
+    T(x) = prox_{tau k}(x - tau grad f_s(x)) and x, par are N x K and P x K.
+
+    The generalized Jacobian of F is I - D (I - tau hess_xx_loss), with D
+    the elastic-net prox derivative at x - tau grad f_s(x) (the one the
+    forward sensitivities use); with a smooth k, F = tau grad f and the
+    Jacobian is tau hess_xx (Stella, Themelis & Patrinos, 2017).
+    """
+    prox = pr.prox_part()
+    pre = x - tau * pr.primal_smooth_grad(x, par)
+    # F(x), column by column replaced by the Newton step J^{-1} F(x)
+    delta = x - (pre if prox is None else prox.prox(tau, pre))
+    eye = np.eye(pr.n)
+    for j in range(x.shape[1]):
+        if prox is None:
+            jac = tau * pr.hess_xx(x[:, j], par[:, j])
+        else:
+            d = prox.prox_derivative(tau, pre[:, j])
+            jac = eye - d[:, None] * (eye - tau * pr.hess_xx_loss(x[:, j], par[:, j]))
+        delta[:, j] = np.linalg.solve(jac, delta[:, j])
+    return x - delta
+
+
+def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: int):
+    """Solve min_x f(x, u_j) for every column u_j of ``params`` (P x K).
+
+    Accelerated proximal gradient with tau = 1/L and the constant strongly
+    convex momentum runs on the N x K block, every column from ``x0``
+    (N x K).  With x+ = T(z) the prox-gradient step from the extrapolated
+    point z, a column is certified and frozen at x+ once
+    |z - x+| <= limit[j].  Every NEWTON_EVERY iterations up to NEWTON_STEPS
+    chained Newton steps (``_newton_step``) are tried on the live columns; a
+    Newton point y is used only if it passes the same certificate (the
+    column is then frozen at T(y)), and otherwise the prox-gradient
+    iteration goes on untouched.  The momentum is not restarted from a
+    Newton point: one from a wrong active set can still undercut an early
+    accelerated iterate's objective, and restarting there stalls
+    ill-conditioned problems.  Correctness rests on the certificate alone.
+    Returns (points, certified), certified False for the columns that
+    reached ``max_iterations``.
+    """
+    lips, m = pr.curvature()
+    tau = 1.0 / lips
+    sq = np.sqrt(min(tau * m, 1.0))
+    beta = (1.0 - sq) / (1.0 + sq)
+    prox = pr.prox_part()
+
+    def step(z, par):
+        pre = z - tau * pr.primal_smooth_grad(z, par)
+        return pre if prox is None else prox.prox(tau, pre)
+
+    points = np.array(x0, dtype=float)
+    live = np.arange(points.shape[1])  # columns still iterating
+    x = z = points.copy()
+    par, lim = params, limit
+
+    def freeze(done, at):
+        nonlocal live, x, z, par, lim
+        points[:, live[done]] = at[:, done]
+        keep = ~done
+        live, x, z, par, lim = live[keep], x[:, keep], z[:, keep], par[:, keep], lim[keep]
+        return keep
+
+    for it in range(1, max_iterations + 1):
+        x_next = step(z, par)
+        done = np.linalg.norm(z - x_next, axis=0) <= lim
+        z = x_next + beta * (x_next - x)
+        x = x_next
+        if done.any():
+            freeze(done, x)
+        if it % NEWTON_EVERY == 0 and live.size:
+            y = x
+            for _ in range(NEWTON_STEPS):
+                y = _newton_step(pr, y, par, tau)
+                y_plus = step(y, par)
+                done = np.linalg.norm(y - y_plus, axis=0) <= lim
+                if done.any():
+                    y = y[:, freeze(done, y_plus)]
+                if not live.size:
+                    break
+        if not live.size:
+            break
+    points[:, live] = x
+    certified = np.ones(points.shape[1], dtype=bool)
+    certified[live] = False
+    return points, certified
+
+
 def oracle_primal_solve(
     pr: StructuredProblem,
     u,
     x0=None,
     max_iterations: int = 40_000,
-    tol: float = 1e-14,
+    tol: float = 1e-7,
 ):
-    """High-accuracy primal solve for oracle use.
+    """Certified primal solve for oracle use; returns (x, value, converged).
 
-    Accelerated proximal gradient with strongly convex momentum, stopped
-    once the objective decrease stays below ``tol`` for several steps.
-    Returns (x, value, converged).
+    The one-column case of ``_certified_solve``.  ``tol`` is in gradient
+    units: with G = (z - x+)/tau, G - grad f_s(z) + grad f_s(x+) is a
+    subgradient at x+ of norm at most (1 + tau L)|G| = 2|G|, so m-strong
+    convexity gives |x+ - x*| <= 2|G|/m and the dual point
+    grad h(b - A x+ + u) lies within L_h |A| 2|G|/m of grad p(u).  The
+    solve stops once that bound is at most ``tol``; ``converged`` is False
+    if it reached ``max_iterations`` first.
     """
-    from . import solvers
-
     u = np.asarray(u, dtype=float)
     lips, m = pr.curvature()
-    proximal = pr.prox_part() is not None
-    tau = 1.0 / lips
-    x = np.zeros(pr.n) if x0 is None else np.array(x0, dtype=float)
-    z = x.copy()
-    q = tau * m
-    beta = (1.0 - np.sqrt(min(q, 1.0))) / (1.0 + np.sqrt(min(q, 1.0)))
-    val = pr.primal_value(x, u)
-    calm = 0
-    for _ in range(max_iterations):
-        g = pr.primal_smooth_grad(z, u)
-        x_next = z - tau * g
-        if proximal:
-            x_next = pr.k.prox(tau, x_next)
-        z = x_next + beta * (x_next - x)
-        x = x_next
-        val_next = pr.primal_value(x, u)
-        calm = calm + 1 if abs(val - val_next) < tol else 0
-        val = val_next
-        # several consecutive calm steps: the momentum ripple can produce
-        # isolated tiny decreases long before convergence
-        if calm >= 8:
-            return x, val, True
-    return x, val, False
+    lips_dual = pr.h.profile().lips * np.sqrt(pr.bounds().lmax_ata)  # L_h |A|
+    limit = np.array([tol * m / (2.0 * lips_dual * lips)])  # tau times the |G| bound
+    x0 = np.zeros(pr.n) if x0 is None else np.asarray(x0, dtype=float)
+    points, certified = _certified_solve(pr, u[:, None], x0[:, None], limit, max_iterations)
+    x = points[:, 0]
+    return x, pr.primal_value(x, u), bool(certified[0])
 
 
 def value_function(pr: StructuredProblem, u, warm=None, **kwargs):
@@ -389,12 +470,11 @@ def fd_oracle(
 
     Coordinate i uses the step s_i = eps * (1 + |u_i|).  The fully
     quadratic problem takes its closed form; otherwise the 2P perturbed
-    problems at u +- s_i e_i are solved together as the columns of one
-    N x 2P block.  Every column starts from ``warm``, the minimizer at u
-    (solved here when not given), and runs accelerated proximal gradient
-    with tau = 1/L and the constant strongly convex momentum.
+    problems at u +- s_i e_i are solved together by ``_certified_solve`` as
+    the columns of one N x 2P block, every column starting from ``warm``,
+    the minimizer at u (solved here when not given).
 
-    Stopping rule: at the extrapolated point z with x+ = prox(z - tau
+    Certificate: at the extrapolated point z with x+ = prox(z - tau
     grad(z)), the gradient mapping G = (z - x+)/tau makes
     G - grad(z) + grad(x+) a subgradient of the objective at x+ of norm at
     most (1 + tau L)|G| = 2|G|, so m-strong convexity bounds the value error
@@ -416,32 +496,11 @@ def fd_oracle(
         lips, m = pr.curvature()
         if warm is None:
             warm = oracle_primal_solve(pr, u, max_iterations=max_iterations)[0]
-        tau = 1.0 / lips
-        sq = np.sqrt(min(tau * m, 1.0))
-        beta = (1.0 - sq) / (1.0 + sq)
-        proximal = pr.prox_part() is not None
         # |z - x+| bound per column, i.e. tau times the |G| bound
-        limit = tau * np.sqrt(tol * m * np.concatenate([steps, steps]))
-
-        points = np.repeat(np.asarray(warm, dtype=float)[:, None], 2 * pr.p, axis=1)
-        live = np.arange(2 * pr.p)  # columns still iterating
-        x = z = points.copy()
-        par = params
-        for _ in range(max_iterations):
-            x_next = z - tau * pr.primal_smooth_grad(z, par)
-            if proximal:
-                x_next = pr.k.prox(tau, x_next)
-            done = np.linalg.norm(z - x_next, axis=0) <= limit[live]
-            z = x_next + beta * (x_next - x)
-            x = x_next
-            if done.any():
-                points[:, live[done]] = x[:, done]
-                keep = ~done
-                live, x, z, par = live[keep], x[:, keep], z[:, keep], par[:, keep]
-                if live.size == 0:
-                    break
-        points[:, live] = x
-        flagged = live.size > 0
+        limit = np.sqrt(tol * m * np.concatenate([steps, steps])) / lips
+        start = np.repeat(np.asarray(warm, dtype=float)[:, None], 2 * pr.p, axis=1)
+        points, certified = _certified_solve(pr, params, start, limit, max_iterations)
+        flagged = not certified.all()
         vals = pr.primal_value(points, params)
     g = (vals[: pr.p] - vals[pr.p :]) / (2.0 * steps)
     return GradientEstimate("fd", [g], flagged=flagged)

@@ -229,6 +229,11 @@ class ElasticNet(ConvexFunction):
             1.0 + tau * self.lam
         )
 
+    def prox_derivative(self, tau, z):
+        """Diagonal of the prox Jacobian at z: 0 where |z_i| <= tau*gamma
+        (ties resolved to 0), 1/(1 + tau*lam) elsewhere."""
+        return (np.abs(z) > tau * self.gamma).astype(float) / (1.0 + tau * self.lam)
+
     def conjugate(self):
         return ElasticNetConjugate(self.lam, self.gamma)
 

@@ -49,6 +49,8 @@ class SolverConfig:
 class IterateTrace:
     points: list = field(default_factory=list)
     values: list = field(default_factory=list)
+    # set by solvers with a stopping test: did it pass within the budget
+    converged: bool | None = None
 
     def append(self, x, objective=None):
         self.points.append(np.array(x, dtype=float))
@@ -208,7 +210,9 @@ def conjugate_gradient(
     """Minimize y^T Q y / 2 - rhs^T y for SPD Q given as a matvec.
 
     Terminates early once the residual norm drops below ``tol``; raises
-    :class:`NotSPDError` on a nonpositive curvature direction.
+    :class:`NotSPDError` on a nonpositive curvature direction.  The trace's
+    ``converged`` tells whether that test passed before the iteration cap;
+    the residual it tests is the recursively updated one.
     """
     y = np.array(y0, dtype=float)
     if callable(matvec):
@@ -234,6 +238,7 @@ def conjugate_gradient(
         p = r + (rr_new / rr) * p
         rr = rr_new
         _push(tr, y, objective, record_trace)
+    tr.converged = bool(np.sqrt(rr) <= tol)
     return tr
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import valgrad.estimators
 from valgrad.estimators import (
     GradientEstimate,
     analytic_estimator,
@@ -17,8 +18,13 @@ from valgrad.estimators import (
 )
 from valgrad.funcs import NonsmoothError
 from valgrad.linalg import seeded_problem_data
-from valgrad.problems import ToyProblem, closed_form_f1, make_experiment_problem
-from valgrad.solvers import SolverConfig, optimal_gd_step
+from valgrad.problems import (
+    StructuredProblem,
+    ToyProblem,
+    closed_form_f1,
+    make_experiment_problem,
+)
+from valgrad.solvers import SolverConfig, conjugate_gradient, optimal_gd_step
 
 
 def instance(which=1, n=10, p=6, seed=0, cond=3.0):
@@ -130,6 +136,27 @@ def _fd_jacobian(pr, u, method, iterations, eps=1e-6):
                         with_sensitivity=False).final
         jac[:, i] = (xp - xm) / (2 * eps)
     return jac
+
+
+@pytest.mark.parametrize("method", ["ista", "ipiasco"])
+def test_sensitivity_step_reuses_the_solver_gradient(method, monkeypatch):
+    pr, u = instance(3, n=8, p=5, seed=3)
+    x, x_prev = np.linspace(-1.0, 1.0, pr.n), np.linspace(0.5, -0.5, pr.n)
+    jac = np.arange(pr.n * pr.p, dtype=float).reshape(pr.n, pr.p) / 40.0
+    jac_prev = 0.5 * jac
+    args = (pr, method, x, u, jac, jac_prev, 0.01, 0.3)
+    own = sensitivity_step(*args, x_prev=x_prev)
+    given = sensitivity_step(*args, x_prev=x_prev, grad=pr.primal_smooth_grad(x, u))
+    assert np.array_equal(own.jac, given.jac) and np.array_equal(own.jac_prev, given.jac_prev)
+    # run_primal hands its gradient over: one gradient call per iteration
+    bare = run_primal(pr, u, method, iterations=12, with_sensitivity=False)
+    calls = []
+    grad = StructuredProblem.primal_smooth_grad
+    monkeypatch.setattr(StructuredProblem, "primal_smooth_grad",
+                        lambda self, *a: calls.append(1) or grad(self, *a))
+    run = run_primal(pr, u, method, iterations=12)
+    assert len(calls) == 12
+    assert all(np.array_equal(p, q) for p, q in zip(run.points, bare.points))
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -330,6 +357,60 @@ def test_fd_oracle_within_tol_whatever_the_warm_start(which):
         est = fd_oracle(pr, u, warm=start)
         assert not est.flagged
         np.testing.assert_allclose(est.final, cold.final, atol=1e-6)
+
+
+def test_implicit_flag_needs_the_cg_cap():
+    # f4, P = 10 of the default grid at seed 0: CG passes its residual test at
+    # step 18 of 250, while the true residual is 2.4e-11, above 1e-12 |grad_x f|
+    # only through round-off; the estimate must not be flagged
+    a, u = seeded_problem_data(50, 10, 414, 100.0)
+    pr = make_experiment_problem(4, a, 2.0, 0.1, 0.1)
+    x = run_primal(pr, u, "ipiasco", iterations=250, with_sensitivity=False).final
+    hxx = pr.hess_xx(x, u)
+    gx = pr.c - pr.a.T @ pr.grad_u(x, u) + pr.k.subgradient_min_norm(x)
+    tr = conjugate_gradient(hxx, gx, np.zeros(pr.n), 5 * pr.n, tol=1e-12)
+    assert tr.converged and len(tr) - 1 < 5 * pr.n
+    assert np.linalg.norm(gx - hxx @ tr.final) > 1e-12 * np.linalg.norm(gx)
+    assert not implicit_estimator(pr, x, u).flagged
+    assert implicit_estimator(pr, x, u, max_iterations=3).flagged
+
+
+def oracle_instance(which):
+    a, u = seeded_problem_data(20, 15, 4, 30.0)
+    return make_experiment_problem(which, a), u
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+def test_oracle_primal_solve_certifies_tol(which, tol):
+    # tol bounds |grad h(b - A x + u) - grad p(u)|; a cold solve must land
+    # within it of a tightly certified reference
+    pr, u = oracle_instance(which)
+    ref, _, ok = oracle_primal_solve(pr, u, tol=1e-11)
+    assert ok
+    x, val, ok = oracle_primal_solve(pr, u, tol=tol)
+    assert ok and val == pr.primal_value(x, u)
+    assert np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u)) <= tol
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
+    pr, u = oracle_instance(which)
+    ref, _, _ = oracle_primal_solve(pr, u, tol=1e-11)
+    fd_ref = fd_oracle(pr, u, warm=ref)
+    calls = []
+
+    def garbage(pr, x, par, tau):
+        calls.append(x.shape[1])
+        return np.full_like(x, np.nan) if len(calls) % 2 else x + 1e3
+
+    monkeypatch.setattr(valgrad.estimators, "_newton_step", garbage)
+    x, _, ok = oracle_primal_solve(pr, u)
+    assert calls and ok  # Newton was tried, and the prox-gradient fallback certified
+    assert np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u)) <= 1e-7
+    fd = fd_oracle(pr, u, warm=x)
+    assert not fd.flagged
+    np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
 
 
 def test_fd_oracle_flags_iteration_cap():

@@ -294,6 +294,32 @@ def test_flagged_implicit_estimate_is_reported(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_cross_check_gap_is_reported(tmp_path, capsys):
+    _, summary = run_grid(SMALL, clock=constant_clock)
+    # f1 takes its closed form, so only the f3 cells have a cross-check
+    assert [cell[:2] for cell in summary["cross_check_gap"]] == [("f3", 6), ("f3", 9)]
+    assert all(0.0 <= gap <= SMALL.cross_check_tol for *_, gap in summary["cross_check_gap"])
+    name, p, worst = max(summary["cross_check_gap"], key=lambda cell: cell[2])
+    code = main(["run", "--n", "12", "--p", "6,9", "--problems", "f1,f3", "--iters", "40",
+                 "--cond", "3", "--out", str(tmp_path)])
+    assert code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("largest")]
+    assert lines == [
+        f"largest ground-truth vs finite-difference gap: {worst:.3e} ({name} P={p})"
+    ]
+
+
+def test_seed7_f3_p90_passes_its_cross_check():
+    # the dual FISTA reference this cell once used was 1.2e-4 off the
+    # finite differences, which aborted it; the certified primal solve agrees
+    cfg = ExperimentConfig(seed=7, problems=("f3",), p_list=(90,), iterations=2)
+    _, summary = run_grid(cfg, clock=constant_clock)
+    assert summary["aborted"] == [] and summary["oracle_flagged"] == []
+    assert summary["cells"] == [("f3", 90)]
+    [(_, _, gap)] = summary["cross_check_gap"]
+    assert gap <= 1e-6
+
+
 def test_cli_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--unknown-flag"])

@@ -189,6 +189,15 @@ def test_cg_accepts_matvec_callable_and_early_stop():
     np.testing.assert_allclose(tr.final, xstar, atol=1e-8)
 
 
+def test_cg_reports_whether_its_stopping_test_passed():
+    q, b, *_ = quad(seed=11, n=8)
+    assert conjugate_gradient(q, b, np.zeros(8), 100, tol=1e-10).converged
+    # the cap comes first: two steps cannot solve an 8-dimensional system
+    assert not conjugate_gradient(q, b, np.zeros(8), 2, tol=1e-10).converged
+    # with no step allowed, a start that already passes the test counts
+    assert conjugate_gradient(q, b, np.linalg.solve(q, b), 0, tol=1e-8).converged
+
+
 def test_cg_raises_on_indefinite():
     q = np.diag([1.0, -1.0])
     with pytest.raises(NotSPDError):
