@@ -74,13 +74,12 @@ from .solvers import (
     SolverConfig,
     conjugate_gradient,
     fista,
-    gradient_descent,
-    heavy_ball,
-    ipiasco,
-    ista,
     optimal_gd_step,
     optimal_inertial_params,
     pdhg,
+    prox_gradient,
+    prox_gradient_steps,
+    step_policy,
 )
 
 __version__ = "0.1.0"

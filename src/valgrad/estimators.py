@@ -22,8 +22,11 @@ from .solvers import (
     NotSPDError,
     SolverConfig,
     conjugate_gradient,
-    optimal_gd_step,
-    optimal_inertial_params,
+    fista,
+    pdhg,
+    prox_gradient,
+    prox_gradient_steps,
+    step_policy,
 )
 
 
@@ -130,53 +133,42 @@ def run_primal(
     """Run a primal solver, propagating sensitivities alongside the iterates.
 
     Smooth problems use gd / heavy_ball, elastic-net problems ista /
-    ipiasco.  Step sizes default to 2/(L+m) and the inertial pair to the
-    optimal strongly convex choices, using the whole-objective curvature.
+    ipiasco, all through ``prox_gradient_steps``; ``step_policy`` gives the
+    default step size and momentum, using the whole-objective curvature.
     """
+    if method not in ("gd", "heavy_ball", "ista", "ipiasco"):
+        raise ValueError(f"unknown primal method {method!r}")
     u = np.asarray(u, dtype=float)
-    lips, m = pr.curvature()
-    if method in ("gd", "ista"):
-        if tau is None:
-            tau = optimal_gd_step(lips, m)
-        beta = 0.0
-    else:
-        t_opt, b_opt = optimal_inertial_params(lips, m)
-        if tau is None:
-            tau = t_opt
-        if beta is None:
-            beta = b_opt
+    tau, beta = step_policy(method, *pr.curvature(), tau, beta)
     proximal = method in ("ista", "ipiasco")
     if proximal and pr.prox_part() is None:
         raise ValueError("proximal method on a smooth problem; use gd or heavy_ball")
 
-    x = np.zeros(pr.n) if x0 is None else np.array(x0, dtype=float)
-    x_prev = x.copy()
-    jac = np.zeros((pr.n, pr.p))
-    jac_prev = jac.copy()
+    # the kernel and sensitivity_step return fresh arrays and never modify
+    # one, so the run stores them without copies
+    x0 = np.zeros(pr.n) if x0 is None else np.array(x0, dtype=float)
+    jac = jac_prev = np.zeros((pr.n, pr.p))
     run = PrimalRun(method=method, tau=tau, beta=beta)
-    run.points.append(x.copy())
+    run.points.append(x0)
     if with_sensitivity:
-        run.jacobians.append(jac.copy())
+        run.jacobians.append(jac)
     if proximal:
-        run.selections.append(pr.k.subgradient_min_norm(x))
+        run.selections.append(pr.k.subgradient_min_norm(x0))
 
-    for _ in range(iterations):
-        g = pr.primal_smooth_grad(x, u)
+    steps = prox_gradient_steps(
+        lambda x: pr.primal_smooth_grad(x, u), pr.k.prox if proximal else None,
+        x0, tau, beta, iterations,
+    )
+    for x, x_prev, g, z, x_next in steps:
         if with_sensitivity:
             state = sensitivity_step(
                 pr, method, x, u, jac, jac_prev, tau, beta, x_prev=x_prev, grad=g
             )
             jac, jac_prev = state.jac, state.jac_prev
+            run.jacobians.append(jac)
         if proximal:
-            z = x - tau * g + beta * (x - x_prev)
-            x_next = pr.k.prox(tau, z)
             run.selections.append((z - x_next) / tau)
-        else:
-            x_next = x - tau * g + beta * (x - x_prev)
-        x_prev, x = x, x_next
-        run.points.append(x.copy())
-        if with_sensitivity:
-            run.jacobians.append(jac.copy())
+        run.points.append(x_next)
     return run
 
 
@@ -240,63 +232,38 @@ def dual_estimator(
     pr: StructuredProblem, u, cfg: SolverConfig, v=None, y0=None
 ) -> GradientEstimate:
     """g4(k) = y(k), the iterates of the dual problem under the chosen solver."""
-    from . import solvers
-
     dob = pr.dual_objective(u, v)
     y = np.zeros(pr.p) if y0 is None else np.array(y0, dtype=float)
-    lips, m = dob.curvature()
     method = cfg.method
     rec = cfg.record_trace
     if method == "cg":
         q, r = dob.quadratic_form()
         tr = conjugate_gradient(q, r, y, cfg.iterations, tol=0.0, record_trace=rec)
-    elif method in ("gd", "heavy_ball"):
-        if dob.prox_part is not None:
-            raise ValueError("dual objective has a prox part; use a proximal method")
-        if method == "gd":
-            tau = cfg.tau or optimal_gd_step(lips, m)
-            tr = solvers.gradient_descent(
-                dob.smooth_grad, y, tau, cfg.iterations, record_trace=rec
-            )
-        else:
-            t_opt, b_opt = optimal_inertial_params(lips, m)
-            tr = solvers.heavy_ball(
-                dob.smooth_grad, y, cfg.tau or t_opt,
-                b_opt if cfg.beta is None else cfg.beta, cfg.iterations,
-                record_trace=rec,
-            )
-    elif method == "ista":
-        tau = cfg.tau or optimal_gd_step(lips, m)
-        tr = solvers.ista(
-            dob.smooth_grad, dob.prox, y, tau, cfg.iterations, record_trace=rec
-        )
-    elif method == "fista":
-        tau = cfg.tau or 1.0 / lips
-        tr = solvers.fista(
-            dob.smooth_grad, dob.prox, y, tau, cfg.iterations, sc_smooth=m,
-            record_trace=rec,
-        )
-    elif method == "ipiasco":
-        t_opt, b_opt = optimal_inertial_params(lips, m)
-        tr = solvers.ipiasco(
-            dob.smooth_grad, dob.prox, y, cfg.tau or t_opt,
-            b_opt if cfg.beta is None else cfg.beta, cfg.iterations,
-            record_trace=rec,
-        )
     elif method == "pdhg":
         tr = _dual_pdhg(pr, dob, y, cfg)
     else:
-        raise ValueError(f"unknown dual solver {method!r}")
+        lips, m = dob.curvature()
+        tau, beta = step_policy(method, lips, m, cfg.tau, cfg.beta)
+        if method == "fista":
+            tr = fista(
+                dob.smooth_grad, dob.prox, y, tau, cfg.iterations, sc_smooth=m,
+                record_trace=rec,
+            )
+        else:
+            proximal = method in ("ista", "ipiasco")
+            if not proximal and dob.prox_part is not None:
+                raise ValueError("dual objective has a prox part; use a proximal method")
+            tr = prox_gradient(
+                dob.smooth_grad, dob.prox if proximal else None, y, tau, beta,
+                cfg.iterations, record_trace=rec,
+            )
     return GradientEstimate("dual", [np.array(p) for p in tr.points])
 
 
 def _dual_pdhg(pr: StructuredProblem, dob: DualObjective, y0, cfg: SolverConfig):
-    """PDHG on min_y k*(A^T y + shift) + [h*(y) - <linear, y>] with K = A^T."""
-    from . import solvers
-
+    """PDHG on min_y k*(A^T y + shift) + [h*(y) - <linear, y>] with K = A^T,
+    sigma = 1/|A|, tau = 1/|A| unless given, and theta = 1."""
     op_norm = float(np.sqrt(pr.bounds().lmax_ata))
-    sigma = cfg.pdhg_sigma or 1.0 / op_norm
-    tau = cfg.tau or 1.0 / op_norm
     hstar = pr.h.conjugate()
     shift, linear = dob.shift, dob.linear
 
@@ -307,16 +274,15 @@ def _dual_pdhg(pr: StructuredProblem, dob: DualObjective, y0, cfg: SolverConfig)
     def prox_primal(t, z):
         return hstar.prox(t, z + t * linear)
 
-    return solvers.pdhg(
+    return pdhg(
         k_op=lambda y: pr.a.T @ y,
         k_op_adj=lambda z: pr.a @ z,
         prox_conj=prox_conj,
         prox_primal=prox_primal,
         y0=y0,
-        sigma=sigma,
-        tau=tau,
+        sigma=1.0 / op_norm,
+        tau=cfg.tau or 1.0 / op_norm,
         iterations=cfg.iterations,
-        theta=cfg.pdhg_theta,
         op_norm=op_norm,
         record_trace=cfg.record_trace,
     )

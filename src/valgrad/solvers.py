@@ -1,9 +1,16 @@
 """First-order methods with full iterate traces.
 
-All solvers run a fixed number of iterations (no early exit) so runs are
-directly comparable; tolerance-based stopping is reserved for the
-oracle-grade solves in :mod:`valgrad.estimators`.  Oracles passed in must
-be pure functions, which makes every solver deterministic.
+gd, heavy ball, ista and ipiasco are one recursion, the inertial proximal
+gradient step of ``prox_gradient_steps`` (beta = 0 and/or the identity
+prox); ``prox_gradient`` collects its trace, and ``step_policy`` holds the
+default step sizes of every method.  ``fista`` (gradient at the
+extrapolated point), ``pdhg`` and ``conjugate_gradient`` are separate.
+
+The first-order solvers run a fixed number of iterations (no early exit) so
+runs are directly comparable; CG may stop on its residual, and the
+oracle-grade solves in :mod:`valgrad.estimators` stop on a certificate.
+Oracles passed in must be pure functions, which makes every solver
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,10 +30,7 @@ class SolverConfig:
     tau: float | None = None
     beta: float | None = None
     iterations: int = 100
-    pdhg_sigma: float | None = None
-    pdhg_theta: float = 1.0
     record_trace: bool = True
-    lipschitz: float | None = None
 
     def __post_init__(self):
         if self.tau is not None and self.tau <= 0:
@@ -35,14 +39,6 @@ class SolverConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.iterations < 0:
             raise ValueError("iteration count must be nonnegative")
-        if self.pdhg_theta < 0 or self.pdhg_theta > 1:
-            raise ValueError("pdhg extrapolation must lie in [0, 1]")
-        if (
-            self.tau is not None
-            and self.lipschitz is not None
-            and self.tau > 2.0 / self.lipschitz * (1 + 1e-12)
-        ):
-            raise ValueError("step size exceeds the stable range 2/L")
 
 
 @dataclass
@@ -80,86 +76,64 @@ def _push(tr, x, objective, record):
             tr.values[-1] = float(objective(x))
 
 
-def gradient_descent(grad, x0, tau, iterations, objective=None, record_trace=True):
-    """x+ = x - tau * grad(x)."""
-    x = np.array(x0, dtype=float)
-    tr = _trace(x, objective)
-    for _ in range(iterations):
-        x = x - tau * grad(x)
-        _push(tr, x, objective, record_trace)
-    return tr
+def prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
+    """The inertial proximal gradient recursion, one step per yield.
 
-
-def heavy_ball(grad, x0, tau, beta, iterations, objective=None, record_trace=True):
-    """x+ = x - tau * grad(x) + beta * (x - x_prev), with x_prev initialized to x0."""
+    x+ = prox(tau, z) with z = x - tau * smooth_grad(x) + beta * (x - x_prev)
+    and x_prev initialized to x0 (Ochs, Brox & Pock, iPiasco, 2015).
+    ``prox_step=None`` is the identity prox, and the momentum term is added
+    only if ``beta`` is nonzero.  Each step yields (x, x_prev, g, z, x+) with
+    g = smooth_grad(x); no yielded array is modified afterwards.
+    """
     x = np.array(x0, dtype=float)
-    x_prev = x.copy()
-    tr = _trace(x, objective)
+    x_prev = x
     for _ in range(iterations):
-        x_next = x - tau * grad(x) + beta * (x - x_prev)
+        g = smooth_grad(x)
+        z = x - tau * g
+        if beta:
+            z = z + beta * (x - x_prev)
+        x_next = z if prox_step is None else prox_step(tau, z)
+        yield x, x_prev, g, z, x_next
         x_prev, x = x, x_next
-        _push(tr, x, objective, record_trace)
-    return tr
 
 
-def ista(smooth_grad, prox_step, x0, tau, iterations, objective=None, record_trace=True):
-    """Proximal gradient: x+ = prox(tau, x - tau * smooth_grad(x))."""
-    x = np.array(x0, dtype=float)
-    tr = _trace(x, objective)
-    for _ in range(iterations):
-        x = prox_step(tau, x - tau * smooth_grad(x))
-        _push(tr, x, objective, record_trace)
+def prox_gradient(
+    smooth_grad, prox_step, x0, tau, beta, iterations, objective=None, record_trace=True
+):
+    """Trace of ``prox_gradient_steps``: gd (beta = 0, no prox), heavy ball
+    (no prox), ista (beta = 0) and ipiasco."""
+    tr = _trace(np.array(x0, dtype=float), objective)
+    for *_, x_next in prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
+        _push(tr, x_next, objective, record_trace)
     return tr
 
 
 def fista(
-    smooth_grad,
-    prox_step,
-    x0,
-    tau,
-    iterations,
-    sc_smooth=0.0,
-    sc_prox=0.0,
-    objective=None,
+    smooth_grad, prox_step, x0, tau, iterations, sc_smooth=0.0, objective=None,
     record_trace=True,
 ):
-    """Accelerated proximal gradient.
+    """Accelerated proximal gradient, with the gradient at the extrapolated point.
 
-    With total strong convexity mu = sc_smooth + sc_prox > 0 the constant
-    momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = tau * mu / (1 + tau * sc_prox),
-    is used; otherwise the classical t-sequence.  No restarts.
+    With strong convexity sc_smooth > 0 the constant momentum
+    (1 - sqrt(q)) / (1 + sqrt(q)), q = tau * sc_smooth, is used; otherwise
+    the classical t-sequence.  No restarts.
     """
     x = np.array(x0, dtype=float)
     z = x.copy()
     tr = _trace(x, objective)
-    mu = sc_smooth + sc_prox
-    if mu > 0:
-        q = tau * mu / (1.0 + tau * sc_prox)
+    if sc_smooth > 0:
+        q = tau * sc_smooth
         beta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
     t = 1.0
     for _ in range(iterations):
         x_next = prox_step(tau, z - tau * smooth_grad(z))
-        if mu > 0:
+        if sc_smooth > 0:
             z = x_next + beta * (x_next - x)
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             z = x_next + (t - 1.0) / t_next * (x_next - x)
             t = t_next
         x = x_next
-        _push(tr, x, objective, record_trace)
-    return tr
-
-
-def ipiasco(
-    smooth_grad, prox_step, x0, tau, beta, iterations, objective=None, record_trace=True
-):
-    """Inertial proximal gradient: x+ = prox(tau, x - tau*smooth_grad(x) + beta*(x - x_prev))."""
-    x = np.array(x0, dtype=float)
-    x_prev = x.copy()
-    tr = _trace(x, objective)
-    for _ in range(iterations):
-        x_next = prox_step(tau, x - tau * smooth_grad(x) + beta * (x - x_prev))
-        x_prev, x = x, x_next
         _push(tr, x, objective, record_trace)
     return tr
 
@@ -173,7 +147,6 @@ def pdhg(
     sigma,
     tau,
     iterations,
-    theta=1.0,
     op_norm=None,
     accel_sc=0.0,
     objective=None,
@@ -182,14 +155,16 @@ def pdhg(
     """Primal-dual hybrid gradient for min_y f(K y) + g(y).
 
     ``prox_conj(sigma, z)`` is the prox of f*, ``prox_primal(tau, z)`` that
-    of g.  With ``accel_sc > 0`` (strong convexity of g) the accelerated
-    parameter schedule theta_n = 1/sqrt(1 + 2*accel_sc*tau_n) is used.
+    of g.  The extrapolation is theta = 1; with ``accel_sc > 0`` (strong
+    convexity of g) the accelerated parameter schedule
+    theta_n = 1/sqrt(1 + 2*accel_sc*tau_n) is used.
     """
     if op_norm is not None and sigma * tau * op_norm**2 > 1.0 + 1e-12:
         raise ValueError("sigma * tau * ||K||^2 must be at most 1")
     y = np.array(y0, dtype=float)
     y_bar = y.copy()
     z = np.zeros_like(k_op(y))
+    theta = 1.0
     tr = _trace(y, objective)
     for _ in range(iterations):
         z = prox_conj(sigma, z + sigma * k_op(y_bar))
@@ -251,3 +226,21 @@ def optimal_inertial_params(lips, m):
     """Step 4/(sqrt(L)+sqrt(m))^2 and momentum ((sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)))^2."""
     sl, sm = np.sqrt(lips), np.sqrt(m)
     return 4.0 / (sl + sm) ** 2, ((sl - sm) / (sl + sm)) ** 2
+
+
+def step_policy(method, lips, m, tau=None, beta=None):
+    """(tau, beta) for a method on an objective with curvature in [m, lips].
+
+    gd and ista take 2/(L+m) and no momentum, heavy_ball and ipiasco the
+    optimal strongly convex pair, fista 1/L (its momentum is its own, so
+    beta comes back None).  A given tau or beta wins, except that gd and
+    ista never take momentum.
+    """
+    if method in ("gd", "ista"):
+        return (optimal_gd_step(lips, m) if tau is None else tau), 0.0
+    if method in ("heavy_ball", "ipiasco"):
+        t_opt, b_opt = optimal_inertial_params(lips, m)
+        return (t_opt if tau is None else tau), (b_opt if beta is None else beta)
+    if method == "fista":
+        return (1.0 / lips if tau is None else tau), None
+    raise ValueError(f"unknown method {method!r}")

@@ -24,7 +24,13 @@ from valgrad.problems import (
     closed_form_f1,
     make_experiment_problem,
 )
-from valgrad.solvers import SolverConfig, conjugate_gradient, optimal_gd_step
+from valgrad.solvers import (
+    SolverConfig,
+    conjugate_gradient,
+    optimal_gd_step,
+    prox_gradient,
+    step_policy,
+)
 
 
 def instance(which=1, n=10, p=6, seed=0, cond=3.0):
@@ -175,6 +181,44 @@ def test_sensitivity_matches_fd_jacobian_proximal(method):
     run = run_primal(pr, u, method, iterations=25)
     fd = _fd_jacobian(pr, u, method, 25)
     np.testing.assert_allclose(run.jacobians[-1], fd, atol=1e-5)
+
+
+def _reference_iterates(grad, prox, x0, tau, beta, iterations):
+    """x+ = prox(tau, x - tau grad(x) + beta (x - x_prev)), x_prev = x0 at the start."""
+    xs = [x0]
+    x = x_prev = x0
+    for _ in range(iterations):
+        pre = x - tau * grad(x) + beta * (x - x_prev)
+        x_prev, x = x, (pre if prox is None else prox(tau, pre))
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("method", ["gd", "heavy_ball", "ista", "ipiasco"])
+def test_primal_run_dual_trace_and_reference_share_one_recursion(method):
+    # the f3 instance for the proximal methods, the same data under f1 for
+    # the smooth ones; one kernel must give bit-identical iterates
+    which = 3 if method in ("ista", "ipiasco") else 1
+    pr, u = instance(which, n=8, p=5, seed=2)
+    prox = pr.k.prox if which == 3 else None
+    tau, beta = step_policy(method, *pr.curvature())
+    grad = lambda x: pr.primal_smooth_grad(x, u)
+    want = _reference_iterates(grad, prox, np.zeros(pr.n), tau, beta, 30)
+    traced = prox_gradient(grad, prox, np.zeros(pr.n), tau, beta, 30).points
+    run = run_primal(pr, u, method, iterations=30)
+    bare = run_primal(pr, u, method, iterations=30, with_sensitivity=False)
+    assert (run.tau, run.beta) == (tau, beta)
+    for got in (traced, run.points, bare.points):
+        assert len(got) == 31
+        assert all(np.array_equal(p, q) for p, q in zip(got, want))
+
+
+@pytest.mark.parametrize("with_sensitivity", [True, False])
+@pytest.mark.parametrize("method", ["fista", "pdhg", "nonsense"])
+def test_run_primal_rejects_an_unknown_method(method, with_sensitivity):
+    pr, u = instance(1)
+    with pytest.raises(ValueError, match="unknown primal method"):
+        run_primal(pr, u, method, iterations=3, with_sensitivity=with_sensitivity)
 
 
 def test_automatic_estimator_exact_at_optimum():

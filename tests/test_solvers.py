@@ -6,13 +6,11 @@ from valgrad.solvers import (
     SolverConfig,
     conjugate_gradient,
     fista,
-    gradient_descent,
-    heavy_ball,
-    ipiasco,
-    ista,
     optimal_gd_step,
     optimal_inertial_params,
     pdhg,
+    prox_gradient,
+    step_policy,
 )
 
 
@@ -33,15 +31,12 @@ def test_solver_config_validation():
         SolverConfig(beta=1.0)
     with pytest.raises(ValueError):
         SolverConfig(iterations=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(tau=3.0, lipschitz=1.0)
-    SolverConfig(tau=2.0, lipschitz=1.0)  # exactly 2/L is allowed
 
 
 def test_gradient_descent_linear_convergence():
     q, b, xstar, lips, m = quad()
     tau = optimal_gd_step(lips, m)
-    tr = gradient_descent(lambda x: q @ x - b, np.zeros(6), tau, 200)
+    tr = prox_gradient(lambda x: q @ x - b, None, np.zeros(6), tau, 0.0, 200)
     errs = [np.linalg.norm(x - xstar) for x in tr.points]
     omega = (lips - m) / (lips + m)
     assert errs[-1] < 1e-8
@@ -52,16 +47,16 @@ def test_gradient_descent_linear_convergence():
 def test_gradient_descent_objective_monotone():
     q, b, xstar, lips, m = quad(seed=1)
     obj = lambda x: 0.5 * x @ q @ x - b @ x
-    tr = gradient_descent(lambda x: q @ x - b, np.ones(6), 1.0 / lips, 50, objective=obj)
+    tr = prox_gradient(lambda x: q @ x - b, None, np.ones(6), 1.0 / lips, 0.0, 50, objective=obj)
     assert all(v2 <= v1 + 1e-14 for v1, v2 in zip(tr.values, tr.values[1:]))
 
 
 def test_heavy_ball_beats_gd_on_ill_conditioned():
     q, b, xstar, lips, m = quad(seed=2, cond=500.0)
     grad = lambda x: q @ x - b
-    gd_tr = gradient_descent(grad, np.zeros(6), optimal_gd_step(lips, m), 150)
+    gd_tr = prox_gradient(grad, None, np.zeros(6), optimal_gd_step(lips, m), 0.0, 150)
     tau, beta = optimal_inertial_params(lips, m)
-    hb_tr = heavy_ball(grad, np.zeros(6), tau, beta, 150)
+    hb_tr = prox_gradient(grad, None, np.zeros(6), tau, beta, 150)
     assert np.linalg.norm(hb_tr.final - xstar) < np.linalg.norm(gd_tr.final - xstar)
 
 
@@ -76,7 +71,7 @@ def test_ista_solves_lasso_fixed_point():
     from valgrad.funcs import soft_threshold
 
     prox = lambda tau, z: soft_threshold(z, tau * gamma)
-    tr = ista(smooth_grad, prox, np.zeros(5), 1.0 / lips, 3000)
+    tr = prox_gradient(smooth_grad, prox, np.zeros(5), 1.0 / lips, 0.0, 3000)
     x = tr.final
     z = x - smooth_grad(x) / lips
     np.testing.assert_allclose(x, prox(1.0 / lips, z), atol=1e-10)
@@ -98,19 +93,19 @@ def test_ipiasco_matches_heavy_ball_with_identity_prox():
     q, b, xstar, lips, m = quad(seed=6)
     grad = lambda x: q @ x - b
     tau, beta = optimal_inertial_params(lips, m)
-    hb = heavy_ball(grad, np.zeros(6), tau, beta, 40)
-    ip = ipiasco(grad, lambda t, z: z, np.zeros(6), tau, beta, 40)
+    hb = prox_gradient(grad, None, np.zeros(6), tau, beta, 40)
+    ip = prox_gradient(grad, lambda t, z: z, np.zeros(6), tau, beta, 40)
     np.testing.assert_allclose(hb.final, ip.final, atol=1e-12)
 
 
 def test_record_trace_off_keeps_only_last():
     q, b, xstar, lips, m = quad(seed=7)
-    tr = gradient_descent(
-        lambda x: q @ x - b, np.zeros(6), optimal_gd_step(lips, m), 30,
+    tr = prox_gradient(
+        lambda x: q @ x - b, None, np.zeros(6), optimal_gd_step(lips, m), 0.0, 30,
         record_trace=False,
     )
     assert len(tr) == 1
-    full = gradient_descent(lambda x: q @ x - b, np.zeros(6), optimal_gd_step(lips, m), 30)
+    full = prox_gradient(lambda x: q @ x - b, None, np.zeros(6), optimal_gd_step(lips, m), 0.0, 30)
     np.testing.assert_allclose(tr.final, full.final)
 
 
@@ -209,3 +204,31 @@ def test_optimal_parameters():
     tau, beta = optimal_inertial_params(4.0, 1.0)
     assert tau == pytest.approx(4.0 / 9.0)
     assert beta == pytest.approx(1.0 / 9.0)
+
+
+@pytest.mark.parametrize("method", ["gd", "ista"])
+def test_step_policy_plain_methods_take_no_momentum(method):
+    assert step_policy(method, 3.0, 1.0) == (0.5, 0.0)
+    assert step_policy(method, 3.0, 1.0, tau=0.1) == (0.1, 0.0)
+    # a given momentum is ignored: gd and ista are the beta = 0 recursion
+    assert step_policy(method, 3.0, 1.0, beta=0.7) == (0.5, 0.0)
+    assert step_policy(method, 3.0, 1.0, tau=0.1, beta=0.7) == (0.1, 0.0)
+
+
+@pytest.mark.parametrize("method", ["heavy_ball", "ipiasco"])
+def test_step_policy_inertial_methods_take_the_optimal_pair(method):
+    assert step_policy(method, 4.0, 1.0) == optimal_inertial_params(4.0, 1.0)
+    tau, beta = step_policy(method, 4.0, 1.0)
+    assert tau == pytest.approx(4.0 / 9.0)
+    assert beta == pytest.approx(1.0 / 9.0)
+    assert step_policy(method, 4.0, 1.0, tau=0.1) == (0.1, beta)
+    assert step_policy(method, 4.0, 1.0, beta=0.3) == (tau, 0.3)
+    assert step_policy(method, 4.0, 1.0, beta=0.0) == (tau, 0.0)
+
+
+def test_step_policy_fista_and_unknown_methods():
+    assert step_policy("fista", 4.0, 1.0) == (0.25, None)
+    assert step_policy("fista", 4.0, 1.0, tau=0.1, beta=0.3) == (0.1, None)
+    for method in ("pdhg", "cg", "nonsense"):
+        with pytest.raises(ValueError):
+            step_policy(method, 4.0, 1.0)
