@@ -10,7 +10,6 @@ from .estimators import (
     EstimatorInapplicable,
     GradientEstimate,
     PrimalRun,
-    SensitivityState,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,
@@ -79,6 +78,7 @@ from .solvers import (
     pdhg,
     prox_gradient,
     prox_gradient_steps,
+    prox_of,
     step_policy,
 )
 

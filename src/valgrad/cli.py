@@ -49,7 +49,9 @@ def parse_config(path: str) -> dict:
     return values
 
 
-def _build_parser():
+def _build_parser(defaults=None):
+    """The full parser; ``defaults`` (config-file values) replace the
+    subcommands' defaults, so explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="valgrad",
         description="Gradient estimation for value functions of parametric convex problems",
@@ -90,6 +92,8 @@ def _build_parser():
     toy_p.add_argument("--config", help="key = value file overriding defaults")
     toy_p.add_argument("--u", type=float, default=0.5)
     toy_p.add_argument("--iters", type=int, default=200)
+    for p in (run_p, ver_p, rates_p, toy_p):
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -191,24 +195,16 @@ def _cmd_toy(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # apply config-file values as defaults so explicit flags still win
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        try:
-            overrides = parse_config(cfg_path)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        for action in parser._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**{
-                k: v for k, v in overrides.items()
-                if any(a.dest == k for a in action._actions)
-            })
-    args = parser.parse_args(argv)
+    # find --config (in any spelling argparse accepts) before the full parse
+    pre = argparse.ArgumentParser(prog="valgrad", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    try:
+        defaults = None if path is None else parse_config(path)
+    except (OSError, ValueError) as exc:
+        pre.error(str(exc))
+    args = _build_parser(defaults).parse_args(argv)
     handler = {
         "run": _cmd_run, "verify": _cmd_verify, "rates": _cmd_rates, "toy": _cmd_toy,
     }[args.command]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcs import ElasticNet, NonsmoothError, SquaredNorm
+from .funcs import NonsmoothError, SquaredNorm
 from .problems import DualObjective, StructuredProblem, ToyProblem
 from .solvers import (
     NotSPDError,
@@ -26,6 +26,7 @@ from .solvers import (
     pdhg,
     prox_gradient,
     prox_gradient_steps,
+    prox_of,
     step_policy,
 )
 
@@ -54,54 +55,28 @@ def error_trace(est: GradientEstimate, truth) -> list[float]:
     return [float(np.linalg.norm(g - truth)) for g in est.per_iteration]
 
 
-@dataclass
-class SensitivityState:
-    jac: np.ndarray  # N x P Jacobian estimate of the iterate w.r.t. u
-    jac_prev: np.ndarray
-
-
 def sensitivity_step(
-    pr: StructuredProblem,
-    method: str,
-    x,
-    u,
-    jac,
-    jac_prev,
-    tau: float,
-    beta: float = 0.0,
-    x_prev=None,
-    *,
-    grad=None,
-) -> SensitivityState:
-    """One forward-mode step of the Jacobian recursion matching a solver step.
+    pr: StructuredProblem, x, u, jac, jac_prev, z, tau: float, beta: float = 0.0
+):
+    """The derivative in u of one kernel step x+ = prox(tau, z), with the
+    pre-prox point z = x - tau grad f_s(x) + beta (x - x_prev):
 
-    Gradient-descent-type methods propagate J+ = (I - tau H_xx) J - tau H_xu
-    (plus the inertial difference term); proximal methods post-compose with
-    the prox derivative at the pre-prox point.  For the elastic-net prox the
-    diagonal derivative is 0 where |z_i| <= tau*gamma and 1/(1+tau*lam)
-    elsewhere, with ties resolved to 0.  ``grad``, if given, is
-    ``pr.primal_smooth_grad(x, u)``, which a solver step has already computed.
+        J+ = D (J - tau (H_xx J + H_xu) + beta (J - J_prev)),
+
+    where H is the Hessian of the smooth part f_s and D the derivative of
+    the objective's prox part at the z the kernel yielded, the identity
+    when ``pr.prox_part()`` is None.  For the elastic-net prox D is diagonal,
+    0 where |z_i| <= tau*gamma and 1/(1+tau*lam) elsewhere, ties resolved
+    to 0.  Returns J+.
     """
-    x = np.asarray(x, dtype=float)
-    if method in ("gd", "heavy_ball"):
-        jac_new = jac - tau * (pr.hess_loss_jac(x, u, jac) + pr.k_modulus * jac)
-        if beta:
-            jac_new = jac_new + beta * (jac - jac_prev)
-        return SensitivityState(jac_new, jac)
-    if method in ("ista", "ipiasco"):
-        inner = jac - tau * pr.hess_loss_jac(x, u, jac)
-        if beta:
-            inner = inner + beta * (jac - jac_prev)
-        if grad is None:
-            grad = pr.primal_smooth_grad(x, u)
-        z = x - tau * grad
-        if beta:
-            z = z + beta * (x - x_prev)
-        if not isinstance(pr.k, ElasticNet):
-            raise ValueError("proximal sensitivity requires an elastic-net regularizer")
-        d = pr.k.prox_derivative(tau, z)
-        return SensitivityState(d[:, None] * inner, jac)
-    raise ValueError(f"unknown method {method!r}")
+    prox = pr.prox_part()
+    step = pr.hess_loss_jac(x, u, jac)
+    if prox is None:  # a smooth k belongs to f_s
+        step += pr.k_modulus * jac
+    jac_new = jac - tau * step
+    if beta:
+        jac_new = jac_new + beta * (jac - jac_prev)
+    return jac_new if prox is None else prox.prox_derivative(tau, z)[:, None] * jac_new
 
 
 @dataclass
@@ -132,17 +107,14 @@ def run_primal(
 ) -> PrimalRun:
     """Run a primal solver, propagating sensitivities alongside the iterates.
 
-    Smooth problems use gd / heavy_ball, elastic-net problems ista /
-    ipiasco, all through ``prox_gradient_steps``; ``step_policy`` gives the
-    default step size and momentum, using the whole-objective curvature.
+    All four methods run through ``prox_gradient_steps``.  The objective's
+    prox part decides the prox (``prox_of``): problems without one take gd
+    or heavy_ball, problems with one ista or ipiasco.  ``step_policy`` gives
+    the default step size and momentum, using the whole-objective curvature.
     """
-    if method not in ("gd", "heavy_ball", "ista", "ipiasco"):
-        raise ValueError(f"unknown primal method {method!r}")
+    prox = prox_of(method, pr.prox_part())
     u = np.asarray(u, dtype=float)
     tau, beta = step_policy(method, *pr.curvature(), tau, beta)
-    proximal = method in ("ista", "ipiasco")
-    if proximal and pr.prox_part() is None:
-        raise ValueError("proximal method on a smooth problem; use gd or heavy_ball")
 
     # the kernel and sensitivity_step return fresh arrays and never modify
     # one, so the run stores them without copies
@@ -152,21 +124,17 @@ def run_primal(
     run.points.append(x0)
     if with_sensitivity:
         run.jacobians.append(jac)
-    if proximal:
+    if prox is not None:
         run.selections.append(pr.k.subgradient_min_norm(x0))
 
     steps = prox_gradient_steps(
-        lambda x: pr.primal_smooth_grad(x, u), pr.k.prox if proximal else None,
-        x0, tau, beta, iterations,
+        lambda x: pr.primal_smooth_grad(x, u), prox, x0, tau, beta, iterations
     )
-    for x, x_prev, g, z, x_next in steps:
+    for x, z, x_next in steps:
         if with_sensitivity:
-            state = sensitivity_step(
-                pr, method, x, u, jac, jac_prev, tau, beta, x_prev=x_prev, grad=g
-            )
-            jac, jac_prev = state.jac, state.jac_prev
+            jac, jac_prev = sensitivity_step(pr, x, u, jac, jac_prev, z, tau, beta), jac
             run.jacobians.append(jac)
-        if proximal:
+        if prox is not None:
             run.selections.append((z - x_next) / tau)
         run.points.append(x_next)
     return run
@@ -215,7 +183,7 @@ def implicit_estimator(
     hxx = pr.hess_xx(x, u)
     gu = pr.grad_u(x, u)
     gx = pr.c - pr.a.T @ gu
-    if isinstance(pr.k, ElasticNet):
+    if pr.prox_part() is not None:
         gx = gx + pr.k.subgradient_min_norm(x)
     else:
         gx = gx + pr.k_modulus * x
@@ -250,11 +218,8 @@ def dual_estimator(
                 record_trace=rec,
             )
         else:
-            proximal = method in ("ista", "ipiasco")
-            if not proximal and dob.prox_part is not None:
-                raise ValueError("dual objective has a prox part; use a proximal method")
             tr = prox_gradient(
-                dob.smooth_grad, dob.prox if proximal else None, y, tau, beta,
+                dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta,
                 cfg.iterations, record_trace=rec,
             )
     return GradientEstimate("dual", [np.array(p) for p in tr.points])

@@ -111,18 +111,20 @@ def _ground_truth(pr, u, which, cfg):
     return truth, xstar, "", flagged, gap
 
 
-def _primal_methods(which: int, inertia: str):
-    base = "gd" if which in (1, 2) else "ista"
-    if inertia == "off":
-        return [base]
-    if inertia == "on":
-        return [INERTIAL_OF[base]]
-    return [base, INERTIAL_OF[base]]
+def _method_for(prox_part, inertial: bool) -> str:
+    """The solver name for an objective: its prox part decides between gd
+    and ista (``solvers.prox_of``), the inertia adds the momentum."""
+    base = "gd" if prox_part is None else "ista"
+    return INERTIAL_OF[base] if inertial else base
+
+
+def _primal_methods(pr, inertia: str):
+    modes = {"off": (False,), "on": (True,), "both": (False, True)}[inertia]
+    return [_method_for(pr.prox_part(), inertial) for inertial in modes]
 
 
 def _dual_method(pr, u, primal_method: str) -> str:
-    base = "gd" if pr.dual_objective(u).prox_part is None else "ista"
-    return INERTIAL_OF[base] if primal_method in INERTIAL_SOLVERS else base
+    return _method_for(pr.dual_objective(u).prox_part, primal_method in INERTIAL_SOLVERS)
 
 
 def _series(problem, p, solver, estimator, errors, wall_ns, start_iter=0):
@@ -166,7 +168,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
                 if r.iteration == cfg.iterations
             }
             summary["cells"].append((name, p))
-            for solver in _primal_methods(which, cfg.inertia):
+            for solver in _primal_methods(pr, cfg.inertia):
                 dg_solver = _dual_method(pr, u, solver)
                 ang = finals.get((solver, "ang"))
                 dg = finals.get((dg_solver, "dg"))
@@ -181,7 +183,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
     estimate was flagged (its CG solve reached its cap before its tolerance)."""
     out = []
     ig_flagged = []
-    for method in _primal_methods(int(name[1]), cfg.inertia):
+    for method in _primal_methods(pr, cfg.inertia):
         t0 = clock()
         run = run_primal(pr, u, method, iterations=cfg.iterations)
         ns_run = int(clock() - t0)

@@ -1,8 +1,11 @@
 """First-order methods with full iterate traces.
 
 gd, heavy ball, ista and ipiasco are one recursion, the inertial proximal
-gradient step of ``prox_gradient_steps`` (beta = 0 and/or the identity
-prox); ``prox_gradient`` collects its trace, and ``step_policy`` holds the
+gradient step of ``prox_gradient_steps``.  Whether a step applies a prox
+is decided by the objective: ``prox_of`` returns its prox part's prox, or
+None (the identity) when it has none, and checks the method name against
+it; the name itself chooses only the momentum (none for gd and ista).
+``prox_gradient`` collects the trace, and ``step_policy`` holds the
 default step sizes of every method.  ``fista`` (gradient at the
 extrapolated point), ``pdhg`` and ``conjugate_gradient`` are separate.
 
@@ -82,19 +85,36 @@ def prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
     x+ = prox(tau, z) with z = x - tau * smooth_grad(x) + beta * (x - x_prev)
     and x_prev initialized to x0 (Ochs, Brox & Pock, iPiasco, 2015).
     ``prox_step=None`` is the identity prox, and the momentum term is added
-    only if ``beta`` is nonzero.  Each step yields (x, x_prev, g, z, x+) with
-    g = smooth_grad(x); no yielded array is modified afterwards.
+    only if ``beta`` is nonzero.  Each step yields (x, z, x+), z being the
+    pre-prox point; no yielded array is modified afterwards.
     """
     x = np.array(x0, dtype=float)
     x_prev = x
     for _ in range(iterations):
-        g = smooth_grad(x)
-        z = x - tau * g
+        z = x - tau * smooth_grad(x)
         if beta:
             z = z + beta * (x - x_prev)
         x_next = z if prox_step is None else prox_step(tau, z)
-        yield x, x_prev, g, z, x_next
+        yield x, z, x_next
         x_prev, x = x, x_next
+
+
+def prox_of(method, prox_part):
+    """The prox step ``method`` takes on an objective whose nonsmooth part is
+    ``prox_part`` (a function with a ``prox``, or None): its prox for ista
+    and ipiasco, None (the identity) for gd and heavy_ball.
+
+    Raises ``ValueError`` for any other method, and unless ista or ipiasco
+    meet a prox part and gd or heavy_ball meet none.
+    """
+    if method not in ("gd", "heavy_ball", "ista", "ipiasco"):
+        raise ValueError(f"unknown primal method {method!r}")
+    proximal = method in ("ista", "ipiasco")
+    if proximal and prox_part is None:
+        raise ValueError(f"{method} on a smooth objective; use gd or heavy_ball")
+    if not proximal and prox_part is not None:
+        raise ValueError(f"{method} on an objective with a prox part; use ista or ipiasco")
+    return prox_part.prox if proximal else None
 
 
 def prox_gradient(

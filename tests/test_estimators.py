@@ -66,8 +66,8 @@ def test_analytic_estimator_rejects_nonsmooth_loss():
 def test_sensitivity_step_zero_tau_is_identity():
     pr, u = instance(1)
     jac = np.ones((pr.n, pr.p))
-    state = sensitivity_step(pr, "gd", np.zeros(pr.n), u, jac, jac, tau=1e-30)
-    np.testing.assert_allclose(state.jac, jac, atol=1e-12)
+    jac_new = sensitivity_step(pr, np.zeros(pr.n), u, jac, jac, np.zeros(pr.n), tau=1e-30)
+    np.testing.assert_allclose(jac_new, jac, atol=1e-12)
 
 
 def test_sensitivity_fixed_point_is_solution_jacobian():
@@ -125,10 +125,10 @@ def test_sensitivity_step_matches_dense_hessians(which, method):
     if which in (2, 4):  # the rank-1 term is live outside the Huber ball
         assert np.linalg.norm(pr.residual(x, u)) > pr.h.delta
     tau, beta = 0.01, (0.3 if method in ("heavy_ball", "ipiasco") else 0.0)
-    state = sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev=x_prev)
+    z = x - tau * pr.primal_smooth_grad(x, u) + beta * (x - x_prev)
+    jac_new = sensitivity_step(pr, x, u, jac, jac_prev, z, tau, beta)
     want = _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev)
-    assert np.linalg.norm(state.jac - want) <= 1e-12 * np.linalg.norm(want)
-    assert state.jac_prev is jac
+    assert np.linalg.norm(jac_new - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _fd_jacobian(pr, u, method, iterations, eps=1e-6):
@@ -150,16 +150,14 @@ def test_sensitivity_step_reuses_the_solver_gradient(method, monkeypatch):
     x, x_prev = np.linspace(-1.0, 1.0, pr.n), np.linspace(0.5, -0.5, pr.n)
     jac = np.arange(pr.n * pr.p, dtype=float).reshape(pr.n, pr.p) / 40.0
     jac_prev = 0.5 * jac
-    args = (pr, method, x, u, jac, jac_prev, 0.01, 0.3)
-    own = sensitivity_step(*args, x_prev=x_prev)
-    given = sensitivity_step(*args, x_prev=x_prev, grad=pr.primal_smooth_grad(x, u))
-    assert np.array_equal(own.jac, given.jac) and np.array_equal(own.jac_prev, given.jac_prev)
+    z = x - 0.01 * pr.primal_smooth_grad(x, u) + 0.3 * (x - x_prev)
     # run_primal hands its gradient over: one gradient call per iteration
     bare = run_primal(pr, u, method, iterations=12, with_sensitivity=False)
     calls = []
     grad = StructuredProblem.primal_smooth_grad
     monkeypatch.setattr(StructuredProblem, "primal_smooth_grad",
                         lambda self, *a: calls.append(1) or grad(self, *a))
+    sensitivity_step(pr, x, u, jac, jac_prev, z, 0.01, 0.3)
     run = run_primal(pr, u, method, iterations=12)
     assert len(calls) == 12
     assert all(np.array_equal(p, q) for p, q in zip(run.points, bare.points))
@@ -219,6 +217,35 @@ def test_run_primal_rejects_an_unknown_method(method, with_sensitivity):
     pr, u = instance(1)
     with pytest.raises(ValueError, match="unknown primal method"):
         run_primal(pr, u, method, iterations=3, with_sensitivity=with_sensitivity)
+
+
+@pytest.mark.parametrize("which, method", [
+    (3, "gd"), (4, "gd"), (3, "heavy_ball"), (4, "heavy_ball"), (1, "ista"), (2, "ipiasco"),
+])
+def test_run_primal_takes_its_prox_from_the_objective(which, method):
+    # gd on the elastic net would minimize the loss alone, since the prox
+    # carries all of k, while its Jacobian adds the ridge term
+    pr, u = instance(which, n=8, p=5, seed=3)
+    with pytest.raises(ValueError, match="prox part|smooth objective"):
+        run_primal(pr, u, method, iterations=3)
+
+
+@pytest.mark.parametrize("method", ["gd", "heavy_ball"])
+def test_sensitivity_matches_fd_jacobian_on_a_smooth_elastic_net(method):
+    # gamma = 0 leaves the elastic net no prox part: its ridge joins the
+    # smooth part in the iterates and in the Jacobian alike
+    a, u = seeded_problem_data(8, 5, 3, 3.0)
+    pr = make_experiment_problem(3, a, gamma=0.0)
+    run = run_primal(pr, u, method, iterations=20)
+    assert not run.selections
+    np.testing.assert_allclose(run.jacobians[-1], _fd_jacobian(pr, u, method, 20), atol=1e-5)
+
+
+@pytest.mark.parametrize("method", ["ista", "ipiasco"])
+def test_dual_estimator_rejects_a_proximal_method_on_a_smooth_dual(method):
+    pr, u = instance(1)
+    with pytest.raises(ValueError, match="smooth objective"):
+        dual_estimator(pr, u, SolverConfig(method=method, iterations=10))
 
 
 def test_automatic_estimator_exact_at_optimum():

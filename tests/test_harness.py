@@ -97,6 +97,18 @@ def test_run_grid_inertia_off_and_on():
     assert {r.solver for r in on} == {"heavy_ball"}
 
 
+def test_run_grid_runs_gd_on_an_elastic_net_without_l1():
+    # gamma = 0 leaves f3/f4 no prox part, so they run gd and heavy_ball
+    cfg = ExperimentConfig(n=8, p_list=(3, 5), problems=("f3", "f4"), gamma=0.0,
+                           iterations=10, cond_ratio=3.0, oracle_iterations=5000)
+    records, summary = run_grid(cfg, clock=constant_clock)
+    assert not summary["aborted"] and len(summary["cells"]) == 4
+    assert {r.solver for r in records if r.estimator != "dg"} == {"gd", "heavy_ball"}
+    # the dual keeps its own prox part: the Huber ball of f4
+    dual = {(r.problem, r.solver) for r in records if r.estimator == "dg"}
+    assert dual == {("f3", "gd"), ("f3", "heavy_ball"), ("f4", "ista"), ("f4", "ipiasco")}
+
+
 # ---------------------------------------------------------------------------
 # CSV format fixtures
 
@@ -354,6 +366,16 @@ def test_cli_config_overrides_defaults_flags_win(tmp_path, capsys):
     assert main(["rates", "--config", str(cfg), "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "N=5" in out
+
+
+def test_cli_config_equals_form_reads_the_file(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("problem = f3\np = 12\nn = 20\n")
+    assert main(["rates", f"--config={cfg}"]) == 0
+    out = capsys.readouterr().out
+    assert "problem f3, N=20, P=12" in out
+    assert main(["rates", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_config_missing_file_exit_2(tmp_path):

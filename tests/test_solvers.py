@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from valgrad.funcs import ElasticNet
 from valgrad.solvers import (
     NotSPDError,
     SolverConfig,
@@ -10,6 +11,7 @@ from valgrad.solvers import (
     optimal_inertial_params,
     pdhg,
     prox_gradient,
+    prox_of,
     step_policy,
 )
 
@@ -232,3 +234,13 @@ def test_step_policy_fista_and_unknown_methods():
     for method in ("pdhg", "cg", "nonsense"):
         with pytest.raises(ValueError):
             step_policy(method, 4.0, 1.0)
+
+
+def test_prox_of_checks_the_method_against_the_prox_part():
+    k = ElasticNet(2.0, 0.1)
+    assert prox_of("ista", k) == k.prox and prox_of("ipiasco", k) == k.prox
+    assert prox_of("gd", None) is None and prox_of("heavy_ball", None) is None
+    for method, part in [("gd", k), ("heavy_ball", k), ("ista", None), ("ipiasco", None),
+                         ("fista", k), ("nonsense", None)]:
+        with pytest.raises(ValueError):
+            prox_of(method, part)
