@@ -129,6 +129,9 @@ def _cmd_run(args) -> int:
     for name, p, solver in summary["implicit_flagged"]:
         print(f"warning: {name} P={p} {solver}: the implicit estimator's CG solve "
               "missed its tolerance")
+    for name, p, solver, estimator, k in summary["diverged"]:
+        print(f"warning: {name} P={p} {solver} {estimator}: the error is not finite from "
+              f"iteration {k} on; the series stops before it")
     for name, p, diag in summary["aborted"]:
         print(f"aborted {name} P={p}: {diag}")
     if summary["cross_check_gap"]:

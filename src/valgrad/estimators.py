@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcs import NonsmoothError, SquaredNorm
+from .funcs import NonsmoothError, SquaredNorm, soft_threshold
 from .problems import DualObjective, StructuredProblem, ToyProblem
 from .solvers import (
     NotSPDError,
@@ -259,6 +259,14 @@ NEWTON_EVERY = 25
 NEWTON_STEPS = 3
 
 
+def _forward_backward(pr: StructuredProblem, x, par, tau: float):
+    """T(x) = prox_{tau k}(x - tau grad f_s(x)), the prox-gradient step
+    whose fixed points are the minimizers."""
+    pre = x - tau * pr.primal_smooth_grad(x, par)
+    prox = pr.prox_part()
+    return pre if prox is None else prox.prox(tau, pre)
+
+
 def _newton_step(pr: StructuredProblem, x, par, tau: float):
     """One semismooth Newton step per column on F(x) = x - T(x), where
     T(x) = prox_{tau k}(x - tau grad f_s(x)) and x, par are N x K and P x K.
@@ -300,16 +308,18 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
     ill-conditioned problems.  Correctness rests on the certificate alone.
     Returns (points, certified), certified False for the columns that
     reached ``max_iterations``.
+
+    It solves the warm N x 2P block of ``fd_oracle`` and is the fallback of
+    ``oracle_primal_solve``, whose line-searched Newton phase does the cold
+    centre solves.  The Newton polish stays for the warm block: over the
+    default grid at seeds 0-5 ``fd_oracle`` took 0.91 s with it and 7.75 s
+    without it, with no estimate flagged either way (2-core x86-64, one
+    BLAS thread).
     """
     lips, m = pr.curvature()
     tau = 1.0 / lips
     sq = np.sqrt(min(tau * m, 1.0))
     beta = (1.0 - sq) / (1.0 + sq)
-    prox = pr.prox_part()
-
-    def step(z, par):
-        pre = z - tau * pr.primal_smooth_grad(z, par)
-        return pre if prox is None else prox.prox(tau, pre)
 
     points = np.array(x0, dtype=float)
     live = np.arange(points.shape[1])  # columns still iterating
@@ -324,7 +334,7 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
         return keep
 
     for it in range(1, max_iterations + 1):
-        x_next = step(z, par)
+        x_next = _forward_backward(pr, z, par, tau)
         done = np.linalg.norm(z - x_next, axis=0) <= lim
         z = x_next + beta * (x_next - x)
         x = x_next
@@ -334,7 +344,7 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
             y = x
             for _ in range(NEWTON_STEPS):
                 y = _newton_step(pr, y, par, tau)
-                y_plus = step(y, par)
+                y_plus = _forward_backward(pr, y, par, tau)
                 done = np.linalg.norm(y - y_plus, axis=0) <= lim
                 if done.any():
                     y = y[:, freeze(done, y_plus)]
@@ -348,6 +358,73 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
     return points, certified
 
 
+# Armijo sufficient-decrease constant of the Newton line search, and the step
+# length below which the Newton phase hands its point to _certified_solve.
+ARMIJO = 1e-4
+MIN_STEP = 1e-12
+
+
+def _min_norm_subgradient(pr: StructuredProblem, x, u):
+    """The minimum-norm subgradient of the whole objective f(., u) at x.
+
+    For the elastic net it is the smooth gradient plus lam x, with
+    gamma sign(x) added where x != 0 and soft-thresholded by gamma where
+    x = 0; with a smooth k it is the gradient.
+    """
+    g = pr.primal_smooth_grad(x, u)
+    prox = pr.prox_part()
+    if prox is None:
+        return g
+    g = g + prox.lam * x
+    return np.where(x != 0, g + prox.gamma * np.sign(x), soft_threshold(g, prox.gamma))
+
+
+def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int):
+    """Line-searched Newton phase of ``oracle_primal_solve``; returns
+    (point, Newton steps taken, certified).
+
+    Each step takes the semismooth Newton point y of ``_newton_step`` and
+    stops certified at T(y) once |y - T(y)| <= limit, the certificate of
+    ``_certified_solve``.  Otherwise it searches along d = y - x: with a
+    smooth k the trial point is x + t d (damped Newton; Stella, Themelis &
+    Patrinos, 2017), for the elastic net x + t d projected onto the orthant
+    sign(x), or -sign(pg) at zero coordinates, with pg the minimum-norm
+    subgradient (orthant-wise Newton; Byrd, Chin, Nocedal & Oztoprak,
+    Math. Program. 2016).  t halves from 1 until the Armijo test
+    F(x_t) < F(x) + ARMIJO pg.(x_t - x) on the whole objective passes.  The
+    phase gives up uncertified at x on a non-finite direction, a direction
+    that does not descend (d.pg >= 0), a step below MIN_STEP, or after
+    ``max_iterations`` steps.
+    """
+    tau = 1.0 / pr.curvature()[0]
+    prox = pr.prox_part()
+    value = pr.primal_value(x, u)
+    for steps in range(1, max_iterations + 1):
+        y = _newton_step(pr, x[:, None], u[:, None], tau)[:, 0]
+        y_plus = _forward_backward(pr, y, u, tau)
+        if np.linalg.norm(y - y_plus) <= limit:
+            return y_plus, steps, True
+        d = y - x
+        pg = _min_norm_subgradient(pr, x, u)
+        if not (np.all(np.isfinite(d)) and d @ pg < 0):
+            return x, steps, False
+        orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
+        t = 1.0
+        while True:
+            trial = x + t * d
+            if prox is not None:
+                trial = np.where(np.sign(trial) == orthant, trial, 0.0)
+            trial_value = pr.primal_value(trial, u)
+            # strict, so that a trial round-off leaves at x is no step
+            if trial_value < value + ARMIJO * (pg @ (trial - x)):
+                break
+            t *= 0.5
+            if t < MIN_STEP:
+                return x, steps, False
+        x, value = trial, trial_value
+    return x, max_iterations, False
+
+
 def oracle_primal_solve(
     pr: StructuredProblem,
     u,
@@ -357,22 +434,33 @@ def oracle_primal_solve(
 ):
     """Certified primal solve for oracle use; returns (x, value, converged).
 
-    The one-column case of ``_certified_solve``.  ``tol`` is in gradient
-    units: with G = (z - x+)/tau, G - grad f_s(z) + grad f_s(x+) is a
-    subgradient at x+ of norm at most (1 + tau L)|G| = 2|G|, so m-strong
-    convexity gives |x+ - x*| <= 2|G|/m and the dual point
-    grad h(b - A x+ + u) lies within L_h |A| 2|G|/m of grad p(u).  The
-    solve stops once that bound is at most ``tol``; ``converged`` is False
-    if it reached ``max_iterations`` first.
+    A line-searched Newton phase (``_newton_solve``) runs from ``x0``; if
+    it stops uncertified, the one-column ``_certified_solve`` goes on from
+    its point with the iterations left, each Newton step having counted as
+    one.  On the default grid at seed 0 the Newton phase certifies all 15
+    centre solves in 366 steps, 0.14-0.15 s where the accelerated loop
+    alone took 1.3-1.5 s (2-core x86-64, one BLAS thread); over seeds
+    0-20, 4 of 315 solves need the fallback.
+
+    ``tol`` is in gradient units: with G = (z - x+)/tau,
+    G - grad f_s(z) + grad f_s(x+) is a subgradient at x+ of norm at most
+    (1 + tau L)|G| = 2|G|, so m-strong convexity gives |x+ - x*| <= 2|G|/m
+    and the dual point grad h(b - A x+ + u) lies within L_h |A| 2|G|/m of
+    grad p(u).  Both phases stop once that bound is at most ``tol``;
+    ``converged`` is False if the solve reached ``max_iterations`` first.
     """
     u = np.asarray(u, dtype=float)
     lips, m = pr.curvature()
     lips_dual = pr.h.profile().lips * np.sqrt(pr.bounds().lmax_ata)  # L_h |A|
     limit = np.array([tol * m / (2.0 * lips_dual * lips)])  # tau times the |G| bound
     x0 = np.zeros(pr.n) if x0 is None else np.asarray(x0, dtype=float)
-    points, certified = _certified_solve(pr, u[:, None], x0[:, None], limit, max_iterations)
-    x = points[:, 0]
-    return x, pr.primal_value(x, u), bool(certified[0])
+    x, steps, certified = _newton_solve(pr, u, x0, limit[0], max_iterations)
+    if not certified:
+        points, done = _certified_solve(
+            pr, u[:, None], x[:, None], limit, max_iterations - steps
+        )
+        x, certified = points[:, 0], bool(done[0])
+    return x, pr.primal_value(x, u), certified
 
 
 def value_function(pr: StructuredProblem, u, warm=None, **kwargs):

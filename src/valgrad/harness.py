@@ -128,10 +128,16 @@ def _dual_method(pr, u, primal_method: str) -> str:
 
 
 def _series(problem, p, solver, estimator, errors, wall_ns, start_iter=0):
-    return [
+    """Records of one error series, cut at its last finite error, and the
+    iteration of its first non-finite error (None if every error is finite)."""
+    bad = np.flatnonzero(~np.isfinite(errors))
+    if bad.size:
+        errors = errors[: bad[0]]
+    records = [
         ErrorRecord(problem, p, solver, estimator, start_iter + i, e, wall_ns)
         for i, e in enumerate(errors)
     ]
+    return records, start_iter + int(bad[0]) if bad.size else None
 
 
 def run_grid(cfg: ExperimentConfig, clock=None):
@@ -143,7 +149,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     clock = time.perf_counter_ns if clock is None else clock
     records: list[ErrorRecord] = []
     summary = {"cells": [], "aborted": [], "oracle_flagged": [], "implicit_flagged": [],
-               "cross_check_gap": [], "dg_beats_ang": []}
+               "cross_check_gap": [], "dg_beats_ang": [], "diverged": []}
     for name in cfg.problems:
         which = int(name[1])
         for p in cfg.p_list:
@@ -159,9 +165,10 @@ def run_grid(cfg: ExperimentConfig, clock=None):
             if truth is None:
                 summary["aborted"].append((name, p, diag))
                 continue
-            cell, ig_flagged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
+            cell, ig_flagged, diverged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
             records.extend(cell)
             summary["implicit_flagged"] += [(name, p, solver) for solver in ig_flagged]
+            summary["diverged"] += diverged
             finals = {
                 (r.solver, r.estimator): r.error
                 for r in cell
@@ -178,41 +185,51 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     return records, summary
 
 
+# a diverging sensitivity recursion overflows; it is reported through
+# ``diverged`` instead of numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
-    """Error records of one cell, and the primal methods whose implicit
-    estimate was flagged (its CG solve reached its cap before its tolerance)."""
+    """Error records of one cell, the primal methods whose implicit estimate
+    was flagged (its CG solve reached its cap before its tolerance), and the
+    diverged series as (problem, P, solver, estimator, k), k the iteration
+    of the first non-finite error; such a series is cut before k."""
     out = []
     ig_flagged = []
+    diverged = []
+
+    def add(solver, estimator, errors, wall_ns, start_iter=0):
+        records, k = _series(name, p, solver, estimator, errors, wall_ns, start_iter)
+        out.extend(records)
+        if k is not None:
+            diverged.append((name, p, solver, estimator, k))
+
     for method in _primal_methods(pr, cfg.inertia):
         t0 = clock()
         run = run_primal(pr, u, method, iterations=cfg.iterations)
         ns_run = int(clock() - t0)
         if xstar is not None:
             prim = [float(np.linalg.norm(x - xstar)) for x in run.points]
-            out += _series(name, p, method, "primal", prim, ns_run)
+            add(method, "primal", prim, ns_run)
 
         t0 = clock()
         ang = analytic_estimator(pr, run.points, u)
-        out += _series(name, p, method, "ang", error_trace(ang, truth), int(clock() - t0))
+        add(method, "ang", error_trace(ang, truth), int(clock() - t0))
 
         t0 = clock()
         aug = automatic_estimator(pr, run, u)
-        out += _series(name, p, method, "aug", error_trace(aug, truth), int(clock() - t0))
+        add(method, "aug", error_trace(aug, truth), int(clock() - t0))
 
         t0 = clock()
         ig = implicit_estimator(pr, run.final, u)
         if ig.flagged:
             ig_flagged.append(method)
-        out += _series(
-            name, p, method, "ig", error_trace(ig, truth), int(clock() - t0),
-            start_iter=cfg.iterations,
-        )
+        add(method, "ig", error_trace(ig, truth), int(clock() - t0), start_iter=cfg.iterations)
 
         dg_method = _dual_method(pr, u, method)
         t0 = clock()
         dg = dual_estimator(pr, u, SolverConfig(method=dg_method, iterations=cfg.iterations))
-        out += _series(name, p, dg_method, "dg", error_trace(dg, truth), int(clock() - t0))
-    return out, ig_flagged
+        add(dg_method, "dg", error_trace(dg, truth), int(clock() - t0))
+    return out, ig_flagged, diverged
 
 
 # ---------------------------------------------------------------------------

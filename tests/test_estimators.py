@@ -484,6 +484,31 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
     np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
 
 
+@pytest.mark.parametrize("which,p", [(3, 30), (4, 10)])
+def test_newton_phase_certifies_the_sparse_centre_solves(which, p, monkeypatch):
+    # the default grid's slowest cells at seed 0 (N=50, cell seed 101 which + p)
+    a, u = seeded_problem_data(50, p, 101 * which + p, 100.0)
+    pr = make_experiment_problem(which, a)
+    ref, _, ok = oracle_primal_solve(pr, u, tol=1e-11)
+    assert ok
+    calls = []
+    certified_solve = valgrad.estimators._certified_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certified_solve(*args, **kwargs)
+
+    monkeypatch.setattr(valgrad.estimators, "_certified_solve", counted)
+    x, _, ok = oracle_primal_solve(pr, u)
+    assert ok and not calls
+    assert np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u)) <= 1e-7
+
+
+def test_oracle_primal_solve_counts_newton_steps_against_the_cap():
+    pr, u = oracle_instance(2)
+    assert not oracle_primal_solve(pr, u, max_iterations=1)[2]
+
+
 def test_fd_oracle_flags_iteration_cap():
     pr, u = instance(2, n=12, p=8, seed=4, cond=5.0)
     assert fd_oracle(pr, u, max_iterations=5).flagged

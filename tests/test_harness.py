@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import valgrad.cli
 import valgrad.harness
 from valgrad.cli import main, parse_config
 from valgrad.estimators import fd_oracle, implicit_estimator, oracle_primal_solve
@@ -264,7 +271,7 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
 
 def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
     def capped(pr, u, **kwargs):
-        return oracle_primal_solve(pr, u, **{**kwargs, "max_iterations": 5})
+        return oracle_primal_solve(pr, u, **{**kwargs, "max_iterations": 1})
 
     monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", capped)
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
@@ -277,6 +284,41 @@ def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
     assert code == (1 if summary["aborted"] else 0)
     out = capsys.readouterr().out
     assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
+
+
+def test_diverged_series_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    # on f4 P=10 the ipiasco forward sensitivities grow until the aug error
+    # overflows; that is a result of the run, not bad arguments
+    summaries = []
+
+    def keep_summary(cfg, **kwargs):
+        records, summary = run_grid(cfg, **kwargs)
+        summaries.append(summary)
+        return records, summary
+
+    monkeypatch.setattr(valgrad.cli, "run_grid", keep_summary)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
+        code = main(["run", "--problems", "f4", "--p", "10", "--iters", "3000",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    [(name, p, solver, estimator, k)] = summaries[0]["diverged"]
+    assert (name, p, solver, estimator) == ("f4", 10, "ipiasco", "aug") and 0 < k < 3000
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "not finite" in ln]
+    assert lines == [f"warning: f4 P=10 ipiasco aug: the error is not finite from "
+                     f"iteration {k} on; the series stops before it"]
+    aug = [r.iteration for r in read_csv(tmp_path / "results.csv")
+           if (r.solver, r.estimator) == ("ipiasco", "aug")]
+    assert aug == list(range(k))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(valgrad.harness.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "valgrad", "rates"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("problem f1, N=50, P=30")
 
 
 def test_flagged_implicit_estimate_is_reported(tmp_path, capsys, monkeypatch):
