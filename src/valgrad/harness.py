@@ -9,6 +9,7 @@ results as sorted CSV plus one SVG error plot per grid cell.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +73,7 @@ class ErrorRecord:
     wall_ns: int
 
     def __post_init__(self):
-        if self.error < 0 or not np.isfinite(self.error):
+        if self.error < 0 or not math.isfinite(self.error):
             raise ValueError("error must be finite and nonnegative")
 
 
@@ -208,7 +209,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         run = run_primal(pr, u, method, iterations=cfg.iterations)
         ns_run = int(clock() - t0)
         if xstar is not None:
-            prim = [float(np.linalg.norm(x - xstar)) for x in run.points]
+            prim = np.linalg.norm(np.array(run.points) - xstar, axis=1).tolist()
             add(method, "primal", prim, ns_run)
 
         t0 = clock()
@@ -221,6 +222,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
 
         t0 = clock()
         ig = implicit_estimator(pr, run.final, u)
+        del run  # free the Jacobian store before the next method builds its own
         if ig.flagged:
             ig_flagged.append(method)
         add(method, "ig", error_trace(ig, truth), int(clock() - t0), start_iter=cfg.iterations)
@@ -286,17 +288,19 @@ _ML, _MR, _MT, _MB = 52, 120, 16, 34
 
 
 def _svg_cell(cell_records, title):
-    series = {}
-    max_iter = 0
+    grouped = {}
     for r in cell_records:
-        series.setdefault((r.solver, r.estimator), []).append(r)
-        max_iter = max(max_iter, r.iteration)
-    lo, hi = 0.0, -16.0
-    for pts in series.values():
+        grouped.setdefault((r.solver, r.estimator), []).append(r)
+    # per series: its iterations and its log10 errors, one log10 per series
+    series = {}
+    for key, pts in grouped.items():
         pts.sort(key=lambda r: r.iteration)
-        for r in pts:
-            v = np.log10(max(r.error, LOG_FLOOR))
-            lo, hi = min(lo, v), max(hi, v)
+        its = np.array([r.iteration for r in pts])
+        errors = np.array([r.error for r in pts], dtype=float)
+        series[key] = its, np.log10(np.maximum(errors, LOG_FLOOR))
+    max_iter = max(int(its[-1]) for its, _ in series.values())
+    lo = min(0.0, *(float(v.min()) for _, v in series.values()))
+    hi = max(-16.0, *(float(v.max()) for _, v in series.values()))
     lo, hi = float(np.floor(lo)), float(np.ceil(hi))
     if hi <= lo:
         hi = lo + 1.0
@@ -327,19 +331,14 @@ def _svg_cell(cell_records, title):
     ]
     legend_y = _MT + 10
     for (solver, estimator) in sorted(series):
-        pts = series[(solver, estimator)]
+        its, logs = series[(solver, estimator)]
+        xs, ys = sx(its).tolist(), sy(logs).tolist()
         color = PLOT_COLORS.get(estimator, "#888888")
         dash = ' stroke-dasharray="6,3"' if solver in INERTIAL_SOLVERS else ""
-        coords = " ".join(
-            f"{sx(r.iteration):.2f},{sy(np.log10(max(r.error, LOG_FLOOR))):.2f}"
-            for r in pts
-        )
-        if len(pts) == 1:
-            r = pts[0]
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        if len(xs) == 1:
             out.append(
-                f'<circle cx="{sx(r.iteration):.2f}" '
-                f'cy="{sy(np.log10(max(r.error, LOG_FLOOR))):.2f}" r="3" '
-                f'fill="{color}"/>'
+                f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="3" fill="{color}"/>'
             )
         else:
             out.append(

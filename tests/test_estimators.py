@@ -259,6 +259,41 @@ def test_automatic_estimator_exact_at_optimum():
     np.testing.assert_allclose(est.final, grad, atol=1e-12)
 
 
+def _per_iterate_estimates(pr, run, u):
+    """g1(k) and g2(k) evaluated one iterate at a time."""
+    ang, aug = [], []
+    for i, x in enumerate(run.points):
+        gu = pr.grad_u(x, u)
+        gx = pr.c - pr.a.T @ gu
+        gx = gx + (run.selections[i] if run.selections else pr.k_modulus * x)
+        ang.append(gu)
+        aug.append(run.jacobians[i].T @ gx + gu)
+    return ang, aug
+
+
+@pytest.mark.parametrize("which, method", [
+    (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
+    (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco"),
+])
+def test_series_estimators_match_a_per_iterate_loop(which, method):
+    # the estimators evaluate the whole series at once; each entry must
+    # still be an array of its own, or .final would keep the block alive
+    pr, u = instance(which, n=8, p=5, seed=3)
+    run = run_primal(pr, u, method, iterations=40)
+    want_ang, want_aug = _per_iterate_estimates(pr, run, u)
+    for est, want in ((analytic_estimator(pr, run.points, u), want_ang),
+                      (automatic_estimator(pr, run, u), want_aug)):
+        got = est.per_iteration
+        assert len(got) == len(want) == 41
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+        assert not any(np.shares_memory(got[i], got[j])
+                       for i in range(len(got)) for j in range(i))
+        # disjoint views of one block share no element, so check ownership
+        assert all(g.flags.owndata for g in got)
+
+
 def test_automatic_requires_sensitivities():
     pr, u = instance(1)
     run = run_primal(pr, u, "gd", iterations=3, with_sensitivity=False)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -44,6 +45,12 @@ def test_error_record_validation():
         ErrorRecord("f1", 5, "gd", "ang", 0, -1.0, 0)
     with pytest.raises(ValueError):
         ErrorRecord("f1", 5, "gd", "ang", 0, float("nan"), 0)
+
+
+@pytest.mark.parametrize("error", [float("inf"), -float("inf")])
+def test_error_record_rejects_infinite_errors(error):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ErrorRecord("f1", 5, "gd", "ang", 0, error, 0)
 
 
 def test_run_grid_produces_expected_series():
@@ -202,6 +209,59 @@ def test_plots_regenerate_identically_from_csv(tmp_path):
     emit_plots(read_csv(csv_path), rebuilt)
     for p in direct.iterdir():
         assert p.read_bytes() == (rebuilt / p.name).read_bytes()
+
+
+def _per_record_coordinates(records):
+    """Per cell, the polyline or circle coordinates of each series in legend
+    order, computed record by record with np.log10(max(e, LOG_FLOOR))."""
+    h = valgrad.harness
+    cells = {}
+    for r in records:
+        cells.setdefault((r.problem, r.p), {}).setdefault((r.solver, r.estimator), []).append(r)
+    out = {}
+    for (problem, p), series in cells.items():
+        logs = {
+            key: [(r.iteration, np.log10(max(r.error, h.LOG_FLOOR)))
+                  for r in sorted(pts, key=lambda r: r.iteration)]
+            for key, pts in series.items()
+        }
+        values = [v for pts in logs.values() for _, v in pts]
+        lo, hi = float(np.floor(min(0.0, *values))), float(np.ceil(max(-16.0, *values)))
+        if hi <= lo:
+            hi = lo + 1.0
+        span = max(max(it for pts in logs.values() for it, _ in pts), 1)
+        out[f"{problem}_P{p}.svg"] = [
+            " ".join(
+                f"{h._ML + (h._W - h._ML - h._MR) * it / span:.2f},"
+                f"{h._MT + (h._H - h._MT - h._MB) * (hi - v) / (hi - lo):.2f}"
+                for it, v in logs[key]
+            )
+            for key in sorted(logs)
+        ]
+    return out
+
+
+def _spread_records():
+    """Errors over 24 decades, with zeros and exact powers of ten."""
+    gen = np.random.Generator(np.random.PCG64(11))
+    errors = 10.0 ** gen.uniform(-20.0, 4.0, 300)
+    errors[::37] = 0.0
+    errors[5::41] = 10.0 ** np.arange(-16, -16 + errors[5::41].size)
+    series = [("gd", "ang"), ("heavy_ball", "aug"), ("gd", "dg")]
+    return [ErrorRecord("f2", 30, solver, est, k, float(errors[100 * j + k]), 0)
+            for j, (solver, est) in enumerate(series) for k in range(100)]
+
+
+@pytest.mark.parametrize("records", [fixture_records, _spread_records], ids=["fixture", "spread"])
+def test_svg_coordinates_equal_the_per_record_path(records, tmp_path):
+    # the plots take one log10 per series array; the coordinates must be
+    # the ones the per-record scalar log10 gives, to the byte
+    want = _per_record_coordinates(records())
+    for path in emit_plots(records(), tmp_path):
+        svg = path.read_text()
+        got = [m[0] or f"{m[1]},{m[2]}" for m in re.findall(
+            r'<polyline points="([^"]*)"|<circle cx="([^"]*)" cy="([^"]*)"', svg)]
+        assert got == want[path.name]
 
 
 def test_empty_records_emit_no_plots(tmp_path):
