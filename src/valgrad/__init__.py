@@ -71,6 +71,7 @@ from .solvers import (
     IterateTrace,
     NotSPDError,
     SolverConfig,
+    accelerated_steps,
     conjugate_gradient,
     fista,
     optimal_gd_step,

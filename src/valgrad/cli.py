@@ -115,10 +115,10 @@ def _cmd_run(args) -> int:
         problems=tuple(args.problems.split(",")),
         lam=args.lam, gamma=args.gamma, delta=args.delta,
         iterations=args.iters, seed=args.seed, inertia=args.inertia,
-        cond_ratio=args.cond, output_dir=args.out,
+        cond_ratio=args.cond,
     )
     records, summary = run_grid(cfg)
-    out = Path(cfg.output_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = emit_csv(records, out / "results.csv")
     plots = emit_plots(records, out / "plots")

@@ -21,6 +21,7 @@ from .problems import DualObjective, StructuredProblem, ToyProblem
 from .solvers import (
     NotSPDError,
     SolverConfig,
+    accelerated_steps,
     conjugate_gradient,
     fista,
     pdhg,
@@ -218,12 +219,10 @@ def implicit_estimator(
     return GradientEstimate("implicit", [g3], flagged=not tr.converged)
 
 
-def dual_estimator(
-    pr: StructuredProblem, u, cfg: SolverConfig, v=None, y0=None
-) -> GradientEstimate:
+def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstimate:
     """g4(k) = y(k), the iterates of the dual problem under the chosen solver."""
-    dob = pr.dual_objective(u, v)
-    y = np.zeros(pr.p) if y0 is None else np.array(y0, dtype=float)
+    dob = pr.dual_objective(u)
+    y = np.zeros(pr.p)
     method = cfg.method
     rec = cfg.record_trace
     if method == "cg":
@@ -232,13 +231,9 @@ def dual_estimator(
     elif method == "pdhg":
         tr = _dual_pdhg(pr, dob, y, cfg)
     else:
-        lips, m = dob.curvature()
-        tau, beta = step_policy(method, lips, m, cfg.tau, cfg.beta)
+        tau, beta = step_policy(method, *dob.curvature(), cfg.tau, cfg.beta)
         if method == "fista":
-            tr = fista(
-                dob.smooth_grad, dob.prox, y, tau, cfg.iterations, sc_smooth=m,
-                record_trace=rec,
-            )
+            tr = fista(dob.smooth_grad, dob.prox, y, tau, beta, cfg.iterations, record_trace=rec)
         else:
             tr = prox_gradient(
                 dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta,
@@ -317,20 +312,21 @@ def _newton_step(pr: StructuredProblem, x, par, tau: float):
 def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: int):
     """Solve min_x f(x, u_j) for every column u_j of ``params`` (P x K).
 
-    Accelerated proximal gradient with tau = 1/L and the constant strongly
-    convex momentum runs on the N x K block, every column from ``x0``
-    (N x K).  With x+ = T(z) the prox-gradient step from the extrapolated
-    point z, a column is certified and frozen at x+ once
-    |z - x+| <= limit[j].  Every NEWTON_EVERY iterations up to NEWTON_STEPS
-    chained Newton steps (``_newton_step``) are tried on the live columns; a
-    Newton point y is used only if it passes the same certificate (the
-    column is then frozen at T(y)), and otherwise the prox-gradient
-    iteration goes on untouched.  The momentum is not restarted from a
-    Newton point: one from a wrong active set can still undercut an early
-    accelerated iterate's objective, and restarting there stalls
-    ill-conditioned problems.  Correctness rests on the certificate alone.
-    Returns (points, certified), certified False for the columns that
-    reached ``max_iterations``.
+    ``accelerated_steps`` runs on the whole N x K block, every column from
+    ``x0`` (N x K), with fista's step 1/L and momentum from ``step_policy``.
+    With x+ = T(z) the prox-gradient step from the extrapolated point z, a
+    column is certified at x+ once |z - x+| <= limit[j]; it then leaves the
+    ``live`` mask and its point is kept, while the block keeps iterating.
+    Every NEWTON_EVERY iterations up to NEWTON_STEPS chained Newton steps
+    (``_newton_step``) are tried on the live columns; a Newton point y is
+    used only if it passes the same certificate (the column is then
+    certified at T(y)), and otherwise the accelerated iteration goes on
+    untouched.  The momentum is not restarted from a Newton point: one from
+    a wrong active set can still undercut an early accelerated iterate's
+    objective, and restarting there stalls ill-conditioned problems.
+    Correctness rests on the certificate alone.  Returns (points,
+    certified), certified False for the columns that reached
+    ``max_iterations`` (all of them, at ``x0``, when it is 0).
 
     It solves the warm N x 2P block of ``fd_oracle`` and is the fallback of
     ``oracle_primal_solve``, whose line-searched Newton phase does the cold
@@ -339,46 +335,35 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
     without it, with no estimate flagged either way (2-core x86-64, one
     BLAS thread).
     """
-    lips, m = pr.curvature()
-    tau = 1.0 / lips
-    sq = np.sqrt(min(tau * m, 1.0))
-    beta = (1.0 - sq) / (1.0 + sq)
-
+    tau, beta = step_policy("fista", *pr.curvature())
+    prox = pr.prox_part()
     points = np.array(x0, dtype=float)
-    live = np.arange(points.shape[1])  # columns still iterating
-    x = z = points.copy()
-    par, lim = params, limit
-
-    def freeze(done, at):
-        nonlocal live, x, z, par, lim
-        points[:, live[done]] = at[:, done]
-        keep = ~done
-        live, x, z, par, lim = live[keep], x[:, keep], z[:, keep], par[:, keep], lim[keep]
-        return keep
-
-    for it in range(1, max_iterations + 1):
-        x_next = _forward_backward(pr, z, par, tau)
-        done = np.linalg.norm(z - x_next, axis=0) <= lim
-        z = x_next + beta * (x_next - x)
-        x = x_next
-        if done.any():
-            freeze(done, x)
-        if it % NEWTON_EVERY == 0 and live.size:
-            y = x
+    live = np.ones(points.shape[1], dtype=bool)  # columns not yet certified
+    x = points
+    steps = accelerated_steps(
+        lambda z: pr.primal_smooth_grad(z, params), None if prox is None else prox.prox,
+        x0, tau, beta, max_iterations,
+    )
+    for it, (z, x) in enumerate(steps, 1):
+        done = live & (np.linalg.norm(z - x, axis=0) <= limit)
+        points[:, done] = x[:, done]
+        live &= ~done
+        if it % NEWTON_EVERY == 0 and live.any():
+            cols = np.flatnonzero(live)
+            y = x[:, cols]
             for _ in range(NEWTON_STEPS):
-                y = _newton_step(pr, y, par, tau)
-                y_plus = _forward_backward(pr, y, par, tau)
-                done = np.linalg.norm(y - y_plus, axis=0) <= lim
-                if done.any():
-                    y = y[:, freeze(done, y_plus)]
-                if not live.size:
+                y = _newton_step(pr, y, params[:, cols], tau)
+                y_plus = _forward_backward(pr, y, params[:, cols], tau)
+                done = np.linalg.norm(y - y_plus, axis=0) <= limit[cols]
+                points[:, cols[done]] = y_plus[:, done]
+                live[cols[done]] = False
+                cols, y = cols[~done], y[:, ~done]
+                if not cols.size:
                     break
-        if not live.size:
+        if not live.any():
             break
-    points[:, live] = x
-    certified = np.ones(points.shape[1], dtype=bool)
-    certified[live] = False
-    return points, certified
+    points[:, live] = x[:, live]
+    return points, ~live
 
 
 # Armijo sufficient-decrease constant of the Newton line search, and the step

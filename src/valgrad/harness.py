@@ -48,7 +48,6 @@ class ExperimentConfig:
     seed: int = 0
     inertia: str = "both"  # both | on | off
     cond_ratio: float = 100.0
-    output_dir: str = "out"
     oracle_iterations: int = 10_000
     cross_check_tol: float = 1e-4
 

@@ -83,8 +83,8 @@ class StructuredProblem:
         dual = float(np.dot(u, y)) - self.conjugate_value(np.zeros(self.n), y)
         return self.primal_value(x, u) - dual
 
-    def dual_objective(self, u, v=None) -> "DualObjective":
-        return DualObjective(self, np.asarray(u, dtype=float), v)
+    def dual_objective(self, u) -> "DualObjective":
+        return DualObjective(self, np.asarray(u, dtype=float))
 
     # Smooth-part primal calculus used by solvers and estimators.  When the
     # regularizer is a nonsmooth elastic net it is handled entirely by its
@@ -193,18 +193,17 @@ class StructuredProblem:
 
 
 class DualObjective:
-    """The assembled dual problem min_y k*(A^T y - c + v) + h*(y) - <b + u, y>.
+    """The assembled dual problem min_y k*(A^T y - c) + h*(y) - <b + u, y>.
 
     Exposes the smooth/prox split used by first-order solvers: for smooth h
     the whole objective is smooth; for Huber h the delta-ball indicator
     inside h* is the prox part and everything else is smooth.
     """
 
-    def __init__(self, problem: StructuredProblem, u, v=None):
+    def __init__(self, problem: StructuredProblem, u):
         self.problem = problem
         self.u = np.asarray(u, dtype=float)
-        self.v = np.zeros(problem.n) if v is None else np.asarray(v, dtype=float)
-        if self.u.shape != (problem.p,) or self.v.shape != (problem.n,):
+        if self.u.shape != (problem.p,):
             raise ValueError("dimension mismatch")
         self.kconj = problem.k.conjugate()
         if isinstance(problem.h, SquaredNorm):
@@ -215,7 +214,8 @@ class DualObjective:
             self.prox_part = BallIndicator(problem.h.delta)
         else:
             raise ValueError("unsupported loss for the dual objective")
-        self.shift = self.v - problem.c
+        # 0 - c, not -c, which would give the zero entries of c a sign
+        self.shift = 0.0 - problem.c
         self.linear = problem.b + self.u
 
     def value(self, y) -> float:

@@ -6,8 +6,11 @@ is decided by the objective: ``prox_of`` returns its prox part's prox, or
 None (the identity) when it has none, and checks the method name against
 it; the name itself chooses only the momentum (none for gd and ista).
 ``prox_gradient`` collects the trace, and ``step_policy`` holds the
-default step sizes of every method.  ``fista`` (gradient at the
-extrapolated point), ``pdhg`` and ``conjugate_gradient`` are separate.
+default step sizes and momenta of every method.  The accelerated
+recursion, with the gradient at the extrapolated point, is
+``accelerated_steps``: ``fista`` collects its trace, and the certified
+oracle solve of :mod:`valgrad.estimators` runs it on a block of columns.
+``pdhg`` and ``conjugate_gradient`` are separate.
 
 The first-order solvers run a fixed number of iterations (no early exit) so
 runs are directly comparable; CG may stop on its residual, and the
@@ -47,14 +50,11 @@ class SolverConfig:
 @dataclass
 class IterateTrace:
     points: list = field(default_factory=list)
-    values: list = field(default_factory=list)
     # set by solvers with a stopping test: did it pass within the budget
     converged: bool | None = None
 
-    def append(self, x, objective=None):
+    def append(self, x):
         self.points.append(np.array(x, dtype=float))
-        if objective is not None:
-            self.values.append(float(objective(x)))
 
     @property
     def final(self):
@@ -64,19 +64,17 @@ class IterateTrace:
         return len(self.points)
 
 
-def _trace(x0, objective):
+def _trace(x0):
     tr = IterateTrace()
-    tr.append(x0, objective)
+    tr.append(x0)
     return tr
 
 
-def _push(tr, x, objective, record):
+def _push(tr, x, record):
     if record:
-        tr.append(x, objective)
+        tr.append(x)
     else:
         tr.points[-1] = np.array(x, dtype=float)
-        if objective is not None:
-            tr.values[-1] = float(objective(x))
 
 
 def prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
@@ -117,92 +115,68 @@ def prox_of(method, prox_part):
     return prox_part.prox if proximal else None
 
 
-def prox_gradient(
-    smooth_grad, prox_step, x0, tau, beta, iterations, objective=None, record_trace=True
-):
+def prox_gradient(smooth_grad, prox_step, x0, tau, beta, iterations, record_trace=True):
     """Trace of ``prox_gradient_steps``: gd (beta = 0, no prox), heavy ball
     (no prox), ista (beta = 0) and ipiasco."""
-    tr = _trace(np.array(x0, dtype=float), objective)
+    tr = _trace(x0)
     for *_, x_next in prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
-        _push(tr, x_next, objective, record_trace)
+        _push(tr, x_next, record_trace)
     return tr
 
 
-def fista(
-    smooth_grad, prox_step, x0, tau, iterations, sc_smooth=0.0, objective=None,
-    record_trace=True,
-):
-    """Accelerated proximal gradient, with the gradient at the extrapolated point.
+def accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
+    """The accelerated proximal gradient recursion, one step per yield.
 
-    With strong convexity sc_smooth > 0 the constant momentum
-    (1 - sqrt(q)) / (1 + sqrt(q)), q = tau * sc_smooth, is used; otherwise
-    the classical t-sequence.  No restarts.
+    x+ = prox(tau, z - tau * smooth_grad(z)) at the extrapolated point z,
+    then z+ = x+ + beta * (x+ - x), with z and x initialized to x0 (Beck &
+    Teboulle, FISTA, 2009, with the constant strongly convex momentum of
+    ``step_policy``).  ``prox_step=None`` is the identity prox.  Each step
+    yields (z, x+); no yielded array is modified afterwards.
     """
-    x = np.array(x0, dtype=float)
-    z = x.copy()
-    tr = _trace(x, objective)
-    if sc_smooth > 0:
-        q = tau * sc_smooth
-        beta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
-    t = 1.0
+    x = z = np.array(x0, dtype=float)
     for _ in range(iterations):
-        x_next = prox_step(tau, z - tau * smooth_grad(z))
-        if sc_smooth > 0:
-            z = x_next + beta * (x_next - x)
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = x_next + (t - 1.0) / t_next * (x_next - x)
-            t = t_next
+        x_next = z - tau * smooth_grad(z)
+        if prox_step is not None:
+            x_next = prox_step(tau, x_next)
+        yield z, x_next
+        z = x_next + beta * (x_next - x)
         x = x_next
-        _push(tr, x, objective, record_trace)
+
+
+def fista(smooth_grad, prox_step, x0, tau, beta, iterations, record_trace=True):
+    """Trace of ``accelerated_steps``; no restarts."""
+    tr = _trace(x0)
+    for _, x_next in accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
+        _push(tr, x_next, record_trace)
     return tr
 
 
 def pdhg(
-    k_op,
-    k_op_adj,
-    prox_conj,
-    prox_primal,
-    y0,
-    sigma,
-    tau,
-    iterations,
-    op_norm=None,
-    accel_sc=0.0,
-    objective=None,
+    k_op, k_op_adj, prox_conj, prox_primal, y0, sigma, tau, iterations, op_norm=None,
     record_trace=True,
 ):
     """Primal-dual hybrid gradient for min_y f(K y) + g(y).
 
     ``prox_conj(sigma, z)`` is the prox of f*, ``prox_primal(tau, z)`` that
-    of g.  The extrapolation is theta = 1; with ``accel_sc > 0`` (strong
-    convexity of g) the accelerated parameter schedule
-    theta_n = 1/sqrt(1 + 2*accel_sc*tau_n) is used.
+    of g, and the extrapolation is theta = 1.
     """
     if op_norm is not None and sigma * tau * op_norm**2 > 1.0 + 1e-12:
         raise ValueError("sigma * tau * ||K||^2 must be at most 1")
     y = np.array(y0, dtype=float)
     y_bar = y.copy()
     z = np.zeros_like(k_op(y))
-    theta = 1.0
-    tr = _trace(y, objective)
+    tr = _trace(y)
     for _ in range(iterations):
         z = prox_conj(sigma, z + sigma * k_op(y_bar))
         y_next = prox_primal(tau, y - tau * k_op_adj(z))
-        if accel_sc > 0:
-            theta = 1.0 / np.sqrt(1.0 + 2.0 * accel_sc * tau)
-            tau = theta * tau
-            sigma = sigma / theta
-        y_bar = y_next + theta * (y_next - y)
+        y_bar = y_next + (y_next - y)
         y = y_next
-        _push(tr, y, objective, record_trace)
+        _push(tr, y, record_trace)
     return tr
 
 
-def conjugate_gradient(
-    matvec, rhs, y0, iterations, tol=0.0, objective=None, record_trace=True
-):
-    """Minimize y^T Q y / 2 - rhs^T y for SPD Q given as a matvec.
+def conjugate_gradient(q, rhs, y0, iterations, tol=0.0, record_trace=True):
+    """Minimize y^T Q y / 2 - rhs^T y for an SPD matrix Q.
 
     Terminates early once the residual norm drops below ``tol``; raises
     :class:`NotSPDError` on a nonpositive curvature direction.  The trace's
@@ -210,19 +184,15 @@ def conjugate_gradient(
     the residual it tests is the recursively updated one.
     """
     y = np.array(y0, dtype=float)
-    if callable(matvec):
-        apply_q = matvec
-    else:
-        q = np.asarray(matvec, dtype=float)
-        apply_q = lambda w: q @ w
-    r = np.asarray(rhs, dtype=float) - apply_q(y)
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(rhs, dtype=float) - q @ y
     p = r.copy()
     rr = float(np.dot(r, r))
-    tr = _trace(y, objective)
+    tr = _trace(y)
     for _ in range(iterations):
         if np.sqrt(rr) <= tol:
             break
-        qp = apply_q(p)
+        qp = q @ p
         curv = float(np.dot(p, qp))
         if curv <= 0.0:
             raise NotSPDError("nonpositive curvature encountered")
@@ -232,7 +202,7 @@ def conjugate_gradient(
         rr_new = float(np.dot(r, r))
         p = r + (rr_new / rr) * p
         rr = rr_new
-        _push(tr, y, objective, record_trace)
+        _push(tr, y, record_trace)
     tr.converged = bool(np.sqrt(rr) <= tol)
     return tr
 
@@ -252,9 +222,9 @@ def step_policy(method, lips, m, tau=None, beta=None):
     """(tau, beta) for a method on an objective with curvature in [m, lips].
 
     gd and ista take 2/(L+m) and no momentum, heavy_ball and ipiasco the
-    optimal strongly convex pair, fista 1/L (its momentum is its own, so
-    beta comes back None).  A given tau or beta wins, except that gd and
-    ista never take momentum.
+    optimal strongly convex pair, fista 1/L and the constant strongly
+    convex momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = min(tau m, 1).  A
+    given tau or beta wins, except that gd and ista never take momentum.
     """
     if method in ("gd", "ista"):
         return (optimal_gd_step(lips, m) if tau is None else tau), 0.0
@@ -262,5 +232,7 @@ def step_policy(method, lips, m, tau=None, beta=None):
         t_opt, b_opt = optimal_inertial_params(lips, m)
         return (t_opt if tau is None else tau), (b_opt if beta is None else beta)
     if method == "fista":
-        return (1.0 / lips if tau is None else tau), None
+        tau = 1.0 / lips if tau is None else tau
+        q = min(tau * m, 1.0)
+        return tau, ((1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q)) if beta is None else beta)
     raise ValueError(f"unknown method {method!r}")

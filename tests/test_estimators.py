@@ -381,6 +381,28 @@ def test_dual_estimator_explicit_zero_momentum(which, plain, inertial):
                                   np.array(ref.per_iteration))
 
 
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+def test_dual_estimator_fista_matches_the_constant_momentum_loop(which):
+    # the accelerated loop as fista wrote it out before it shared
+    # accelerated_steps with the certified solve; iterates must be bit-equal
+    pr, u = instance(which, cond=5.0)
+    dob = pr.dual_objective(u)
+    lips, m = dob.curvature()
+    tau = 1.0 / lips
+    q = tau * m
+    beta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
+    x = np.zeros(pr.p)
+    z = x.copy()
+    want = [x.copy()]
+    for _ in range(200):
+        x_next = dob.prox(tau, z - tau * dob.smooth_grad(z))
+        z = x_next + beta * (x_next - x)
+        x = x_next
+        want.append(x.copy())
+    got = dual_estimator(pr, u, SolverConfig(method="fista", iterations=200))
+    assert np.array(got.per_iteration).tobytes() == np.array(want).tobytes()
+
+
 def test_dual_estimator_rejects_plain_gd_on_constrained_dual():
     pr, u = instance(2)
     with pytest.raises(ValueError):
@@ -517,6 +539,18 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
     fd = fd_oracle(pr, u, warm=x)
     assert not fd.flagged
     np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
+
+
+def test_certified_solve_without_iterations_returns_its_start_uncertified():
+    pr, u = oracle_instance(3)
+    params = u[:, None] + np.array([[0.0, 1e-3]])
+    x0 = np.arange(2.0 * pr.n).reshape(pr.n, 2)
+    points, certified = valgrad.estimators._certified_solve(
+        pr, params, x0, np.full(2, 1e-3), 0
+    )
+    np.testing.assert_array_equal(points, x0)
+    assert points is not x0
+    np.testing.assert_array_equal(certified, [False, False])
 
 
 @pytest.mark.parametrize("which,p", [(3, 30), (4, 10)])

@@ -49,8 +49,9 @@ def test_gradient_descent_linear_convergence():
 def test_gradient_descent_objective_monotone():
     q, b, xstar, lips, m = quad(seed=1)
     obj = lambda x: 0.5 * x @ q @ x - b @ x
-    tr = prox_gradient(lambda x: q @ x - b, None, np.ones(6), 1.0 / lips, 0.0, 50, objective=obj)
-    assert all(v2 <= v1 + 1e-14 for v1, v2 in zip(tr.values, tr.values[1:]))
+    tr = prox_gradient(lambda x: q @ x - b, None, np.ones(6), 1.0 / lips, 0.0, 50)
+    values = [obj(x) for x in tr.points]
+    assert all(v2 <= v1 + 1e-14 for v1, v2 in zip(values, values[1:]))
 
 
 def test_heavy_ball_beats_gd_on_ill_conditioned():
@@ -82,13 +83,9 @@ def test_ista_solves_lasso_fixed_point():
 def test_fista_strongly_convex_momentum_converges_linearly():
     q, b, xstar, lips, m = quad(seed=5, cond=100.0)
     grad = lambda x: q @ x - b
-    ident = lambda tau, z: z
-    tr = fista(grad, ident, np.zeros(6), 1.0 / lips, 300, sc_smooth=m)
-    plain = fista(grad, ident, np.zeros(6), 1.0 / lips, 300)
+    tau, beta = step_policy("fista", lips, m)
+    tr = fista(grad, None, np.zeros(6), tau, beta, 300)
     assert np.linalg.norm(tr.final - xstar) < 1e-9
-    # the t-sequence variant is only O(1/K^2); the momentum variant must win
-    assert np.linalg.norm(tr.final - xstar) < np.linalg.norm(plain.final - xstar)
-    assert np.linalg.norm(plain.final - xstar) < 1e-2
 
 
 def test_ipiasco_matches_heavy_ball_with_identity_prox():
@@ -144,27 +141,6 @@ def test_pdhg_converges_on_quadratic():
     np.testing.assert_allclose(tr.final, xstar, atol=1e-8)
 
 
-def test_pdhg_accelerated_schedule_converges():
-    gen = np.random.Generator(np.random.PCG64(9))
-    k_mat = gen.standard_normal((3, 3))
-    c = gen.standard_normal(3)
-    op_norm = float(np.linalg.svd(k_mat, compute_uv=False)[0])
-    xstar = np.linalg.solve(k_mat.T @ k_mat + np.eye(3), c)
-    tr = pdhg(
-        k_op=lambda y: k_mat @ y,
-        k_op_adj=lambda z: k_mat.T @ z,
-        prox_conj=lambda s, z: z / (1.0 + s),
-        prox_primal=lambda t, z: (z + t * c) / (1.0 + t),
-        y0=np.zeros(3),
-        sigma=1.0 / op_norm,
-        tau=1.0 / op_norm,
-        iterations=2000,
-        accel_sc=1.0,
-    )
-    # iterate distance decays like O(1/K) under the accelerated schedule
-    np.testing.assert_allclose(tr.final, xstar, atol=1e-3)
-
-
 def test_pdhg_rejects_unstable_steps():
     with pytest.raises(ValueError):
         pdhg(
@@ -179,9 +155,9 @@ def test_cg_finite_termination_and_accuracy():
     np.testing.assert_allclose(tr.final, xstar, atol=1e-9)
 
 
-def test_cg_accepts_matvec_callable_and_early_stop():
+def test_cg_stops_early_on_its_residual():
     q, b, xstar, *_ = quad(seed=11, n=8)
-    tr = conjugate_gradient(lambda w: q @ w, b, np.zeros(8), 100, tol=1e-10)
+    tr = conjugate_gradient(q, b, np.zeros(8), 100, tol=1e-10)
     assert len(tr) - 1 < 100  # stopped early on the residual
     np.testing.assert_allclose(tr.final, xstar, atol=1e-8)
 
@@ -229,8 +205,12 @@ def test_step_policy_inertial_methods_take_the_optimal_pair(method):
 
 
 def test_step_policy_fista_and_unknown_methods():
-    assert step_policy("fista", 4.0, 1.0) == (0.25, None)
-    assert step_policy("fista", 4.0, 1.0, tau=0.1, beta=0.3) == (0.1, None)
+    # tau = 1/L and the momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = tau m
+    assert step_policy("fista", 4.0, 1.0) == (0.25, 1.0 / 3.0)
+    assert step_policy("fista", 4.0, 1.0, beta=0.3) == (0.25, 0.3)
+    # q is capped at 1, where the momentum vanishes
+    assert step_policy("fista", 4.0, 1.0, tau=2.0) == (2.0, 0.0)
+    assert step_policy("fista", 4.0, 1.0, tau=0.1, beta=0.3) == (0.1, 0.3)
     for method in ("pdhg", "cg", "nonsense"):
         with pytest.raises(ValueError):
             step_policy(method, 4.0, 1.0)
