@@ -18,6 +18,7 @@ from .estimators import (
     implicit_estimator,
     run_primal,
     run_toy,
+    sensitivities,
     sensitivity_step,
     value_function,
 )

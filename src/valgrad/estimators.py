@@ -3,7 +3,7 @@
 Four estimators of the gradient of p(u) = inf_x f(x, u):
 
 * analytic:  the parameter-gradient of f at an approximate minimizer,
-* automatic: forward sensitivity propagation through the solver recursion,
+* automatic: forward sensitivities replayed along the solver's iterates,
 * implicit:  the implicit-function-theorem linear solve at one iterate,
 * dual:      iterates of the assembled dual problem,
 
@@ -96,13 +96,19 @@ def sensitivity_step(
 
 @dataclass
 class PrimalRun:
-    """Iterates, sensitivities and regularizer subgradient selections."""
+    """Iterates, pre-prox points and regularizer subgradient selections.
+
+    ``pre_prox`` holds the kernel's pre-prox point z_k of every step, which
+    ``sensitivities`` needs to replay the Jacobian recursion; it is None for
+    a run made without sensitivities.  For gd and heavy_ball z_k is the same
+    array as the next iterate, so recording it costs no memory.
+    """
 
     method: str
     tau: float
     beta: float
     points: list = field(default_factory=list)
-    jacobians: list = field(default_factory=list)
+    pre_prox: list | None = None
     selections: list = field(default_factory=list)
 
     @property
@@ -120,25 +126,25 @@ def run_primal(
     x0=None,
     with_sensitivity: bool = True,
 ) -> PrimalRun:
-    """Run a primal solver, propagating sensitivities alongside the iterates.
+    """Run a primal solver, recording what the forward sensitivities need.
 
     All four methods run through ``prox_gradient_steps``.  The objective's
     prox part decides the prox (``prox_of``): problems without one take gd
     or heavy_ball, problems with one ista or ipiasco.  ``step_policy`` gives
     the default step size and momentum, using the whole-objective curvature.
+    With ``with_sensitivity`` the run keeps the pre-prox points, from which
+    ``sensitivities`` replays the Jacobians; the run itself forms none.
     """
     prox = prox_of(method, pr.prox_part())
     u = np.asarray(u, dtype=float)
     tau, beta = step_policy(method, *pr.curvature(), tau, beta)
 
-    # the kernel and sensitivity_step return fresh arrays and never modify
-    # one, so the run stores them without copies
+    # the kernel returns fresh arrays and never modifies one, so the run
+    # stores them without copies
     x0 = np.zeros(pr.n) if x0 is None else np.array(x0, dtype=float)
-    jac = jac_prev = np.zeros((pr.n, pr.p))
-    run = PrimalRun(method=method, tau=tau, beta=beta)
+    run = PrimalRun(method=method, tau=tau, beta=beta,
+                    pre_prox=[] if with_sensitivity else None)
     run.points.append(x0)
-    if with_sensitivity:
-        run.jacobians.append(jac)
     if prox is not None:
         run.selections.append(pr.k.subgradient_min_norm(x0))
 
@@ -147,12 +153,31 @@ def run_primal(
     )
     for x, z, x_next in steps:
         if with_sensitivity:
-            jac, jac_prev = sensitivity_step(pr, x, u, jac, jac_prev, z, tau, beta), jac
-            run.jacobians.append(jac)
+            run.pre_prox.append(z)
         if prox is not None:
             run.selections.append((z - x_next) / tau)
         run.points.append(x_next)
     return run
+
+
+def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
+    """The iterate sensitivities J_k = d x_k / d u of ``run``, one per yield.
+
+    Forward-mode differentiation of the solver (Griewank & Walther,
+    Evaluating Derivatives, 2008): J_0 = 0, then ``sensitivity_step``
+    replayed along the run's iterates x_k and pre-prox points z_k.  The
+    generator keeps only J_k and J_{k-1}; every yielded Jacobian is a fresh
+    array that is never modified.  Raises ``ValueError`` for a run made
+    without sensitivities.
+    """
+    if run.pre_prox is None:
+        raise ValueError("run was produced without sensitivities")
+    u = np.asarray(u, dtype=float)
+    jac = jac_prev = np.zeros((pr.n, pr.p))
+    yield jac
+    for x, z in zip(run.points, run.pre_prox):
+        jac, jac_prev = sensitivity_step(pr, x, u, jac, jac_prev, z, run.tau, run.beta), jac
+        yield jac
 
 
 def _grad_u_series(pr: StructuredProblem, points, u):
@@ -175,19 +200,20 @@ def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
 def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEstimate:
     """g2(k) = J(k)^T grad_x f(x(k), u) + grad_u f(x(k), u).
 
+    The Jacobians J(k) stream from ``sensitivities``, two alive at a time.
     For elastic-net problems the regularizer subgradient is the prox
     optimality selection recorded during the run.  Both gradients are taken
     on the whole series at once; only the J(k)^T products go per iterate.
+    Raises ``ValueError`` for a run made without sensitivities.
     """
-    if not run.jacobians:
-        raise ValueError("run was produced without sensitivities")
+    jacobians = sensitivities(pr, run, u)
     gu, xs = _grad_u_series(pr, run.points, u)
     gx = pr.c[:, None] - pr.a.T @ gu
     if run.selections:
         gx += np.array(run.selections, dtype=float).T
     else:
         gx += pr.k_modulus * xs
-    seq = [jac.T @ gx[:, i] + gu[:, i] for i, jac in enumerate(run.jacobians)]
+    seq = [jac.T @ gx[:, i] + gu[:, i] for i, jac in enumerate(jacobians)]
     return GradientEstimate("automatic", seq)
 
 

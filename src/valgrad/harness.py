@@ -221,7 +221,6 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
 
         t0 = clock()
         ig = implicit_estimator(pr, run.final, u)
-        del run  # free the Jacobian store before the next method builds its own
         if ig.flagged:
             ig_flagged.append(method)
         add(method, "ig", error_trace(ig, truth), int(clock() - t0), start_iter=cfg.iterations)

@@ -228,7 +228,7 @@ def error_envelopes(tc: EnvelopeConstants, x0_err: float, big_k: int) -> Envelop
     For gradient descent J_{k+1} - J* = (I - tau H_xx)(J_k - J*) plus
     Hessian-variation terms, and ||I - tau H_xx|| <= omega, so the
     initial error contributes omega^k ||J_0 - J*|| to ||J_k - J*||.
-    run_primal starts from J_0 = 0, hence ||J_0 - J*|| = ||J*|| <= l1; with
+    sensitivities starts from J_0 = 0, hence ||J_0 - J*|| = ||J*|| <= l1; with
     ||grad_x f(x_k)|| <= lips_x ||x_k - x*|| <= lips_x omega^k err0 this
     gives automatic_init.  The Hessian-variation remainder of J_k - J* and
     the bracket vanish when both Hessian blocks are constant; the published

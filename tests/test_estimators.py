@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from valgrad.estimators import (
     oracle_primal_solve,
     run_primal,
     run_toy,
+    sensitivities,
     sensitivity_step,
     value_function,
 )
@@ -29,6 +32,8 @@ from valgrad.solvers import (
     conjugate_gradient,
     optimal_gd_step,
     prox_gradient,
+    prox_gradient_steps,
+    prox_of,
     step_policy,
 )
 
@@ -63,6 +68,13 @@ def test_analytic_estimator_rejects_nonsmooth_loss():
         analytic_estimator(pr, [np.zeros(2)], np.zeros(2))
 
 
+def _final_jacobian(pr, run, u):
+    """The last Jacobian ``sensitivities`` yields for ``run``."""
+    for jac in sensitivities(pr, run, u):
+        pass
+    return jac
+
+
 def test_sensitivity_step_zero_tau_is_identity():
     pr, u = instance(1)
     jac = np.ones((pr.n, pr.p))
@@ -74,7 +86,7 @@ def test_sensitivity_fixed_point_is_solution_jacobian():
     pr, u = instance(1)
     run = run_primal(pr, u, "gd", iterations=4000)
     jstar = np.linalg.solve(pr.a.T @ pr.a + 2.0 * np.eye(pr.n), pr.a.T)
-    np.testing.assert_allclose(run.jacobians[-1], jstar, atol=1e-10)
+    np.testing.assert_allclose(_final_jacobian(pr, run, u), jstar, atol=1e-10)
 
 
 def test_sensitivity_contracts_geometrically():
@@ -83,7 +95,7 @@ def test_sensitivity_contracts_geometrically():
     omega = (lips - m) / (lips + m)
     run = run_primal(pr, u, "gd", iterations=60)
     jstar = np.linalg.solve(pr.a.T @ pr.a + 2.0 * np.eye(pr.n), pr.a.T)
-    errs = [np.linalg.norm(j - jstar, 2) for j in run.jacobians]
+    errs = [np.linalg.norm(j - jstar, 2) for j in sensitivities(pr, run, u)]
     for k in range(len(errs) - 1):
         assert errs[k + 1] <= omega * errs[k] + 1e-6
 
@@ -96,8 +108,9 @@ def test_sensitivity_starts_from_zero(method):
     x0 = np.linspace(-1.0, 1.0, pr.n)
     for start in (None, x0):
         run = run_primal(pr, u, method, iterations=2, x0=start)
-        assert run.jacobians[0].shape == (pr.n, pr.p)
-        assert not np.any(run.jacobians[0])
+        jac0 = next(sensitivities(pr, run, u))
+        assert jac0.shape == (pr.n, pr.p)
+        assert not np.any(jac0)
 
 
 def _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev):
@@ -169,7 +182,7 @@ def test_sensitivity_matches_fd_jacobian_smooth(which, method):
     pr, u = instance(which, n=8, p=5, seed=3)
     run = run_primal(pr, u, method, iterations=20)
     fd = _fd_jacobian(pr, u, method, 20)
-    np.testing.assert_allclose(run.jacobians[-1], fd, atol=1e-5)
+    np.testing.assert_allclose(_final_jacobian(pr, run, u), fd, atol=1e-5)
 
 
 @pytest.mark.parametrize("method", ["ista", "ipiasco"])
@@ -178,7 +191,7 @@ def test_sensitivity_matches_fd_jacobian_proximal(method):
     pr, u = instance(3, n=8, p=5, seed=4)
     run = run_primal(pr, u, method, iterations=25)
     fd = _fd_jacobian(pr, u, method, 25)
-    np.testing.assert_allclose(run.jacobians[-1], fd, atol=1e-5)
+    np.testing.assert_allclose(_final_jacobian(pr, run, u), fd, atol=1e-5)
 
 
 def _reference_iterates(grad, prox, x0, tau, beta, iterations):
@@ -238,7 +251,8 @@ def test_sensitivity_matches_fd_jacobian_on_a_smooth_elastic_net(method):
     pr = make_experiment_problem(3, a, gamma=0.0)
     run = run_primal(pr, u, method, iterations=20)
     assert not run.selections
-    np.testing.assert_allclose(run.jacobians[-1], _fd_jacobian(pr, u, method, 20), atol=1e-5)
+    np.testing.assert_allclose(_final_jacobian(pr, run, u), _fd_jacobian(pr, u, method, 20),
+                               atol=1e-5)
 
 
 @pytest.mark.parametrize("method", ["ista", "ipiasco"])
@@ -251,10 +265,8 @@ def test_dual_estimator_rejects_a_proximal_method_on_a_smooth_dual(method):
 def test_automatic_estimator_exact_at_optimum():
     pr, u = instance(1)
     xstar, grad = closed_form_f1(pr.a, 2.0, u)
-    jstar = np.linalg.solve(pr.a.T @ pr.a + 2.0 * np.eye(pr.n), pr.a.T)
-    run = run_primal(pr, u, "gd", iterations=0)
-    run.points[0] = xstar
-    run.jacobians[0] = jstar
+    # J_0 = 0, and at x* the x-gradient it multiplies vanishes
+    run = run_primal(pr, u, "gd", iterations=0, x0=xstar)
     est = automatic_estimator(pr, run, u)
     np.testing.assert_allclose(est.final, grad, atol=1e-12)
 
@@ -262,12 +274,12 @@ def test_automatic_estimator_exact_at_optimum():
 def _per_iterate_estimates(pr, run, u):
     """g1(k) and g2(k) evaluated one iterate at a time."""
     ang, aug = [], []
-    for i, x in enumerate(run.points):
+    for i, (x, jac) in enumerate(zip(run.points, sensitivities(pr, run, u))):
         gu = pr.grad_u(x, u)
         gx = pr.c - pr.a.T @ gu
         gx = gx + (run.selections[i] if run.selections else pr.k_modulus * x)
         ang.append(gu)
-        aug.append(run.jacobians[i].T @ gx + gu)
+        aug.append(jac.T @ gx + gu)
     return ang, aug
 
 
@@ -292,6 +304,55 @@ def test_series_estimators_match_a_per_iterate_loop(which, method):
                        for i in range(len(got)) for j in range(i))
         # disjoint views of one block share no element, so check ownership
         assert all(g.flags.owndata for g in got)
+
+
+def _in_run_jacobians(pr, u, method, iterations):
+    """The Jacobians as the solver loop once formed them, with
+    ``sensitivity_step`` called next to ``prox_gradient_steps``."""
+    prox = prox_of(method, pr.prox_part())
+    tau, beta = step_policy(method, *pr.curvature())
+    jac = jac_prev = np.zeros((pr.n, pr.p))
+    out = [jac]
+    steps = prox_gradient_steps(
+        lambda x: pr.primal_smooth_grad(x, u), prox, np.zeros(pr.n), tau, beta, iterations
+    )
+    for x, z, _ in steps:
+        jac, jac_prev = sensitivity_step(pr, x, u, jac, jac_prev, z, tau, beta), jac
+        out.append(jac)
+    return out
+
+
+@pytest.mark.parametrize("which, method", [
+    (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
+    (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco"),
+])
+def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method):
+    # the replay along the stored iterates must round exactly as the
+    # recursion run beside the solver did, or the aug series would move
+    pr, u = instance(which, n=8, p=5, seed=3)
+    run = run_primal(pr, u, method, iterations=40)
+    want = _in_run_jacobians(pr, u, method, 40)
+    got = list(sensitivities(pr, run, u))
+    assert len(got) == len(want) == 41
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("which, method", [(2, "heavy_ball"), (4, "ipiasco")])
+def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
+    # at N = P = 60 and K = 100 one Jacobian outweighs the O(K (N + P))
+    # series; a store of all K + 1 Jacobians peaks above 100 of them
+    pr, u = instance(which, n=60, p=60, seed=1)
+    automatic_estimator(pr, run_primal(pr, u, method, iterations=2), u)  # warm caches
+    jac_bytes = pr.n * pr.p * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        run = run_primal(pr, u, method, iterations=100)
+        est = automatic_estimator(pr, run, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(est.per_iteration) == 101
+    assert peak < 25 * jac_bytes, peak / jac_bytes
 
 
 def test_automatic_requires_sensitivities():
