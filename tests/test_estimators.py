@@ -164,7 +164,8 @@ def test_sensitivity_step_reuses_the_solver_gradient(method, monkeypatch):
     jac = np.arange(pr.n * pr.p, dtype=float).reshape(pr.n, pr.p) / 40.0
     jac_prev = 0.5 * jac
     z = x - 0.01 * pr.primal_smooth_grad(x, u) + 0.3 * (x - x_prev)
-    # run_primal hands its gradient over: one gradient call per iteration
+    # sensitivity_step reads the kernel's z and takes no gradient of its own:
+    # one gradient call per iteration
     bare = run_primal(pr, u, method, iterations=12, with_sensitivity=False)
     calls = []
     grad = StructuredProblem.primal_smooth_grad
@@ -307,8 +308,8 @@ def test_series_estimators_match_a_per_iterate_loop(which, method):
 
 
 def _in_run_jacobians(pr, u, method, iterations):
-    """The Jacobians as the solver loop once formed them, with
-    ``sensitivity_step`` called next to ``prox_gradient_steps``."""
+    """The Jacobians formed beside the solver, ``sensitivity_step`` called
+    next to ``prox_gradient_steps``: the reference the replay must match."""
     prox = prox_of(method, pr.prox_part())
     tau, beta = step_policy(method, *pr.curvature())
     jac = jac_prev = np.zeros((pr.n, pr.p))
@@ -340,7 +341,7 @@ def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method):
 @pytest.mark.parametrize("which, method", [(2, "heavy_ball"), (4, "ipiasco")])
 def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
     # at N = P = 60 and K = 100 one Jacobian outweighs the O(K (N + P))
-    # series; a store of all K + 1 Jacobians peaks above 100 of them
+    # series; holding all K + 1 Jacobians would peak above 100 of them
     pr, u = instance(which, n=60, p=60, seed=1)
     automatic_estimator(pr, run_primal(pr, u, method, iterations=2), u)  # warm caches
     jac_bytes = pr.n * pr.p * np.dtype(float).itemsize
