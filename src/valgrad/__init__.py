@@ -9,12 +9,14 @@ envelopes and a reproducible experiment harness.
 from .estimators import (
     EstimatorInapplicable,
     GradientEstimate,
+    GramBasis,
     PrimalRun,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,
     error_trace,
     fd_oracle,
+    gram_basis,
     implicit_estimator,
     run_primal,
     run_toy,
@@ -36,6 +38,7 @@ from .funcs import (
     soft_threshold,
 )
 from .harness import (
+    ConfigError,
     ErrorRecord,
     ExperimentConfig,
     emit_csv,

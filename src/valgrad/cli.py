@@ -5,7 +5,10 @@ Subcommands: ``run`` (experiment grid with CSV and SVG output), ``verify``
 (convergence-factor table) and ``toy`` (the three scalar counterexamples).
 A flat ``key = value`` config file can override any defaults.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments.
+Exit codes: 0 success; 1 a failed verification or an aborted grid cell;
+2 bad input: an invalid argument or config file (``ConfigError``) or a file
+that cannot be read or written; 3 a numerical failure, a linear-algebra
+routine that raised ``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import dual_estimator, fd_oracle, run_toy
-from .harness import ExperimentConfig, emit_csv, emit_plots, run_grid
+from .harness import PROBLEMS, ConfigError, ExperimentConfig, emit_csv, emit_plots, run_grid
 from .linalg import seeded_problem_data
 from .problems import ToyProblem, make_experiment_problem
 from .rates import RateUnavailable, rate_report
@@ -30,6 +33,18 @@ _CONFIG_TYPES = {
     "identity": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
+# argument -> (test, requirement): the values no command can run with
+_ARG_CHECKS = {
+    "n": (lambda v: v >= 1, "at least 1"),
+    "cond": (lambda v: v >= 1.0, "at least 1"),
+    "lam": (lambda v: v > 0, "positive"),
+    "gamma": (lambda v: v >= 0, "nonnegative"),
+    "delta": (lambda v: v > 0, "positive"),
+    "iters": (lambda v: v >= 0, "nonnegative"),
+    "u": (lambda v: v > 0, "positive"),
+    "problem": (lambda v: v in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
+}
+
 
 def parse_config(path: str) -> dict:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
@@ -40,12 +55,15 @@ def parse_config(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_TYPES:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_TYPES[key](val)
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -97,6 +115,27 @@ def _build_parser(defaults=None):
     return parser
 
 
+def _p_values(text) -> tuple:
+    """The comma-separated P values of ``--p``; raises ``ConfigError``."""
+    try:
+        values = tuple(int(s) for s in str(text).split(","))
+    except ValueError:
+        raise ConfigError(f"--p must be comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise ConfigError(f"--p values must be at least 1, got {text!r}")
+    return values
+
+
+def _check_args(args) -> None:
+    """Raise ``ConfigError`` for an argument value no command can run with."""
+    for name, (ok, need) in _ARG_CHECKS.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ConfigError(f"--{name} must be {need}, got {value!r}")
+    if hasattr(args, "p"):
+        _p_values(args.p)
+
+
 def _make_problem(args, p=None):
     which = int(args.problem[1])
     p = args.p if p is None else p
@@ -111,7 +150,7 @@ def _make_problem(args, p=None):
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig(
         n=args.n,
-        p_list=tuple(int(s) for s in args.p.split(",")),
+        p_list=_p_values(args.p),
         problems=tuple(args.problems.split(",")),
         lam=args.lam, gamma=args.gamma, delta=args.delta,
         iterations=args.iters, seed=args.seed, inertia=args.inertia,
@@ -205,17 +244,21 @@ def main(argv=None) -> int:
     path = pre.parse_known_args(argv)[0].config
     try:
         defaults = None if path is None else parse_config(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ConfigError) as exc:
         pre.error(str(exc))
     args = _build_parser(defaults).parse_args(argv)
     handler = {
         "run": _cmd_run, "verify": _cmd_verify, "rates": _cmd_rates, "toy": _cmd_toy,
     }[args.command]
     try:
+        _check_args(args)
         return handler(args)
-    except (ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

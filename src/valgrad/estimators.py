@@ -4,6 +4,7 @@ Four estimators of the gradient of p(u) = inf_x f(x, u):
 
 * analytic:  the parameter-gradient of f at an approximate minimizer,
 * automatic: forward sensitivities replayed along the solver's iterates,
+             in the eigenbasis of A^T A,
 * implicit:  the implicit-function-theorem linear solve at one iterate,
 * dual:      iterates of the assembled dual problem,
 
@@ -13,6 +14,7 @@ plus a central-difference oracle backed by high-accuracy inner solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,40 +60,78 @@ def error_trace(est: GradientEstimate, truth) -> list[float]:
     return np.linalg.norm(seq - truth, axis=1).tolist()
 
 
+class GramBasis(NamedTuple):
+    """The eigenbasis A^T A = V diag(eigvals) V^T of a problem's Gram
+    matrix, and the parameter block params = (A V)^T = V^T A^T (N x P)."""
+
+    eigvals: np.ndarray
+    vecs: np.ndarray
+    params: np.ndarray
+
+
+def gram_basis(pr: StructuredProblem) -> GramBasis:
+    """One symmetric eigendecomposition of ``pr.gram`` and the rotated
+    parameter block; nothing is cached on the problem."""
+    eigvals, vecs = np.linalg.eigh(pr.gram)
+    return GramBasis(eigvals, vecs, vecs.T @ pr.a.T)
+
+
 def sensitivity_step(
-    pr: StructuredProblem, x, u, jac, jac_prev, z, tau: float, beta: float = 0.0
+    pr: StructuredProblem, basis: GramBasis, r, jac, jac_prev, z, tau: float,
+    beta: float = 0.0,
 ):
     """The derivative in u of one kernel step x+ = prox(tau, z), with the
-    pre-prox point z = x - tau grad f_s(x) + beta (x - x_prev):
+    pre-prox point z = x - tau grad f_s(x) + beta (x - x_prev), in the
+    eigenbasis V of A^T A.  With J-hat = V^T J it is
 
-        J+ = D (J - tau (H_xx J + H_xu) + beta (J - J_prev)),
+        J-hat+ = V^T D V (J-hat - tau G + beta (J-hat - J-hat_prev)),
 
-    where H is the Hessian of the smooth part f_s and D the derivative of
-    the objective's prox part at the z the kernel yielded, the identity
-    when ``pr.prox_part()`` is None.  For the elastic-net prox D is diagonal,
-    0 where |z_i| <= tau*gamma and 1/(1+tau*lam) elsewhere, ties resolved
-    to 0.  Returns J+.
-
-    The one N x N by N x P product is ``pr.hess_loss_jac``'s, and J+ is its
-    fresh result updated in place, in the order of the formula above.  The
-    order is kept for its rounding: on the growing default-grid series f3
-    P=10 ipiasco, the regrouped (1 + beta - tau lam) J - tau H J - beta J_prev
-    moved the automatic error by 1.4e-12 relative to the out-of-place
-    evaluation, this order by 5.8e-14.
+    where G = V^T (H_xx J + H_xu) is the Hessian term of the smooth part
+    f_s and D the derivative of the objective's prox part at the z the
+    kernel yielded, the identity when ``pr.prox_part()`` is None.  The loss
+    Hessian is c (I - v v^T), from ``h.hessian_factors`` at the residual
+    r = b - A x + u, so G = c (Lambda J-hat - params - w (w^T J-hat - v^T))
+    with w = params v, plus lam J-hat for a smooth k: a diagonal and a
+    rank-1 term, O(NP).  Returns J-hat+, a fresh array.
     """
+    eigvals, vecs, params = basis
     prox = pr.prox_part()
-    out = pr.hess_loss_jac(x, u, jac)
+    c, v = pr.h.hessian_factors(r)
+    diag = 1.0 + beta - (tau * c) * eigvals
     if prox is None:  # a smooth k belongs to f_s
-        out += pr.k_modulus * jac
-    out *= -tau
-    out += jac
+        diag -= tau * pr.k_modulus
+    out = diag[:, None] * jac
+    out += (tau * c) * params
+    if v is not None:
+        w = params @ v
+        out += np.outer((tau * c) * w, w @ jac - v)
     if beta:
-        momentum = jac - jac_prev
-        momentum *= beta
-        out += momentum
+        out -= beta * jac_prev
     if prox is not None:
-        out *= prox.prox_derivative(tau, z)[:, None]
+        out = _rotated_prox_derivative(vecs, prox.prox_derivative(tau, z), out)
     return out
+
+
+def _rotated_prox_derivative(vecs, d, jac):
+    """V^T diag(d) V J-hat for the elastic-net prox derivative d, which is
+    0 on the zeroed coordinates Z and s on the support S; updates ``jac``
+    in place where it can.
+
+    It is s (J-hat - V_Z^T (V_Z J-hat)) with V_Z the rows Z of V, or
+    s V_S^T (V_S J-hat), whichever set is smaller: at most N^2 P
+    multiply-adds, those of one N x N by N x P product, and none when Z is
+    empty.  An empty S (D = 0) gives zeros.
+    """
+    zero = d == 0
+    count = np.count_nonzero(zero)
+    if 2 * count > d.size:
+        rows = vecs[~zero]
+        jac = rows.T @ (rows @ jac)
+    elif count:
+        rows = vecs[zero]
+        jac -= rows.T @ (rows @ jac)
+    jac *= d.max()
+    return jac
 
 
 @dataclass
@@ -160,39 +200,39 @@ def run_primal(
     return run
 
 
-def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
-    """The iterate sensitivities J_k = d x_k / d u of ``run``, one per yield.
+def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, residuals):
+    """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
+    per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u and V is
+    ``basis.vecs``, so J_k = V J-hat_k.
 
     Forward-mode differentiation of the solver (Griewank & Walther,
-    Evaluating Derivatives, 2008): J_0 = 0, then ``sensitivity_step``
-    replayed along the run's iterates x_k and pre-prox points z_k.  The
-    generator keeps only J_k and J_{k-1}; every yielded Jacobian is a fresh
-    array that is never modified.  Raises ``ValueError`` for a run made
-    without sensitivities.
+    Evaluating Derivatives, 2008): J-hat_0 = 0, then ``sensitivity_step``
+    replayed along the run's pre-prox points z_k, with each step's loss
+    Hessian taken at column k of ``residuals``, the P x (K+1) block
+    b - A x_k + u of the run's iterates.  The generator keeps only J-hat_k
+    and J-hat_{k-1}; every yielded array is fresh and never modified.
+    Raises ``ValueError`` for a run made without sensitivities.
     """
     if run.pre_prox is None:
         raise ValueError("run was produced without sensitivities")
-    u = np.asarray(u, dtype=float)
     jac = jac_prev = np.zeros((pr.n, pr.p))
     yield jac
-    for x, z in zip(run.points, run.pre_prox):
-        jac, jac_prev = sensitivity_step(pr, x, u, jac, jac_prev, z, run.tau, run.beta), jac
+    for r, z in zip(residuals.T, run.pre_prox):
+        jac_prev, jac = jac, sensitivity_step(pr, basis, r, jac, jac_prev, z, run.tau, run.beta)
         yield jac
 
 
-def _grad_u_series(pr: StructuredProblem, points, u):
-    """grad_u f(x(k), u) for a whole series, as the P x (K+1) block of one
-    ``grad_u`` call on the N x (K+1) block of iterates; also returns that
-    iterate block."""
+def _residual_series(pr: StructuredProblem, points, u):
+    """The P x (K+1) residual block b - A x(k) + u of a series' iterates."""
     xs = np.array(points, dtype=float).T
-    return pr.grad_u(xs, np.asarray(u, dtype=float)[:, None]), xs
+    return pr.residual(xs, np.asarray(u, dtype=float)[:, None])
 
 
 def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
     """g1(k) = grad_u f(x(k), u) = grad h(b - A x(k) + u); needs smooth h."""
     if not pr.h.profile().smooth:
         raise NonsmoothError("analytic estimator requires a smooth loss")
-    gu, _ = _grad_u_series(pr, points, u)
+    gu = pr.h.grad(_residual_series(pr, points, u))
     # one fresh array per iterate: a view would keep the whole block alive
     return GradientEstimate("analytic", [g.copy() for g in gu.T])
 
@@ -200,19 +240,26 @@ def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
 def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEstimate:
     """g2(k) = J(k)^T grad_x f(x(k), u) + grad_u f(x(k), u).
 
-    The Jacobians J(k) stream from ``sensitivities``, two alive at a time.
-    For elastic-net problems the regularizer subgradient is the prox
-    optimality selection recorded during the run.  Both gradients are taken
-    on the whole series at once; only the J(k)^T products go per iterate.
+    The Jacobians stream from ``sensitivities`` in the eigenbasis of A^T A,
+    two alive at a time, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.
+    The basis (``gram_basis``) is taken once per call and freed with it.
+    The residual block of the whole series is formed once: it gives
+    grad_u f and every step's loss Hessian.  For elastic-net problems the
+    regularizer subgradient is the prox optimality selection recorded
+    during the run.  Both gradients, and V^T grad_x f, are taken on the
+    whole series at once; only the J-hat(k)^T products go per iterate.
     Raises ``ValueError`` for a run made without sensitivities.
     """
-    jacobians = sensitivities(pr, run, u)
-    gu, xs = _grad_u_series(pr, run.points, u)
+    basis = gram_basis(pr)
+    res = _residual_series(pr, run.points, u)
+    gu = pr.h.grad(res)
     gx = pr.c[:, None] - pr.a.T @ gu
     if run.selections:
         gx += np.array(run.selections, dtype=float).T
     else:
-        gx += pr.k_modulus * xs
+        gx += pr.k_modulus * np.array(run.points, dtype=float).T
+    gx = basis.vecs.T @ gx
+    jacobians = sensitivities(pr, run, basis, res)
     seq = [jac.T @ gx[:, i] + gu[:, i] for i, jac in enumerate(jacobians)]
     return GradientEstimate("automatic", seq)
 

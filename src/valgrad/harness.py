@@ -34,13 +34,18 @@ CSV_HEADER = ["problem", "P", "solver", "estimator", "iteration", "error", "wall
 
 INERTIAL_OF = {"gd": "heavy_ball", "ista": "ipiasco"}
 INERTIAL_SOLVERS = frozenset(INERTIAL_OF.values())
+PROBLEMS = ("f1", "f2", "f3", "f4")
+
+
+class ConfigError(ValueError):
+    """Bad input: an invalid configuration, config file or argument."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 50
     p_list: tuple = (10, 30, 50, 70, 90)
-    problems: tuple = ("f1", "f2", "f3", "f4")
+    problems: tuple = PROBLEMS
     lam: float = 2.0
     gamma: float = 0.1
     delta: float = 0.1
@@ -53,12 +58,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.inertia not in ("both", "on", "off"):
-            raise ValueError("inertia must be both, on or off")
+            raise ConfigError("inertia must be both, on or off")
         if self.n < 1 or self.iterations < 0:
-            raise ValueError("invalid dimensions")
-        bad = [q for q in self.problems if q not in ("f1", "f2", "f3", "f4")]
+            raise ConfigError("invalid dimensions")
+        bad = [q for q in self.problems if q not in PROBLEMS]
         if bad:
-            raise ValueError(f"unknown problems {bad}")
+            raise ConfigError(f"unknown problems {bad}")
 
 
 @dataclass(frozen=True)

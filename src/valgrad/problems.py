@@ -151,22 +151,6 @@ class StructuredProblem:
             hxu += c * np.outer(w, v)
         return hxu
 
-    def hess_loss_jac(self, x, u, jac):
-        """hess_xx_loss @ jac + hess_xu = A^T H_h (A J - I) for an N x P
-        Jacobian J, as c [(A^T A) J - A^T - w (w^T J - v^T)] without forming
-        either Hessian block: one N x N by N x P product.
-
-        The result is a fresh array, built as its P x N transpose
-        J^T (A^T A) - A - ... so that A is read in its own row order, and
-        returned as the N x P (column-major) view of it."""
-        c, v, w = self._loss_hessian(x, u)
-        out = jac.T @ self.gram
-        out -= self.a
-        if v is not None:
-            out -= np.outer(w @ jac - v, w)
-        out *= c
-        return out.T
-
     @cached_property
     def _bounds(self) -> SpectralBounds:
         return spectral_bounds(self.a, self.gram)

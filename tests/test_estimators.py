@@ -11,6 +11,7 @@ from valgrad.estimators import (
     dual_estimator,
     error_trace,
     fd_oracle,
+    gram_basis,
     implicit_estimator,
     oracle_primal_solve,
     run_primal,
@@ -68,17 +69,36 @@ def test_analytic_estimator_rejects_nonsmooth_loss():
         analytic_estimator(pr, [np.zeros(2)], np.zeros(2))
 
 
+def _jacobians(pr, run, u):
+    """The Jacobians J_k = V J-hat_k of ``run``: ``sensitivities`` rotated
+    back from the eigenbasis of A^T A."""
+    basis = gram_basis(pr)
+    residuals = pr.residual(np.array(run.points).T, np.asarray(u)[:, None])
+    for jhat in sensitivities(pr, run, basis, residuals):
+        yield basis.vecs @ jhat
+
+
 def _final_jacobian(pr, run, u):
-    """The last Jacobian ``sensitivities`` yields for ``run``."""
-    for jac in sensitivities(pr, run, u):
+    """The last Jacobian ``sensitivities`` yields for ``run``, rotated back."""
+    for jac in _jacobians(pr, run, u):
         pass
     return jac
 
 
+def test_gram_basis_diagonalizes_the_gram_matrix():
+    pr, _ = instance(2)
+    eigvals, vecs, params = gram_basis(pr)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(pr.n), atol=1e-13)
+    np.testing.assert_allclose(vecs @ np.diag(eigvals) @ vecs.T, pr.gram, atol=1e-12)
+    np.testing.assert_allclose(params, (pr.a @ vecs).T, atol=1e-13)
+
+
 def test_sensitivity_step_zero_tau_is_identity():
     pr, u = instance(1)
+    basis = gram_basis(pr)
     jac = np.ones((pr.n, pr.p))
-    jac_new = sensitivity_step(pr, np.zeros(pr.n), u, jac, jac, np.zeros(pr.n), tau=1e-30)
+    jac_new = sensitivity_step(pr, basis, pr.residual(np.zeros(pr.n), u), jac, jac,
+                               np.zeros(pr.n), tau=1e-30)
     np.testing.assert_allclose(jac_new, jac, atol=1e-12)
 
 
@@ -95,7 +115,7 @@ def test_sensitivity_contracts_geometrically():
     omega = (lips - m) / (lips + m)
     run = run_primal(pr, u, "gd", iterations=60)
     jstar = np.linalg.solve(pr.a.T @ pr.a + 2.0 * np.eye(pr.n), pr.a.T)
-    errs = [np.linalg.norm(j - jstar, 2) for j in sensitivities(pr, run, u)]
+    errs = [np.linalg.norm(j - jstar, 2) for j in _jacobians(pr, run, u)]
     for k in range(len(errs) - 1):
         assert errs[k + 1] <= omega * errs[k] + 1e-6
 
@@ -108,7 +128,7 @@ def test_sensitivity_starts_from_zero(method):
     x0 = np.linspace(-1.0, 1.0, pr.n)
     for start in (None, x0):
         run = run_primal(pr, u, method, iterations=2, x0=start)
-        jac0 = next(sensitivities(pr, run, u))
+        jac0 = next(_jacobians(pr, run, u))
         assert jac0.shape == (pr.n, pr.p)
         assert not np.any(jac0)
 
@@ -139,9 +159,39 @@ def test_sensitivity_step_matches_dense_hessians(which, method):
         assert np.linalg.norm(pr.residual(x, u)) > pr.h.delta
     tau, beta = 0.01, (0.3 if method in ("heavy_ball", "ipiasco") else 0.0)
     z = x - tau * pr.primal_smooth_grad(x, u) + beta * (x - x_prev)
-    jac_new = sensitivity_step(pr, x, u, jac, jac_prev, z, tau, beta)
+    basis = gram_basis(pr)
+    jhat, jhat_prev = basis.vecs.T @ jac, basis.vecs.T @ jac_prev
+    jac_new = basis.vecs @ sensitivity_step(pr, basis, pr.residual(x, u), jhat, jhat_prev,
+                                            z, tau, beta)
     want = _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev)
     assert np.linalg.norm(jac_new - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("zeroed", [0, 2, 5, 8, 10])
+def test_sensitivity_step_prox_derivative_matches_dense_in_every_regime(zeroed):
+    # of N = 10 coordinates, |Z| = zeroed sit at or below tau gamma: |Z| <= N/2
+    # takes the zeroed rows of V, |Z| > N/2 the support rows, and |Z| = N
+    # (f4 with a large gamma) is D = 0
+    a, u = seeded_problem_data(10, 6, 2, 3.0)
+    pr = make_experiment_problem(4, a, gamma=1e3 if zeroed == 10 else 0.1)
+    gen = np.random.Generator(np.random.PCG64(zeroed))
+    x = gen.standard_normal(pr.n)
+    jac, jac_prev = gen.standard_normal((2, pr.n, pr.p))
+    tau, beta = 0.01, 0.3
+    z = np.sign(gen.standard_normal(pr.n)) * (1.0 + gen.random(pr.n))
+    z[gen.permutation(pr.n)[:zeroed]] *= 1e-4
+    d = (np.abs(z) > tau * pr.k.gamma) / (1.0 + tau * pr.k.lam)
+    assert np.count_nonzero(d == 0) == zeroed
+    hh = pr.h.hessian(pr.residual(x, u))
+    inner = jac - tau * (pr.a.T @ hh @ (pr.a @ jac) - pr.a.T @ hh) + beta * (jac - jac_prev)
+    want = d[:, None] * inner
+    basis = gram_basis(pr)
+    got = basis.vecs @ sensitivity_step(pr, basis, pr.residual(x, u), basis.vecs.T @ jac,
+                                        basis.vecs.T @ jac_prev, z, tau, beta)
+    if zeroed == pr.n:
+        assert not np.any(got)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _fd_jacobian(pr, u, method, iterations, eps=1e-6):
@@ -164,14 +214,15 @@ def test_sensitivity_step_reuses_the_solver_gradient(method, monkeypatch):
     jac = np.arange(pr.n * pr.p, dtype=float).reshape(pr.n, pr.p) / 40.0
     jac_prev = 0.5 * jac
     z = x - 0.01 * pr.primal_smooth_grad(x, u) + 0.3 * (x - x_prev)
-    # sensitivity_step reads the kernel's z and takes no gradient of its own:
-    # one gradient call per iteration
+    # sensitivity_step reads the kernel's z and the given residual and takes
+    # no gradient of its own: one gradient call per iteration
     bare = run_primal(pr, u, method, iterations=12, with_sensitivity=False)
+    basis, r = gram_basis(pr), pr.residual(x, u)
     calls = []
     grad = StructuredProblem.primal_smooth_grad
     monkeypatch.setattr(StructuredProblem, "primal_smooth_grad",
                         lambda self, *a: calls.append(1) or grad(self, *a))
-    sensitivity_step(pr, x, u, jac, jac_prev, z, 0.01, 0.3)
+    sensitivity_step(pr, basis, r, jac, jac_prev, z, 0.01, 0.3)
     run = run_primal(pr, u, method, iterations=12)
     assert len(calls) == 12
     assert all(np.array_equal(p, q) for p, q in zip(run.points, bare.points))
@@ -275,7 +326,7 @@ def test_automatic_estimator_exact_at_optimum():
 def _per_iterate_estimates(pr, run, u):
     """g1(k) and g2(k) evaluated one iterate at a time."""
     ang, aug = [], []
-    for i, (x, jac) in enumerate(zip(run.points, sensitivities(pr, run, u))):
+    for i, (x, jac) in enumerate(zip(run.points, _jacobians(pr, run, u))):
         gu = pr.grad_u(x, u)
         gx = pr.c - pr.a.T @ gu
         gx = gx + (run.selections[i] if run.selections else pr.k_modulus * x)
@@ -307,18 +358,21 @@ def test_series_estimators_match_a_per_iterate_loop(which, method):
         assert all(g.flags.owndata for g in got)
 
 
-def _in_run_jacobians(pr, u, method, iterations):
-    """The Jacobians formed beside the solver, ``sensitivity_step`` called
-    next to ``prox_gradient_steps``: the reference the replay must match."""
+def _in_run_jacobians(pr, u, method, iterations, basis):
+    """The eigenbasis Jacobians along the kernel's own steps: the (x, z)
+    pairs ``prox_gradient_steps`` yields, each step's residual taken from
+    the block of those iterates, ``sensitivity_step`` applied in order.
+    This is the reference the replay along a stored run must match."""
     prox = prox_of(method, pr.prox_part())
     tau, beta = step_policy(method, *pr.curvature())
+    steps = list(prox_gradient_steps(
+        lambda x: pr.primal_smooth_grad(x, u), prox, np.zeros(pr.n), tau, beta, iterations
+    ))
+    residuals = pr.residual(np.array([x for x, _, _ in steps]).T, u[:, None])
     jac = jac_prev = np.zeros((pr.n, pr.p))
     out = [jac]
-    steps = prox_gradient_steps(
-        lambda x: pr.primal_smooth_grad(x, u), prox, np.zeros(pr.n), tau, beta, iterations
-    )
-    for x, z, _ in steps:
-        jac, jac_prev = sensitivity_step(pr, x, u, jac, jac_prev, z, tau, beta), jac
+    for r, (_, z, _) in zip(residuals.T, steps):
+        jac, jac_prev = sensitivity_step(pr, basis, r, jac, jac_prev, z, tau, beta), jac
         out.append(jac)
     return out
 
@@ -328,12 +382,14 @@ def _in_run_jacobians(pr, u, method, iterations):
     (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco"),
 ])
 def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method):
-    # the replay along the stored iterates must round exactly as the
-    # recursion run beside the solver did, or the aug series would move
+    # the replay along the stored iterates and pre-prox points must round
+    # exactly as the recursion along the kernel's own steps
     pr, u = instance(which, n=8, p=5, seed=3)
+    basis = gram_basis(pr)
     run = run_primal(pr, u, method, iterations=40)
-    want = _in_run_jacobians(pr, u, method, 40)
-    got = list(sensitivities(pr, run, u))
+    want = _in_run_jacobians(pr, u, method, 40, basis)
+    residuals = pr.residual(np.array(run.points).T, u[:, None])
+    got = list(sensitivities(pr, run, basis, residuals))
     assert len(got) == len(want) == 41
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 

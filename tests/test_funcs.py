@@ -117,6 +117,23 @@ def test_indicator_and_norm_pair():
     np.testing.assert_allclose(nrm.prox(1.0, np.array([0.5, 0.5])), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("ratio", [0.91, 0.95, 0.999, 1.0, 1.001, 1.05])
+def test_euclidean_norm_prox_near_its_zero_region(ratio):
+    # ||z|| = ratio * tau s: the prox is 0 up to tau s and (1 - tau s/||z||) z
+    # above it, and y = (z - x) / tau meets Fenchel-Young with equality,
+    # s ||x|| = <x, y> with ||y|| <= s
+    f, tau = EuclideanNorm(0.8), 1.5
+    z = ratio * tau * f.scale * np.array([0.6, -0.8, 0.0])
+    r = float(np.linalg.norm(z))
+    x = f.prox(tau, z)
+    np.testing.assert_allclose(x, max(0.0, 1.0 - tau * f.scale / r) * z, rtol=0, atol=1e-15)
+    if ratio < 1.0:
+        assert not np.any(x)
+    y = (z - x) / tau
+    assert np.linalg.norm(y) <= f.scale * (1.0 + 1e-12)
+    assert f.value(x) == pytest.approx(float(np.dot(x, y)), abs=1e-15)
+
+
 def test_nonsmooth_gradients_raise():
     with pytest.raises(NonsmoothError):
         ElasticNet(2.0, 0.1).grad(np.array([1.0, 0.0]))

@@ -13,6 +13,7 @@ import valgrad.harness
 from valgrad.cli import main, parse_config
 from valgrad.estimators import fd_oracle, implicit_estimator, oracle_primal_solve
 from valgrad.harness import (
+    ConfigError,
     ErrorRecord,
     ExperimentConfig,
     emit_csv,
@@ -443,6 +444,29 @@ def test_cli_bad_arguments_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--p", "0"], ["run", "--p", "10,x"], ["run", "--problems", "f1,f7"],
+    ["run", "--lam", "-1"], ["run", "--cond", "0.5"], ["verify", "--problem", "f9"],
+    ["verify", "--delta", "0"], ["rates", "--n", "0"], ["rates", "--gamma", "-0.1"],
+    ["toy", "--u", "0"], ["toy", "--iters", "-1"],
+])
+def test_cli_bad_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a LinAlgError is a ValueError, but a failed solve is not bad input
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(valgrad.harness, "closed_form_f1", singular)
+    code = main(["run", "--n", "10", "--p", "5", "--problems", "f1", "--iters", "5",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("# comment\nn = 7\nlam = 3.5\nproblems = f1,f2  # trailing\n\n")
@@ -483,4 +507,14 @@ def test_cli_config_equals_form_reads_the_file(tmp_path, capsys):
 def test_cli_config_missing_file_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["rates", "--config", str(tmp_path / "absent.txt")])
+    assert exc.value.code == 2
+
+
+def test_cli_config_bad_value_exit_2(tmp_path):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("n = seven\n")
+    with pytest.raises(ConfigError, match="c.txt:1"):
+        parse_config(str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--config", str(cfg)])
     assert exc.value.code == 2

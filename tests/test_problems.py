@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import valgrad.problems
+from valgrad.estimators import gram_basis, sensitivity_step
 from valgrad.funcs import BallIndicator, ElasticNet, Huber, SquaredNorm
 from valgrad.linalg import seeded_problem_data, spectral_bounds
 from valgrad.problems import (
@@ -142,7 +143,18 @@ def test_structured_hessians_match_dense(which, radius):
     assert_rel_close(pr.hess_xx_loss(x, u), hxx_loss, 1e-12)
     assert_rel_close(pr.hess_xx(x, u), hxx_loss + pr.k_modulus * np.eye(pr.n), 1e-12)
     assert_rel_close(pr.hess_xu(x, u), hxu, 1e-12)
-    assert_rel_close(pr.hess_loss_jac(x, u, jac), hxx_loss @ jac + hxu, 1e-12)
+    # the eigenbasis sensitivity step at tau = 1 and beta = 0 with every
+    # coordinate in the prox support carries the same Hessian blocks
+    basis = gram_basis(pr)
+    z = np.full(pr.n, 1e3)
+    step = basis.vecs @ sensitivity_step(pr, basis, pr.residual(x, u), basis.vecs.T @ jac,
+                                         None, z, 1.0)
+    want = jac - (hxx_loss @ jac + hxu)
+    if pr.prox_part() is None:
+        want -= pr.k_modulus * jac
+    else:
+        want /= 1.0 + pr.k.lam
+    assert_rel_close(step, want, 1e-12)
 
 
 def test_gram_and_bounds_computed_once(monkeypatch):
