@@ -11,6 +11,7 @@ from .estimators import (
     GradientEstimate,
     GramBasis,
     PrimalRun,
+    Sensitivity,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,

@@ -165,9 +165,8 @@ def _cmd_run(args) -> int:
     for name, p in summary["oracle_flagged"]:
         print(f"warning: {name} P={p}: the finite-difference oracle did not converge "
               "(its xstar solve or a perturbed solve reached its iteration cap)")
-    for name, p, solver in summary["implicit_flagged"]:
-        print(f"warning: {name} P={p} {solver}: the implicit estimator's CG solve "
-              "missed its tolerance")
+    for name, p, solver, estimator, reason in summary["inapplicable"]:
+        print(f"inapplicable {name} P={p} {solver} {estimator}: {reason}; no series written")
     for name, p, solver, estimator, k in summary["diverged"]:
         print(f"warning: {name} P={p} {solver} {estimator}: the error is not finite from "
               f"iteration {k} on; the series stops before it")

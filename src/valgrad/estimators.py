@@ -6,6 +6,7 @@ Four estimators of the gradient of p(u) = inf_x f(x, u):
 * automatic: forward sensitivities replayed along the solver's iterates,
              in the eigenbasis of A^T A,
 * implicit:  the implicit-function-theorem linear solve at one iterate,
+             by a Cholesky factorization,
 * dual:      iterates of the assembled dual problem,
 
 plus a central-difference oracle backed by high-accuracy inner solves.
@@ -21,7 +22,6 @@ import numpy as np
 from .funcs import NonsmoothError, SquaredNorm, soft_threshold
 from .problems import DualObjective, StructuredProblem, ToyProblem
 from .solvers import (
-    NotSPDError,
     SolverConfig,
     accelerated_steps,
     conjugate_gradient,
@@ -76,6 +76,15 @@ def gram_basis(pr: StructuredProblem) -> GramBasis:
     return GramBasis(eigvals, vecs, vecs.T @ pr.a.T)
 
 
+def _step_multiplier(pr: StructuredProblem, eigvals, c: float, tau: float, beta: float):
+    """The diagonal 1 + beta - tau c Lambda that multiplies J-hat in a
+    sensitivity step, less tau lam for a smooth k, which belongs to f_s."""
+    diag = 1.0 + beta - (tau * c) * eigvals
+    if pr.prox_part() is None:
+        diag -= tau * pr.k_modulus
+    return diag
+
+
 def sensitivity_step(
     pr: StructuredProblem, basis: GramBasis, r, jac, jac_prev, z, tau: float,
     beta: float = 0.0,
@@ -92,15 +101,13 @@ def sensitivity_step(
     Hessian is c (I - v v^T), from ``h.hessian_factors`` at the residual
     r = b - A x + u, so G = c (Lambda J-hat - params - w (w^T J-hat - v^T))
     with w = params v, plus lam J-hat for a smooth k: a diagonal and a
-    rank-1 term, O(NP).  Returns J-hat+, a fresh array.
+    rank-1 term, O(NP).  Returns J-hat+, a fresh array.  This is the dense
+    step of ``sensitivities``.
     """
     eigvals, vecs, params = basis
     prox = pr.prox_part()
     c, v = pr.h.hessian_factors(r)
-    diag = 1.0 + beta - (tau * c) * eigvals
-    if prox is None:  # a smooth k belongs to f_s
-        diag -= tau * pr.k_modulus
-    out = diag[:, None] * jac
+    out = _step_multiplier(pr, eigvals, c, tau, beta)[:, None] * jac
     out += (tau * c) * params
     if v is not None:
         w = params @ v
@@ -200,26 +207,105 @@ def run_primal(
     return run
 
 
+class Sensitivity(NamedTuple):
+    """One iterate sensitivity in compact form:
+
+        J-hat_k = diag(p) a + diag(q) b + diag(r) params,
+
+    with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step j (both
+    None before the first one) and params = V^T A^T from ``gram_basis``.
+    A dense step yields (p, q, r) = (1, 0, 0); diagonal steps after it
+    update only the N-vectors p, q and r.
+    """
+
+    a: np.ndarray | None
+    b: np.ndarray | None
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+
+    def jacobian(self, params):
+        """J-hat_k as a fresh N x P array."""
+        jac = self.r[:, None] * params
+        if self.a is not None:
+            jac += self.p[:, None] * self.a
+            jac += self.q[:, None] * self.b
+        return jac
+
+
+def _uniform_prox_derivative(prox, tau: float, z):
+    """s when the prox derivative at z is s I, 1 without a prox part;
+    None when it takes two values (Z and S both nonempty)."""
+    if prox is None:
+        return 1.0
+    d = prox.prox_derivative(tau, z)
+    return d[0] if d.min() == d.max() else None
+
+
+def _diagonal_step(pr: StructuredProblem, eigvals, cur: Sensitivity, prev: Sensitivity,
+                   c: float, s: float, tau: float, beta: float) -> Sensitivity:
+    """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev) of
+    ``sensitivities`` for a loss Hessian c I and a prox derivative s I, on
+    the compact forms of J-hat and J-hat_prev: O(N), with fresh
+    coefficients."""
+    diag = _step_multiplier(pr, eigvals, c, tau, beta)
+
+    def update(x, x_prev, shift=0.0):
+        out = diag * x
+        if shift:
+            out += shift
+        if beta:
+            out -= beta * x_prev
+        out *= s
+        return out
+
+    r = update(cur.r, prev.r, tau * c)
+    if cur.a is None:  # p and q stay zero before the first dense step
+        return cur._replace(r=r)
+    return cur._replace(p=update(cur.p, prev.p), q=update(cur.q, prev.q), r=r)
+
+
 def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, residuals):
     """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
-    per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u and V is
-    ``basis.vecs``, so J_k = V J-hat_k.
+    ``Sensitivity`` per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u
+    and V is ``basis.vecs``, so J_k = V J-hat_k.
 
     Forward-mode differentiation of the solver (Griewank & Walther,
-    Evaluating Derivatives, 2008): J-hat_0 = 0, then ``sensitivity_step``
-    replayed along the run's pre-prox points z_k, with each step's loss
-    Hessian taken at column k of ``residuals``, the P x (K+1) block
-    b - A x_k + u of the run's iterates.  The generator keeps only J-hat_k
-    and J-hat_{k-1}; every yielded array is fresh and never modified.
-    Raises ``ValueError`` for a run made without sensitivities.
+    Evaluating Derivatives, 2008): J-hat_0 = 0, then one step per pre-prox
+    point z_k of the run, with its loss Hessian c (I - v v^T) taken at
+    column k of ``residuals``, the P x (K+1) block b - A x_k + u of the
+    run's iterates.  A step is diagonal when v is None and the prox
+    derivative is s I (``_uniform_prox_derivative``): the step map is then
+    the diagonal s (1 + beta - tau c Lambda [- tau lam]) plus the shift
+    s tau c params, so it updates p, q and r in O(N).  Any other step is
+    dense: ``sensitivity_step`` on J-hat_k and J-hat_{k-1}, built from the
+    compact form only if a diagonal step ran since the last dense one.
+    Only J-hat_k and J-hat_{k-1} are kept; every yielded array is fresh or
+    shared with earlier yields, and never modified.  Raises ``ValueError``
+    for a run made without sensitivities.
     """
     if run.pre_prox is None:
         raise ValueError("run was produced without sensitivities")
-    jac = jac_prev = np.zeros((pr.n, pr.p))
-    yield jac
+    eigvals, params = basis.eigvals, basis.params
+    tau, beta = run.tau, run.beta
+    prox = pr.prox_part()
+    zero, one = np.zeros(pr.n), np.ones(pr.n)
+    cur = prev = Sensitivity(None, None, zero, zero, zero)
+    yield cur
     for r, z in zip(residuals.T, run.pre_prox):
-        jac_prev, jac = jac, sensitivity_step(pr, basis, r, jac, jac_prev, z, run.tau, run.beta)
-        yield jac
+        c, v = pr.h.hessian_factors(r)
+        s = _uniform_prox_derivative(prox, tau, z) if v is None else None
+        if s is None:
+            if cur.p is one:  # the last step was dense: J-hat_k = a, J-hat_{k-1} = b
+                jac, jac_prev = cur.a, cur.b
+            else:
+                jac, jac_prev = cur.jacobian(params), prev.jacobian(params)
+            new = sensitivity_step(pr, basis, r, jac, jac_prev, z, tau, beta)
+            cur, prev = (Sensitivity(new, jac, one, zero, zero),
+                         Sensitivity(new, jac, zero, one, zero))
+        else:
+            cur, prev = _diagonal_step(pr, eigvals, cur, prev, c, s, tau, beta), cur
+        yield cur
 
 
 def _residual_series(pr: StructuredProblem, points, u):
@@ -240,15 +326,17 @@ def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
 def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEstimate:
     """g2(k) = J(k)^T grad_x f(x(k), u) + grad_u f(x(k), u).
 
-    The Jacobians stream from ``sensitivities`` in the eigenbasis of A^T A,
-    two alive at a time, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.
-    The basis (``gram_basis``) is taken once per call and freed with it.
-    The residual block of the whole series is formed once: it gives
-    grad_u f and every step's loss Hessian.  For elastic-net problems the
-    regularizer subgradient is the prox optimality selection recorded
-    during the run.  Both gradients, and V^T grad_x f, are taken on the
-    whole series at once; only the J-hat(k)^T products go per iterate.
-    Raises ``ValueError`` for a run made without sensitivities.
+    The sensitivities stream from ``sensitivities`` in the eigenbasis of
+    A^T A, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.  The yields
+    sharing one dense pair (a, b) form a run: its dense step's estimate
+    takes one product as before, its diagonal steps' three for the whole
+    run (``_run_estimates``), and its coefficient blocks are freed when
+    the run ends.  The basis (``gram_basis``) is taken once per call and
+    freed with it.  The residual block of the whole series is formed once:
+    it gives grad_u f and every step's loss Hessian.  For elastic-net
+    problems the regularizer subgradient is the prox optimality selection
+    recorded during the run.  Raises ``ValueError`` for a run made without
+    sensitivities.
     """
     basis = gram_basis(pr)
     res = _residual_series(pr, run.points, u)
@@ -259,20 +347,50 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     else:
         gx += pr.k_modulus * np.array(run.points, dtype=float).T
     gx = basis.vecs.T @ gx
-    jacobians = sensitivities(pr, run, basis, res)
-    seq = [jac.T @ gx[:, i] + gu[:, i] for i, jac in enumerate(jacobians)]
+    seq, block = [], []
+    for sens in sensitivities(pr, run, basis, res):
+        if block and sens.a is not block[0].a:
+            seq += _run_estimates(basis.params, block, gx, gu, len(seq))
+            block = []
+        block.append(sens)
+    seq += _run_estimates(basis.params, block, gx, gu, len(seq))
     return GradientEstimate("automatic", seq)
 
 
-def implicit_estimator(
-    pr: StructuredProblem, x, u, tol: float = 1e-12, max_iterations: int | None = None
-) -> GradientEstimate:
-    """g3 = -H_xu^T w + grad_u f with H_xx w = grad_x f solved by CG.
+def _run_estimates(params, block, gx, gu, start: int):
+    """g2 at the iterates start, start + 1, ... of the run ``block`` of
+    sensitivities sharing one pair (a, b), one array per iterate.  A run
+    with a pair opens with the dense step's J-hat = a, whose estimate is
+    a^T g + grad_u f; the diagonal steps after it take
+    a^T (P o G) + b^T (Q o G) + params^T (R o G) + grad_u f, with P, Q, R
+    their coefficient vectors side by side and G their columns of
+    V^T grad_x f."""
+    a, b = block[0].a, block[0].b
+    out = []
+    if a is not None:
+        out.append(a.T @ gx[:, start] + gu[:, start])
+        block, start = block[1:], start + 1
+    if not block:
+        return out
+    cols = slice(start, start + len(block))
+    g = gx[:, cols]
+    _, _, ps, qs, rs = zip(*block)
+    est = params.T @ (np.array(rs).T * g)
+    if a is not None:
+        est += a.T @ (np.array(ps).T * g)
+        est += b.T @ (np.array(qs).T * g)
+    est += gu[:, cols]
+    return out + [col.copy() for col in est.T]
+
+
+def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:
+    """g3 = -H_xu^T w + grad_u f with H_xx w = grad_x f, solved by one
+    Cholesky factorization of H_xx and two triangular substitutions.
 
     Nonsmooth regularizers are handled through the smooth surrogate Hessian
     and a minimal-norm subgradient; erratic output there is expected, not an
-    error.  The estimate is flagged when CG reaches its iteration cap before
-    its residual test passes.
+    error.  Raises ``EstimatorInapplicable`` when the surrogate Hessian is
+    not positive definite, so that the factorization fails.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -283,13 +401,27 @@ def implicit_estimator(
         gx = gx + pr.k.subgradient_min_norm(x)
     else:
         gx = gx + pr.k_modulus * x
-    cap = 5 * pr.n if max_iterations is None else max_iterations
     try:
-        tr = conjugate_gradient(hxx, gx, np.zeros(pr.n), cap, tol=tol)
-    except NotSPDError as exc:
+        low = np.linalg.cholesky(hxx)
+    except np.linalg.LinAlgError as exc:
         raise EstimatorInapplicable("surrogate Hessian is not positive definite") from exc
-    g3 = -pr.hess_xu(x, u).T @ tr.final + gu
-    return GradientEstimate("implicit", [g3], flagged=not tr.converged)
+    g3 = -pr.hess_xu(x, u).T @ _cholesky_solve(low, gx) + gu
+    return GradientEstimate("implicit", [g3])
+
+
+def _cholesky_solve(low, rhs):
+    """(L L^T)^{-1} rhs for a lower-triangular L: forward, then backward
+    substitution, row by row.  numpy has no triangular solver, and
+    ``np.linalg.solve`` on L would take an O(N^3) LU factorization."""
+    n = rhs.size
+    y = np.empty(n)
+    for i in range(n):
+        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
+    up = low.T.copy()  # contiguous rows for the backward pass
+    w = np.empty(n)
+    for i in reversed(range(n)):
+        w[i] = (y[i] - up[i, i + 1:] @ w[i + 1:]) / up[i, i]
+    return w
 
 
 def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstimate:

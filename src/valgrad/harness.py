@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
+    EstimatorInapplicable,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,
@@ -153,7 +154,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     """
     clock = time.perf_counter_ns if clock is None else clock
     records: list[ErrorRecord] = []
-    summary = {"cells": [], "aborted": [], "oracle_flagged": [], "implicit_flagged": [],
+    summary = {"cells": [], "aborted": [], "oracle_flagged": [], "inapplicable": [],
                "cross_check_gap": [], "dg_beats_ang": [], "diverged": []}
     for name in cfg.problems:
         which = int(name[1])
@@ -170,9 +171,9 @@ def run_grid(cfg: ExperimentConfig, clock=None):
             if truth is None:
                 summary["aborted"].append((name, p, diag))
                 continue
-            cell, ig_flagged, diverged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
+            cell, inapplicable, diverged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
             records.extend(cell)
-            summary["implicit_flagged"] += [(name, p, solver) for solver in ig_flagged]
+            summary["inapplicable"] += inapplicable
             summary["diverged"] += diverged
             finals = {
                 (r.solver, r.estimator): r.error
@@ -194,12 +195,12 @@ def run_grid(cfg: ExperimentConfig, clock=None):
 # ``diverged`` instead of numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
-    """Error records of one cell, the primal methods whose implicit estimate
-    was flagged (its CG solve reached its cap before its tolerance), and the
+    """Error records of one cell, the estimates found inapplicable as
+    (problem, P, solver, estimator, reason), which write no series, and the
     diverged series as (problem, P, solver, estimator, k), k the iteration
     of the first non-finite error; such a series is cut before k."""
     out = []
-    ig_flagged = []
+    inapplicable = []
     diverged = []
 
     def add(solver, estimator, errors, wall_ns, start_iter=0):
@@ -225,16 +226,19 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         add(method, "aug", error_trace(aug, truth), int(clock() - t0))
 
         t0 = clock()
-        ig = implicit_estimator(pr, run.final, u)
-        if ig.flagged:
-            ig_flagged.append(method)
-        add(method, "ig", error_trace(ig, truth), int(clock() - t0), start_iter=cfg.iterations)
+        try:
+            ig = implicit_estimator(pr, run.final, u)
+        except EstimatorInapplicable as exc:
+            inapplicable.append((name, p, method, "ig", str(exc)))
+        else:
+            add(method, "ig", error_trace(ig, truth), int(clock() - t0),
+                start_iter=cfg.iterations)
 
         dg_method = _dual_method(pr, u, method)
         t0 = clock()
         dg = dual_estimator(pr, u, SolverConfig(method=dg_method, iterations=cfg.iterations))
         add(dg_method, "dg", error_trace(dg, truth), int(clock() - t0))
-    return out, ig_flagged, diverged
+    return out, inapplicable, diverged
 
 
 # ---------------------------------------------------------------------------

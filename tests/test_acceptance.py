@@ -272,9 +272,9 @@ def test_ac9_sensitivity_vs_fd_jacobian():
             run = run_primal(pr, u, method, iterations=20)
             basis = gram_basis(pr)
             residuals = pr.residual(np.array(run.points).T, u[:, None])
-            for jhat in sensitivities(pr, run, basis, residuals):
+            for sens in sensitivities(pr, run, basis, residuals):
                 pass  # keep the last one
-            jac = basis.vecs @ jhat
+            jac = basis.vecs @ sens.jacobian(basis.params)
             eps = 1e-6
             for i in range(pr.p):
                 e = np.zeros(pr.p)

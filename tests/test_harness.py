@@ -11,7 +11,7 @@ import pytest
 import valgrad.cli
 import valgrad.harness
 from valgrad.cli import main, parse_config
-from valgrad.estimators import fd_oracle, implicit_estimator, oracle_primal_solve
+from valgrad.estimators import fd_oracle, oracle_primal_solve
 from valgrad.harness import (
     ConfigError,
     ErrorRecord,
@@ -382,31 +382,32 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("problem f1, N=50, P=30")
 
 
-def test_flagged_implicit_estimate_is_reported(tmp_path, capsys, monkeypatch):
-    cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
-                           cond_ratio=3.0, oracle_iterations=5000)
-    assert run_grid(cfg, clock=constant_clock)[1]["implicit_flagged"] == []
+def test_inapplicable_implicit_estimate_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    # at lam = 1e-13 and P = 10 < N = 50 the surrogate Hessian A^T A + lam I
+    # is singular up to round-off, so it has no Cholesky factor; that is a
+    # result of the run, not an aborted cell
+    summaries = []
 
-    def capped(pr, x, u, **kwargs):
-        return implicit_estimator(pr, x, u, max_iterations=1, **kwargs)
+    def keep_summary(cfg, **kwargs):
+        records, summary = run_grid(cfg, **kwargs)
+        summaries.append(summary)
+        return records, summary
 
-    monkeypatch.setattr(valgrad.harness, "implicit_estimator", capped)
-    records, summary = run_grid(cfg, clock=constant_clock)
-    assert summary["implicit_flagged"] == [
-        ("f1", 6, "gd"), ("f1", 6, "heavy_ball"), ("f3", 6, "ista"), ("f3", 6, "ipiasco"),
-    ]
-    assert not summary["aborted"]
-    assert sum(r.estimator == "ig" for r in records) == 4  # the records stay
-    csv_dir = tmp_path / "res"
-    code = main(["run", "--n", "12", "--p", "6", "--problems", "f1,f3", "--iters", "10",
-                 "--cond", "3", "--out", str(csv_dir)])
+    monkeypatch.setattr(valgrad.cli, "run_grid", keep_summary)
+    code = main(["run", "--lam", "1e-13", "--p", "10", "--problems", "f1",
+                 "--out", str(tmp_path)])
     assert code == 0
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("warning")]
-    assert lines == [
-        f"warning: {name} P=6 {solver}: the implicit estimator's CG solve missed its "
-        "tolerance"
-        for name, _, solver in summary["implicit_flagged"]
+    reason = "surrogate Hessian is not positive definite"
+    assert summaries[0]["inapplicable"] == [
+        ("f1", 10, "gd", "ig", reason), ("f1", 10, "heavy_ball", "ig", reason),
     ]
+    assert summaries[0]["cells"] == [("f1", 10)] and not summaries[0]["aborted"]
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("inapplicable")]
+    assert lines == [f"inapplicable f1 P=10 {solver} ig: {reason}; no series written"
+                     for solver in ("gd", "heavy_ball")]
+    series = {(r.solver, r.estimator) for r in read_csv(tmp_path / "results.csv")}
+    assert series == {(solver, est) for solver in ("gd", "heavy_ball")
+                      for est in ("primal", "ang", "aug", "dg")}
 
 
 def test_cross_check_gap_is_reported(tmp_path, capsys):

@@ -12,9 +12,10 @@ directions come from the change tree's BENCHMARK.json.  Within a pair every
 workload runs once per side; the parent goes first in even pairs and the
 change first in odd ones.  Per workload and metric the file holds each
 side's median and quartiles (inclusive method), the pairs the change won and
-tied, and the ratio of the medians.  One traced seed-0 ``grid`` run per side
-adds the per-layer metrics.  A run that fails or reports wrong output stops
-the tool with exit status 1 and writes nothing.
+tied, and the ratio of the medians.  One traced seed-0 run per workload and
+side adds the per-layer metrics, under ``traced_seed0`` keyed by workload.
+A run that fails or reports wrong output stops the tool with exit status 1
+and writes nothing.
 """
 
 import argparse
@@ -96,11 +97,13 @@ def main(argv=None):
                                  **{m: result["metrics"][m]["value"] for m in metrics}})
                     print(f"pair {pair} {workload} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
-        traced = {"command": "python3 perfbench/run.py --workload grid --seed 0 "
+        traced = {"command": "python3 perfbench/run.py --workload W --seed 0 "
                              f"--seconds {seconds:g} --trace 1"}
-        for side in ("parent", "change"):
-            result, _ = run_bench(trees[side], "grid", 0, seconds, 1)
-            traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
+        for workload in workloads:
+            for side in ("parent", "change"):
+                result, _ = run_bench(trees[side], workload, 0, seconds, 1)
+                traced.setdefault(workload, {})[side] = {
+                    k: v["value"] for k, v in result["metrics"].items()}
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
