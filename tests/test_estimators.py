@@ -336,14 +336,22 @@ def _per_iterate_estimates(pr, run, u):
     return ang, aug
 
 
-@pytest.mark.parametrize("which, method", [
-    (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
-    (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco"),
-])
-def test_series_estimators_match_a_per_iterate_loop(which, method):
+# (which, method, N, P): every pipeline at N = 8, P = 5, where f3 takes
+# diagonal steps only, and f3 at N = 12, P = 8, where dense steps open runs
+# of diagonal ones
+PIPELINES = [
+    pytest.param(which, method, 8, 5, id=f"{which}-{method}")
+    for which, method in [(1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
+                          (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco")]
+] + [pytest.param(3, method, 12, 8, id=f"3-{method}-dense-and-diagonal")
+     for method in ("ista", "ipiasco")]
+
+
+@pytest.mark.parametrize("which, method, n, p", PIPELINES)
+def test_series_estimators_match_a_per_iterate_loop(which, method, n, p):
     # the estimators evaluate the whole series at once; each entry must
     # still be an array of its own, or .final would keep the block alive
-    pr, u = instance(which, n=8, p=5, seed=3)
+    pr, u = instance(which, n=n, p=p, seed=3)
     run = run_primal(pr, u, method, iterations=40)
     want_ang, want_aug = _per_iterate_estimates(pr, run, u)
     for est, want in ((analytic_estimator(pr, run.points, u), want_ang),
@@ -419,14 +427,11 @@ def _same_array(x, y):
     return x is y is None or (x is not None and y is not None and np.array_equal(x, y))
 
 
-@pytest.mark.parametrize("which, method", [
-    (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
-    (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco"),
-])
-def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method):
+@pytest.mark.parametrize("which, method, n, p", PIPELINES)
+def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n, p):
     # the replay along the stored iterates and pre-prox points must round
     # exactly as the recursion along the kernel's own steps
-    pr, u = instance(which, n=8, p=5, seed=3)
+    pr, u = instance(which, n=n, p=p, seed=3)
     basis = gram_basis(pr)
     run = run_primal(pr, u, method, iterations=40)
     want = _in_run_sensitivities(pr, u, method, 40, basis)
