@@ -40,8 +40,8 @@ from .funcs import (
 )
 from .harness import (
     ConfigError,
-    ErrorRecord,
     ExperimentConfig,
+    Series,
     emit_csv,
     emit_plots,
     read_csv,

@@ -156,11 +156,11 @@ def _cmd_run(args) -> int:
         iterations=args.iters, seed=args.seed, inertia=args.inertia,
         cond_ratio=args.cond,
     )
-    records, summary = run_grid(cfg)
+    series, summary = run_grid(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = emit_csv(records, out / "results.csv")
-    plots = emit_plots(records, out / "plots")
+    csv_path = emit_csv(series, out / "results.csv")
+    plots = emit_plots(series, out / "plots")
     print(f"cells completed: {len(summary['cells'])}")
     for name, p in summary["oracle_flagged"]:
         print(f"warning: {name} P={p}: the finite-difference oracle did not converge "

@@ -86,7 +86,7 @@ def _step_multiplier(pr: StructuredProblem, eigvals, c: float, tau: float, beta:
 
 
 def sensitivity_step(
-    pr: StructuredProblem, basis: GramBasis, r, jac, jac_prev, z, tau: float,
+    pr: StructuredProblem, basis: GramBasis, hess, jac, jac_prev, z, tau: float,
     beta: float = 0.0,
 ):
     """The derivative in u of one kernel step x+ = prox(tau, z), with the
@@ -98,15 +98,16 @@ def sensitivity_step(
     where G = V^T (H_xx J + H_xu) is the Hessian term of the smooth part
     f_s and D the derivative of the objective's prox part at the z the
     kernel yielded, the identity when ``pr.prox_part()`` is None.  The loss
-    Hessian is c (I - v v^T), from ``h.hessian_factors`` at the residual
-    r = b - A x + u, so G = c (Lambda J-hat - params - w (w^T J-hat - v^T))
-    with w = params v, plus lam J-hat for a smooth k: a diagonal and a
-    rank-1 term, O(NP).  Returns J-hat+, a fresh array.  This is the dense
-    step of ``sensitivities``.
+    Hessian is c (I - v v^T), ``hess`` = (c, v) being ``h.hessian_factors``
+    at the residual b - A x + u, so G = c (Lambda J-hat - params - w (w^T
+    J-hat - v^T)) with w = params v, plus lam J-hat for a smooth k: a
+    diagonal and a rank-1 term, O(NP).  Returns J-hat+, a fresh array.  This
+    is the dense step of ``sensitivities``, which passes the pair it
+    evaluated to classify the step.
     """
     eigvals, vecs, params = basis
     prox = pr.prox_part()
-    c, v = pr.h.hessian_factors(r)
+    c, v = hess
     out = _step_multiplier(pr, eigvals, c, tau, beta)[:, None] * jac
     out += (tau * c) * params
     if v is not None:
@@ -300,7 +301,7 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
                 jac, jac_prev = cur.a, cur.b
             else:
                 jac, jac_prev = cur.jacobian(params), prev.jacobian(params)
-            new = sensitivity_step(pr, basis, r, jac, jac_prev, z, tau, beta)
+            new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, z, tau, beta)
             cur, prev = (Sensitivity(new, jac, one, zero, zero),
                          Sensitivity(new, jac, zero, one, zero))
         else:

@@ -1,17 +1,20 @@
 """Experiment grid runner with CSV and SVG emission.
 
-Runs the four benchmark problems over a list of parameter dimensions,
-records per-iteration errors of the primal iterates and of the four
-gradient estimators against a verified ground truth, and writes the
-results as sorted CSV plus one SVG error plot per grid cell.
+Runs the four benchmark problems over a list of parameter dimensions and
+measures, against a verified ground truth, the per-iteration errors of the
+primal iterates and of the four gradient estimators.  Each error curve is
+one ``Series``, a float array over consecutive iterations; the series flow
+whole into the sorted CSV (one row per iteration) and into one SVG error
+plot per grid cell, and ``read_csv`` groups the rows back into series.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -65,25 +68,32 @@ class ExperimentConfig:
         bad = [q for q in self.problems if q not in PROBLEMS]
         if bad:
             raise ConfigError(f"unknown problems {bad}")
+        for what, values in (("problems", self.problems), ("P values", self.p_list)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"repeated {what} in {list(values)}")
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
+@dataclass(frozen=True, eq=False)
+class Series:
+    """One error curve: ``errors[i]`` is the error at iteration start + i,
+    and ``wall_ns`` the time of the phase that produced the series."""
+
     problem: str
     p: int
     solver: str
     estimator: str
-    iteration: int
-    error: float
+    start: int
+    errors: np.ndarray
     wall_ns: int
 
     def __post_init__(self):
-        if self.error < 0 or not math.isfinite(self.error):
+        errors = np.asarray(self.errors, dtype=float)
+        if not np.all(np.isfinite(errors) & (errors >= 0)):
             raise ValueError("error must be finite and nonnegative")
+        object.__setattr__(self, "errors", errors)
 
 
-def _sort_key(r: ErrorRecord):
-    return (r.problem, r.p, r.solver, r.estimator, r.iteration)
+_by_key = attrgetter("problem", "p", "solver", "estimator")
 
 
 def _cell_seed(seed: int, which: int, p: int) -> int:
@@ -133,35 +143,33 @@ def _dual_method(pr, u, primal_method: str) -> str:
     return _method_for(pr.dual_objective(u).prox_part, primal_method in INERTIAL_SOLVERS)
 
 
-def _series(problem, p, solver, estimator, errors, wall_ns, start_iter=0):
-    """Records of one error series, cut at its last finite error, and the
-    iteration of its first non-finite error (None if every error is finite)."""
+def _series(problem, p, solver, estimator, errors, wall_ns, start=0):
+    """One error series, cut at its last finite error, and the iteration of
+    its first non-finite error (None if every error is finite)."""
+    errors = np.asarray(errors, dtype=float)
     bad = np.flatnonzero(~np.isfinite(errors))
     if bad.size:
         errors = errors[: bad[0]]
-    records = [
-        ErrorRecord(problem, p, solver, estimator, start_iter + i, e, wall_ns)
-        for i, e in enumerate(errors)
-    ]
-    return records, start_iter + int(bad[0]) if bad.size else None
+    series = Series(problem, p, solver, estimator, start, errors, wall_ns)
+    return series, start + int(bad[0]) if bad.size else None
 
 
 def run_grid(cfg: ExperimentConfig, clock=None):
-    """Run the full grid; returns (records, summary).
+    """Run the full grid; returns (series, summary).
 
-    ``clock`` is an ns counter, injectable so tests can produce
-    byte-identical CSV output; the default is the monotonic wall clock.
+    ``series`` is a list of ``Series`` sorted by (problem, P, solver,
+    estimator), one per error curve the grid measured.  ``clock`` is an ns
+    counter, injectable so tests can produce byte-identical CSV output; the
+    default is the monotonic wall clock.
     """
     clock = time.perf_counter_ns if clock is None else clock
-    records: list[ErrorRecord] = []
+    series: list[Series] = []
     summary = {"cells": [], "aborted": [], "oracle_flagged": [], "inapplicable": [],
                "cross_check_gap": [], "dg_beats_ang": [], "diverged": []}
     for name in cfg.problems:
         which = int(name[1])
         for p in cfg.p_list:
-            a, u = seeded_problem_data(
-                cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio
-            )
+            a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
             pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
             truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u, which, cfg)
             if oracle_flagged:
@@ -172,14 +180,12 @@ def run_grid(cfg: ExperimentConfig, clock=None):
                 summary["aborted"].append((name, p, diag))
                 continue
             cell, inapplicable, diverged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
-            records.extend(cell)
+            series.extend(cell)
             summary["inapplicable"] += inapplicable
             summary["diverged"] += diverged
-            finals = {
-                (r.solver, r.estimator): r.error
-                for r in cell
-                if r.iteration == cfg.iterations
-            }
+            # a diverged series is cut before K and has no final error
+            finals = {(s.solver, s.estimator): float(s.errors[-1]) for s in cell
+                      if s.start + s.errors.size - 1 == cfg.iterations}
             summary["cells"].append((name, p))
             for solver in _primal_methods(pr, cfg.inertia):
                 dg_solver = _dual_method(pr, u, solver)
@@ -187,25 +193,25 @@ def run_grid(cfg: ExperimentConfig, clock=None):
                 dg = finals.get((dg_solver, "dg"))
                 if ang is not None and dg is not None and p < cfg.n:
                     summary["dg_beats_ang"].append((name, p, solver, dg < ang))
-    records.sort(key=_sort_key)
-    return records, summary
+    series.sort(key=_by_key)
+    return series, summary
 
 
 # a diverging sensitivity recursion overflows; it is reported through
 # ``diverged`` instead of numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
-    """Error records of one cell, the estimates found inapplicable as
+    """The error series of one cell, the estimates found inapplicable as
     (problem, P, solver, estimator, reason), which write no series, and the
     diverged series as (problem, P, solver, estimator, k), k the iteration
-    of the first non-finite error; such a series is cut before k."""
-    out = []
-    inapplicable = []
-    diverged = []
+    of the first non-finite error; such a series is cut before k, and left
+    out if that leaves it empty."""
+    out, inapplicable, diverged = [], [], []
 
-    def add(solver, estimator, errors, wall_ns, start_iter=0):
-        records, k = _series(name, p, solver, estimator, errors, wall_ns, start_iter)
-        out.extend(records)
+    def add(solver, estimator, errors, wall_ns, start=0):
+        series, k = _series(name, p, solver, estimator, errors, wall_ns, start)
+        if series.errors.size:
+            out.append(series)
         if k is not None:
             diverged.append((name, p, solver, estimator, k))
 
@@ -214,8 +220,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         run = run_primal(pr, u, method, iterations=cfg.iterations)
         ns_run = int(clock() - t0)
         if xstar is not None:
-            prim = np.linalg.norm(np.array(run.points) - xstar, axis=1).tolist()
-            add(method, "primal", prim, ns_run)
+            add(method, "primal", np.linalg.norm(np.array(run.points) - xstar, axis=1), ns_run)
 
         t0 = clock()
         ang = analytic_estimator(pr, run.points, u)
@@ -231,8 +236,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         except EstimatorInapplicable as exc:
             inapplicable.append((name, p, method, "ig", str(exc)))
         else:
-            add(method, "ig", error_trace(ig, truth), int(clock() - t0),
-                start_iter=cfg.iterations)
+            add(method, "ig", error_trace(ig, truth), int(clock() - t0), start=cfg.iterations)
 
         dg_method = _dual_method(pr, u, method)
         t0 = clock()
@@ -245,38 +249,51 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
 # CSV
 
 
-def emit_csv(records, path) -> Path:
+def emit_csv(series, path) -> Path:
+    """Write ``series`` as the sorted CSV: one row per iteration, with the
+    shortest round-trip decimal of each error."""
     path = Path(path)
-    rows = sorted(records, key=_sort_key)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for r in rows:
-                fh.write(
-                    f"{r.problem},{r.p},{r.solver},{r.estimator},"
-                    f"{r.iteration},{repr(float(r.error))},{r.wall_ns}\n"
-                )
+            for s in sorted(series, key=_by_key):
+                head = f"{s.problem},{s.p},{s.solver},{s.estimator},"
+                tail = f",{s.wall_ns}\n"
+                fh.write("".join([
+                    f"{head}{i},{e!r}{tail}" for i, e in enumerate(s.errors.tolist(), s.start)
+                ]))
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     return path
 
 
-def read_csv(path) -> list[ErrorRecord]:
+def read_csv(path) -> list[Series]:
+    """The series of a CSV that ``emit_csv`` wrote, in file order: each run
+    of rows with one (problem, P, solver, estimator) is one series.  Raises
+    ``ValueError`` for a bad header, or for a series whose iterations are
+    not consecutive or whose ``wall_ns`` varies."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_HEADER:
-                raise ValueError(f"unexpected header in {path}: {reader.fieldnames}")
-            return [
-                ErrorRecord(
-                    row["problem"], int(row["P"]), row["solver"], row["estimator"],
-                    int(row["iteration"]), float(row["error"]), int(row["wall_ns"]),
-                )
-                for row in reader
-            ]
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected header in {path}: {header}")
+            rows = list(reader)
     except OSError as exc:
         raise OSError(f"failed reading {path}: {exc}") from exc
+    out = []
+    for (problem, p, solver, estimator), group in groupby(rows, key=lambda row: row[:4]):
+        its, errors, walls = zip(*(row[4:] for row in group))
+        start = int(its[0])
+        if [int(i) for i in its] != list(range(start, start + len(its))):
+            raise ValueError(f"{path}: {problem} P={p} {solver} {estimator}: "
+                             "iterations are not consecutive")
+        if len({int(w) for w in walls}) > 1:
+            raise ValueError(f"{path}: {problem} P={p} {solver} {estimator}: wall_ns varies")
+        out.append(Series(problem, int(p), solver, estimator, start,
+                          [float(e) for e in errors], int(walls[0])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +311,14 @@ _W, _H = 480, 320
 _ML, _MR, _MT, _MB = 52, 120, 16, 34
 
 
-def _svg_cell(cell_records, title):
-    grouped = {}
-    for r in cell_records:
-        grouped.setdefault((r.solver, r.estimator), []).append(r)
+def _svg_cell(cell, title):
+    """The SVG of one cell's series, given sorted by (solver, estimator)."""
     # per series: its iterations and its log10 errors, one log10 per series
-    series = {}
-    for key, pts in grouped.items():
-        pts.sort(key=lambda r: r.iteration)
-        its = np.array([r.iteration for r in pts])
-        errors = np.array([r.error for r in pts], dtype=float)
-        series[key] = its, np.log10(np.maximum(errors, LOG_FLOOR))
-    max_iter = max(int(its[-1]) for its, _ in series.values())
-    lo = min(0.0, *(float(v.min()) for _, v in series.values()))
-    hi = max(-16.0, *(float(v.max()) for _, v in series.values()))
-    lo, hi = float(np.floor(lo)), float(np.ceil(hi))
-    if hi <= lo:
-        hi = lo + 1.0
-    span_x = max(max_iter, 1)
+    curves = [(s, np.arange(s.start, s.start + s.errors.size),
+               np.log10(np.maximum(s.errors, LOG_FLOOR))) for s in cell]
+    span_x = max(1, *(int(its[-1]) for _, its, _ in curves))
+    lo = float(np.floor(min(0.0, *(float(v.min()) for *_, v in curves))))
+    hi = max(float(np.ceil(max(-16.0, *(float(v.max()) for *_, v in curves)))), lo + 1.0)
 
     def sx(it):
         return _ML + (_W - _ML - _MR) * it / span_x
@@ -337,47 +344,35 @@ def _svg_cell(cell_records, title):
         f'log10 error vs iteration</text>',
     ]
     legend_y = _MT + 10
-    for (solver, estimator) in sorted(series):
-        its, logs = series[(solver, estimator)]
+    for s, its, logs in curves:
         xs, ys = sx(its).tolist(), sy(logs).tolist()
-        color = PLOT_COLORS.get(estimator, "#888888")
-        dash = ' stroke-dasharray="6,3"' if solver in INERTIAL_SOLVERS else ""
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        color = PLOT_COLORS.get(s.estimator, "#888888")
+        dash = ' stroke-dasharray="6,3"' if s.solver in INERTIAL_SOLVERS else ""
         if len(xs) == 1:
-            out.append(
-                f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="3" fill="{color}"/>'
-            )
+            out.append(f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="3" fill="{color}"/>')
         else:
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"{dash}/>'
-            )
+            coords = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)])
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                       f'stroke-width="1.5"{dash}/>')
         lx = _W - _MR + 8
-        out.append(
+        out += [
             f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 18}" y2="{legend_y - 4}" '
-            f'stroke="{color}" stroke-width="1.5"{dash}/>'
-        )
-        out.append(
+            f'stroke="{color}" stroke-width="1.5"{dash}/>',
             f'<text x="{lx + 22}" y="{legend_y}" font-family="monospace" '
-            f'font-size="10">{estimator} {solver}</text>'
-        )
+            f'font-size="10">{s.estimator} {s.solver}</text>',
+        ]
         legend_y += 14
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def emit_plots(records, out_dir) -> list[Path]:
+def emit_plots(series, out_dir) -> list[Path]:
     """One SVG per (problem, P) cell; returns paths written, sorted."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = {}
-    for r in records:
-        cells.setdefault((r.problem, r.p), []).append(r)
     paths = []
-    for (problem, p) in sorted(cells):
-        cell = sorted(cells[(problem, p)], key=_sort_key)
-        if not cell:
-            continue
+    cells = groupby(sorted(series, key=_by_key), key=attrgetter("problem", "p"))
+    for (problem, p), cell in cells:
         path = out_dir / f"{problem}_P{p}.svg"
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -98,8 +98,8 @@ def test_sensitivity_step_zero_tau_is_identity():
     pr, u = instance(1)
     basis = gram_basis(pr)
     jac = np.ones((pr.n, pr.p))
-    jac_new = sensitivity_step(pr, basis, pr.residual(np.zeros(pr.n), u), jac, jac,
-                               np.zeros(pr.n), tau=1e-30)
+    hess = pr.h.hessian_factors(pr.residual(np.zeros(pr.n), u))
+    jac_new = sensitivity_step(pr, basis, hess, jac, jac, np.zeros(pr.n), tau=1e-30)
     np.testing.assert_allclose(jac_new, jac, atol=1e-12)
 
 
@@ -162,8 +162,8 @@ def test_sensitivity_step_matches_dense_hessians(which, method):
     z = x - tau * pr.primal_smooth_grad(x, u) + beta * (x - x_prev)
     basis = gram_basis(pr)
     jhat, jhat_prev = basis.vecs.T @ jac, basis.vecs.T @ jac_prev
-    jac_new = basis.vecs @ sensitivity_step(pr, basis, pr.residual(x, u), jhat, jhat_prev,
-                                            z, tau, beta)
+    hess = pr.h.hessian_factors(pr.residual(x, u))
+    jac_new = basis.vecs @ sensitivity_step(pr, basis, hess, jhat, jhat_prev, z, tau, beta)
     want = _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev)
     assert np.linalg.norm(jac_new - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -187,8 +187,9 @@ def test_sensitivity_step_prox_derivative_matches_dense_in_every_regime(zeroed):
     inner = jac - tau * (pr.a.T @ hh @ (pr.a @ jac) - pr.a.T @ hh) + beta * (jac - jac_prev)
     want = d[:, None] * inner
     basis = gram_basis(pr)
-    got = basis.vecs @ sensitivity_step(pr, basis, pr.residual(x, u), basis.vecs.T @ jac,
-                                        basis.vecs.T @ jac_prev, z, tau, beta)
+    got = basis.vecs @ sensitivity_step(pr, basis, pr.h.hessian_factors(pr.residual(x, u)),
+                                        basis.vecs.T @ jac, basis.vecs.T @ jac_prev, z, tau,
+                                        beta)
     if zeroed == pr.n:
         assert not np.any(got)
     else:
@@ -215,15 +216,15 @@ def test_sensitivity_step_reuses_the_solver_gradient(method, monkeypatch):
     jac = np.arange(pr.n * pr.p, dtype=float).reshape(pr.n, pr.p) / 40.0
     jac_prev = 0.5 * jac
     z = x - 0.01 * pr.primal_smooth_grad(x, u) + 0.3 * (x - x_prev)
-    # sensitivity_step reads the kernel's z and the given residual and takes
-    # no gradient of its own: one gradient call per iteration
+    # sensitivity_step reads the kernel's z and the given Hessian factors and
+    # takes no gradient of its own: one gradient call per iteration
     bare = run_primal(pr, u, method, iterations=12, with_sensitivity=False)
-    basis, r = gram_basis(pr), pr.residual(x, u)
+    basis, hess = gram_basis(pr), pr.h.hessian_factors(pr.residual(x, u))
     calls = []
     grad = StructuredProblem.primal_smooth_grad
     monkeypatch.setattr(StructuredProblem, "primal_smooth_grad",
                         lambda self, *a: calls.append(1) or grad(self, *a))
-    sensitivity_step(pr, basis, r, jac, jac_prev, z, 0.01, 0.3)
+    sensitivity_step(pr, basis, hess, jac, jac_prev, z, 0.01, 0.3)
     run = run_primal(pr, u, method, iterations=12)
     assert len(calls) == 12
     assert all(np.array_equal(p, q) for p, q in zip(run.points, bare.points))
@@ -416,7 +417,7 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
             dense_last = False
         else:
             jac, jac_prev = (a, b) if dense_last else (build(*coeffs), build(*coeffs_prev))
-            a, b = sensitivity_step(pr, basis, r, jac, jac_prev, z, tau, beta), jac
+            a, b = sensitivity_step(pr, basis, (c, v), jac, jac_prev, z, tau, beta), jac
             coeffs, coeffs_prev = (one, zero, zero), (zero, one, zero)
             dense_last = True
         out.append((a, b, *coeffs))
@@ -469,7 +470,7 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     assert v is None and s == want_s
     basis = gram_basis(pr)
     cur, prev = _compact_pair(gen, pr.n, pr.p, dense)
-    want = sensitivity_step(pr, basis, r, cur.jacobian(basis.params),
+    want = sensitivity_step(pr, basis, (c, v), cur.jacobian(basis.params),
                             prev.jacobian(basis.params), z, tau, beta)
     got = valgrad.estimators._diagonal_step(pr, basis.eigvals, cur, prev, c, s, tau, beta)
     assert got.a is cur.a and got.b is cur.b

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -11,11 +12,11 @@ import pytest
 import valgrad.cli
 import valgrad.harness
 from valgrad.cli import main, parse_config
-from valgrad.estimators import fd_oracle, oracle_primal_solve
+from valgrad.estimators import error_trace, fd_oracle, oracle_primal_solve
 from valgrad.harness import (
     ConfigError,
-    ErrorRecord,
     ExperimentConfig,
+    Series,
     emit_csv,
     emit_plots,
     read_csv,
@@ -41,51 +42,97 @@ def test_config_validation():
         ExperimentConfig(n=0)
 
 
-def test_error_record_validation():
+def _key(s):
+    return s.problem, s.p, s.solver, s.estimator
+
+
+def assert_same_series(got, want):
+    """Equal keys, starts and wall times, and bit-equal errors, in order."""
+    assert [(_key(s), s.start, s.wall_ns) for s in got] == \
+        [(_key(s), s.start, s.wall_ns) for s in want]
+    for g, w in zip(got, want):
+        assert g.errors.dtype == np.float64 and g.errors.tobytes() == w.errors.tobytes()
+
+
+def test_series_validation():
     with pytest.raises(ValueError):
-        ErrorRecord("f1", 5, "gd", "ang", 0, -1.0, 0)
+        Series("f1", 5, "gd", "ang", 0, [-1.0], 0)
     with pytest.raises(ValueError):
-        ErrorRecord("f1", 5, "gd", "ang", 0, float("nan"), 0)
+        Series("f1", 5, "gd", "ang", 0, [float("nan")], 0)
 
 
 @pytest.mark.parametrize("error", [float("inf"), -float("inf")])
-def test_error_record_rejects_infinite_errors(error):
+def test_series_rejects_infinite_errors(error):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        ErrorRecord("f1", 5, "gd", "ang", 0, error, 0)
+        Series("f1", 5, "gd", "ang", 0, [0.5, error], 0)
 
 
 def test_run_grid_produces_expected_series():
-    records, summary = run_grid(SMALL, clock=constant_clock)
+    series, summary = run_grid(SMALL, clock=constant_clock)
     assert not summary["aborted"]
     assert set(summary["cells"]) == {("f1", 6), ("f1", 9), ("f3", 6), ("f3", 9)}
-    keys = {(r.problem, r.p, r.solver, r.estimator) for r in records}
+    by_key = {_key(s): s for s in series}
     # f1 runs gd + heavy_ball, f3 ista + ipiasco; dual solvers mirror that
-    assert ("f1", 6, "gd", "ang") in keys
-    assert ("f1", 6, "heavy_ball", "aug") in keys
-    assert ("f1", 6, "gd", "dg") in keys
-    assert ("f3", 9, "ista", "primal") in keys
-    assert ("f3", 9, "ipiasco", "ig") in keys
-    # uniqueness of (problem, P, solver, estimator, iteration)
-    full = [(r.problem, r.p, r.solver, r.estimator, r.iteration) for r in records]
-    assert len(full) == len(set(full))
-    # per-iteration series span 0..K; ig is a single final-iterate record
-    angs = [r for r in records if (r.problem, r.p, r.solver, r.estimator) == ("f1", 6, "gd", "ang")]
-    assert [r.iteration for r in angs] == list(range(41))
-    igs = [r for r in records if (r.problem, r.p, r.solver, r.estimator) == ("f1", 6, "gd", "ig")]
-    assert [r.iteration for r in igs] == [40]
+    assert ("f1", 6, "gd", "ang") in by_key
+    assert ("f1", 6, "heavy_ball", "aug") in by_key
+    assert ("f1", 6, "gd", "dg") in by_key
+    assert ("f3", 9, "ista", "primal") in by_key
+    assert ("f3", 9, "ipiasco", "ig") in by_key
+    # one series per (problem, P, solver, estimator), sorted by that key
+    assert list(by_key) == sorted(by_key) and len(by_key) == len(series)
+    # per-iteration series span 0..K; ig is a single final-iterate error
+    ang = by_key[("f1", 6, "gd", "ang")]
+    assert (ang.start, ang.errors.size) == (0, 41)
+    ig = by_key[("f1", 6, "gd", "ig")]
+    assert (ig.start, ig.errors.size) == (40, 1)
 
 
 def test_run_grid_keys_unique_on_every_problem():
     # both inertias on all four problems: the two dual series of a cell never
-    # share a solver name, so every record key is unique without a dedup pass
+    # share a solver name, so every series key is unique without a dedup pass
     cfg = ExperimentConfig(n=8, p_list=(3, 5), iterations=10, cond_ratio=3.0,
                            oracle_iterations=5000)
-    records, summary = run_grid(cfg, clock=constant_clock)
+    series, summary = run_grid(cfg, clock=constant_clock)
     assert not summary["aborted"]
-    keys = {(r.problem, r.p, r.solver, r.estimator, r.iteration) for r in records}
-    # per primal method: primal, ang, aug and dg over 0..K, plus one ig record
+    assert len({_key(s) for s in series}) == len(series) == 8 * 2 * 5
+    # per primal method: primal, ang, aug and dg over 0..K, plus one ig error
     per_cell = 2 * (4 * (cfg.iterations + 1) + 1)
-    assert len(keys) == len(records) == 8 * per_cell
+    assert sum(s.errors.size for s in series) == 8 * per_cell
+
+
+def test_repeated_grid_entries_are_bad_input(tmp_path, capsys):
+    # one distinct cell listed twice over would write every CSV key four
+    # times and draw the copies into one plot
+    with pytest.raises(ConfigError, match="repeated problems"):
+        ExperimentConfig(problems=("f1", "f2", "f1"))
+    with pytest.raises(ConfigError, match="repeated P values"):
+        ExperimentConfig(p_list=(10, 30, 10))
+    code = main(["run", "--problems", "f1,f1", "--p", "10,10", "--n", "8", "--iters", "5",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: repeated")
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_a_cut_series_has_no_final_error(monkeypatch):
+    # an ang error that is not finite at K alone cuts the series at K - 1;
+    # the cell then has no final ang error to compare dg with
+    _, summary = run_grid(SMALL, clock=constant_clock)
+    assert len(summary["dg_beats_ang"]) == 8
+
+    def last_ang_nan(est, truth):
+        errors = error_trace(est, truth)
+        if est.method == "analytic":
+            errors[-1] = float("nan")
+        return errors
+
+    monkeypatch.setattr(valgrad.harness, "error_trace", last_ang_nan)
+    series, summary = run_grid(SMALL, clock=constant_clock)
+    assert len(summary["diverged"]) == 8
+    assert all(d[3:] == ("ang", SMALL.iterations) for d in summary["diverged"])
+    angs = [s for s in series if s.estimator == "ang"]
+    assert len(angs) == 8 and all(s.errors.size == SMALL.iterations for s in angs)
+    assert summary["dg_beats_ang"] == []
 
 
 def test_run_grid_deterministic_csv_bytes(tmp_path):
@@ -103,24 +150,24 @@ def test_run_grid_inertia_off_and_on():
                          cond_ratio=2.0, inertia="off"),
         clock=constant_clock,
     )
-    assert {r.solver for r in off} == {"gd"}
+    assert {s.solver for s in off} == {"gd"}
     on, _ = run_grid(
         ExperimentConfig(n=10, p_list=(5,), problems=("f1",), iterations=10,
                          cond_ratio=2.0, inertia="on"),
         clock=constant_clock,
     )
-    assert {r.solver for r in on} == {"heavy_ball"}
+    assert {s.solver for s in on} == {"heavy_ball"}
 
 
 def test_run_grid_runs_gd_on_an_elastic_net_without_l1():
     # gamma = 0 leaves f3/f4 no prox part, so they run gd and heavy_ball
     cfg = ExperimentConfig(n=8, p_list=(3, 5), problems=("f3", "f4"), gamma=0.0,
                            iterations=10, cond_ratio=3.0, oracle_iterations=5000)
-    records, summary = run_grid(cfg, clock=constant_clock)
+    series, summary = run_grid(cfg, clock=constant_clock)
     assert not summary["aborted"] and len(summary["cells"]) == 4
-    assert {r.solver for r in records if r.estimator != "dg"} == {"gd", "heavy_ball"}
+    assert {s.solver for s in series if s.estimator != "dg"} == {"gd", "heavy_ball"}
     # the dual keeps its own prox part: the Huber ball of f4
-    dual = {(r.problem, r.solver) for r in records if r.estimator == "dg"}
+    dual = {(s.problem, s.solver) for s in series if s.estimator == "dg"}
     assert dual == {("f3", "gd"), ("f3", "heavy_ball"), ("f4", "ista"), ("f4", "ipiasco")}
 
 
@@ -134,10 +181,9 @@ def test_emit_csv_empty(tmp_path):
 
 
 def test_emit_csv_roundtrip_single(tmp_path):
-    rec = ErrorRecord("f2", 30, "gd", "ang", 7, 0.1234567890123456789, 42)
-    path = emit_csv([rec], tmp_path / "one.csv")
-    back = read_csv(path)
-    assert back == [rec]
+    one = Series("f2", 30, "gd", "ang", 7, [0.1234567890123456789], 42)
+    path = emit_csv([one], tmp_path / "one.csv")
+    assert_same_series(read_csv(path), [one])
     # shortest round-trip decimal, LF endings
     raw = path.read_bytes()
     assert b"\r" not in raw
@@ -145,20 +191,48 @@ def test_emit_csv_roundtrip_single(tmp_path):
 
 
 def test_emit_csv_sorted(tmp_path):
-    recs = [
-        ErrorRecord("f2", 10, "gd", "dg", 1, 1.0, 0),
-        ErrorRecord("f1", 30, "gd", "ang", 0, 1.0, 0),
-        ErrorRecord("f1", 10, "ista", "ang", 0, 1.0, 0),
-        ErrorRecord("f1", 10, "gd", "ang", 2, 1.0, 0),
-        ErrorRecord("f1", 10, "gd", "ang", 0, 1.0, 0),
+    series = [
+        Series("f2", 10, "gd", "dg", 1, [1.0], 0),
+        Series("f1", 30, "gd", "ang", 0, [1.0], 0),
+        Series("f1", 10, "ista", "ang", 0, [1.0], 0),
+        Series("f1", 10, "gd", "aug", 2, [1.0], 0),
+        Series("f1", 10, "gd", "ang", 0, [1.0, 2.0, 3.0], 0),
     ]
-    path = emit_csv(recs, tmp_path / "s.csv")
+    path = emit_csv(series, tmp_path / "s.csv")
     lines = path.read_text().splitlines()[1:]
+    assert len(lines) == 7
     assert lines == sorted(lines, key=lambda s: (
         s.split(",")[0], int(s.split(",")[1]), s.split(",")[2], s.split(",")[3],
         int(s.split(",")[4]),
     ))
     assert lines[0].startswith("f1,10,gd,ang,0")
+
+
+def test_read_csv_gives_back_the_series_emit_csv_wrote(tmp_path):
+    # a distinct wall time per series (odd ones from the clock), the ig
+    # series starting at K, and a series cut short at its first non-finite
+    # error
+    series, _ = run_grid(SMALL, clock=map(lambda t: t * t, itertools.count()).__next__)
+    cut, k = valgrad.harness._series("f4", 10, "ipiasco", "aug", [0.25, 1e300, np.inf, 2.0],
+                                     2, start=0)
+    assert (k, cut.errors.size) == (2, 2)
+    series = sorted([*series, cut], key=_key)
+    assert any(s.estimator == "ig" and s.start == SMALL.iterations for s in series)
+    assert len({s.wall_ns for s in series}) == len(series)
+    assert_same_series(read_csv(emit_csv(series, tmp_path / "r.csv")), series)
+
+
+@pytest.mark.parametrize("rows, why", [
+    (["0,0.5,7", "2,0.25,7"], "iterations are not consecutive"),
+    (["3,0.5,7", "2,0.25,7"], "iterations are not consecutive"),
+    (["0,0.5,7", "1,0.25,8"], "wall_ns varies"),
+], ids=["gap", "backwards", "wall_ns"])
+def test_read_csv_rejects_a_broken_series(rows, why, tmp_path):
+    path = tmp_path / "broken.csv"
+    path.write_text("problem,P,solver,estimator,iteration,error,wall_ns\n"
+                    + "".join(f"f1,5,gd,ang,{row}\n" for row in rows))
+    with pytest.raises(ValueError, match=why):
+        read_csv(path)
 
 
 def test_read_csv_rejects_bad_header(tmp_path):
@@ -172,20 +246,19 @@ def test_read_csv_rejects_bad_header(tmp_path):
 # Plots
 
 
-def fixture_records():
-    recs = []
-    for it in range(5):
-        recs.append(ErrorRecord("f1", 6, "gd", "ang", it, 10.0 ** (-it), 1))
-        recs.append(ErrorRecord("f1", 6, "heavy_ball", "dg", it, 0.5 ** it, 1))
-    recs.append(ErrorRecord("f1", 6, "gd", "ig", 4, 1e-3, 1))
-    recs.append(ErrorRecord("f2", 9, "gd", "ang", 0, 0.0, 1))  # log-of-zero case
-    return recs
+def fixture_series():
+    return [
+        Series("f1", 6, "gd", "ang", 0, [10.0 ** (-it) for it in range(5)], 1),
+        Series("f1", 6, "heavy_ball", "dg", 0, [0.5 ** it for it in range(5)], 1),
+        Series("f1", 6, "gd", "ig", 4, [1e-3], 1),
+        Series("f2", 9, "gd", "ang", 0, [0.0], 1),  # log-of-zero case
+    ]
 
 
 def test_emit_plots_deterministic(tmp_path):
     d1, d2 = tmp_path / "p1", tmp_path / "p2"
-    paths1 = emit_plots(fixture_records(), d1)
-    paths2 = emit_plots(fixture_records(), d2)
+    paths1 = emit_plots(fixture_series(), d1)
+    paths2 = emit_plots(fixture_series(), d2)
     assert [p.name for p in paths1] == ["f1_P6.svg", "f2_P9.svg"]
     for a, b in zip(paths1, paths2):
         assert a.read_bytes() == b.read_bytes()
@@ -196,36 +269,34 @@ def test_emit_plots_deterministic(tmp_path):
 
 
 def test_emit_plots_clamps_zero_errors(tmp_path):
-    paths = emit_plots(fixture_records(), tmp_path)
+    paths = emit_plots(fixture_series(), tmp_path)
     svg = (tmp_path / "f2_P9.svg").read_text()
     assert "-16" in svg  # the display floor appears on the axis
 
 
 def test_plots_regenerate_identically_from_csv(tmp_path):
-    records, _ = run_grid(SMALL, clock=constant_clock)
+    series, _ = run_grid(SMALL, clock=constant_clock)
     direct = tmp_path / "direct"
-    emit_plots(records, direct)
-    csv_path = emit_csv(records, tmp_path / "r.csv")
+    emit_plots(series, direct)
+    csv_path = emit_csv(series, tmp_path / "r.csv")
     rebuilt = tmp_path / "rebuilt"
     emit_plots(read_csv(csv_path), rebuilt)
     for p in direct.iterdir():
         assert p.read_bytes() == (rebuilt / p.name).read_bytes()
 
 
-def _per_record_coordinates(records):
+def _per_record_coordinates(series):
     """Per cell, the polyline or circle coordinates of each series in legend
-    order, computed record by record with np.log10(max(e, LOG_FLOOR))."""
+    order, computed error by error with np.log10(max(e, LOG_FLOOR))."""
     h = valgrad.harness
     cells = {}
-    for r in records:
-        cells.setdefault((r.problem, r.p), {}).setdefault((r.solver, r.estimator), []).append(r)
+    for s in series:
+        cells.setdefault((s.problem, s.p), {})[(s.solver, s.estimator)] = [
+            (it, np.log10(max(e, h.LOG_FLOOR)))
+            for it, e in enumerate(s.errors.tolist(), s.start)
+        ]
     out = {}
-    for (problem, p), series in cells.items():
-        logs = {
-            key: [(r.iteration, np.log10(max(r.error, h.LOG_FLOOR)))
-                  for r in sorted(pts, key=lambda r: r.iteration)]
-            for key, pts in series.items()
-        }
+    for (problem, p), logs in cells.items():
         values = [v for pts in logs.values() for _, v in pts]
         lo, hi = float(np.floor(min(0.0, *values))), float(np.ceil(max(-16.0, *values)))
         if hi <= lo:
@@ -242,23 +313,23 @@ def _per_record_coordinates(records):
     return out
 
 
-def _spread_records():
+def _spread_series():
     """Errors over 24 decades, with zeros and exact powers of ten."""
     gen = np.random.Generator(np.random.PCG64(11))
     errors = 10.0 ** gen.uniform(-20.0, 4.0, 300)
     errors[::37] = 0.0
     errors[5::41] = 10.0 ** np.arange(-16, -16 + errors[5::41].size)
-    series = [("gd", "ang"), ("heavy_ball", "aug"), ("gd", "dg")]
-    return [ErrorRecord("f2", 30, solver, est, k, float(errors[100 * j + k]), 0)
-            for j, (solver, est) in enumerate(series) for k in range(100)]
+    keys = [("gd", "ang"), ("heavy_ball", "aug"), ("gd", "dg")]
+    return [Series("f2", 30, solver, est, 0, errors[100 * j: 100 * (j + 1)], 0)
+            for j, (solver, est) in enumerate(keys)]
 
 
-@pytest.mark.parametrize("records", [fixture_records, _spread_records], ids=["fixture", "spread"])
-def test_svg_coordinates_equal_the_per_record_path(records, tmp_path):
+@pytest.mark.parametrize("series", [fixture_series, _spread_series], ids=["fixture", "spread"])
+def test_svg_coordinates_equal_the_per_record_path(series, tmp_path):
     # the plots take one log10 per series array; the coordinates must be
-    # the ones the per-record scalar log10 gives, to the byte
-    want = _per_record_coordinates(records())
-    for path in emit_plots(records(), tmp_path):
+    # the ones the per-error scalar log10 gives, to the byte
+    want = _per_record_coordinates(series())
+    for path in emit_plots(series(), tmp_path):
         svg = path.read_text()
         got = [m[0] or f"{m[1]},{m[2]}" for m in re.findall(
             r'<polyline points="([^"]*)"|<circle cx="([^"]*)" cy="([^"]*)"', svg)]
@@ -353,9 +424,9 @@ def test_diverged_series_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     summaries = []
 
     def keep_summary(cfg, **kwargs):
-        records, summary = run_grid(cfg, **kwargs)
+        series, summary = run_grid(cfg, **kwargs)
         summaries.append(summary)
-        return records, summary
+        return series, summary
 
     monkeypatch.setattr(valgrad.cli, "run_grid", keep_summary)
     with warnings.catch_warnings():
@@ -368,9 +439,9 @@ def test_diverged_series_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if "not finite" in ln]
     assert lines == [f"warning: f4 P=10 ipiasco aug: the error is not finite from "
                      f"iteration {k} on; the series stops before it"]
-    aug = [r.iteration for r in read_csv(tmp_path / "results.csv")
-           if (r.solver, r.estimator) == ("ipiasco", "aug")]
-    assert aug == list(range(k))
+    [aug] = [s for s in read_csv(tmp_path / "results.csv")
+             if (s.solver, s.estimator) == ("ipiasco", "aug")]
+    assert (aug.start, aug.errors.size) == (0, k)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -389,9 +460,9 @@ def test_inapplicable_implicit_estimate_is_reported_not_raised(tmp_path, capsys,
     summaries = []
 
     def keep_summary(cfg, **kwargs):
-        records, summary = run_grid(cfg, **kwargs)
+        series, summary = run_grid(cfg, **kwargs)
         summaries.append(summary)
-        return records, summary
+        return series, summary
 
     monkeypatch.setattr(valgrad.cli, "run_grid", keep_summary)
     code = main(["run", "--lam", "1e-13", "--p", "10", "--problems", "f1",
@@ -405,7 +476,7 @@ def test_inapplicable_implicit_estimate_is_reported_not_raised(tmp_path, capsys,
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("inapplicable")]
     assert lines == [f"inapplicable f1 P=10 {solver} ig: {reason}; no series written"
                      for solver in ("gd", "heavy_ball")]
-    series = {(r.solver, r.estimator) for r in read_csv(tmp_path / "results.csv")}
+    series = {(s.solver, s.estimator) for s in read_csv(tmp_path / "results.csv")}
     assert series == {(solver, est) for solver in ("gd", "heavy_ball")
                       for est in ("primal", "ang", "aug", "dg")}
 

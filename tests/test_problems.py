@@ -147,8 +147,8 @@ def test_structured_hessians_match_dense(which, radius):
     # coordinate in the prox support carries the same Hessian blocks
     basis = gram_basis(pr)
     z = np.full(pr.n, 1e3)
-    step = basis.vecs @ sensitivity_step(pr, basis, pr.residual(x, u), basis.vecs.T @ jac,
-                                         None, z, 1.0)
+    hess = pr.h.hessian_factors(pr.residual(x, u))
+    step = basis.vecs @ sensitivity_step(pr, basis, hess, basis.vecs.T @ jac, None, z, 1.0)
     want = jac - (hxx_loss @ jac + hxu)
     if pr.prox_part() is None:
         want -= pr.k_modulus * jac
