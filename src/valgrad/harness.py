@@ -271,7 +271,7 @@ def read_csv(path) -> list[Series]:
     """The series of a CSV that ``emit_csv`` wrote, in file order: each run
     of rows with one (problem, P, solver, estimator) is one series.  Raises
     ``ValueError`` for a bad header, or for a series whose iterations are
-    not consecutive or whose ``wall_ns`` varies."""
+    not consecutive, whose ``wall_ns`` varies or whose rows are split."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -293,6 +293,8 @@ def read_csv(path) -> list[Series]:
             raise ValueError(f"{path}: {problem} P={p} {solver} {estimator}: wall_ns varies")
         out.append(Series(problem, int(p), solver, estimator, start,
                           [float(e) for e in errors], int(walls[0])))
+    if len(set(map(_by_key, out))) < len(out):
+        raise ValueError(f"{path}: the rows of a series are not in one run")
     return out
 
 

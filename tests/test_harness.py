@@ -223,14 +223,15 @@ def test_read_csv_gives_back_the_series_emit_csv_wrote(tmp_path):
 
 
 @pytest.mark.parametrize("rows, why", [
-    (["0,0.5,7", "2,0.25,7"], "iterations are not consecutive"),
-    (["3,0.5,7", "2,0.25,7"], "iterations are not consecutive"),
-    (["0,0.5,7", "1,0.25,8"], "wall_ns varies"),
-], ids=["gap", "backwards", "wall_ns"])
+    (["ang,0,0.5,7", "ang,2,0.25,7"], "iterations are not consecutive"),
+    (["ang,3,0.5,7", "ang,2,0.25,7"], "iterations are not consecutive"),
+    (["ang,0,0.5,7", "ang,1,0.25,8"], "wall_ns varies"),
+    (["ang,0,0.5,7", "dg,0,0.5,9", "ang,1,0.25,7"], "not in one run"),
+], ids=["gap", "backwards", "wall_ns", "split"])
 def test_read_csv_rejects_a_broken_series(rows, why, tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("problem,P,solver,estimator,iteration,error,wall_ns\n"
-                    + "".join(f"f1,5,gd,ang,{row}\n" for row in rows))
+                    + "".join(f"f1,5,gd,{row}\n" for row in rows))
     with pytest.raises(ValueError, match=why):
         read_csv(path)
 
