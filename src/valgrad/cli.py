@@ -184,9 +184,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     pr, u = _make_problem(args)
-    dg = dual_estimator(
-        pr, u, SolverConfig(method="fista", iterations=args.iters, record_trace=False)
-    )
+    dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=args.iters))
     fd = fd_oracle(pr, u)
     disc = float(np.max(np.abs(dg.final - fd.final)))
     print(f"max-abs discrepancy dual vs finite differences: {disc:.6e}")

@@ -14,7 +14,7 @@ plus a central-difference oracle backed by high-accuracy inner solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,24 +40,24 @@ class EstimatorInapplicable(RuntimeError):
 
 @dataclass
 class GradientEstimate:
+    """Estimates of a gradient in P dimensions: ``per_iteration`` is one
+    C-contiguous (K+1) x P array, one row per iterate (one row for the
+    estimators of a single point), and ``final`` is a copy of the last row,
+    so holding it does not keep the block alive."""
+
     method: str
-    per_iteration: list = field(default_factory=list)
+    per_iteration: np.ndarray
     flagged: bool = False
 
     @property
     def final(self):
-        return self.per_iteration[-1]
-
-    def errors(self, truth):
-        return error_trace(self, truth)
+        return self.per_iteration[-1].copy()
 
 
-def error_trace(est: GradientEstimate, truth) -> list[float]:
-    """Euclidean distance to the reference gradient, per iteration, as one
-    row norm over the stacked estimates."""
-    truth = np.asarray(truth, dtype=float)
-    seq = np.array(est.per_iteration, dtype=float).reshape(-1, truth.size)
-    return np.linalg.norm(seq - truth, axis=1).tolist()
+def error_trace(est: GradientEstimate, truth) -> np.ndarray:
+    """Euclidean distance to the reference gradient, per iteration: one row
+    norm over ``est.per_iteration``."""
+    return np.linalg.norm(est.per_iteration - np.asarray(truth, dtype=float), axis=1)
 
 
 class GramBasis(NamedTuple):
@@ -144,24 +144,24 @@ def _rotated_prox_derivative(vecs, d, jac):
 
 @dataclass
 class PrimalRun:
-    """Iterates, pre-prox points and regularizer subgradient selections.
+    """The iterates of a primal run and the pre-prox points of its steps.
 
-    ``pre_prox`` holds the kernel's pre-prox point z_k of every step, which
-    ``sensitivities`` needs to replay the Jacobian recursion; it is None for
-    a run made without sensitivities.  For gd and heavy_ball z_k is the same
-    array as the next iterate, so recording it costs no memory.
+    ``points`` is the (K+1) x N array of the iterates x_0, ..., x_K, and
+    ``final`` a copy of its last row.  ``pre_prox`` is the K x N array of
+    the kernel's pre-prox points z_k, from which ``sensitivities`` replays
+    the Jacobian recursion and ``automatic_estimator`` derives the
+    regularizer's subgradient selections; it is None for a run made without
+    sensitivities.
     """
 
-    method: str
     tau: float
     beta: float
-    points: list = field(default_factory=list)
-    pre_prox: list | None = None
-    selections: list = field(default_factory=list)
+    points: np.ndarray
+    pre_prox: np.ndarray | None = None
 
     @property
     def final(self):
-        return self.points[-1]
+        return self.points[-1].copy()
 
 
 def run_primal(
@@ -187,25 +187,17 @@ def run_primal(
     u = np.asarray(u, dtype=float)
     tau, beta = step_policy(method, *pr.curvature(), tau, beta)
 
-    # the kernel returns fresh arrays and never modifies one, so the run
-    # stores them without copies
     x0 = np.zeros(pr.n) if x0 is None else np.array(x0, dtype=float)
-    run = PrimalRun(method=method, tau=tau, beta=beta,
-                    pre_prox=[] if with_sensitivity else None)
-    run.points.append(x0)
-    if prox is not None:
-        run.selections.append(pr.k.subgradient_min_norm(x0))
-
+    xs, zs = [x0], []
     steps = prox_gradient_steps(
         lambda x: pr.primal_smooth_grad(x, u), prox, x0, tau, beta, iterations
     )
-    for x, z, x_next in steps:
+    for _, z, x_next in steps:
         if with_sensitivity:
-            run.pre_prox.append(z)
-        if prox is not None:
-            run.selections.append((z - x_next) / tau)
-        run.points.append(x_next)
-    return run
+            zs.append(z)
+        xs.append(x_next)
+    pre_prox = np.array(zs).reshape(iterations, pr.n) if with_sensitivity else None
+    return PrimalRun(tau, beta, np.array(xs), pre_prox)
 
 
 class Sensitivity(NamedTuple):
@@ -243,13 +235,13 @@ def _uniform_prox_derivative(prox, tau: float, z):
     return d[0] if d.min() == d.max() else None
 
 
-def _diagonal_step(pr: StructuredProblem, eigvals, cur: Sensitivity, prev: Sensitivity,
+def _diagonal_step(diag, cur: Sensitivity, prev: Sensitivity,
                    c: float, s: float, tau: float, beta: float) -> Sensitivity:
     """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev) of
     ``sensitivities`` for a loss Hessian c I and a prox derivative s I, on
     the compact forms of J-hat and J-hat_prev: O(N), with fresh
-    coefficients."""
-    diag = _step_multiplier(pr, eigvals, c, tau, beta)
+    coefficients.  ``diag`` is the ``_step_multiplier`` of c, tau and beta,
+    which it does not modify."""
 
     def update(x, x_prev, shift=0.0):
         out = diag * x
@@ -280,10 +272,12 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
     the diagonal s (1 + beta - tau c Lambda [- tau lam]) plus the shift
     s tau c params, so it updates p, q and r in O(N).  Any other step is
     dense: ``sensitivity_step`` on J-hat_k and J-hat_{k-1}, built from the
-    compact form only if a diagonal step ran since the last dense one.
-    Only J-hat_k and J-hat_{k-1} are kept; every yielded array is fresh or
-    shared with earlier yields, and never modified.  Raises ``ValueError``
-    for a run made without sensitivities.
+    compact form only if a diagonal step ran since the last dense one.  A
+    diagonal step reuses the previous one's multiplier while c is unchanged,
+    as on every step of a squared-norm loss.  Only J-hat_k and J-hat_{k-1}
+    are kept; every yielded array is fresh or shared with earlier yields,
+    and never modified.  Raises ``ValueError`` for a run made without
+    sensitivities.
     """
     if run.pre_prox is None:
         raise ValueError("run was produced without sensitivities")
@@ -292,6 +286,7 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
     prox = pr.prox_part()
     zero, one = np.zeros(pr.n), np.ones(pr.n)
     cur = prev = Sensitivity(None, None, zero, zero, zero)
+    step_c = diag = None  # the last diagonal step's c and multiplier
     yield cur
     for r, z in zip(residuals.T, run.pre_prox):
         c, v = pr.h.hessian_factors(r)
@@ -305,23 +300,26 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
             cur, prev = (Sensitivity(new, jac, one, zero, zero),
                          Sensitivity(new, jac, zero, one, zero))
         else:
-            cur, prev = _diagonal_step(pr, eigvals, cur, prev, c, s, tau, beta), cur
+            if c != step_c:
+                step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
+            cur, prev = _diagonal_step(diag, cur, prev, c, s, tau, beta), cur
         yield cur
 
 
 def _residual_series(pr: StructuredProblem, points, u):
-    """The P x (K+1) residual block b - A x(k) + u of a series' iterates."""
-    xs = np.array(points, dtype=float).T
+    """The P x (K+1) residual block b - A x(k) + u of the iterates, the
+    rows of ``points``."""
+    xs = np.asarray(points, dtype=float).T
     return pr.residual(xs, np.asarray(u, dtype=float)[:, None])
 
 
 def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
-    """g1(k) = grad_u f(x(k), u) = grad h(b - A x(k) + u); needs smooth h."""
+    """g1(k) = grad_u f(x(k), u) = grad h(b - A x(k) + u) at the rows x(k)
+    of ``points``; needs smooth h."""
     if not pr.h.profile().smooth:
         raise NonsmoothError("analytic estimator requires a smooth loss")
     gu = pr.h.grad(_residual_series(pr, points, u))
-    # one fresh array per iterate: a view would keep the whole block alive
-    return GradientEstimate("analytic", [g.copy() for g in gu.T])
+    return GradientEstimate("analytic", np.ascontiguousarray(gu.T))
 
 
 def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEstimate:
@@ -335,44 +333,48 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     the run ends.  The basis (``gram_basis``) is taken once per call and
     freed with it.  The residual block of the whole series is formed once:
     it gives grad_u f and every step's loss Hessian.  For elastic-net
-    problems the regularizer subgradient is the prox optimality selection
-    recorded during the run.  Raises ``ValueError`` for a run made without
-    sensitivities.
+    problems the regularizer subgradient is the prox optimality selection,
+    the minimum-norm subgradient at x(0) and (z(k-1) - x(k)) / tau from the
+    run's pre-prox points after it.  The estimates fill one (K+1) x P
+    block.  Raises ``ValueError`` for a run made without sensitivities.
     """
+    if run.pre_prox is None:
+        raise ValueError("run was produced without sensitivities")
     basis = gram_basis(pr)
     res = _residual_series(pr, run.points, u)
     gu = pr.h.grad(res)
     gx = pr.c[:, None] - pr.a.T @ gu
-    if run.selections:
-        gx += np.array(run.selections, dtype=float).T
+    if pr.prox_part() is not None:
+        gx[:, 0] += pr.k.subgradient_min_norm(run.points[0])
+        gx[:, 1:] += ((run.pre_prox - run.points[1:]) / run.tau).T
     else:
-        gx += pr.k_modulus * np.array(run.points, dtype=float).T
+        gx += pr.k_modulus * run.points.T
     gx = basis.vecs.T @ gx
-    seq, block = [], []
+    est = np.empty((len(run.points), pr.p))
+    start, block = 0, []
     for sens in sensitivities(pr, run, basis, res):
         if block and sens.a is not block[0].a:
-            seq += _run_estimates(basis.params, block, gx, gu, len(seq))
-            block = []
+            _run_estimates(est, basis.params, block, gx, gu, start)
+            start, block = start + len(block), []
         block.append(sens)
-    seq += _run_estimates(basis.params, block, gx, gu, len(seq))
-    return GradientEstimate("automatic", seq)
+    _run_estimates(est, basis.params, block, gx, gu, start)
+    return GradientEstimate("automatic", est)
 
 
-def _run_estimates(params, block, gx, gu, start: int):
-    """g2 at the iterates start, start + 1, ... of the run ``block`` of
-    sensitivities sharing one pair (a, b), one array per iterate.  A run
-    with a pair opens with the dense step's J-hat = a, whose estimate is
-    a^T g + grad_u f; the diagonal steps after it take
+def _run_estimates(out, params, block, gx, gu, start: int):
+    """Write g2 at the iterates start, start + 1, ... of the run ``block``
+    of sensitivities sharing one pair (a, b) into those rows of ``out``.  A
+    run with a pair opens with the dense step's J-hat = a, whose estimate
+    is a^T g + grad_u f; the diagonal steps after it take
     a^T (P o G) + b^T (Q o G) + params^T (R o G) + grad_u f, with P, Q, R
     their coefficient vectors side by side and G their columns of
     V^T grad_x f."""
     a, b = block[0].a, block[0].b
-    out = []
     if a is not None:
-        out.append(a.T @ gx[:, start] + gu[:, start])
+        out[start] = a.T @ gx[:, start] + gu[:, start]
         block, start = block[1:], start + 1
     if not block:
-        return out
+        return
     cols = slice(start, start + len(block))
     g = gx[:, cols]
     _, _, ps, qs, rs = zip(*block)
@@ -381,7 +383,7 @@ def _run_estimates(params, block, gx, gu, start: int):
         est += a.T @ (np.array(ps).T * g)
         est += b.T @ (np.array(qs).T * g)
     est += gu[:, cols]
-    return out + [col.copy() for col in est.T]
+    out[cols] = est.T
 
 
 def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:
@@ -407,7 +409,7 @@ def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:
     except np.linalg.LinAlgError as exc:
         raise EstimatorInapplicable("surrogate Hessian is not positive definite") from exc
     g3 = -pr.hess_xu(x, u).T @ _cholesky_solve(low, gx) + gu
-    return GradientEstimate("implicit", [g3])
+    return GradientEstimate("implicit", g3[None, :])
 
 
 def _cholesky_solve(low, rhs):
@@ -430,22 +432,19 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
     dob = pr.dual_objective(u)
     y = np.zeros(pr.p)
     method = cfg.method
-    rec = cfg.record_trace
     if method == "cg":
         q, r = dob.quadratic_form()
-        tr = conjugate_gradient(q, r, y, cfg.iterations, tol=0.0, record_trace=rec)
+        tr = conjugate_gradient(q, r, y, cfg.iterations, tol=0.0)
     elif method == "pdhg":
         tr = _dual_pdhg(pr, dob, y, cfg)
     else:
         tau, beta = step_policy(method, *dob.curvature(), cfg.tau, cfg.beta)
         if method == "fista":
-            tr = fista(dob.smooth_grad, dob.prox, y, tau, beta, cfg.iterations, record_trace=rec)
+            tr = fista(dob.smooth_grad, dob.prox, y, tau, beta, cfg.iterations)
         else:
             tr = prox_gradient(
-                dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta,
-                cfg.iterations, record_trace=rec,
+                dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta, cfg.iterations
             )
-    # every trace point is already a copy of its own
     return GradientEstimate("dual", tr.points)
 
 
@@ -473,7 +472,6 @@ def _dual_pdhg(pr: StructuredProblem, dob: DualObjective, y0, cfg: SolverConfig)
         tau=cfg.tau or 1.0 / op_norm,
         iterations=cfg.iterations,
         op_norm=op_norm,
-        record_trace=cfg.record_trace,
     )
 
 
@@ -736,7 +734,7 @@ def fd_oracle(
         flagged = not certified.all()
         vals = pr.primal_value(points, params)
     g = (vals[: pr.p] - vals[pr.p :]) / (2.0 * steps)
-    return GradientEstimate("fd", [g], flagged=flagged)
+    return GradientEstimate("fd", g[None, :], flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

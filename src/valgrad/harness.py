@@ -220,7 +220,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         run = run_primal(pr, u, method, iterations=cfg.iterations)
         ns_run = int(clock() - t0)
         if xstar is not None:
-            add(method, "primal", np.linalg.norm(np.array(run.points) - xstar, axis=1), ns_run)
+            add(method, "primal", np.linalg.norm(run.points - xstar, axis=1), ns_run)
 
         t0 = clock()
         ang = analytic_estimator(pr, run.points, u)
@@ -270,8 +270,9 @@ def emit_csv(series, path) -> Path:
 def read_csv(path) -> list[Series]:
     """The series of a CSV that ``emit_csv`` wrote, in file order: each run
     of rows with one (problem, P, solver, estimator) is one series.  Raises
-    ``ValueError`` for a bad header, or for a series whose iterations are
-    not consecutive, whose ``wall_ns`` varies or whose rows are split."""
+    ``ValueError`` for a bad header, a row without exactly the header's
+    fields, or a series whose iterations are not consecutive, whose
+    ``wall_ns`` varies or whose rows are split."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -282,6 +283,9 @@ def read_csv(path) -> list[Series]:
             rows = list(reader)
     except OSError as exc:
         raise OSError(f"failed reading {path}: {exc}") from exc
+    for line, row in enumerate(rows, 2):
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{path}:{line}: {len(row)} fields, expected {len(CSV_HEADER)}")
     out = []
     for (problem, p, solver, estimator), group in groupby(rows, key=lambda row: row[:4]):
         its, errors, walls = zip(*(row[4:] for row in group))

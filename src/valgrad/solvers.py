@@ -5,12 +5,13 @@ gradient step of ``prox_gradient_steps``.  Whether a step applies a prox
 is decided by the objective: ``prox_of`` returns its prox part's prox, or
 None (the identity) when it has none, and checks the method name against
 it; the name itself chooses only the momentum (none for gd and ista).
-``prox_gradient`` collects the trace, and ``step_policy`` holds the
+``prox_gradient`` stacks its iterates, and ``step_policy`` holds the
 default step sizes and momenta of every method.  The accelerated
 recursion, with the gradient at the extrapolated point, is
-``accelerated_steps``: ``fista`` collects its trace, and the certified
+``accelerated_steps``: ``fista`` stacks its iterates, and the certified
 oracle solve of :mod:`valgrad.estimators` runs it on a block of columns.
-``pdhg`` and ``conjugate_gradient`` are separate.
+``pdhg`` and ``conjugate_gradient`` are separate.  Every solver returns an
+``IterateTrace``, whose iterates are one array with a row per iterate.
 
 The first-order solvers run a fixed number of iterations (no early exit) so
 runs are directly comparable; CG may stop on its residual, and the
@@ -21,7 +22,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class SolverConfig:
     tau: float | None = None
     beta: float | None = None
     iterations: int = 100
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.tau is not None and self.tau <= 0:
@@ -49,32 +49,20 @@ class SolverConfig:
 
 @dataclass
 class IterateTrace:
-    points: list = field(default_factory=list)
+    """The iterates x0, x1, ..., xk of a solver run as one (k+1) x d array,
+    one row per iterate; ``final`` is a copy of the last row, so holding it
+    does not keep the block alive."""
+
+    points: np.ndarray
     # set by solvers with a stopping test: did it pass within the budget
     converged: bool | None = None
 
-    def append(self, x):
-        self.points.append(np.array(x, dtype=float))
-
     @property
     def final(self):
-        return self.points[-1]
+        return self.points[-1].copy()
 
     def __len__(self):
         return len(self.points)
-
-
-def _trace(x0):
-    tr = IterateTrace()
-    tr.append(x0)
-    return tr
-
-
-def _push(tr, x, record):
-    if record:
-        tr.append(x)
-    else:
-        tr.points[-1] = np.array(x, dtype=float)
 
 
 def prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
@@ -115,13 +103,11 @@ def prox_of(method, prox_part):
     return prox_part.prox if proximal else None
 
 
-def prox_gradient(smooth_grad, prox_step, x0, tau, beta, iterations, record_trace=True):
+def prox_gradient(smooth_grad, prox_step, x0, tau, beta, iterations):
     """Trace of ``prox_gradient_steps``: gd (beta = 0, no prox), heavy ball
     (no prox), ista (beta = 0) and ipiasco."""
-    tr = _trace(x0)
-    for *_, x_next in prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
-        _push(tr, x_next, record_trace)
-    return tr
+    steps = prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations)
+    return IterateTrace(np.array([x0, *(x_next for *_, x_next in steps)], dtype=float))
 
 
 def accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
@@ -143,18 +129,13 @@ def accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
         x = x_next
 
 
-def fista(smooth_grad, prox_step, x0, tau, beta, iterations, record_trace=True):
+def fista(smooth_grad, prox_step, x0, tau, beta, iterations):
     """Trace of ``accelerated_steps``; no restarts."""
-    tr = _trace(x0)
-    for _, x_next in accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
-        _push(tr, x_next, record_trace)
-    return tr
+    steps = accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations)
+    return IterateTrace(np.array([x0, *(x_next for _, x_next in steps)], dtype=float))
 
 
-def pdhg(
-    k_op, k_op_adj, prox_conj, prox_primal, y0, sigma, tau, iterations, op_norm=None,
-    record_trace=True,
-):
+def pdhg(k_op, k_op_adj, prox_conj, prox_primal, y0, sigma, tau, iterations, op_norm=None):
     """Primal-dual hybrid gradient for min_y f(K y) + g(y).
 
     ``prox_conj(sigma, z)`` is the prox of f*, ``prox_primal(tau, z)`` that
@@ -165,17 +146,17 @@ def pdhg(
     y = np.array(y0, dtype=float)
     y_bar = y.copy()
     z = np.zeros_like(k_op(y))
-    tr = _trace(y)
+    ys = [y]
     for _ in range(iterations):
         z = prox_conj(sigma, z + sigma * k_op(y_bar))
         y_next = prox_primal(tau, y - tau * k_op_adj(z))
         y_bar = y_next + (y_next - y)
         y = y_next
-        _push(tr, y, record_trace)
-    return tr
+        ys.append(y)
+    return IterateTrace(np.array(ys))
 
 
-def conjugate_gradient(q, rhs, y0, iterations, tol=0.0, record_trace=True):
+def conjugate_gradient(q, rhs, y0, iterations, tol=0.0):
     """Minimize y^T Q y / 2 - rhs^T y for an SPD matrix Q.
 
     Terminates early once the residual norm drops below ``tol``; raises
@@ -188,7 +169,7 @@ def conjugate_gradient(q, rhs, y0, iterations, tol=0.0, record_trace=True):
     r = np.asarray(rhs, dtype=float) - q @ y
     p = r.copy()
     rr = float(np.dot(r, r))
-    tr = _trace(y)
+    ys = [y]
     for _ in range(iterations):
         if np.sqrt(rr) <= tol:
             break
@@ -202,9 +183,8 @@ def conjugate_gradient(q, rhs, y0, iterations, tol=0.0, record_trace=True):
         rr_new = float(np.dot(r, r))
         p = r + (rr_new / rr) * p
         rr = rr_new
-        _push(tr, y, record_trace)
-    tr.converged = bool(np.sqrt(rr) <= tol)
-    return tr
+        ys.append(y)
+    return IterateTrace(np.array(ys), converged=bool(np.sqrt(rr) <= tol))
 
 
 def optimal_gd_step(lips, m):

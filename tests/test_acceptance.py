@@ -129,8 +129,7 @@ def test_ac4_oracle_agreement_nonsmooth():
             pr = make_experiment_problem(which, a)
             # fista as the inertial solver: heavy ball can cycle on the
             # piecewise-linear dual gradient of the elastic-net conjugate
-            dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=2000,
-                                                    record_trace=False))
+            dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=2000))
             fd = fd_oracle(pr, u)
             assert not fd.flagged
             worst = max(worst, float(np.max(np.abs(dg.final - fd.final))))
@@ -271,7 +270,7 @@ def test_ac9_sensitivity_vs_fd_jacobian():
             pr = make_experiment_problem(which, a)
             run = run_primal(pr, u, method, iterations=20)
             basis = gram_basis(pr)
-            residuals = pr.residual(np.array(run.points).T, u[:, None])
+            residuals = pr.residual(run.points.T, u[:, None])
             for sens in sensitivities(pr, run, basis, residuals):
                 pass  # keep the last one
             jac = basis.vecs @ sens.jacobian(basis.params)
@@ -298,7 +297,7 @@ def test_ac10_dual_beats_analytic():
                 a, u = seeded_problem_data(50, p, seed, cond_ratio=10.0)
                 pr = make_experiment_problem(which, a)
                 ref = dual_estimator(pr, u, SolverConfig(
-                    method="fista", iterations=20000, record_trace=False)).final
+                    method="fista", iterations=20000)).final
                 fd = fd_oracle(pr, u)
                 assert float(np.max(np.abs(ref - fd.final))) <= 1e-4
                 pm = "gd" if which == 2 else "ista"

@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+           "ops_ok_frac": {"name": "ops_ok_frac", "better": "higher", "bound": 0.01}}
+
+
+def _runs(parent, change, ops=(1.0, 1.0)):
+    return [{"pair": i, "workload": "w", "side": side, "wall_s": wall,
+             "ops_ok_frac": ops[side == "change"]}
+            for side, walls in (("parent", parent), ("change", change))
+            for i, wall in enumerate(walls)]
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # medians 1.0 and 1.1: within the margin 0.25, and a parent IQR of 0.1
+    ([0.9, 0.95, 1.0, 1.05, 1.1], [1.0, 1.05, 1.1, 1.15, 1.2], "ok"),
+    # median 1.0 -> 1.3: worse by more than 0.25 x 1.0
+    ([0.9, 0.95, 1.0, 1.05, 1.1], [1.2, 1.25, 1.3, 1.35, 1.4], "worse"),
+    # a parent IQR of 0.5 exceeds the margin, and the runs overlap
+    ([0.5, 0.75, 1.0, 1.25, 1.5], [0.6, 0.8, 0.9, 1.1, 1.3], "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([0.5, 0.75, 1.0, 1.25, 1.5], [0.1, 0.2, 0.3, 0.4, 0.45], "ok"),
+], ids=["ok", "worse", "unresolved", "every-run-better"])
+def test_summarize_gives_each_metric_a_verdict(parent, change, want):
+    rows = bench_pairs.summarize(_runs(parent, change), METRICS)["w"]
+    assert rows["wall_s"]["verdict"] == want
+    assert rows["ops_ok_frac"]["verdict"] == "ok"
+
+
+def test_summarize_reads_higher_is_better():
+    walls = [1.0, 1.0, 1.0]
+    rows = bench_pairs.summarize(_runs(walls, walls, ops=(1.0, 0.9)), METRICS)["w"]
+    assert rows["ops_ok_frac"]["verdict"] == "worse"
+    rows = bench_pairs.summarize(_runs(walls, walls, ops=(0.9, 1.0)), METRICS)["w"]
+    assert rows["ops_ok_frac"]["verdict"] == "ok"

@@ -47,10 +47,10 @@ def instance(which=1, n=10, p=6, seed=0, cond=3.0):
 
 def test_error_trace_basics():
     truth = np.array([1.0, 2.0])
-    est = GradientEstimate("analytic", [truth.copy(), truth + np.array([3.0, 4.0])])
-    assert error_trace(est, truth) == [0.0, 5.0]
-    single = GradientEstimate("implicit", [truth.copy()])
-    assert single.errors(truth) == [0.0]
+    est = GradientEstimate("analytic", np.array([truth, truth + np.array([3.0, 4.0])]))
+    assert np.array_equal(error_trace(est, truth), [0.0, 5.0])
+    single = GradientEstimate("implicit", truth[None, :].copy())
+    assert np.array_equal(error_trace(single, truth), [0.0])
     assert np.array_equal(single.final, truth)
 
 
@@ -74,7 +74,7 @@ def _jacobians(pr, run, u):
     """The Jacobians J_k = V J-hat_k of ``run``: ``sensitivities`` rotated
     back from the eigenbasis of A^T A."""
     basis = gram_basis(pr)
-    residuals = pr.residual(np.array(run.points).T, np.asarray(u)[:, None])
+    residuals = pr.residual(run.points.T, np.asarray(u)[:, None])
     for sens in sensitivities(pr, run, basis, residuals):
         yield basis.vecs @ sens.jacobian(basis.params)
 
@@ -304,7 +304,7 @@ def test_sensitivity_matches_fd_jacobian_on_a_smooth_elastic_net(method):
     a, u = seeded_problem_data(8, 5, 3, 3.0)
     pr = make_experiment_problem(3, a, gamma=0.0)
     run = run_primal(pr, u, method, iterations=20)
-    assert not run.selections
+    assert pr.prox_part() is None
     np.testing.assert_allclose(_final_jacobian(pr, run, u), _fd_jacobian(pr, u, method, 20),
                                atol=1e-5)
 
@@ -326,12 +326,19 @@ def test_automatic_estimator_exact_at_optimum():
 
 
 def _per_iterate_estimates(pr, run, u):
-    """g1(k) and g2(k) evaluated one iterate at a time."""
+    """g1(k) and g2(k) evaluated one iterate at a time.  With a prox part
+    the regularizer subgradient is the minimum-norm one at x(0) and the
+    prox optimality selection (z(k-1) - x(k)) / tau after it."""
     ang, aug = [], []
     for i, (x, jac) in enumerate(zip(run.points, _jacobians(pr, run, u))):
         gu = pr.grad_u(x, u)
         gx = pr.c - pr.a.T @ gu
-        gx = gx + (run.selections[i] if run.selections else pr.k_modulus * x)
+        if pr.prox_part() is None:
+            gx = gx + pr.k_modulus * x
+        elif i == 0:
+            gx = gx + pr.k.subgradient_min_norm(x)
+        else:
+            gx = gx + (run.pre_prox[i - 1] - x) / run.tau
         ang.append(gu)
         aug.append(jac.T @ gx + gu)
     return ang, aug
@@ -350,22 +357,40 @@ PIPELINES = [
 
 @pytest.mark.parametrize("which, method, n, p", PIPELINES)
 def test_series_estimators_match_a_per_iterate_loop(which, method, n, p):
-    # the estimators evaluate the whole series at once; each entry must
-    # still be an array of its own, or .final would keep the block alive
+    # the estimators evaluate the whole series at once, as one block with a
+    # row per iterate
     pr, u = instance(which, n=n, p=p, seed=3)
     run = run_primal(pr, u, method, iterations=40)
     want_ang, want_aug = _per_iterate_estimates(pr, run, u)
     for est, want in ((analytic_estimator(pr, run.points, u), want_ang),
                       (automatic_estimator(pr, run, u), want_aug)):
         got = est.per_iteration
-        assert len(got) == len(want) == 41
+        assert got.shape == (41, pr.p) and got.flags.c_contiguous
+        assert len(want) == 41
         for g, w in zip(got, want):
-            assert g.shape == w.shape
             assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
-        assert not any(np.shares_memory(got[i], got[j])
-                       for i in range(len(got)) for j in range(i))
-        # disjoint views of one block share no element, so check ownership
-        assert all(g.flags.owndata for g in got)
+
+
+def test_final_owns_its_data():
+    # a held .final must not keep its run's or estimate's block alive
+    pr, u = instance(2, n=8, p=5, seed=3)
+    run = run_primal(pr, u, "heavy_ball", iterations=20)
+    cfg = SolverConfig(method="fista", iterations=20)
+    held = {
+        "run": run,
+        "trace": prox_gradient(lambda x: pr.primal_smooth_grad(x, u), None, np.zeros(pr.n),
+                               run.tau, run.beta, 20),
+        "analytic": analytic_estimator(pr, run.points, u),
+        "automatic": automatic_estimator(pr, run, u),
+        "implicit": implicit_estimator(pr, run.final, u),
+        "dual": dual_estimator(pr, u, cfg),
+    }
+    for name, obj in held.items():
+        final = obj.final
+        assert final.base is None, name
+        assert final.flags.c_contiguous, name
+        block = obj.points if name in ("run", "trace") else obj.per_iteration
+        assert np.array_equal(final, block[-1]), name
 
 
 def _in_run_sensitivities(pr, u, method, iterations, basis):
@@ -436,7 +461,7 @@ def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n,
     basis = gram_basis(pr)
     run = run_primal(pr, u, method, iterations=40)
     want = _in_run_sensitivities(pr, u, method, 40, basis)
-    residuals = pr.residual(np.array(run.points).T, u[:, None])
+    residuals = pr.residual(run.points.T, u[:, None])
     got = list(sensitivities(pr, run, basis, residuals))
     assert len(got) == len(want) == 41
     assert all(_same_array(g, w) for sens, ref in zip(got, want) for g, w in zip(sens, ref))
@@ -472,7 +497,8 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     cur, prev = _compact_pair(gen, pr.n, pr.p, dense)
     want = sensitivity_step(pr, basis, (c, v), cur.jacobian(basis.params),
                             prev.jacobian(basis.params), z, tau, beta)
-    got = valgrad.estimators._diagonal_step(pr, basis.eigvals, cur, prev, c, s, tau, beta)
+    diag = valgrad.estimators._step_multiplier(pr, basis.eigvals, c, tau, beta)
+    got = valgrad.estimators._diagonal_step(diag, cur, prev, c, s, tau, beta)
     assert got.a is cur.a and got.b is cur.b
     got = got.jacobian(basis.params)
     if case == "f3 D = 0":
@@ -490,7 +516,7 @@ def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monk
     # where some but not all coordinates are zeroed
     pr, u = instance(which, n=30, p=20, seed=5, cond=10.0)
     run = run_primal(pr, u, method, iterations=120)
-    residuals = pr.residual(np.array(run.points).T, u[:, None])
+    residuals = pr.residual(run.points.T, u[:, None])
     calls = []
     step = valgrad.estimators.sensitivity_step
     monkeypatch.setattr(valgrad.estimators, "sensitivity_step",
@@ -580,24 +606,9 @@ def test_dual_estimator_smooth_dual_all_solvers(method):
 @pytest.mark.parametrize("method", ["ista", "fista", "ipiasco", "pdhg"])
 def test_dual_estimator_huber_dual_solvers_agree(method):
     pr, u = instance(2, cond=2.0)
-    ref = dual_estimator(pr, u, SolverConfig(method="fista", iterations=20000,
-                                             record_trace=False))
-    est = dual_estimator(pr, u, SolverConfig(method=method, iterations=5000,
-                                             record_trace=False))
+    ref = dual_estimator(pr, u, SolverConfig(method="fista", iterations=20000))
+    est = dual_estimator(pr, u, SolverConfig(method=method, iterations=5000))
     np.testing.assert_allclose(est.final, ref.final, atol=1e-6)
-
-
-@pytest.mark.parametrize("which,method", [
-    (1, "gd"), (1, "heavy_ball"), (1, "cg"),
-    (2, "ista"), (2, "fista"), (2, "ipiasco"), (2, "pdhg"),
-])
-def test_dual_estimator_record_trace_off_keeps_only_final(which, method):
-    pr, u = instance(which, cond=2.0)
-    full = dual_estimator(pr, u, SolverConfig(method=method, iterations=500))
-    last = dual_estimator(pr, u, SolverConfig(method=method, iterations=500,
-                                              record_trace=False))
-    assert len(last.per_iteration) == 1
-    np.testing.assert_array_equal(last.final, full.final)
 
 
 @pytest.mark.parametrize("which,plain,inertial", [
@@ -610,8 +621,7 @@ def test_dual_estimator_explicit_zero_momentum(which, plain, inertial):
     ref = dual_estimator(pr, u, SolverConfig(method=plain, tau=tau, iterations=60))
     est = dual_estimator(pr, u, SolverConfig(method=inertial, tau=tau, beta=0.0,
                                              iterations=60))
-    np.testing.assert_array_equal(np.array(est.per_iteration),
-                                  np.array(ref.per_iteration))
+    np.testing.assert_array_equal(est.per_iteration, ref.per_iteration)
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4])
@@ -633,7 +643,7 @@ def test_dual_estimator_fista_matches_the_constant_momentum_loop(which):
         x = x_next
         want.append(x.copy())
     got = dual_estimator(pr, u, SolverConfig(method="fista", iterations=200))
-    assert np.array(got.per_iteration).tobytes() == np.array(want).tobytes()
+    assert got.per_iteration.tobytes() == np.array(want).tobytes()
 
 
 def test_dual_estimator_rejects_plain_gd_on_constrained_dual():
@@ -650,8 +660,7 @@ def test_estimator_consensus_smooth_problems():
         aug = automatic_estimator(pr, run, u).final
         ig = implicit_estimator(pr, run.final, u).final
         dm = "heavy_ball" if which == 1 else "fista"
-        dg = dual_estimator(pr, u, SolverConfig(method=dm, iterations=2000,
-                                                record_trace=False)).final
+        dg = dual_estimator(pr, u, SolverConfig(method=dm, iterations=2000)).final
         for other in (aug, ig, dg):
             np.testing.assert_allclose(ang, other, atol=1e-5)
 
@@ -687,8 +696,7 @@ def test_fd_oracle_truncation_order():
     # Huber loss gives a genuinely non-quadratic value function; with large
     # steps the O(eps^2) truncation term dominates the solver noise
     pr, u = instance(2, n=6, p=4, seed=5, cond=4.0)
-    ref = dual_estimator(pr, u, SolverConfig(method="fista", iterations=30000,
-                                             record_trace=False)).final
+    ref = dual_estimator(pr, u, SolverConfig(method="fista", iterations=30000)).final
     e1 = np.max(np.abs(fd_oracle(pr, u, eps=4e-2).final - ref))
     e2 = np.max(np.abs(fd_oracle(pr, u, eps=2e-2).final - ref))
     # central differences: halving eps divides the error by about 4
@@ -698,8 +706,7 @@ def test_fd_oracle_truncation_order():
 def test_fd_oracle_nonsmooth_problem_vs_dual():
     pr, u = instance(4, n=8, p=5, seed=6, cond=3.0)
     fd = fd_oracle(pr, u)
-    dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=20000,
-                                            record_trace=False))
+    dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=20000))
     np.testing.assert_allclose(fd.final, dg.final, atol=1e-4)
 
 

@@ -227,7 +227,9 @@ def test_read_csv_gives_back_the_series_emit_csv_wrote(tmp_path):
     (["ang,3,0.5,7", "ang,2,0.25,7"], "iterations are not consecutive"),
     (["ang,0,0.5,7", "ang,1,0.25,8"], "wall_ns varies"),
     (["ang,0,0.5,7", "dg,0,0.5,9", "ang,1,0.25,7"], "not in one run"),
-], ids=["gap", "backwards", "wall_ns", "split"])
+    (["ang,0,0.5,7", "ang,1,0.25,7,3"], "broken.csv:3: 8 fields, expected 7"),
+    (["ang,0,0.5", "ang,1,0.25,7"], "broken.csv:2: 6 fields, expected 7"),
+], ids=["gap", "backwards", "wall_ns", "split", "too-long", "too-short"])
 def test_read_csv_rejects_a_broken_series(rows, why, tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("problem,P,solver,estimator,iteration,error,wall_ns\n"

@@ -97,17 +97,6 @@ def test_ipiasco_matches_heavy_ball_with_identity_prox():
     np.testing.assert_allclose(hb.final, ip.final, atol=1e-12)
 
 
-def test_record_trace_off_keeps_only_last():
-    q, b, xstar, lips, m = quad(seed=7)
-    tr = prox_gradient(
-        lambda x: q @ x - b, None, np.zeros(6), optimal_gd_step(lips, m), 0.0, 30,
-        record_trace=False,
-    )
-    assert len(tr) == 1
-    full = prox_gradient(lambda x: q @ x - b, None, np.zeros(6), optimal_gd_step(lips, m), 0.0, 30)
-    np.testing.assert_allclose(tr.final, full.final)
-
-
 def test_pdhg_two_iterations_by_hand():
     # min_y (Ky)^2/2 + y^2/2 with K = 2, sigma = tau = 0.25, theta = 1
     k_op = lambda y: 2.0 * y

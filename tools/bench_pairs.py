@@ -12,8 +12,10 @@ directions come from the change tree's BENCHMARK.json.  Within a pair every
 workload runs once per side; the parent goes first in even pairs and the
 change first in odd ones.  Per workload and metric the file holds each
 side's median and quartiles (inclusive method), the pairs the change won and
-tied, and the ratio of the medians.  One traced seed-0 run per workload and
-side adds the per-layer metrics, under ``traced_seed0`` keyed by workload.
+tied, the ratio of the medians and a no-regression verdict against the
+metric's bound (``verdict``); every verdict other than ``ok`` is also
+printed to stderr.  One traced seed-0 run per workload and side adds the
+per-layer metrics, under ``traced_seed0`` keyed by workload.
 A run that fails or reports wrong output stops the tool with exit status 1
 and writes nothing.
 """
@@ -49,23 +51,42 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(par, chg, sign, bound):
+    """``worse`` if the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median; ``unresolved`` if the parent's
+    quartile distance exceeds that margin and not every change run beats
+    every parent run; ``ok`` otherwise.  ``sign`` is 1 where lower is
+    better and -1 where higher is."""
+    parent = spread(par)
+    margin = bound * abs(parent["median"])
+    if sign * (statistics.median(chg) - parent["median"]) > margin:
+        return "worse"
+    every_run_better = max(sign * c for c in chg) < min(sign * p for p in par)
+    if parent["q3"] - parent["q1"] > margin and not every_run_better:
+        return "unresolved"
+    return "ok"
+
+
 def summarize(runs, metrics):
-    """Per workload and metric: both sides' spread and the pair counts."""
+    """Per workload and metric: both sides' spread, the pair counts and the
+    verdict.  ``metrics`` maps each metric's name to its BENCHMARK.json
+    entry, which gives its direction (``better``) and its ``bound``."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         side = {s: [r for r in runs if r["workload"] == workload and r["side"] == s]
                 for s in ("parent", "change")}
         rows = out.setdefault(workload, {})
-        for name, better in metrics.items():
+        for name, spec in metrics.items():
             par = [r[name] for r in side["parent"]]
             chg = [r[name] for r in side["change"]]
-            sign = 1.0 if better == "lower" else -1.0
+            sign = 1.0 if spec["better"] == "lower" else -1.0
             rows[name] = {
                 "parent": spread(par),
                 "change": spread(chg),
                 "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(par, chg)),
                 "tied_pairs": sum(c == p for p, c in zip(par, chg)),
                 "change_over_parent": statistics.median(chg) / statistics.median(par),
+                "verdict": verdict(par, chg, sign, spec["bound"]),
             }
     return out
 
@@ -81,7 +102,7 @@ def main(argv=None):
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     runs, envs = [], {}
@@ -108,6 +129,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    workloads_summary = summarize(runs, metrics)
+    for workload, rows in workloads_summary.items():
+        for name, row in rows.items():
+            if row["verdict"] != "ok":
+                print(f"{workload} {name}: {row['verdict']}", file=sys.stderr)
     env = envs["change"]
     what = subprocess.run(["git", "log", "-1", "--format=%s"], cwd=trees["change"],
                           capture_output=True, text=True).stdout.strip()
@@ -125,7 +151,7 @@ def main(argv=None):
         "pairs": args.pairs,
         "order": "parent first in even pairs, change first in odd pairs; "
                  f"{' then '.join(workloads)} in each pair",
-        "workloads": summarize(runs, metrics),
+        "workloads": workloads_summary,
         "runs": runs,
         "traced_seed0": traced,
     }
