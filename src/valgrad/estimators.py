@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .funcs import NonsmoothError, SquaredNorm, soft_threshold
+from .funcs import NonsmoothError, soft_threshold
 from .problems import DualObjective, StructuredProblem, ToyProblem
 from .solvers import (
     SolverConfig,
@@ -80,8 +80,8 @@ def _step_multiplier(pr: StructuredProblem, eigvals, c: float, tau: float, beta:
     """The diagonal 1 + beta - tau c Lambda that multiplies J-hat in a
     sensitivity step, less tau lam for a smooth k, which belongs to f_s."""
     diag = 1.0 + beta - (tau * c) * eigvals
-    if pr.prox_part() is None:
-        diag -= tau * pr.k_modulus
+    if pr.k.prox_part is None:
+        diag -= tau * pr.k.modulus
     return diag
 
 
@@ -97,7 +97,7 @@ def sensitivity_step(
 
     where G = V^T (H_xx J + H_xu) is the Hessian term of the smooth part
     f_s and D the derivative of the objective's prox part at the z the
-    kernel yielded, the identity when ``pr.prox_part()`` is None.  The loss
+    kernel yielded, the identity when ``pr.k.prox_part`` is None.  The loss
     Hessian is c (I - v v^T), ``hess`` = (c, v) being ``h.hessian_factors``
     at the residual b - A x + u, so G = c (Lambda J-hat - params - w (w^T
     J-hat - v^T)) with w = params v, plus lam J-hat for a smooth k: a
@@ -106,7 +106,7 @@ def sensitivity_step(
     evaluated to classify the step.
     """
     eigvals, vecs, params = basis
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     c, v = hess
     out = _step_multiplier(pr, eigvals, c, tau, beta)[:, None] * jac
     out += (tau * c) * params
@@ -150,8 +150,9 @@ class PrimalRun:
     ``final`` a copy of its last row.  ``pre_prox`` is the K x N array of
     the kernel's pre-prox points z_k, from which ``sensitivities`` replays
     the Jacobian recursion and ``automatic_estimator`` derives the
-    regularizer's subgradient selections; it is None for a run made without
-    sensitivities.
+    regularizer's subgradient selections.  With the identity prox of gd and
+    heavy_ball every z_k is x_{k+1}, so it is the view ``points[1:]``; it is
+    None for a run made without sensitivities.
     """
 
     tau: float
@@ -183,7 +184,7 @@ def run_primal(
     With ``with_sensitivity`` the run keeps the pre-prox points, from which
     ``sensitivities`` replays the Jacobians; the run itself forms none.
     """
-    prox = prox_of(method, pr.prox_part())
+    prox = prox_of(method, pr.k.prox_part)
     u = np.asarray(u, dtype=float)
     tau, beta = step_policy(method, *pr.curvature(), tau, beta)
 
@@ -193,11 +194,14 @@ def run_primal(
         lambda x: pr.primal_smooth_grad(x, u), prox, x0, tau, beta, iterations
     )
     for _, z, x_next in steps:
-        if with_sensitivity:
+        if with_sensitivity and prox is not None:
             zs.append(z)
         xs.append(x_next)
-    pre_prox = np.array(zs).reshape(iterations, pr.n) if with_sensitivity else None
-    return PrimalRun(tau, beta, np.array(xs), pre_prox)
+    points = np.array(xs)
+    pre_prox = None
+    if with_sensitivity:
+        pre_prox = points[1:] if prox is None else np.array(zs).reshape(iterations, pr.n)
+    return PrimalRun(tau, beta, points, pre_prox)
 
 
 class Sensitivity(NamedTuple):
@@ -283,7 +287,7 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
         raise ValueError("run was produced without sensitivities")
     eigvals, params = basis.eigvals, basis.params
     tau, beta = run.tau, run.beta
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     zero, one = np.zeros(pr.n), np.ones(pr.n)
     cur = prev = Sensitivity(None, None, zero, zero, zero)
     step_c = diag = None  # the last diagonal step's c and multiplier
@@ -344,11 +348,11 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     res = _residual_series(pr, run.points, u)
     gu = pr.h.grad(res)
     gx = pr.c[:, None] - pr.a.T @ gu
-    if pr.prox_part() is not None:
+    if pr.k.prox_part is not None:
         gx[:, 0] += pr.k.subgradient_min_norm(run.points[0])
         gx[:, 1:] += ((run.pre_prox - run.points[1:]) / run.tau).T
     else:
-        gx += pr.k_modulus * run.points.T
+        gx += pr.k.modulus * run.points.T
     gx = basis.vecs.T @ gx
     est = np.empty((len(run.points), pr.p))
     start, block = 0, []
@@ -399,11 +403,7 @@ def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:
     u = np.asarray(u, dtype=float)
     hxx = pr.hess_xx(x, u)
     gu = pr.grad_u(x, u)
-    gx = pr.c - pr.a.T @ gu
-    if pr.prox_part() is not None:
-        gx = gx + pr.k.subgradient_min_norm(x)
-    else:
-        gx = gx + pr.k_modulus * x
+    gx = pr.c - pr.a.T @ gu + pr.k.subgradient_min_norm(x)
     try:
         low = np.linalg.cholesky(hxx)
     except np.linalg.LinAlgError as exc:
@@ -485,7 +485,7 @@ def _forward_backward(pr: StructuredProblem, x, par, tau: float):
     """T(x) = prox_{tau k}(x - tau grad f_s(x)), the prox-gradient step
     whose fixed points are the minimizers."""
     pre = x - tau * pr.primal_smooth_grad(x, par)
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     return pre if prox is None else prox.prox(tau, pre)
 
 
@@ -498,7 +498,7 @@ def _newton_step(pr: StructuredProblem, x, par, tau: float):
     forward sensitivities use); with a smooth k, F = tau grad f and the
     Jacobian is tau hess_xx (Stella, Themelis & Patrinos, 2017).
     """
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     pre = x - tau * pr.primal_smooth_grad(x, par)
     # F(x), column by column replaced by the Newton step J^{-1} F(x)
     delta = x - (pre if prox is None else prox.prox(tau, pre))
@@ -540,7 +540,7 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
     BLAS thread).
     """
     tau, beta = step_policy("fista", *pr.curvature())
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     points = np.array(x0, dtype=float)
     live = np.ones(points.shape[1], dtype=bool)  # columns not yet certified
     x = points
@@ -584,7 +584,7 @@ def _min_norm_subgradient(pr: StructuredProblem, x, u):
     x = 0; with a smooth k it is the gradient.
     """
     g = pr.primal_smooth_grad(x, u)
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     if prox is None:
         return g
     g = g + prox.lam * x
@@ -609,7 +609,7 @@ def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int
     ``max_iterations`` steps.
     """
     tau = 1.0 / pr.curvature()[0]
-    prox = pr.prox_part()
+    prox = pr.k.prox_part
     value = pr.primal_value(x, u)
     for steps in range(1, max_iterations + 1):
         y = _newton_step(pr, x[:, None], u[:, None], tau)[:, 0]
@@ -676,12 +676,12 @@ def oracle_primal_solve(
 
 
 def value_function(pr: StructuredProblem, u, warm=None, **kwargs):
-    """p(u), exactly for the fully quadratic problem, otherwise by an
-    oracle-grade solve; returns (value, minimizer, converged)."""
+    """p(u), exactly for a quadratic problem (``is_quadratic``), otherwise by
+    an oracle-grade solve; returns (value, minimizer, converged)."""
     u = np.asarray(u, dtype=float)
-    if isinstance(pr.h, SquaredNorm) and isinstance(pr.k, SquaredNorm):
+    if pr.is_quadratic():
         # Closed form up to the h scale: solve grad = 0 directly.
-        s, lam = pr.h.scale, pr.k.scale
+        s, lam = pr.h.modulus, pr.k.modulus
         rhs = s * pr.a.T @ (pr.b + u) - pr.c
         x = np.linalg.solve(s * pr.gram + lam * np.eye(pr.n), rhs)
         return pr.primal_value(x, u), x, True
@@ -699,8 +699,8 @@ def fd_oracle(
 ) -> GradientEstimate:
     """Central-difference gradient of the value function.
 
-    Coordinate i uses the step s_i = eps * (1 + |u_i|).  The fully
-    quadratic problem takes its closed form; otherwise the 2P perturbed
+    Coordinate i uses the step s_i = eps * (1 + |u_i|).  A quadratic
+    problem (``is_quadratic``) takes its closed form; otherwise the 2P perturbed
     problems at u +- s_i e_i are solved together by ``_certified_solve`` as
     the columns of one N x 2P block, every column starting from ``warm``,
     the minimizer at u (solved here when not given).
@@ -720,7 +720,7 @@ def fd_oracle(
     steps = eps * (1.0 + np.abs(u))
     # column i is u + s_i e_i, column P + i is u - s_i e_i
     params = u[:, None] + np.hstack([np.diag(steps), np.diag(-steps)])
-    if isinstance(pr.h, SquaredNorm) and isinstance(pr.k, SquaredNorm):
+    if pr.is_quadratic():
         vals = np.array([value_function(pr, col)[0] for col in params.T])
         flagged = False
     else:

@@ -50,7 +50,21 @@ class SmoothnessProfile:
 
 
 class ConvexFunction:
-    """Base interface; subclasses implement the pieces they support."""
+    """Base interface; subclasses implement the pieces they support.
+
+    As a regularizer k a function declares its quadratic ``modulus`` and its
+    ``prox_part`` (None if k is quadratic); as a loss h, ``conjugate_split()``
+    = (s, g) with h*(y) = s ||y||^2 / 2 + g(y), g the dual's prox part or None.
+    """
+
+    prox_part = None
+
+    @property
+    def modulus(self) -> float:
+        raise ValueError(f"{type(self).__name__} is not a supported regularizer")
+
+    def conjugate_split(self):
+        raise ValueError(f"{type(self).__name__} is not a supported loss for the dual")
 
     def value(self, z: np.ndarray) -> float:
         raise NotImplementedError
@@ -91,11 +105,20 @@ class SquaredNorm(ConvexFunction):
         """(c, v) with hessian(z) = c (I - v v^T); v is None, the Hessian is scale I."""
         return self.scale, None
 
+    subgradient_min_norm = grad
+
     def prox(self, tau, z):
         return np.asarray(z, dtype=float) / (1.0 + tau * self.scale)
 
     def conjugate(self):
         return SquaredNorm(1.0 / self.scale)
+
+    @property
+    def modulus(self):
+        return self.scale
+
+    def conjugate_split(self):
+        return 1.0 / self.scale, None
 
     def profile(self):
         return SmoothnessProfile(self.scale, self.scale, True)
@@ -149,6 +172,9 @@ class Huber(ConvexFunction):
 
     def conjugate(self):
         return SquaredNormBall(self.delta)
+
+    def conjugate_split(self):
+        return 1.0, BallIndicator(self.delta)
 
     def profile(self):
         return SmoothnessProfile(0.0, 1.0, True)
@@ -236,6 +262,15 @@ class ElasticNet(ConvexFunction):
 
     def conjugate(self):
         return ElasticNetConjugate(self.lam, self.gamma)
+
+    @property
+    def modulus(self):
+        return self.lam
+
+    @property
+    def prox_part(self):
+        """The elastic net itself when gamma > 0; at gamma = 0 it is quadratic."""
+        return self if self.gamma > 0 else None
 
     def profile(self):
         if self.gamma == 0.0:
@@ -329,6 +364,9 @@ class EuclideanNorm(ConvexFunction):
 
     def conjugate(self):
         return BallIndicator(self.scale)
+
+    def conjugate_split(self):
+        return 0.0, BallIndicator(self.scale)
 
     def profile(self):
         return SmoothnessProfile(0.0, np.inf, False)

@@ -136,7 +136,7 @@ def _method_for(prox_part, inertial: bool) -> str:
 
 def _primal_methods(pr, inertia: str):
     modes = {"off": (False,), "on": (True,), "both": (False, True)}[inertia]
-    return [_method_for(pr.prox_part(), inertial) for inertial in modes]
+    return [_method_for(pr.k.prox_part, inertial) for inertial in modes]
 
 
 def _dual_method(pr, u, primal_method: str) -> str:

@@ -6,7 +6,8 @@ objective for recovering the value-function gradient is
 
     y  ->  k*(A^T y - c + v) + h*(y) - <b + u, y>,
 
-assembled here together with its smooth/prox splitting.
+assembled here together with its smooth/prox splitting, which it reads from
+the functions' own declarations (:class:`valgrad.funcs.ConvexFunction`).
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funcs import (
-    BallIndicator,
-    ConvexFunction,
-    ElasticNet,
-    Huber,
-    SquaredNorm,
-)
+from .funcs import ConvexFunction, ElasticNet, Huber, SquaredNorm
 from .linalg import SpectralBounds, spectral_bounds
 
 
@@ -86,30 +81,19 @@ class StructuredProblem:
     def dual_objective(self, u) -> "DualObjective":
         return DualObjective(self, np.asarray(u, dtype=float))
 
+    def is_quadratic(self) -> bool:
+        """Neither k nor h* has a prox part: f(., u) and its dual are quadratic."""
+        return self.k.prox_part is None and self.h.conjugate_split()[1] is None
+
     # Smooth-part primal calculus used by solvers and estimators.  When the
-    # regularizer is a nonsmooth elastic net it is handled entirely by its
-    # prox, so the smooth part is <c, x> + h(b - A x + u) alone.
-
-    @property
-    def k_modulus(self) -> float:
-        """Quadratic modulus of the regularizer (its lam / scale)."""
-        if isinstance(self.k, SquaredNorm):
-            return self.k.scale
-        if isinstance(self.k, ElasticNet):
-            return self.k.lam
-        raise ValueError("unsupported regularizer")
-
-    def prox_part(self):
-        """Nonsmooth primal piece handled by a prox step, or None."""
-        if isinstance(self.k, ElasticNet) and self.k.gamma > 0:
-            return self.k
-        return None
+    # regularizer has a prox part it is handled entirely by its prox, so the
+    # smooth part is <c, x> + h(b - A x + u) alone.
 
     def primal_smooth_grad(self, x, u):
         c = self.c if np.ndim(x) == 1 else self.c[:, None]
         g = c - self.a.T @ self.h.grad(self.residual(x, u))
-        if self.prox_part() is None:
-            g = g + self.k_modulus * np.asarray(x, dtype=float)
+        if self.k.prox_part is None:
+            g = g + self.k.modulus * np.asarray(x, dtype=float)
         return g
 
     def grad_u(self, x, u):
@@ -141,7 +125,7 @@ class StructuredProblem:
 
     def hess_xx(self, x, u):
         """Smooth-surrogate Hessian A^T H_h A + lam I."""
-        return self.hess_xx_loss(x, u) + self.k_modulus * np.eye(self.n)
+        return self.hess_xx_loss(x, u) + self.k.modulus * np.eye(self.n)
 
     def hess_xu(self, x, u):
         """-A^T H_h = -c (A^T - w v^T)."""
@@ -160,28 +144,20 @@ class StructuredProblem:
         return self._bounds
 
     def curvature(self) -> tuple[float, float]:
-        """(L, m) of f(., u): L_h L_A + L_k and m_h m_p + m_k.
-
-        For elastic-net k the smooth modulus lam is used for L so the pair
-        stays finite; the l1 part adds no curvature.
-        """
+        """(L, m) of f(., u): L_h L_A + L_k and m_h m_p + m_k, with L_k = m_k
+        the regularizer's ``modulus``; an elastic net's l1 part adds none."""
         sb = self.bounds()
         hp = self.h.profile()
-        if isinstance(self.k, SquaredNorm):
-            mk = lk = self.k.scale
-        elif isinstance(self.k, ElasticNet):
-            mk = lk = self.k.lam
-        else:
-            raise ValueError("unsupported regularizer")
-        return hp.lips * sb.lmax_ata + lk, hp.m * sb.lmin_ata + mk
+        mk = self.k.modulus
+        return hp.lips * sb.lmax_ata + mk, hp.m * sb.lmin_ata + mk
 
 
 class DualObjective:
     """The assembled dual problem min_y k*(A^T y - c) + h*(y) - <b + u, y>.
 
-    Exposes the smooth/prox split used by first-order solvers: for smooth h
-    the whole objective is smooth; for Huber h the delta-ball indicator
-    inside h* is the prox part and everything else is smooth.
+    Exposes the smooth/prox split used by first-order solvers, with
+    h* = hstar_scale ||y||^2 / 2 + prox_part from ``h.conjugate_split()``:
+    for Huber or Euclidean-norm h the prox part is a ball indicator.
     """
 
     def __init__(self, problem: StructuredProblem, u):
@@ -190,14 +166,7 @@ class DualObjective:
         if self.u.shape != (problem.p,):
             raise ValueError("dimension mismatch")
         self.kconj = problem.k.conjugate()
-        if isinstance(problem.h, SquaredNorm):
-            self.hstar_scale = 1.0 / problem.h.scale
-            self.prox_part = None
-        elif isinstance(problem.h, Huber):
-            self.hstar_scale = 1.0
-            self.prox_part = BallIndicator(problem.h.delta)
-        else:
-            raise ValueError("unsupported loss for the dual objective")
+        self.hstar_scale, self.prox_part = problem.h.conjugate_split()
         # 0 - c, not -c, which would give the zero entries of c a sign
         self.shift = 0.0 - problem.c
         self.linear = problem.b + self.u
@@ -240,16 +209,13 @@ class DualObjective:
     def quadratic_form(self):
         """(Q, r) with the objective equal to y^T Q y / 2 - r^T y + const.
 
-        Only available when both pieces are quadratic (ridge loss and
-        ridge regularizer).
+        Only available for a quadratic problem (``is_quadratic``): then
+        k* is ||.||^2 / (2 lam) with lam the regularizer's ``modulus``.
         """
         pr = self.problem
-        if not (
-            isinstance(pr.h, SquaredNorm)
-            and isinstance(self.kconj, SquaredNorm)
-        ):
+        if not pr.is_quadratic():
             raise ValueError("dual objective is not quadratic")
-        s = self.kconj.scale  # 1 / lam
+        s = 1.0 / pr.k.modulus
         q = s * (pr.a @ pr.a.T) + self.hstar_scale * np.eye(pr.p)
         r = self.linear - s * (pr.a @ self.shift)
         return q, r

@@ -22,7 +22,7 @@ from valgrad.estimators import (
     sensitivity_step,
     value_function,
 )
-from valgrad.funcs import NonsmoothError
+from valgrad.funcs import NonsmoothError, SquaredNorm
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import (
     StructuredProblem,
@@ -139,7 +139,7 @@ def _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev):
     hh = pr.h.hessian(pr.residual(x, u))
     hxx_loss, hxu = pr.a.T @ hh @ pr.a, -pr.a.T @ hh
     if method in ("gd", "heavy_ball"):
-        hxx = hxx_loss + pr.k_modulus * np.eye(pr.n)
+        hxx = hxx_loss + pr.k.modulus * np.eye(pr.n)
         return jac - tau * (hxx @ jac + hxu) + beta * (jac - jac_prev)
     inner = jac - tau * (hxx_loss @ jac + hxu) + beta * (jac - jac_prev)
     z = x - tau * pr.primal_smooth_grad(x, u) + beta * (x - x_prev)
@@ -297,6 +297,19 @@ def test_run_primal_takes_its_prox_from_the_objective(which, method):
         run_primal(pr, u, method, iterations=3)
 
 
+@pytest.mark.parametrize("which, method, shared", [
+    (1, "gd", True), (1, "heavy_ball", True), (3, "ista", False), (3, "ipiasco", False),
+])
+def test_run_primal_shares_its_points_as_pre_prox_without_a_prox(which, method, shared):
+    # with the identity prox every pre-prox point z_k is the iterate x_{k+1}
+    pr, u = instance(which, n=8, p=5)
+    run = run_primal(pr, u, method, iterations=10)
+    assert np.shares_memory(run.pre_prox, run.points) == shared
+    assert run.pre_prox.shape == (10, pr.n)
+    if shared:
+        np.testing.assert_array_equal(run.pre_prox, run.points[1:])
+
+
 @pytest.mark.parametrize("method", ["gd", "heavy_ball"])
 def test_sensitivity_matches_fd_jacobian_on_a_smooth_elastic_net(method):
     # gamma = 0 leaves the elastic net no prox part: its ridge joins the
@@ -304,7 +317,7 @@ def test_sensitivity_matches_fd_jacobian_on_a_smooth_elastic_net(method):
     a, u = seeded_problem_data(8, 5, 3, 3.0)
     pr = make_experiment_problem(3, a, gamma=0.0)
     run = run_primal(pr, u, method, iterations=20)
-    assert pr.prox_part() is None
+    assert pr.k.prox_part is None
     np.testing.assert_allclose(_final_jacobian(pr, run, u), _fd_jacobian(pr, u, method, 20),
                                atol=1e-5)
 
@@ -333,8 +346,8 @@ def _per_iterate_estimates(pr, run, u):
     for i, (x, jac) in enumerate(zip(run.points, _jacobians(pr, run, u))):
         gu = pr.grad_u(x, u)
         gx = pr.c - pr.a.T @ gu
-        if pr.prox_part() is None:
-            gx = gx + pr.k_modulus * x
+        if pr.k.prox_part is None:
+            gx = gx + pr.k.modulus * x
         elif i == 0:
             gx = gx + pr.k.subgradient_min_norm(x)
         else:
@@ -402,7 +415,7 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
     step runs ``sensitivity_step`` on J-hat and J-hat_prev, built from the
     coefficients unless the step before was dense too.  This is the
     reference the replay along a stored run must match."""
-    prox = prox_of(method, pr.prox_part())
+    prox = prox_of(method, pr.k.prox_part)
     tau, beta = step_policy(method, *pr.curvature())
     steps = list(prox_gradient_steps(
         lambda x: pr.primal_smooth_grad(x, u), prox, np.zeros(pr.n), tau, beta, iterations
@@ -428,7 +441,7 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
         if v is None and np.all(d == d[0]):
             diag = 1.0 + beta - (tau * c) * eigvals
             if prox is None:
-                diag -= tau * pr.k_modulus
+                diag -= tau * pr.k.modulus
             new = []
             for x, x_prev, shift in zip(coeffs, coeffs_prev, (0.0, 0.0, tau * c)):
                 y = diag * x
@@ -490,8 +503,8 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     tau = 0.01
     z = np.sign(gen.standard_normal(pr.n)) * (1.0 + gen.random(pr.n))  # |z| > tau gamma
     c, v = pr.h.hessian_factors(r)
-    s = valgrad.estimators._uniform_prox_derivative(pr.prox_part(), tau, z)
-    want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k_modulus), "f3 D = 0": 0.0}.get(case, 1.0)
+    s = valgrad.estimators._uniform_prox_derivative(pr.k.prox_part, tau, z)
+    want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0}.get(case, 1.0)
     assert v is None and s == want_s
     basis = gram_basis(pr)
     cur, prev = _compact_pair(gen, pr.n, pr.p, dense)
@@ -644,6 +657,37 @@ def test_dual_estimator_fista_matches_the_constant_momentum_loop(which):
         want.append(x.copy())
     got = dual_estimator(pr, u, SolverConfig(method="fista", iterations=200))
     assert got.per_iteration.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("method", ["gd", "heavy_ball", "fista", "pdhg", "cg"])
+def test_dual_estimator_with_a_linear_term_and_an_offset(method):
+    # c != 0 enters the dual as shift = -c, b != 0 through linear = b + u;
+    # the exact gradient is b - A x* + u with (A^T A + 2 I) x* = A^T (b + u) - c
+    a, u = seeded_problem_data(8, 5, 6, 3.0)
+    gen = np.random.Generator(np.random.PCG64(6))
+    c, b = gen.standard_normal(8), gen.standard_normal(5)
+    pr = StructuredProblem(a=a, h=SquaredNorm(1.0), k=SquaredNorm(2.0), c=c, b=b)
+    xstar = np.linalg.solve(a.T @ a + 2.0 * np.eye(8), a.T @ (b + u) - c)
+    iterations = pr.p if method == "cg" else 3000
+    est = dual_estimator(pr, u, SolverConfig(method, iterations=iterations))
+    np.testing.assert_allclose(est.final, b - a @ xstar + u, atol=1e-10)
+
+
+def test_a_smooth_elastic_net_takes_the_closed_forms_of_the_ridge():
+    # at gamma = 0 neither k nor h* has a prox part, so f3 is quadratic and
+    # its oracles are f1's, bit for bit
+    a, u = seeded_problem_data(8, 5, 4, 3.0)
+    f1, f3 = (make_experiment_problem(which, a, gamma=0.0) for which in (1, 3))
+    assert f3.is_quadratic()
+    np.testing.assert_array_equal(fd_oracle(f3, u).per_iteration,
+                                  fd_oracle(f1, u).per_iteration)
+    val3, x3, ok3 = value_function(f3, u)
+    val1, x1, ok1 = value_function(f1, u)
+    assert ok3 and ok1 and val3 == val1
+    np.testing.assert_array_equal(x3, x1)
+    _, grad = closed_form_f1(a, 2.0, u)
+    est = dual_estimator(f3, u, SolverConfig("cg", iterations=f3.p))
+    np.testing.assert_allclose(est.final, grad, atol=1e-10)
 
 
 def test_dual_estimator_rejects_plain_gd_on_constrained_dual():

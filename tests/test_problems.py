@@ -3,7 +3,7 @@ import pytest
 
 import valgrad.problems
 from valgrad.estimators import gram_basis, sensitivity_step
-from valgrad.funcs import BallIndicator, ElasticNet, Huber, SquaredNorm
+from valgrad.funcs import BallIndicator, ElasticNet, EuclideanNorm, Huber, SquaredNorm
 from valgrad.linalg import seeded_problem_data, spectral_bounds
 from valgrad.problems import (
     DualObjective,
@@ -78,7 +78,7 @@ def test_smooth_grad_excludes_prox_part_for_elastic_net():
     # smooth part is the loss alone; the elastic net lives in the prox
     expected = pr.c - pr.a.T @ pr.h.grad(pr.residual(x, u))
     np.testing.assert_allclose(pr.primal_smooth_grad(x, u), expected)
-    assert pr.prox_part() is pr.k
+    assert pr.k.prox_part is pr.k
 
 
 def test_hessian_blocks_fd():
@@ -141,7 +141,7 @@ def test_structured_hessians_match_dense(which, radius):
     hxx_loss, hxu = dense_loss_blocks(pr, x, u)
     jac = np.random.Generator(np.random.PCG64(9)).standard_normal((pr.n, pr.p))
     assert_rel_close(pr.hess_xx_loss(x, u), hxx_loss, 1e-12)
-    assert_rel_close(pr.hess_xx(x, u), hxx_loss + pr.k_modulus * np.eye(pr.n), 1e-12)
+    assert_rel_close(pr.hess_xx(x, u), hxx_loss + pr.k.modulus * np.eye(pr.n), 1e-12)
     assert_rel_close(pr.hess_xu(x, u), hxu, 1e-12)
     # the eigenbasis sensitivity step at tau = 1 and beta = 0 with every
     # coordinate in the prox support carries the same Hessian blocks
@@ -150,8 +150,8 @@ def test_structured_hessians_match_dense(which, radius):
     hess = pr.h.hessian_factors(pr.residual(x, u))
     step = basis.vecs @ sensitivity_step(pr, basis, hess, basis.vecs.T @ jac, None, z, 1.0)
     want = jac - (hxx_loss @ jac + hxu)
-    if pr.prox_part() is None:
-        want -= pr.k_modulus * jac
+    if pr.k.prox_part is None:
+        want -= pr.k.modulus * jac
     else:
         want /= 1.0 + pr.k.lam
     assert_rel_close(step, want, 1e-12)
@@ -232,6 +232,19 @@ def test_dual_objective_split_for_huber_loss():
     # the full dual value adds the indicator
     y_out = np.ones(pr.p)
     assert np.isinf(dob.value(y_out))
+
+
+def test_dual_objective_split_is_declared_by_the_loss():
+    # the Euclidean-norm loss reaches the dual through its conjugate_split:
+    # h* is the radius-delta ball indicator with no quadratic part
+    a, u = seeded_problem_data(8, 5, 0, 3.0)
+    dob = StructuredProblem(a=a, h=EuclideanNorm(0.1), k=SquaredNorm(2.0)).dual_objective(u)
+    assert dob.hstar_scale == 0.0
+    assert dob.prox_part == BallIndicator(0.1)
+    with pytest.raises(ValueError, match="Huber"):
+        StructuredProblem(a=a, h=SquaredNorm(1.0), k=Huber(0.1)).curvature()
+    with pytest.raises(ValueError, match="ElasticNet"):
+        StructuredProblem(a=a, h=ElasticNet(1.0, 0.1), k=SquaredNorm(2.0)).dual_objective(u)
 
 
 def test_dual_quadratic_form_consistency():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from valgrad.estimators import dual_estimator
 from valgrad.funcs import ElasticNet
+from valgrad.linalg import seeded_problem_data
+from valgrad.problems import make_experiment_problem
 from valgrad.solvers import (
     NotSPDError,
     SolverConfig,
@@ -30,9 +33,17 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau=-0.1)
     with pytest.raises(ValueError):
+        SolverConfig(tau=0.0)
+    with pytest.raises(ValueError):
         SolverConfig(beta=1.0)
     with pytest.raises(ValueError):
         SolverConfig(iterations=-1)
+    # no iterations is a valid run: the estimate is the start point alone
+    a, u = seeded_problem_data(8, 5, 0, 3.0)
+    pr = make_experiment_problem(1, a)
+    for method in ("gd", "heavy_ball", "fista", "pdhg", "cg"):
+        est = dual_estimator(pr, u, SolverConfig(method, iterations=0))
+        np.testing.assert_array_equal(est.per_iteration, np.zeros((1, pr.p)))
 
 
 def test_gradient_descent_linear_convergence():
