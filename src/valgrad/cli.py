@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (experiment grid with CSV and SVG output), ``verify``
 (dual estimator against the finite-difference oracle), ``rates``
-(convergence-factor table) and ``toy`` (the three scalar counterexamples).
+(convergence-factor table) and ``toy`` (the three scalar counterexamples:
+each estimate's final value, the truth and the u each example ran at).
 A flat ``key = value`` config file can override any defaults.
 
 Exit codes: 0 success; 1 a failed verification or an aborted grid cell;
@@ -217,19 +218,14 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    rows = []
+    print(f"{'example':<22}{'analytic':>12}{'automatic':>12}{'implicit':>12}"
+          f"{'dual':>12}{'truth':>12}{'u':>12}")
     for kind in ToyProblem.KINDS:
         u = args.u if kind != "interval_quadratic" else min(args.u, 0.9)
         run = run_toy(ToyProblem(kind), u, iterations=args.iters)
-        _, _, dp = run.truth
-        rows.append(
-            (kind, run.analytic[-1], run.automatic[-1], run.implicit[-1],
-             run.dual[-1] if run.dual is not None else float("nan"), dp)
-        )
-    print(f"{'example':<22}{'analytic':>12}{'automatic':>12}{'implicit':>12}"
-          f"{'dual':>12}{'truth':>12}")
-    for kind, ang, aug, ig, dg, dp in rows:
-        print(f"{kind:<22}{ang:>12.6f}{aug:>12.6f}{ig:>12.6f}{dg:>12.6f}{dp:>12.6f}")
+        values = (run.analytic[-1], run.automatic[-1], run.implicit[-1], run.dual[-1],
+                  run.truth[2], u)
+        print(f"{kind:<22}" + "".join(f"{v:>12.6f}" for v in values))
     return 0
 
 

@@ -743,74 +743,47 @@ def fd_oracle(
 
 @dataclass
 class ToyRun:
-    x_trace: list
-    analytic: list
-    automatic: list
-    implicit: list
-    dual: list | None
+    """A scalar counterexample run: the primal iterates, each estimator at
+    them and the dual iterates, one array entry per iterate; ``truth`` is
+    the problem's ``ground_truth``."""
+
+    x_trace: np.ndarray
+    analytic: np.ndarray
+    automatic: np.ndarray
+    implicit: np.ndarray
+    dual: np.ndarray
     truth: tuple
 
 
 def run_toy(
     toy: ToyProblem, u: float, tau: float = 0.05, iterations: int = 200, x0=None
 ) -> ToyRun:
-    """Run the matching scalar scheme and evaluate the estimators per iterate.
+    """Run a scalar counterexample on the shared kernel, with per-iterate estimates.
 
-    The constrained examples use projected gradient; the projection
-    derivative (1 when the clamp is active) is propagated into the forward
-    sensitivity.  Where the parameter-partial is a nontrivial cone the zero
-    subgradient is selected, which is exactly the analytic/implicit failure
-    the examples exhibit.
+    The primal is ``prox_gradient_steps`` with the clamp onto the box of
+    ``toy.primal(u)`` as its prox, from its start or from a fixed ``x0``.
+    The sensitivity J = dx/du starts at dx0/du and steps J+ = D (1 - tau
+    f_s''(x)) J + (1 - D) dbound/du; D, the clamp's derivative at the
+    pre-prox point z, is 0 at a bound (ties too, as for the elastic-net
+    prox) and 1 inside.  Analytic is df_s/du, automatic f_s'(x) J + df_s/du,
+    and implicit equals analytic as d^2 f_s/dx du = 0: both take the
+    indicator's zero u-subgradient, the failure the examples exhibit.  The
+    dual estimates are ``prox_gradient``'s iterates on ``toy.dual(u)``.
     """
     truth = toy.ground_truth(u)
-    if toy.kind == "exp_lower_bound":
-        x = u + 1.0 if x0 is None else float(x0)
-        jac = 0.0
-        xs, ang, aug, ig = [x], [0.0], [jac * np.exp(x)], [0.0]
-        for _ in range(iterations):
-            xg = x - tau * np.exp(x)
-            if xg <= u:
-                x, jac = u, 1.0
-            else:
-                jac = (1.0 - tau * np.exp(x)) * jac
-                x = xg
-            xs.append(x)
-            ang.append(0.0)
-            aug.append(jac * np.exp(x))
-            ig.append(0.0)
-        return ToyRun(xs, ang, aug, ig, None, truth)
-
-    if toy.kind == "interval_quadratic":
-        a, b = toy.qa, toy.qb
-        x = 0.0 if x0 is None else float(x0)
-        jac = 0.0
-        xs, ang, aug, ig = [x], [0.0], [jac * a * (a * x - b)], [0.0]
-        for _ in range(iterations):
-            xg = x - tau * a * (a * x - b)
-            if xg >= u:
-                x, jac = u, 1.0
-            elif xg <= -u:
-                x, jac = -u, -1.0
-            else:
-                jac = (1.0 - tau * a * a) * jac
-                x = xg
-            xs.append(x)
-            ang.append(0.0)
-            aug.append(jac * a * (a * x - b))
-            ig.append(0.0)
-        return ToyRun(xs, ang, aug, ig, None, truth)
-
-    # No minimizer: plain gradient descent on exp(x) diverges downward while
-    # the dual problem min_y y^2/2 - u y converges to u.
-    x = 0.0 if x0 is None else float(x0)
-    xs = [x]
-    for _ in range(iterations):
-        x = x - tau * np.exp(x)
-        xs.append(x)
-    y = 0.0
-    dg = [y]
-    for _ in range(iterations):
-        y = y - 0.5 * (y - u)
-        dg.append(y)
-    grad_at_cap = [np.exp(xk) for xk in xs]  # analytic values at the capped iterates
-    return ToyRun(xs, grad_at_cap, grad_at_cap, grad_at_cap, dg, truth)
+    (lo, hi), (dlo, dhi), start = toy.primal(u)
+    x0, jac = start if x0 is None else (float(x0), 0.0)
+    rows = [(x0, jac)]
+    steps = prox_gradient_steps(
+        lambda x: toy.smooth(x, u)[0], lambda _, z: np.clip(z, lo, hi), x0, tau, 0.0, iterations
+    )
+    for x, z, x_next in steps:
+        inside = lo < z < hi  # D = 1
+        jac = (1.0 - tau * toy.smooth(x, u)[1]) * jac if inside else (dlo if z <= lo else dhi)
+        rows.append((x_next, jac))
+    points, jacs = np.array(rows, dtype=float).T
+    grad, _, du = toy.smooth(points, u)
+    analytic = np.full_like(points, du)
+    grad_d, (lo_d, hi_d), y0, tau_d = toy.dual(u)
+    dual = prox_gradient(grad_d, lambda _, y: np.clip(y, lo_d, hi_d), y0, tau_d, 0.0, iterations)
+    return ToyRun(points, analytic, jacs * grad + du, analytic.copy(), dual.points, truth)

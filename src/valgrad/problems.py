@@ -256,6 +256,11 @@ class ToyProblem:
     kind "exp_lower_bound":   f(x, u) = exp(x) + indicator(x >= u)
     kind "interval_quadratic": f(x, u) = (a x - b)^2 / 2 + indicator(|x| <= u)
     kind "no_minimizer":       f(x, u) = exp(x) + u^2 / 2
+
+    Each f is a smooth part f_s plus the indicator of a box, the whole line
+    for "no_minimizer".  Each dual min_y g(y, u), whose minimizer is p'(u),
+    is over a box too: g = y log y - y - u y over y >= 0, y^2 / (2 a^2) +
+    (|b/a| - u) y over -|ab| <= y <= 0, and y^2 / 2 - u y over the line.
     """
 
     kind: str
@@ -282,3 +287,29 @@ class ToyProblem:
             resid = self.qa * xstar - self.qb
             return xstar, 0.5 * resid * resid, self.qa * np.sign(self.qb / self.qa) * resid
         return None, 0.5 * u * u, u
+
+    def smooth(self, x, u):
+        """(f_s'(x), f_s''(x), df_s/du) at (x, u).  Only "no_minimizer" has
+        u in f_s, as u^2 / 2, so d^2 f_s / dx du = 0 for every kind."""
+        if self.kind == "interval_quadratic":
+            return self.qa * (self.qa * x - self.qb), self.qa * self.qa, 0.0
+        return np.exp(x), np.exp(x), (u if self.kind == "no_minimizer" else 0.0)
+
+    def primal(self, u):
+        """At u: the constraint box (lo, hi), its derivative (dlo/du, dhi/du)
+        and the default start (x0, dx0/du)."""
+        if self.kind == "exp_lower_bound":
+            return (u, np.inf), (1.0, 0.0), (u + 1.0, 1.0)
+        if self.kind == "interval_quadratic":
+            return (-u, u), (-1.0, 1.0), (0.0, 0.0)
+        return (-np.inf, np.inf), (0.0, 0.0), (0.0, 0.0)
+
+    def dual(self, u):
+        """(grad g, box, y0, tau): projected gradient on the dual at u, from
+        y0 with step tau, converges to p'(u) for u > 0."""
+        if self.kind == "exp_lower_bound":
+            return (lambda y: np.log(y) - u), (0.0, np.inf), 1.0, 0.5
+        if self.kind == "interval_quadratic":
+            a2, ratio = self.qa * self.qa, abs(self.qb / self.qa)
+            return (lambda y: y / a2 + ratio - u), (-abs(self.qa * self.qb), 0.0), 0.0, a2
+        return (lambda y: y - u), (-np.inf, np.inf), 0.0, 0.5

@@ -294,12 +294,11 @@ def rate_report(pr: StructuredProblem) -> RateReport:
     dob = pr.dual_objective(np.zeros(pr.p))
     lips_d, m_d = dob.curvature()
     sc_prox = 0.0  # the dual prox part (ball indicator) carries no curvature
-    tau = 2.0 / (lips_d + m_d) if np.isfinite(lips_d) else None
-    if tau is None:
+    if np.isfinite(lips_d):
+        om1, om2 = proximal_rates(m_d, sc_prox, 1.0 / lips_d)
+    else:
         una = RateUnavailable("dual smooth part not Lipschitz")
         om1, om2 = una, una
-    else:
-        om1, om2 = proximal_rates(m_d, sc_prox, 1.0 / lips_d)
     sb = pr.bounds()
     op_norm = float(np.sqrt(sb.lmax_ata)) if sb.lmax_ata > 0 else 1.0
     kp = pr.k.profile()

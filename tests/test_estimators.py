@@ -754,6 +754,27 @@ def test_fd_oracle_nonsmooth_problem_vs_dual():
     np.testing.assert_allclose(fd.final, dg.final, atol=1e-4)
 
 
+def test_fd_oracle_freeze_threshold_scales_with_m(monkeypatch):
+    # column i freezes once |z - x+| <= sqrt(tol m s_i) / L, which keeps its
+    # value error 2|G|^2/m within tol s_i; here m = 2 tells tol m from tol / m
+    pr, u = instance(3, n=12, p=8, seed=4, cond=5.0)
+    lips, m = pr.curvature()
+    assert m == 2.0
+    limits = []
+    solve = valgrad.estimators._certified_solve
+
+    def spy(pr, params, x0, limit, max_iterations):
+        limits.append(limit)
+        return solve(pr, params, x0, limit, max_iterations)
+
+    monkeypatch.setattr(valgrad.estimators, "_certified_solve", spy)
+    tol, eps = 1e-6, 1e-5
+    fd_oracle(pr, u, eps=eps, tol=tol, warm=np.zeros(pr.n))
+    steps = np.tile(eps * (1.0 + np.abs(u)), 2)
+    [limit] = limits
+    np.testing.assert_allclose((lips * limit) ** 2 / steps, tol * m, rtol=1e-12)
+
+
 @pytest.mark.parametrize("which", [2, 3, 4])
 def test_fd_oracle_within_tol_whatever_the_warm_start(which):
     # tol bounds the solver part of the difference-quotient error, so a
@@ -889,3 +910,47 @@ def test_toy_no_minimizer():
     xs = run.x_trace
     assert all(b < a for a, b in zip(xs, xs[1:]))
     assert run.dual[-1] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_toy_no_minimizer_estimates_are_u():
+    # f = exp(x) + u^2/2: df/du = u at every x and x_k does not depend on u
+    run = run_toy(ToyProblem("no_minimizer"), 0.5)
+    for est in (run.analytic, run.automatic, run.implicit):
+        np.testing.assert_array_equal(est, np.full(201, 0.5))
+
+
+@pytest.mark.parametrize("toy, u", [
+    (ToyProblem("exp_lower_bound"), 0.4),
+    (ToyProblem("exp_lower_bound"), 1.5),
+    (ToyProblem("interval_quadratic", qa=1.0, qb=1.0), 0.5),
+    (ToyProblem("interval_quadratic", qa=1.5, qb=1.0), 0.3),
+    (ToyProblem("interval_quadratic", qa=1.5, qb=-1.0), 0.3),
+    (ToyProblem("interval_quadratic", qa=-2.0, qb=1.0), 0.3),
+    (ToyProblem("no_minimizer"), 2.0),
+])
+def test_toy_dual_reaches_the_truth(toy, u):
+    run = run_toy(toy, u, iterations=400)
+    assert abs(run.dual[-1] - run.truth[2]) <= 1e-8
+
+
+def test_toy_sensitivity_takes_the_clamped_side_at_a_tie():
+    # from x0 = -2 with tau = 1/2 the first pre-prox point is exactly -u:
+    # the tie counts as clamped, so J_1 = d(-u)/du = -1 (the left derivative)
+    run = run_toy(ToyProblem("interval_quadratic"), 0.5, tau=0.5, iterations=1, x0=-2.0)
+    assert run.x_trace[1] == -0.5
+    assert run.automatic[1] == -1.0 * (-0.5 - 1.0)
+
+
+@pytest.mark.parametrize("toy, u, x0, grad", [
+    # the default start u + 1 moves with u, so its sensitivity starts at 1
+    (ToyProblem("exp_lower_bound"), 0.4, None, np.exp),
+    # from -5 the iterates clamp at -u first, then move inside the box
+    (ToyProblem("interval_quadratic", qa=1.0, qb=1.0), 0.5, -5.0, lambda x: x - 1.0),
+])
+def test_toy_sensitivity_matches_central_difference_of_iterates(toy, u, x0, grad):
+    h = 1e-6
+    run = run_toy(toy, u, x0=x0)
+    jac = run.automatic / grad(run.x_trace)  # automatic is f_s'(x_k) J_k here
+    fd = (run_toy(toy, u + h, x0=x0).x_trace - run_toy(toy, u - h, x0=x0).x_trace) / (2.0 * h)
+    assert np.any(jac != jac[-1])  # a transient, not only the clamped tail
+    np.testing.assert_allclose(jac, fd, atol=1e-6)

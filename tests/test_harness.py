@@ -372,6 +372,17 @@ def test_cli_toy_output(capsys):
     cols = line.split()
     assert float(cols[1]) == 0.0
     assert float(cols[5]) == pytest.approx(np.exp(0.5), abs=1e-4)
+    # every example prints a finite dual estimate near its truth, and the u
+    # it ran at: example 2 needs u < |b/a| = 1, so it runs at most at 0.9
+    for u, used in ((0.5, [0.5, 0.5, 0.5]), (2.0, [2.0, 0.9, 2.0])):
+        assert main(["toy", "--u", str(u)]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["exp_lower_bound", "interval_quadratic",
+                                        "no_minimizer"]
+        for r in rows:
+            assert np.isfinite(float(r[4]))
+            assert float(r[4]) == pytest.approx(float(r[5]), abs=1e-4)
+        assert [float(r[6]) for r in rows] == used
 
 
 def test_cli_run_small_grid(tmp_path, capsys):

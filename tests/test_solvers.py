@@ -169,6 +169,12 @@ def test_cg_reports_whether_its_stopping_test_passed():
     assert not conjugate_gradient(q, b, np.zeros(8), 2, tol=1e-10).converged
     # with no step allowed, a start that already passes the test counts
     assert conjugate_gradient(q, b, np.linalg.solve(q, b), 0, tol=1e-8).converged
+    # on Q = I one step leaves an exactly zero residual, which passes tol = 0
+    b = np.array([1.0, -2.0, 3.0])
+    tr = conjugate_gradient(np.eye(3), b, np.zeros(3), 5, tol=0.0)
+    assert tr.converged and len(tr) == 2
+    np.testing.assert_array_equal(tr.final, b)
+    assert not conjugate_gradient(np.eye(3), b, np.zeros(3), 0, tol=0.0).converged
 
 
 def test_cg_raises_on_indefinite():
