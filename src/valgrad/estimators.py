@@ -207,19 +207,41 @@ def run_primal(
 class Sensitivity(NamedTuple):
     """One iterate sensitivity in compact form:
 
-        J-hat_k = diag(p) a + diag(q) b + diag(r) params,
+        J-hat_k = diag(p) a + diag(q) b + diag(r) params + U T^T,
 
-    with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step j (both
-    None before the first one) and params = V^T A^T from ``gram_basis``.
-    A dense step yields (p, q, r) = (1, 0, 0); diagonal steps after it
-    update only the N-vectors p, q and r.
+    with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step or fold j
+    (both None before the first one), params = V^T A^T from ``gram_basis``,
+    and U T^T = sum_i u_i t_i^T.  ``coef`` stacks the N-vectors p, q, r and
+    u_1, ..., u_m as the rows of one (3 + m) x N array, and ``ts`` the
+    P-vectors t_1, ..., t_m as those of an m x P one.  A dense step or a
+    fold yields (p, q, r) = (1, 0, 0) and no columns; the steps after it
+    update every row of ``coef``, and a rank-1 step also appends one pair
+    (u_i, t_i).  ``coef`` is fresh at every step, while ``ts`` is a view of
+    one buffer that the steps sharing (a, b) fill row by row, each row
+    written once.
     """
 
     a: np.ndarray | None
     b: np.ndarray | None
-    p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
+    coef: np.ndarray
+    ts: np.ndarray
+
+    @property
+    def p(self):
+        return self.coef[0]
+
+    @property
+    def q(self):
+        return self.coef[1]
+
+    @property
+    def r(self):
+        return self.coef[2]
+
+    @property
+    def us(self):
+        """The m x N array of the u_i."""
+        return self.coef[3:]
 
     def jacobian(self, params):
         """J-hat_k as a fresh N x P array."""
@@ -227,7 +249,23 @@ class Sensitivity(NamedTuple):
         if self.a is not None:
             jac += self.p[:, None] * self.a
             jac += self.q[:, None] * self.b
+        if len(self.ts):
+            jac += self.us.T @ self.ts
         return jac
+
+    def transpose_dot(self, params, w):
+        """J-hat_k^T w for an N-vector w without forming J-hat_k: one GEMV
+        per N x P block (none on b while q is zero, as it stays without
+        momentum), and two on the columns."""
+        pw, qw, rw = self.coef[:3] * w
+        out = np.dot(rw, params)
+        if self.a is not None:
+            out += np.dot(pw, self.a)
+            if np.count_nonzero(qw):
+                out += np.dot(qw, self.b)
+        if len(self.ts):
+            out += np.dot(np.dot(self.us, w), self.ts)
+        return out
 
 
 def _uniform_prox_derivative(prox, tau: float, z):
@@ -239,27 +277,52 @@ def _uniform_prox_derivative(prox, tau: float, z):
     return d[0] if d.min() == d.max() else None
 
 
-def _diagonal_step(diag, cur: Sensitivity, prev: Sensitivity,
-                   c: float, s: float, tau: float, beta: float) -> Sensitivity:
+def _diagonal_step(diag, cur: Sensitivity, prev: Sensitivity, c: float, s: float,
+                   tau: float, beta: float, column=None) -> Sensitivity:
     """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev) of
     ``sensitivities`` for a loss Hessian c I and a prox derivative s I, on
-    the compact forms of J-hat and J-hat_prev: O(N), with fresh
-    coefficients.  ``diag`` is the ``_step_multiplier`` of c, tau and beta,
-    which it does not modify."""
+    the compact forms of J-hat and J-hat_prev: every row of ``coef`` steps
+    alike, r also takes the shift s tau c, and the t_i stay.  O(N (m + 3))
+    for m columns, into a fresh ``coef``; J-hat_prev has at most the
+    columns of J-hat.  ``column``, a pair (u, ts), appends u to the stepped
+    rows and takes ts as the t_i: the new pair of a rank-1 step.  ``diag``
+    is the ``_step_multiplier`` of c, tau and beta, which it does not
+    modify."""
+    if column is None:
+        coef = stepped = diag * cur.coef
+    else:
+        coef = np.empty((len(cur.coef) + 1, diag.size))
+        stepped = np.multiply(diag, cur.coef, out=coef[:-1])
+    stepped[2] += tau * c
+    if beta:
+        coef[:len(prev.coef)] -= beta * prev.coef
+    if s != 1.0:
+        stepped *= s
+    if column is None:
+        return Sensitivity(cur.a, cur.b, coef, cur.ts)
+    u, ts = column
+    coef[-1] = u
+    return Sensitivity(cur.a, cur.b, coef, ts)
 
-    def update(x, x_prev, shift=0.0):
-        out = diag * x
-        if shift:
-            out += shift
-        if beta:
-            out -= beta * x_prev
-        out *= s
-        return out
 
-    r = update(cur.r, prev.r, tau * c)
-    if cur.a is None:  # p and q stay zero before the first dense step
-        return cur._replace(r=r)
-    return cur._replace(p=update(cur.p, prev.p), q=update(cur.q, prev.q), r=r)
+def _rank_one_step(diag, cur: Sensitivity, prev: Sensitivity, hess, s: float,
+                   tau: float, beta: float, params, ts) -> Sensitivity:
+    """The step of ``sensitivities`` for a loss Hessian c (I - v v^T),
+    ``hess`` = (c, v), and a prox derivative s I: ``_diagonal_step`` and
+    the new pair (s tau c w, J-hat^T w - v), w = params v, with J-hat^T w
+    from the compact form (``Sensitivity.transpose_dot``).  The new t_i is
+    written to row m of the buffer ``ts``, m being the columns of J-hat."""
+    c, v = hess
+    m = len(cur.ts)
+    w = np.dot(params, v)
+    np.subtract(cur.transpose_dot(params, w), v, out=ts[m])
+    return _diagonal_step(diag, cur, prev, c, s, tau, beta, ((s * tau * c) * w, ts[:m + 1]))
+
+
+def _require_sensitivities(run: PrimalRun):
+    """Raise ``ValueError`` for a run made without sensitivities."""
+    if run.pre_prox is None:
+        raise ValueError("run was produced without sensitivities")
 
 
 def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, residuals):
@@ -271,42 +334,71 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
     Evaluating Derivatives, 2008): J-hat_0 = 0, then one step per pre-prox
     point z_k of the run, with its loss Hessian c (I - v v^T) taken at
     column k of ``residuals``, the P x (K+1) block b - A x_k + u of the
-    run's iterates.  A step is diagonal when v is None and the prox
-    derivative is s I (``_uniform_prox_derivative``): the step map is then
-    the diagonal s (1 + beta - tau c Lambda [- tau lam]) plus the shift
-    s tau c params, so it updates p, q and r in O(N).  Any other step is
-    dense: ``sensitivity_step`` on J-hat_k and J-hat_{k-1}, built from the
-    compact form only if a diagonal step ran since the last dense one.  A
-    diagonal step reuses the previous one's multiplier while c is unchanged,
-    as on every step of a squared-norm loss.  Only J-hat_k and J-hat_{k-1}
-    are kept; every yielded array is fresh or shared with earlier yields,
-    and never modified.  Raises ``ValueError`` for a run made without
-    sensitivities.
+    run's iterates.  Where the prox derivative is s I
+    (``_uniform_prox_derivative``) the step map is the diagonal
+    s (1 + beta - tau c Lambda [- tau lam]) plus the shift s tau c params,
+    and for v not None the rank-1 term s tau c w (w^T J-hat - v^T), with
+    w = params v.  A diagonal step (v None) updates the compact form in
+    O(N m) for m columns (``_diagonal_step``), reusing the previous one's
+    multiplier while c is unchanged, as on every step of a squared-norm
+    loss.  A rank-1 step does the same and appends the pair
+    (s tau c w, J-hat_k^T w - v), with J-hat_k^T w taken from the compact
+    form (``Sensitivity.transpose_dot``): O(NP) in GEMV reads and no N x P
+    write.  A rank-1 step that brings the columns to m = NP // (N + P),
+    where one more would make them hold more numbers than one Jacobian,
+    folds them: its J-hat and the one before are built, as before a dense
+    step, and become the dense pair.  Any other step (a prox derivative
+    with two values) is dense: ``sensitivity_step`` on J-hat_k and
+    J-hat_{k-1}, built from the compact form unless the last step was
+    dense or a fold.  Only J-hat_k and J-hat_{k-1} are kept; every yielded
+    array is fresh or shared with earlier yields, and never modified.
+    Raises ``ValueError`` for a run made without sensitivities.
     """
-    if run.pre_prox is None:
-        raise ValueError("run was produced without sensitivities")
+    _require_sensitivities(run)
     eigvals, params = basis.eigvals, basis.params
     tau, beta = run.tau, run.beta
     prox = pr.k.prox_part
-    zero, one = np.zeros(pr.n), np.ones(pr.n)
-    cur = prev = Sensitivity(None, None, zero, zero, zero)
+    no_ts = np.zeros((0, pr.p))
+    opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step or a fold
+    opened[0] = 1.0
+    opened_prev = opened[[1, 0, 2]]  # (0, 1, 0) for the step before it
+    cap = pr.n * pr.p // (pr.n + pr.p)
+
+    def dense_pair(cur, prev):
+        """(J-hat_k, J-hat_{k-1}) as arrays."""
+        if cur.coef is opened:  # the last step was dense or a fold
+            return cur.a, cur.b
+        return cur.jacobian(params), prev.jacobian(params)
+
+    def compact_pair(jac, jac_prev):
+        return (Sensitivity(jac, jac_prev, opened, no_ts),
+                Sensitivity(jac, jac_prev, opened_prev, no_ts))
+
+    cur = prev = Sensitivity(None, None, np.zeros((3, pr.n)), no_ts)
     step_c = diag = None  # the last diagonal step's c and multiplier
+    ts = None  # the buffer of t_i of the current pair (a, b)
     yield cur
     for r, z in zip(residuals.T, run.pre_prox):
         c, v = pr.h.hessian_factors(r)
-        s = _uniform_prox_derivative(prox, tau, z) if v is None else None
+        s = _uniform_prox_derivative(prox, tau, z)
         if s is None:
-            if cur.p is one:  # the last step was dense: J-hat_k = a, J-hat_{k-1} = b
-                jac, jac_prev = cur.a, cur.b
-            else:
-                jac, jac_prev = cur.jacobian(params), prev.jacobian(params)
+            jac, jac_prev = dense_pair(cur, prev)
             new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, z, tau, beta)
-            cur, prev = (Sensitivity(new, jac, one, zero, zero),
-                         Sensitivity(new, jac, zero, one, zero))
+            cur, prev = compact_pair(new, jac)
+            ts = None
         else:
             if c != step_c:
                 step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
-            cur, prev = _diagonal_step(diag, cur, prev, c, s, tau, beta), cur
+            if v is None:
+                cur, prev = _diagonal_step(diag, cur, prev, c, s, tau, beta), cur
+            else:
+                if ts is None:
+                    ts = np.empty((max(cap, 1), pr.p))
+                cur, prev = _rank_one_step(diag, cur, prev, (c, v), s, tau, beta,
+                                           params, ts), cur
+                if len(cur.ts) >= cap:  # fold the columns into the dense pair
+                    cur, prev = compact_pair(*dense_pair(cur, prev))
+                    ts = None
         yield cur
 
 
@@ -331,19 +423,20 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
 
     The sensitivities stream from ``sensitivities`` in the eigenbasis of
     A^T A, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.  The yields
-    sharing one dense pair (a, b) form a run: its dense step's estimate
-    takes one product as before, its diagonal steps' three for the whole
-    run (``_run_estimates``), and its coefficient blocks are freed when
-    the run ends.  The basis (``gram_basis``) is taken once per call and
-    freed with it.  The residual block of the whole series is formed once:
-    it gives grad_u f and every step's loss Hessian.  For elastic-net
-    problems the regularizer subgradient is the prox optimality selection,
-    the minimum-norm subgradient at x(0) and (z(k-1) - x(k)) / tau from the
+    sharing one dense pair (a, b) form a run: its opening dense step or
+    fold takes one product as before, and the other steps take three for
+    the whole run, plus one for its columns (``_run_estimates``).  Each
+    step's U^T g is taken as it streams, so a run holds its coefficient
+    vectors and the t_i, not every step's U; its blocks are freed when it
+    ends.  The basis (``gram_basis``) is taken once per call and freed with
+    it.  The residual block of the whole series is formed once: it gives
+    grad_u f and every step's loss Hessian.  For elastic-net problems the
+    regularizer subgradient is the prox optimality selection, the
+    minimum-norm subgradient at x(0) and (z(k-1) - x(k)) / tau from the
     run's pre-prox points after it.  The estimates fill one (K+1) x P
     block.  Raises ``ValueError`` for a run made without sensitivities.
     """
-    if run.pre_prox is None:
-        raise ValueError("run was produced without sensitivities")
+    _require_sensitivities(run)
     basis = gram_basis(pr)
     res = _residual_series(pr, run.points, u)
     gu = pr.h.grad(res)
@@ -355,24 +448,29 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
         gx += pr.k.modulus * run.points.T
     gx = basis.vecs.T @ gx
     est = np.empty((len(run.points), pr.p))
-    start, block = 0, []
-    for sens in sensitivities(pr, run, basis, res):
+    start, block, coefs = 0, [], []
+    for k, sens in enumerate(sensitivities(pr, run, basis, res)):
         if block and sens.a is not block[0].a:
-            _run_estimates(est, basis.params, block, gx, gu, start)
-            start, block = start + len(block), []
+            _run_estimates(est, basis.params, block, coefs, gx, gu, start)
+            start, block, coefs = start + len(block), [], []
+        if len(sens.ts):  # keep U^T g and (p, q, r), not U
+            coefs.append(np.dot(sens.us, gx[:, k]))
+            sens = Sensitivity(sens.a, sens.b, sens.coef[:3].copy(), sens.ts)
         block.append(sens)
-    _run_estimates(est, basis.params, block, gx, gu, start)
+    _run_estimates(est, basis.params, block, coefs, gx, gu, start)
     return GradientEstimate("automatic", est)
 
 
-def _run_estimates(out, params, block, gx, gu, start: int):
+def _run_estimates(out, params, block, coefs, gx, gu, start: int):
     """Write g2 at the iterates start, start + 1, ... of the run ``block``
     of sensitivities sharing one pair (a, b) into those rows of ``out``.  A
-    run with a pair opens with the dense step's J-hat = a, whose estimate
-    is a^T g + grad_u f; the diagonal steps after it take
-    a^T (P o G) + b^T (Q o G) + params^T (R o G) + grad_u f, with P, Q, R
-    their coefficient vectors side by side and G their columns of
-    V^T grad_x f."""
+    run with a pair opens with a dense step's or a fold's J-hat = a, whose
+    estimate is a^T g + grad_u f; the steps after it take
+    a^T (P o G) + b^T (Q o G) + params^T (R o G) + T C + grad_u f, with P,
+    Q, R their coefficient vectors side by side, G their columns of
+    V^T grad_x f, T^T the run's last ``ts`` and C the vectors U^T g of
+    ``coefs``, zero-padded.  The steps with columns are the last
+    len(coefs) of the run, as a run's column count never falls."""
     a, b = block[0].a, block[0].b
     if a is not None:
         out[start] = a.T @ gx[:, start] + gu[:, start]
@@ -381,11 +479,16 @@ def _run_estimates(out, params, block, gx, gu, start: int):
         return
     cols = slice(start, start + len(block))
     g = gx[:, cols]
-    _, _, ps, qs, rs = zip(*block)
-    est = params.T @ (np.array(rs).T * g)
+    est = params.T @ (np.array([sens.r for sens in block]).T * g)
     if a is not None:
-        est += a.T @ (np.array(ps).T * g)
-        est += b.T @ (np.array(qs).T * g)
+        est += a.T @ (np.array([sens.p for sens in block]).T * g)
+        est += b.T @ (np.array([sens.q for sens in block]).T * g)
+    if coefs:
+        ts = block[-1].ts
+        coef = np.zeros((len(ts), len(coefs)))
+        for j, c in enumerate(coefs):
+            coef[:len(c), j] = c
+        est[:, len(block) - len(coefs):] += ts.T @ coef
     est += gu[:, cols]
     out[cols] = est.T
 
@@ -413,17 +516,19 @@ def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:
 
 
 def _cholesky_solve(low, rhs):
-    """(L L^T)^{-1} rhs for a lower-triangular L: forward, then backward
-    substitution, row by row.  numpy has no triangular solver, and
+    """(L L^T)^{-1} rhs for a lower-triangular L: forward substitution on
+    the rows of L, then backward substitution on its columns, with no
+    transposed N x N copy.  Each column is copied contiguous before its
+    dot product: a strided dot takes another BLAS kernel, which sums in
+    another order.  numpy has no triangular solver, and
     ``np.linalg.solve`` on L would take an O(N^3) LU factorization."""
     n = rhs.size
     y = np.empty(n)
     for i in range(n):
         y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
-    up = low.T.copy()  # contiguous rows for the backward pass
     w = np.empty(n)
     for i in reversed(range(n)):
-        w[i] = (y[i] - up[i, i + 1:] @ w[i + 1:]) / up[i, i]
+        w[i] = (y[i] - np.ascontiguousarray(low[i + 1:, i]) @ w[i + 1:]) / low[i, i]
     return w
 
 

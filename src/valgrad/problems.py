@@ -306,9 +306,12 @@ class ToyProblem:
 
     def dual(self, u):
         """(grad g, box, y0, tau): projected gradient on the dual at u, from
-        y0 with step tau, converges to p'(u) for u > 0."""
+        y0 with step tau, converges to p'(u) for every u.  For
+        "exp_lower_bound" tau = min(1, e^u) = 1/L, with L the largest
+        curvature 1/y of y log y between y0 = 1 and the minimizer e^u; the
+        iterates stay between the two."""
         if self.kind == "exp_lower_bound":
-            return (lambda y: np.log(y) - u), (0.0, np.inf), 1.0, 0.5
+            return (lambda y: np.log(y) - u), (0.0, np.inf), 1.0, min(1.0, float(np.exp(u)))
         if self.kind == "interval_quadratic":
             a2, ratio = self.qa * self.qa, abs(self.qb / self.qa)
             return (lambda y: y / a2 + ratio - u), (-abs(self.qa * self.qb), 0.0), 0.0, a2

@@ -409,11 +409,14 @@ def test_final_owns_its_data():
 def _in_run_sensitivities(pr, u, method, iterations, basis):
     """The compact sensitivities along the kernel's own steps: the (x, z)
     pairs ``prox_gradient_steps`` yields, each step's residual taken from
-    the block of those iterates.  A step whose loss Hessian is c I and
-    whose prox derivative takes one value s updates the coefficients
-    (p, q, r) of J-hat = diag(p) a + diag(q) b + diag(r) params; any other
-    step runs ``sensitivity_step`` on J-hat and J-hat_prev, built from the
-    coefficients unless the step before was dense too.  This is the
+    the block of those iterates.  A step whose prox derivative takes one
+    value s updates the rows p, q, r, u_1, ..., u_m of
+    J-hat = diag(p) a + diag(q) b + diag(r) params + sum_i u_i t_i^T; with
+    a loss Hessian c (I - v v^T) it also appends (s tau c w,
+    J-hat^T w - v), w = params v, and once the columns number
+    NP // (N + P) they fold into a new pair (a, b).  Any other step runs
+    ``sensitivity_step`` on J-hat and J-hat_prev, built from the compact
+    form unless the step before was dense or a fold.  This is the
     reference the replay along a stored run must match."""
     prox = prox_of(method, pr.k.prox_part)
     tau, beta = step_policy(method, *pr.curvature())
@@ -422,43 +425,69 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
     ))
     residuals = pr.residual(np.array([x for x, _, _ in steps]).T, u[:, None])
     eigvals, _, params = basis
-    zero, one = np.zeros(pr.n), np.ones(pr.n)
+    cap = pr.n * pr.p // (pr.n + pr.p)
+    no_ts = np.zeros((0, pr.p))
     a = b = None
-    coeffs = coeffs_prev = (zero, zero, zero)
+    ts = no_ts
+    coef = coef_prev = np.zeros((3, pr.n))
 
-    def build(p, q, r):
+    def build(coef):
+        p, q, r, us = coef[0], coef[1], coef[2], coef[3:]
         jac = r[:, None] * params
         if a is not None:
             jac += p[:, None] * a
             jac += q[:, None] * b
+        if len(us):
+            jac += us.T @ ts[:len(us)]
         return jac
 
-    out = [(a, b, *coeffs)]
+    def transpose_dot(coef, w):
+        out = np.dot(coef[2] * w, params)
+        if a is not None:
+            out += np.dot(coef[0] * w, a)
+            if np.count_nonzero(coef[1] * w):
+                out += np.dot(coef[1] * w, b)
+        if len(coef) > 3:
+            out += np.dot(np.dot(coef[3:], w), ts)
+        return out
+
+    out = [(a, b, coef, ts)]
     dense_last = False
     for r, (_, z, _) in zip(residuals.T, steps):
         c, v = pr.h.hessian_factors(r)
         d = np.ones(pr.n) if prox is None else pr.k.prox_derivative(tau, z)
-        if v is None and np.all(d == d[0]):
+        if np.all(d == d[0]):
+            if v is not None:
+                w = np.dot(params, v)
+                ts = np.vstack([ts, transpose_dot(coef, w) - v])
             diag = 1.0 + beta - (tau * c) * eigvals
             if prox is None:
                 diag -= tau * pr.k.modulus
-            new = []
-            for x, x_prev, shift in zip(coeffs, coeffs_prev, (0.0, 0.0, tau * c)):
+            rows = []
+            for i, x in enumerate(coef):
                 y = diag * x
-                if shift:
-                    y += shift
-                if beta:
-                    y -= beta * x_prev
+                if i == 2:
+                    y += tau * c
+                if beta and i < len(coef_prev):
+                    y -= beta * coef_prev[i]
                 y *= d[0]
-                new.append(y)
-            coeffs, coeffs_prev = tuple(new), coeffs
+                rows.append(y)
+            if v is not None:
+                rows.append((d[0] * tau * c) * w)
+            coef, coef_prev = np.array(rows), coef
             dense_last = False
+            if v is not None and len(coef) - 3 >= cap:
+                a, b = build(coef), build(coef_prev)
+                dense_last = True
         else:
-            jac, jac_prev = (a, b) if dense_last else (build(*coeffs), build(*coeffs_prev))
+            jac, jac_prev = (a, b) if dense_last else (build(coef), build(coef_prev))
             a, b = sensitivity_step(pr, basis, (c, v), jac, jac_prev, z, tau, beta), jac
-            coeffs, coeffs_prev = (one, zero, zero), (zero, one, zero)
             dense_last = True
-        out.append((a, b, *coeffs))
+        if dense_last:
+            coef, coef_prev = np.zeros((3, pr.n)), np.zeros((3, pr.n))
+            coef[0] = coef_prev[1] = 1.0
+            ts = no_ts
+        out.append((a, b, coef, ts))
     return out
 
 
@@ -481,16 +510,36 @@ def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n,
 
 
 def _compact_pair(gen, n, p, dense):
-    """Two compact sensitivities sharing one random dense pair (a, b), or
-    none when ``dense`` is False."""
+    """J-hat and J-hat_prev in compact form and their buffer of t_i.  With
+    ``dense`` "folded" they are the pair a fold leaves: J-hat = a and
+    J-hat_prev = b, random, with no columns.  Otherwise they share one
+    random pair (a, b), or none when ``dense`` is False, and take random
+    rows p, q, r and three and two columns, the buffer having room for one
+    more."""
     a, b = gen.standard_normal((2, n, p)) if dense else (None, None)
-    return [Sensitivity(a, b, *gen.standard_normal((3, n))) for _ in range(2)]
+    if dense == "folded":
+        ts = np.empty((1, p))
+        opened = np.zeros((3, n))
+        opened[0] = 1.0
+        return (Sensitivity(a, b, opened, ts[:0]),
+                Sensitivity(a, b, opened[[1, 0, 2]], ts[:0]), ts)
+    ts = np.empty((4, p))
+    ts[:3] = gen.standard_normal((3, p))
+    cur, prev = (Sensitivity(a, b, gen.standard_normal((3 + m, n)), ts[:m]) for m in (3, 2))
+    return cur, prev, ts
 
 
-@pytest.mark.parametrize("case", ["f1", "f3 Z empty", "f3 D = 0", "f2 inside the ball"])
+RANK_ONE = ("f2 outside the ball", "f4 Z empty")
+
+
+@pytest.mark.parametrize("case", ["f1", "f3 Z empty", "f3 D = 0", "f2 inside the ball",
+                                  *RANK_ONE])
 @pytest.mark.parametrize("beta", [0.0, 0.3])
-@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("dense", [False, True, "folded"])
 def test_diagonal_step_matches_the_dense_step(case, beta, dense):
+    # a step with one prox-derivative value s on the compact form, against
+    # sensitivity_step on the built Jacobians: diagonal for a loss Hessian
+    # c I, rank-1 (one appended column) for c (I - v v^T)
     which = int(case[1])
     a, u = seeded_problem_data(10, 6, 2, 3.0)
     pr = make_experiment_problem(which, a, gamma=1e3 if case == "f3 D = 0" else 0.1)
@@ -504,14 +553,21 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     z = np.sign(gen.standard_normal(pr.n)) * (1.0 + gen.random(pr.n))  # |z| > tau gamma
     c, v = pr.h.hessian_factors(r)
     s = valgrad.estimators._uniform_prox_derivative(pr.k.prox_part, tau, z)
-    want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0}.get(case, 1.0)
-    assert v is None and s == want_s
+    want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0,
+              "f4 Z empty": 1.0 / (1.0 + tau * pr.k.modulus)}.get(case, 1.0)
+    assert (v is not None) == (case in RANK_ONE) and s == want_s
     basis = gram_basis(pr)
-    cur, prev = _compact_pair(gen, pr.n, pr.p, dense)
+    cur, prev, ts = _compact_pair(gen, pr.n, pr.p, dense)
     want = sensitivity_step(pr, basis, (c, v), cur.jacobian(basis.params),
                             prev.jacobian(basis.params), z, tau, beta)
     diag = valgrad.estimators._step_multiplier(pr, basis.eigvals, c, tau, beta)
-    got = valgrad.estimators._diagonal_step(diag, cur, prev, c, s, tau, beta)
+    if v is None:
+        got = valgrad.estimators._diagonal_step(diag, cur, prev, c, s, tau, beta)
+        assert got.ts is cur.ts and len(got.us) == len(cur.us)
+    else:
+        got = valgrad.estimators._rank_one_step(diag, cur, prev, (c, v), s, tau, beta,
+                                                basis.params, ts)
+        assert got.ts.base is ts and len(got.ts) == len(got.us) == len(cur.us) + 1
     assert got.a is cur.a and got.b is cur.b
     got = got.jacobian(basis.params)
     if case == "f3 D = 0":
@@ -520,12 +576,41 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("which, method, gamma", [
+    (2, "gd", 0.1), (2, "heavy_ball", 0.1), (4, "ipiasco", 0.01),
+])
+def test_factored_sensitivities_match_a_dense_replay_across_folds(which, method, gamma):
+    # at N = 30, P = 20 the columns fold into the dense pair once they number
+    # NP // (N + P) = 12; f2 takes a rank-1 step at each of the 120 steps,
+    # f4 at this gamma mixes rank-1 steps (Z empty) and dense ones
+    a, u = seeded_problem_data(30, 20, 5, 10.0)
+    pr = make_experiment_problem(which, a, gamma=gamma)
+    run = run_primal(pr, u, method, iterations=120)
+    basis = gram_basis(pr)
+    residuals = pr.residual(run.points.T, u[:, None])
+    jac = jac_prev = np.zeros((pr.n, pr.p))
+    columns, folds = [], 0
+    for k, sens in enumerate(sensitivities(pr, run, basis, residuals)):
+        if k:
+            hess = pr.h.hessian_factors(residuals[:, k - 1])
+            jac, jac_prev = sensitivity_step(pr, basis, hess, jac, jac_prev,
+                                             run.pre_prox[k - 1], run.tau, run.beta), jac
+        got = sens.jacobian(basis.params)
+        assert np.linalg.norm(got - jac) <= 1e-12 * np.linalg.norm(jac)
+        folds += bool(columns) and columns[-1] == 11 and not len(sens.us)
+        columns.append(len(sens.us))
+    assert max(columns) == 11
+    assert folds >= (9 if which == 2 else 1)
+    if which == 4:
+        assert any(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
+
+
 @pytest.mark.parametrize("which, method", [
     (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"), (3, "ista"), (3, "ipiasco"),
 ])
 def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monkeypatch):
     # f1 has c I and no prox, f2 here keeps its residuals outside the Huber
-    # ball, and f3 has c I and a prox derivative with two values exactly
+    # ball (c (I - v v^T) and no prox), and f3 has c I and a prox derivative with two values exactly
     # where some but not all coordinates are zeroed
     pr, u = instance(which, n=30, p=20, seed=5, cond=10.0)
     run = run_primal(pr, u, method, iterations=120)
@@ -538,9 +623,9 @@ def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monk
         pass
     if which == 1:
         assert not calls
-    elif which == 2:
+    elif which == 2:  # every step is rank-1, and none runs the dense step
         assert np.linalg.norm(residuals[:, :-1], axis=0).min() > pr.h.delta
-        assert len(calls) == 120
+        assert not calls
     else:
         zeroed = [np.count_nonzero(pr.k.prox_derivative(run.tau, z) == 0)
                   for z in run.pre_prox]
@@ -572,6 +657,14 @@ def test_automatic_requires_sensitivities():
     run = run_primal(pr, u, "gd", iterations=3, with_sensitivity=False)
     with pytest.raises(ValueError):
         automatic_estimator(pr, run, u)
+
+
+def test_sensitivities_require_sensitivities():
+    pr, u = instance(1)
+    run = run_primal(pr, u, "gd", iterations=3, with_sensitivity=False)
+    residuals = pr.residual(run.points.T, u[:, None])
+    with pytest.raises(ValueError):
+        next(sensitivities(pr, run, gram_basis(pr), residuals))
 
 
 def test_implicit_estimator_exact_on_quadratic_anywhere():
@@ -931,6 +1024,22 @@ def test_toy_no_minimizer_estimates_are_u():
 def test_toy_dual_reaches_the_truth(toy, u):
     run = run_toy(toy, u, iterations=400)
     assert abs(run.dual[-1] - run.truth[2]) <= 1e-8
+
+
+@pytest.mark.parametrize("u", [-2.0, -1.5])
+def test_toy_exp_dual_converges_where_e_u_is_below_1(u):
+    # a fixed step 1/2 lands on y = 0 at u = -2 and stalls at u = -1.5; the
+    # step min(1, e^u) keeps the iterates between 1 and e^u
+    run = run_toy(ToyProblem("exp_lower_bound"), u)
+    assert np.all(np.isfinite(run.dual))
+    assert abs(run.dual[-1] - np.exp(u)) <= 1e-8
+
+
+def test_toy_exp_dual_at_u_3_beats_the_half_step():
+    # the fixed step 1/2 ended 0.0704 short of e^3 after the default 200 steps
+    run = run_toy(ToyProblem("exp_lower_bound"), 3.0)
+    assert len(run.dual) == 201
+    assert abs(run.dual[-1] - np.exp(3.0)) < 0.0704
 
 
 def test_toy_sensitivity_takes_the_clamped_side_at_a_tie():
