@@ -9,20 +9,16 @@ envelopes and a reproducible experiment harness.
 from .estimators import (
     EstimatorInapplicable,
     GradientEstimate,
-    GramBasis,
     PrimalRun,
-    Sensitivity,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,
     error_trace,
     fd_oracle,
-    gram_basis,
     implicit_estimator,
     run_primal,
     run_toy,
     sensitivities,
-    sensitivity_step,
     value_function,
 )
 from .funcs import (

@@ -137,14 +137,13 @@ def _check_args(args) -> None:
         _p_values(args.p)
 
 
-def _make_problem(args, p=None):
+def _make_problem(args):
     which = int(args.problem[1])
-    p = args.p if p is None else p
     if getattr(args, "identity", False):
         a = np.eye(args.n)
         u = seeded_problem_data(args.n, args.n, args.seed, 1.0)[1]
     else:
-        a, u = seeded_problem_data(args.n, p, args.seed, args.cond)
+        a, u = seeded_problem_data(args.n, args.p, args.seed, args.cond)
     return make_experiment_problem(which, a, args.lam, args.gamma, args.delta), u
 
 

@@ -60,7 +60,7 @@ def error_trace(est: GradientEstimate, truth) -> np.ndarray:
     return np.linalg.norm(est.per_iteration - np.asarray(truth, dtype=float), axis=1)
 
 
-class GramBasis(NamedTuple):
+class _GramBasis(NamedTuple):
     """The eigenbasis A^T A = V diag(eigvals) V^T of a problem's Gram
     matrix, and the parameter block params = (A V)^T = V^T A^T (N x P)."""
 
@@ -69,11 +69,11 @@ class GramBasis(NamedTuple):
     params: np.ndarray
 
 
-def gram_basis(pr: StructuredProblem) -> GramBasis:
+def _gram_basis(pr: StructuredProblem) -> _GramBasis:
     """One symmetric eigendecomposition of ``pr.gram`` and the rotated
     parameter block; nothing is cached on the problem."""
     eigvals, vecs = np.linalg.eigh(pr.gram)
-    return GramBasis(eigvals, vecs, vecs.T @ pr.a.T)
+    return _GramBasis(eigvals, vecs, vecs.T @ pr.a.T)
 
 
 def _step_multiplier(pr: StructuredProblem, eigvals, c: float, tau: float, beta: float):
@@ -86,7 +86,7 @@ def _step_multiplier(pr: StructuredProblem, eigvals, c: float, tau: float, beta:
 
 
 def sensitivity_step(
-    pr: StructuredProblem, basis: GramBasis, hess, jac, jac_prev, z, tau: float,
+    pr: StructuredProblem, basis: _GramBasis, hess, jac, jac_prev, d, tau: float,
     beta: float = 0.0,
 ):
     """The derivative in u of one kernel step x+ = prox(tau, z), with the
@@ -96,17 +96,16 @@ def sensitivity_step(
         J-hat+ = V^T D V (J-hat - tau G + beta (J-hat - J-hat_prev)),
 
     where G = V^T (H_xx J + H_xu) is the Hessian term of the smooth part
-    f_s and D the derivative of the objective's prox part at the z the
-    kernel yielded, the identity when ``pr.k.prox_part`` is None.  The loss
-    Hessian is c (I - v v^T), ``hess`` = (c, v) being ``h.hessian_factors``
-    at the residual b - A x + u, so G = c (Lambda J-hat - params - w (w^T
-    J-hat - v^T)) with w = params v, plus lam J-hat for a smooth k: a
-    diagonal and a rank-1 term, O(NP).  Returns J-hat+, a fresh array.  This
-    is the dense step of ``sensitivities``, which passes the pair it
-    evaluated to classify the step.
+    f_s and D = diag(d), d the prox derivative ``prox_derivative(tau, z)``
+    of the objective's prox part at the z the kernel yielded, or the
+    identity for d None (no prox part).  The loss Hessian is c (I - v v^T),
+    ``hess`` = (c, v) being ``h.hessian_factors`` at the residual
+    b - A x + u, so G = c (Lambda J-hat - params - w (w^T J-hat - v^T))
+    with w = params v, plus lam J-hat for a smooth k: a diagonal and a
+    rank-1 term, O(NP).  Returns J-hat+, a fresh array.  This is the dense
+    step of the automatic estimator's recursion.
     """
     eigvals, vecs, params = basis
-    prox = pr.k.prox_part
     c, v = hess
     out = _step_multiplier(pr, eigvals, c, tau, beta)[:, None] * jac
     out += (tau * c) * params
@@ -115,8 +114,8 @@ def sensitivity_step(
         out += np.outer((tau * c) * w, w @ jac - v)
     if beta:
         out -= beta * jac_prev
-    if prox is not None:
-        out = _rotated_prox_derivative(vecs, prox.prox_derivative(tau, z), out)
+    if d is not None:
+        out = _rotated_prox_derivative(vecs, d, out)
     return out
 
 
@@ -204,13 +203,13 @@ def run_primal(
     return PrimalRun(tau, beta, points, pre_prox)
 
 
-class Sensitivity(NamedTuple):
+class _Sensitivity(NamedTuple):
     """One iterate sensitivity in compact form:
 
         J-hat_k = diag(p) a + diag(q) b + diag(r) params + U T^T,
 
     with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step or fold j
-    (both None before the first one), params = V^T A^T from ``gram_basis``,
+    (both None before the first one), params = V^T A^T from ``_gram_basis``,
     and U T^T = sum_i u_i t_i^T.  ``coef`` stacks the N-vectors p, q, r and
     u_1, ..., u_m as the rows of one (3 + m) x N array, and ``ts`` the
     P-vectors t_1, ..., t_m as those of an m x P one.  A dense step or a
@@ -268,29 +267,29 @@ class Sensitivity(NamedTuple):
         return out
 
 
-def _uniform_prox_derivative(prox, tau: float, z):
-    """s when the prox derivative at z is s I, 1 without a prox part;
-    None when it takes two values (Z and S both nonempty)."""
-    if prox is None:
-        return 1.0
-    d = prox.prox_derivative(tau, z)
-    return d[0] if d.min() == d.max() else None
-
-
-def _diagonal_step(diag, cur: Sensitivity, prev: Sensitivity, c: float, s: float,
-                   tau: float, beta: float, column=None) -> Sensitivity:
-    """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev) of
-    ``sensitivities`` for a loss Hessian c I and a prox derivative s I, on
+def _compact_step(diag, cur: _Sensitivity, prev: _Sensitivity, hess, s: float,
+                  tau: float, beta: float, params, ts) -> _Sensitivity:
+    """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev
+    - tau c w (w^T J-hat - v^T)) of ``_compact_sensitivities`` for a loss
+    Hessian c (I - v v^T), ``hess`` = (c, v), and a prox derivative s I, on
     the compact forms of J-hat and J-hat_prev: every row of ``coef`` steps
     alike, r also takes the shift s tau c, and the t_i stay.  O(N (m + 3))
     for m columns, into a fresh ``coef``; J-hat_prev has at most the
-    columns of J-hat.  ``column``, a pair (u, ts), appends u to the stepped
-    rows and takes ts as the t_i: the new pair of a rank-1 step.  ``diag``
-    is the ``_step_multiplier`` of c, tau and beta, which it does not
-    modify."""
-    if column is None:
+    columns of J-hat.  For v not None (a rank-1 step) the new pair
+    (s tau c w, J-hat^T w - v), w = params v, is appended, with J-hat^T w
+    from the compact form (``_Sensitivity.transpose_dot``) written to row m
+    of the buffer ``ts``; for v None no column is appended and ``ts`` is
+    not read.  ``diag`` is the ``_step_multiplier`` of c, tau and beta,
+    which it does not modify."""
+    c, v = hess
+    if v is None:
         coef = stepped = diag * cur.coef
+        ts = cur.ts
     else:
+        m = len(cur.ts)
+        w = np.dot(params, v)
+        np.subtract(cur.transpose_dot(params, w), v, out=ts[m])
+        ts = ts[:m + 1]
         coef = np.empty((len(cur.coef) + 1, diag.size))
         stepped = np.multiply(diag, cur.coef, out=coef[:-1])
     stepped[2] += tau * c
@@ -298,25 +297,9 @@ def _diagonal_step(diag, cur: Sensitivity, prev: Sensitivity, c: float, s: float
         coef[:len(prev.coef)] -= beta * prev.coef
     if s != 1.0:
         stepped *= s
-    if column is None:
-        return Sensitivity(cur.a, cur.b, coef, cur.ts)
-    u, ts = column
-    coef[-1] = u
-    return Sensitivity(cur.a, cur.b, coef, ts)
-
-
-def _rank_one_step(diag, cur: Sensitivity, prev: Sensitivity, hess, s: float,
-                   tau: float, beta: float, params, ts) -> Sensitivity:
-    """The step of ``sensitivities`` for a loss Hessian c (I - v v^T),
-    ``hess`` = (c, v), and a prox derivative s I: ``_diagonal_step`` and
-    the new pair (s tau c w, J-hat^T w - v), w = params v, with J-hat^T w
-    from the compact form (``Sensitivity.transpose_dot``).  The new t_i is
-    written to row m of the buffer ``ts``, m being the columns of J-hat."""
-    c, v = hess
-    m = len(cur.ts)
-    w = np.dot(params, v)
-    np.subtract(cur.transpose_dot(params, w), v, out=ts[m])
-    return _diagonal_step(diag, cur, prev, c, s, tau, beta, ((s * tau * c) * w, ts[:m + 1]))
+    if v is not None:
+        coef[-1] = (s * tau * c) * w
+    return _Sensitivity(cur.a, cur.b, coef, ts)
 
 
 def _require_sensitivities(run: PrimalRun):
@@ -325,36 +308,51 @@ def _require_sensitivities(run: PrimalRun):
         raise ValueError("run was produced without sensitivities")
 
 
-def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, residuals):
-    """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
-    ``Sensitivity`` per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u
-    and V is ``basis.vecs``, so J_k = V J-hat_k.
+def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
+    """The iterate sensitivities J_k = d x_k / d u of ``run`` at the
+    parameter ``u``, one fresh N x P array per yield, J_0 = 0 first.
 
     Forward-mode differentiation of the solver (Griewank & Walther,
-    Evaluating Derivatives, 2008): J-hat_0 = 0, then one step per pre-prox
-    point z_k of the run, with its loss Hessian c (I - v v^T) taken at
-    column k of ``residuals``, the P x (K+1) block b - A x_k + u of the
-    run's iterates.  Where the prox derivative is s I
-    (``_uniform_prox_derivative``) the step map is the diagonal
-    s (1 + beta - tau c Lambda [- tau lam]) plus the shift s tau c params,
-    and for v not None the rank-1 term s tau c w (w^T J-hat - v^T), with
-    w = params v.  A diagonal step (v None) updates the compact form in
-    O(N m) for m columns (``_diagonal_step``), reusing the previous one's
-    multiplier while c is unchanged, as on every step of a squared-norm
-    loss.  A rank-1 step does the same and appends the pair
-    (s tau c w, J-hat_k^T w - v), with J-hat_k^T w taken from the compact
-    form (``Sensitivity.transpose_dot``): O(NP) in GEMV reads and no N x P
-    write.  A rank-1 step that brings the columns to m = NP // (N + P),
-    where one more would make them hold more numbers than one Jacobian,
-    folds them: its J-hat and the one before are built, as before a dense
-    step, and become the dense pair.  Any other step (a prox derivative
-    with two values) is dense: ``sensitivity_step`` on J-hat_k and
-    J-hat_{k-1}, built from the compact form unless the last step was
-    dense or a fold.  Only J-hat_k and J-hat_{k-1} are kept; every yielded
-    array is fresh or shared with earlier yields, and never modified.
-    Raises ``ValueError`` for a run made without sensitivities.
+    Evaluating Derivatives, 2008), replayed along the run's iterates and
+    pre-prox points by the recursion of ``automatic_estimator``
+    (``_compact_sensitivities``); each compact J-hat_k = V^T J_k is rotated
+    back with the eigenbasis V of A^T A, taken once per call.  Raises
+    ``ValueError`` for a run made without sensitivities.
     """
     _require_sensitivities(run)
+    basis = _gram_basis(pr)
+    residuals = _residual_series(pr, run.points, u)
+    for sens in _compact_sensitivities(pr, run, basis, residuals):
+        yield basis.vecs @ sens.jacobian(basis.params)
+
+
+def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
+                           residuals):
+    """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
+    ``_Sensitivity`` per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u
+    and V is ``basis.vecs``, so J_k = V J-hat_k.
+
+    J-hat_0 = 0, then one step per pre-prox point z_k of the run, with its
+    loss Hessian c (I - v v^T) taken at column k of ``residuals``, the
+    P x (K+1) block b - A x_k + u of the run's iterates, and its prox
+    derivative d = ``prox_derivative(tau, z_k)`` evaluated once (d None
+    without a prox part).  Where d is s I the step map is the diagonal
+    s (1 + beta - tau c Lambda [- tau lam]) plus the shift s tau c params,
+    and for v not None the rank-1 term s tau c w (w^T J-hat - v^T), with
+    w = params v: ``_compact_step`` updates the compact form in O(N m) for
+    m columns, reusing the previous step's multiplier while c is
+    unchanged, as on every step of a squared-norm loss, and a rank-1 step
+    appends the pair (s tau c w, J-hat_k^T w - v): O(NP) in GEMV reads and
+    no N x P write.  A rank-1 step that brings the columns to
+    m = max(NP // (N + P), 1), where one more would make them hold more
+    numbers than one Jacobian, folds them: its J-hat and the one before
+    are built, as before a dense step, and become the dense pair.  Any
+    other step (d with two values) is dense: ``sensitivity_step`` with that
+    d on J-hat_k and J-hat_{k-1}, built from the compact form unless the
+    last step was dense or a fold.  Only J-hat_k and J-hat_{k-1} are kept;
+    every yielded array is fresh or shared with earlier yields, and never
+    modified.
+    """
     eigvals, params = basis.eigvals, basis.params
     tau, beta = run.tau, run.beta
     prox = pr.k.prox_part
@@ -362,7 +360,7 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
     opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step or a fold
     opened[0] = 1.0
     opened_prev = opened[[1, 0, 2]]  # (0, 1, 0) for the step before it
-    cap = pr.n * pr.p // (pr.n + pr.p)
+    cap = max(pr.n * pr.p // (pr.n + pr.p), 1)
 
     def dense_pair(cur, prev):
         """(J-hat_k, J-hat_{k-1}) as arrays."""
@@ -371,34 +369,31 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, basis: GramBasis, resid
         return cur.jacobian(params), prev.jacobian(params)
 
     def compact_pair(jac, jac_prev):
-        return (Sensitivity(jac, jac_prev, opened, no_ts),
-                Sensitivity(jac, jac_prev, opened_prev, no_ts))
+        return (_Sensitivity(jac, jac_prev, opened, no_ts),
+                _Sensitivity(jac, jac_prev, opened_prev, no_ts))
 
-    cur = prev = Sensitivity(None, None, np.zeros((3, pr.n)), no_ts)
-    step_c = diag = None  # the last diagonal step's c and multiplier
+    cur = prev = _Sensitivity(None, None, np.zeros((3, pr.n)), no_ts)
+    step_c = diag = None  # the last compact step's c and multiplier
     ts = None  # the buffer of t_i of the current pair (a, b)
     yield cur
     for r, z in zip(residuals.T, run.pre_prox):
         c, v = pr.h.hessian_factors(r)
-        s = _uniform_prox_derivative(prox, tau, z)
-        if s is None:
+        d = None if prox is None else prox.prox_derivative(tau, z)
+        if d is not None and d.min() != d.max():
             jac, jac_prev = dense_pair(cur, prev)
-            new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, z, tau, beta)
+            new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, d, tau, beta)
             cur, prev = compact_pair(new, jac)
             ts = None
         else:
             if c != step_c:
                 step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
-            if v is None:
-                cur, prev = _diagonal_step(diag, cur, prev, c, s, tau, beta), cur
-            else:
-                if ts is None:
-                    ts = np.empty((max(cap, 1), pr.p))
-                cur, prev = _rank_one_step(diag, cur, prev, (c, v), s, tau, beta,
-                                           params, ts), cur
-                if len(cur.ts) >= cap:  # fold the columns into the dense pair
-                    cur, prev = compact_pair(*dense_pair(cur, prev))
-                    ts = None
+            if v is not None and ts is None:
+                ts = np.empty((cap, pr.p))
+            s = 1.0 if d is None else d[0]
+            cur, prev = _compact_step(diag, cur, prev, (c, v), s, tau, beta, params, ts), cur
+            if len(cur.ts) >= cap:  # fold the columns into the dense pair
+                cur, prev = compact_pair(*dense_pair(cur, prev))
+                ts = None
         yield cur
 
 
@@ -421,14 +416,14 @@ def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
 def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEstimate:
     """g2(k) = J(k)^T grad_x f(x(k), u) + grad_u f(x(k), u).
 
-    The sensitivities stream from ``sensitivities`` in the eigenbasis of
-    A^T A, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.  The yields
-    sharing one dense pair (a, b) form a run: its opening dense step or
-    fold takes one product as before, and the other steps take three for
-    the whole run, plus one for its columns (``_run_estimates``).  Each
+    The sensitivities stream from ``_compact_sensitivities`` in the
+    eigenbasis of A^T A, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.
+    The yields sharing one dense pair (a, b) form a run: its opening dense
+    step or fold takes one product as before, and the other steps take three
+    for the whole run, plus one for its columns (``_run_estimates``).  Each
     step's U^T g is taken as it streams, so a run holds its coefficient
     vectors and the t_i, not every step's U; its blocks are freed when it
-    ends.  The basis (``gram_basis``) is taken once per call and freed with
+    ends.  The basis (``_gram_basis``) is taken once per call and freed with
     it.  The residual block of the whole series is formed once: it gives
     grad_u f and every step's loss Hessian.  For elastic-net problems the
     regularizer subgradient is the prox optimality selection, the
@@ -437,7 +432,7 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     block.  Raises ``ValueError`` for a run made without sensitivities.
     """
     _require_sensitivities(run)
-    basis = gram_basis(pr)
+    basis = _gram_basis(pr)
     res = _residual_series(pr, run.points, u)
     gu = pr.h.grad(res)
     gx = pr.c[:, None] - pr.a.T @ gu
@@ -449,13 +444,13 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     gx = basis.vecs.T @ gx
     est = np.empty((len(run.points), pr.p))
     start, block, coefs = 0, [], []
-    for k, sens in enumerate(sensitivities(pr, run, basis, res)):
+    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, res)):
         if block and sens.a is not block[0].a:
             _run_estimates(est, basis.params, block, coefs, gx, gu, start)
             start, block, coefs = start + len(block), [], []
         if len(sens.ts):  # keep U^T g and (p, q, r), not U
             coefs.append(np.dot(sens.us, gx[:, k]))
-            sens = Sensitivity(sens.a, sens.b, sens.coef[:3].copy(), sens.ts)
+            sens = _Sensitivity(sens.a, sens.b, sens.coef[:3].copy(), sens.ts)
         block.append(sens)
     _run_estimates(est, basis.params, block, coefs, gx, gu, start)
     return GradientEstimate("automatic", est)

@@ -29,9 +29,10 @@ from .estimators import (
     implicit_estimator,
     oracle_primal_solve,
     run_primal,
+    value_function,
 )
 from .linalg import seeded_problem_data
-from .problems import closed_form_f1, make_experiment_problem
+from .problems import make_experiment_problem
 from .solvers import SolverConfig
 
 CSV_HEADER = ["problem", "P", "solver", "estimator", "iteration", "error", "wall_ns"]
@@ -100,23 +101,24 @@ def _cell_seed(seed: int, which: int, p: int) -> int:
     return seed * 7919 + 101 * which + p
 
 
-def _ground_truth(pr, u, which, cfg):
+def _ground_truth(pr, u, cfg):
     """Reference gradient (and minimizer if one exists) for one cell.
 
-    The fully quadratic problem has a closed form.  For the others a
-    certified primal solve (``oracle_primal_solve``, capped at
-    ``cfg.oracle_iterations``) gives xstar, and by duality the reference is
-    grad p(u) = y* = grad h(b - A xstar + u), within the solve's 1e-7
-    tolerance.  The central-difference oracle, warm-started from xstar,
+    A quadratic problem (``is_quadratic``) takes the minimizer xstar of
+    ``value_function``'s closed form; for the others a certified primal
+    solve (``oracle_primal_solve``, capped at ``cfg.oracle_iterations``)
+    gives xstar, within the solve's 1e-7 tolerance.  By duality the
+    reference is grad p(u) = y* = grad h(b - A xstar + u).  Away from the
+    closed form the central-difference oracle, warm-started from xstar,
     cross-checks it.  Returns (gradient, xstar, diagnostic, oracle_flagged,
     gap): gradient is None when the cross-check gap exceeds
     ``cfg.cross_check_tol``, oracle_flagged is set when the xstar solve or
     the finite-difference oracle did not converge, and gap is the
     max-abs cross-check gap (None for the closed form).
     """
-    if which == 1:
-        xstar, grad = closed_form_f1(pr.a, cfg.lam, u)
-        return grad, xstar, "", False, None
+    if pr.is_quadratic():
+        _, xstar, _ = value_function(pr, u)
+        return pr.grad_u(xstar, u), xstar, "", False, None
     xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
     truth = pr.grad_u(xstar, u)
     fd = fd_oracle(pr, u, warm=xstar)
@@ -139,8 +141,9 @@ def _primal_methods(pr, inertia: str):
     return [_method_for(pr.k.prox_part, inertial) for inertial in modes]
 
 
-def _dual_method(pr, u, primal_method: str) -> str:
-    return _method_for(pr.dual_objective(u).prox_part, primal_method in INERTIAL_SOLVERS)
+def _dual_method(pr, primal_method: str) -> str:
+    """The dual solver name: the loss conjugate's prox part decides."""
+    return _method_for(pr.h.conjugate_split()[1], primal_method in INERTIAL_SOLVERS)
 
 
 def _series(problem, p, solver, estimator, errors, wall_ns, start=0):
@@ -171,7 +174,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
         for p in cfg.p_list:
             a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
             pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
-            truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u, which, cfg)
+            truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u, cfg)
             if oracle_flagged:
                 summary["oracle_flagged"].append((name, p))
             if gap is not None:
@@ -188,7 +191,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
                       if s.start + s.errors.size - 1 == cfg.iterations}
             summary["cells"].append((name, p))
             for solver in _primal_methods(pr, cfg.inertia):
-                dg_solver = _dual_method(pr, u, solver)
+                dg_solver = _dual_method(pr, solver)
                 ang = finals.get((solver, "ang"))
                 dg = finals.get((dg_solver, "dg"))
                 if ang is not None and dg is not None and p < cfg.n:
@@ -238,7 +241,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         else:
             add(method, "ig", error_trace(ig, truth), int(clock() - t0), start=cfg.iterations)
 
-        dg_method = _dual_method(pr, u, method)
+        dg_method = _dual_method(pr, method)
         t0 = clock()
         dg = dual_estimator(pr, u, SolverConfig(method=dg_method, iterations=cfg.iterations))
         add(dg_method, "dg", error_trace(dg, truth), int(clock() - t0))

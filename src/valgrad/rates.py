@@ -289,7 +289,8 @@ class RateReport:
 
 
 def rate_report(pr: StructuredProblem) -> RateReport:
-    """Assemble every applicable factor for one problem instance."""
+    """Assemble every applicable factor for one problem instance; the CG
+    factor only for a quadratic problem, the one CG runs on."""
     rc = problem_constants(pr)
     dob = pr.dual_objective(np.zeros(pr.p))
     lips_d, m_d = dob.curvature()
@@ -307,7 +308,8 @@ def rate_report(pr: StructuredProblem) -> RateReport:
     return RateReport(
         omega_p=primal_rate(rc),
         omega_d=dual_rate(rc),
-        omega_cg=cg_rate(lips_d, m_d),
+        omega_cg=(cg_rate(lips_d, m_d) if pr.is_quadratic()
+                  else RateUnavailable("conjugate gradient needs a quadratic dual objective")),
         omega_ista=om1,
         omega_fista=om2,
         omega_pdhg=pd,

@@ -48,3 +48,33 @@ def test_different_keys_exit_1(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "ang 1 0"  # only the shared keys are compared
     assert out[-1].startswith("keys differ: 1 only in ") and ", 1 only in " in out[-1]
+
+
+def _output_dir(tmp_path, name, csv_text, plots):
+    """A hand-made ``valgrad run`` output directory: results.csv and the
+    given {name: bytes} under plots/."""
+    out = tmp_path / name
+    (out / "plots").mkdir(parents=True)
+    (out / "results.csv").write_text(csv_text)
+    for plot, data in plots.items():
+        (out / "plots" / plot).write_bytes(data)
+    return str(out)
+
+
+def test_output_directories_compare_csv_and_plot_bytes(tmp_path, capsys):
+    old = _output_dir(tmp_path, "old", OLD, {"f1_P10.svg": b"<svg/>", "f2_P10.svg": b"<svg>a"})
+    new = _output_dir(tmp_path, "new", OLD.replace(",100\n", ",7\n"),
+                      {"f1_P10.svg": b"<svg/>", "f2_P10.svg": b"<svg>b"})
+    assert csv_diff.main([old, new]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["estimator rows differing", "ang 2 0", "aug 2 0"]
+    assert out[5:] == ["plots compared 2 differing 1", "plot differs: f2_P10.svg"]
+
+
+def test_output_directories_with_different_plot_names_exit_1(tmp_path, capsys):
+    old = _output_dir(tmp_path, "old", OLD, {"f1_P10.svg": b"<svg/>", "f2_P10.svg": b"<svg/>"})
+    new = _output_dir(tmp_path, "new", OLD, {"f1_P10.svg": b"<svg/>"})
+    assert csv_diff.main([old, new]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[5] == "plots compared 1 differing 0"
+    assert out[6] == f"plots differ: 1 only in {old}, 0 only in {new}"

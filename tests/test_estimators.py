@@ -7,13 +7,14 @@ import valgrad.estimators
 from valgrad.estimators import (
     EstimatorInapplicable,
     GradientEstimate,
-    Sensitivity,
+    _compact_sensitivities,
+    _gram_basis,
+    _Sensitivity,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,
     error_trace,
     fd_oracle,
-    gram_basis,
     implicit_estimator,
     oracle_primal_solve,
     run_primal,
@@ -22,7 +23,7 @@ from valgrad.estimators import (
     sensitivity_step,
     value_function,
 )
-from valgrad.funcs import NonsmoothError, SquaredNorm
+from valgrad.funcs import ElasticNet, NonsmoothError, SquaredNorm
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import (
     StructuredProblem,
@@ -70,25 +71,22 @@ def test_analytic_estimator_rejects_nonsmooth_loss():
         analytic_estimator(pr, [np.zeros(2)], np.zeros(2))
 
 
-def _jacobians(pr, run, u):
-    """The Jacobians J_k = V J-hat_k of ``run``: ``sensitivities`` rotated
-    back from the eigenbasis of A^T A."""
-    basis = gram_basis(pr)
-    residuals = pr.residual(run.points.T, np.asarray(u)[:, None])
-    for sens in sensitivities(pr, run, basis, residuals):
-        yield basis.vecs @ sens.jacobian(basis.params)
-
-
 def _final_jacobian(pr, run, u):
-    """The last Jacobian ``sensitivities`` yields for ``run``, rotated back."""
-    for jac in _jacobians(pr, run, u):
+    """The last Jacobian ``sensitivities`` yields for ``run``."""
+    for jac in sensitivities(pr, run, u):
         pass
     return jac
 
 
+def _prox_derivative(pr, tau, z):
+    """The prox derivative ``sensitivity_step`` takes: None without a prox part."""
+    prox = pr.k.prox_part
+    return None if prox is None else prox.prox_derivative(tau, z)
+
+
 def test_gram_basis_diagonalizes_the_gram_matrix():
     pr, _ = instance(2)
-    eigvals, vecs, params = gram_basis(pr)
+    eigvals, vecs, params = _gram_basis(pr)
     np.testing.assert_allclose(vecs.T @ vecs, np.eye(pr.n), atol=1e-13)
     np.testing.assert_allclose(vecs @ np.diag(eigvals) @ vecs.T, pr.gram, atol=1e-12)
     np.testing.assert_allclose(params, (pr.a @ vecs).T, atol=1e-13)
@@ -96,10 +94,10 @@ def test_gram_basis_diagonalizes_the_gram_matrix():
 
 def test_sensitivity_step_zero_tau_is_identity():
     pr, u = instance(1)
-    basis = gram_basis(pr)
+    basis = _gram_basis(pr)
     jac = np.ones((pr.n, pr.p))
     hess = pr.h.hessian_factors(pr.residual(np.zeros(pr.n), u))
-    jac_new = sensitivity_step(pr, basis, hess, jac, jac, np.zeros(pr.n), tau=1e-30)
+    jac_new = sensitivity_step(pr, basis, hess, jac, jac, None, tau=1e-30)
     np.testing.assert_allclose(jac_new, jac, atol=1e-12)
 
 
@@ -116,7 +114,7 @@ def test_sensitivity_contracts_geometrically():
     omega = (lips - m) / (lips + m)
     run = run_primal(pr, u, "gd", iterations=60)
     jstar = np.linalg.solve(pr.a.T @ pr.a + 2.0 * np.eye(pr.n), pr.a.T)
-    errs = [np.linalg.norm(j - jstar, 2) for j in _jacobians(pr, run, u)]
+    errs = [np.linalg.norm(j - jstar, 2) for j in sensitivities(pr, run, u)]
     for k in range(len(errs) - 1):
         assert errs[k + 1] <= omega * errs[k] + 1e-6
 
@@ -129,7 +127,7 @@ def test_sensitivity_starts_from_zero(method):
     x0 = np.linspace(-1.0, 1.0, pr.n)
     for start in (None, x0):
         run = run_primal(pr, u, method, iterations=2, x0=start)
-        jac0 = next(_jacobians(pr, run, u))
+        jac0 = next(sensitivities(pr, run, u))
         assert jac0.shape == (pr.n, pr.p)
         assert not np.any(jac0)
 
@@ -160,10 +158,11 @@ def test_sensitivity_step_matches_dense_hessians(which, method):
         assert np.linalg.norm(pr.residual(x, u)) > pr.h.delta
     tau, beta = 0.01, (0.3 if method in ("heavy_ball", "ipiasco") else 0.0)
     z = x - tau * pr.primal_smooth_grad(x, u) + beta * (x - x_prev)
-    basis = gram_basis(pr)
+    basis = _gram_basis(pr)
     jhat, jhat_prev = basis.vecs.T @ jac, basis.vecs.T @ jac_prev
     hess = pr.h.hessian_factors(pr.residual(x, u))
-    jac_new = basis.vecs @ sensitivity_step(pr, basis, hess, jhat, jhat_prev, z, tau, beta)
+    d = _prox_derivative(pr, tau, z)
+    jac_new = basis.vecs @ sensitivity_step(pr, basis, hess, jhat, jhat_prev, d, tau, beta)
     want = _dense_sensitivity_step(pr, method, x, u, jac, jac_prev, tau, beta, x_prev)
     assert np.linalg.norm(jac_new - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -186,10 +185,10 @@ def test_sensitivity_step_prox_derivative_matches_dense_in_every_regime(zeroed):
     hh = pr.h.hessian(pr.residual(x, u))
     inner = jac - tau * (pr.a.T @ hh @ (pr.a @ jac) - pr.a.T @ hh) + beta * (jac - jac_prev)
     want = d[:, None] * inner
-    basis = gram_basis(pr)
+    basis = _gram_basis(pr)
     got = basis.vecs @ sensitivity_step(pr, basis, pr.h.hessian_factors(pr.residual(x, u)),
-                                        basis.vecs.T @ jac, basis.vecs.T @ jac_prev, z, tau,
-                                        beta)
+                                        basis.vecs.T @ jac, basis.vecs.T @ jac_prev,
+                                        pr.k.prox_derivative(tau, z), tau, beta)
     if zeroed == pr.n:
         assert not np.any(got)
     else:
@@ -216,15 +215,16 @@ def test_sensitivity_step_reuses_the_solver_gradient(method, monkeypatch):
     jac = np.arange(pr.n * pr.p, dtype=float).reshape(pr.n, pr.p) / 40.0
     jac_prev = 0.5 * jac
     z = x - 0.01 * pr.primal_smooth_grad(x, u) + 0.3 * (x - x_prev)
-    # sensitivity_step reads the kernel's z and the given Hessian factors and
-    # takes no gradient of its own: one gradient call per iteration
+    # sensitivity_step reads the prox derivative at the kernel's z and the
+    # given Hessian factors and takes no gradient of its own: one gradient
+    # call per iteration
     bare = run_primal(pr, u, method, iterations=12, with_sensitivity=False)
-    basis, hess = gram_basis(pr), pr.h.hessian_factors(pr.residual(x, u))
+    basis, hess = _gram_basis(pr), pr.h.hessian_factors(pr.residual(x, u))
     calls = []
     grad = StructuredProblem.primal_smooth_grad
     monkeypatch.setattr(StructuredProblem, "primal_smooth_grad",
                         lambda self, *a: calls.append(1) or grad(self, *a))
-    sensitivity_step(pr, basis, hess, jac, jac_prev, z, 0.01, 0.3)
+    sensitivity_step(pr, basis, hess, jac, jac_prev, pr.k.prox_derivative(0.01, z), 0.01, 0.3)
     run = run_primal(pr, u, method, iterations=12)
     assert len(calls) == 12
     assert all(np.array_equal(p, q) for p, q in zip(run.points, bare.points))
@@ -343,7 +343,7 @@ def _per_iterate_estimates(pr, run, u):
     the regularizer subgradient is the minimum-norm one at x(0) and the
     prox optimality selection (z(k-1) - x(k)) / tau after it."""
     ang, aug = [], []
-    for i, (x, jac) in enumerate(zip(run.points, _jacobians(pr, run, u))):
+    for i, (x, jac) in enumerate(zip(run.points, sensitivities(pr, run, u))):
         gu = pr.grad_u(x, u)
         gx = pr.c - pr.a.T @ gu
         if pr.k.prox_part is None:
@@ -416,8 +416,9 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
     J-hat^T w - v), w = params v, and once the columns number
     NP // (N + P) they fold into a new pair (a, b).  Any other step runs
     ``sensitivity_step`` on J-hat and J-hat_prev, built from the compact
-    form unless the step before was dense or a fold.  This is the
-    reference the replay along a stored run must match."""
+    form unless the step before was dense or a fold, with the prox
+    derivative it was classified by.  This is the reference the replay
+    along a stored run must match."""
     prox = prox_of(method, pr.k.prox_part)
     tau, beta = step_policy(method, *pr.curvature())
     steps = list(prox_gradient_steps(
@@ -481,7 +482,7 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
                 dense_last = True
         else:
             jac, jac_prev = (a, b) if dense_last else (build(coef), build(coef_prev))
-            a, b = sensitivity_step(pr, basis, (c, v), jac, jac_prev, z, tau, beta), jac
+            a, b = sensitivity_step(pr, basis, (c, v), jac, jac_prev, d, tau, beta), jac
             dense_last = True
         if dense_last:
             coef, coef_prev = np.zeros((3, pr.n)), np.zeros((3, pr.n))
@@ -500,11 +501,11 @@ def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n,
     # the replay along the stored iterates and pre-prox points must round
     # exactly as the recursion along the kernel's own steps
     pr, u = instance(which, n=n, p=p, seed=3)
-    basis = gram_basis(pr)
+    basis = _gram_basis(pr)
     run = run_primal(pr, u, method, iterations=40)
     want = _in_run_sensitivities(pr, u, method, 40, basis)
     residuals = pr.residual(run.points.T, u[:, None])
-    got = list(sensitivities(pr, run, basis, residuals))
+    got = list(_compact_sensitivities(pr, run, basis, residuals))
     assert len(got) == len(want) == 41
     assert all(_same_array(g, w) for sens, ref in zip(got, want) for g, w in zip(sens, ref))
 
@@ -521,11 +522,11 @@ def _compact_pair(gen, n, p, dense):
         ts = np.empty((1, p))
         opened = np.zeros((3, n))
         opened[0] = 1.0
-        return (Sensitivity(a, b, opened, ts[:0]),
-                Sensitivity(a, b, opened[[1, 0, 2]], ts[:0]), ts)
+        return (_Sensitivity(a, b, opened, ts[:0]),
+                _Sensitivity(a, b, opened[[1, 0, 2]], ts[:0]), ts)
     ts = np.empty((4, p))
     ts[:3] = gen.standard_normal((3, p))
-    cur, prev = (Sensitivity(a, b, gen.standard_normal((3 + m, n)), ts[:m]) for m in (3, 2))
+    cur, prev = (_Sensitivity(a, b, gen.standard_normal((3 + m, n)), ts[:m]) for m in (3, 2))
     return cur, prev, ts
 
 
@@ -537,7 +538,7 @@ RANK_ONE = ("f2 outside the ball", "f4 Z empty")
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 @pytest.mark.parametrize("dense", [False, True, "folded"])
 def test_diagonal_step_matches_the_dense_step(case, beta, dense):
-    # a step with one prox-derivative value s on the compact form, against
+    # the compact step with one prox-derivative value s, against
     # sensitivity_step on the built Jacobians: diagonal for a loss Hessian
     # c I, rank-1 (one appended column) for c (I - v v^T)
     which = int(case[1])
@@ -552,21 +553,22 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     tau = 0.01
     z = np.sign(gen.standard_normal(pr.n)) * (1.0 + gen.random(pr.n))  # |z| > tau gamma
     c, v = pr.h.hessian_factors(r)
-    s = valgrad.estimators._uniform_prox_derivative(pr.k.prox_part, tau, z)
+    d = _prox_derivative(pr, tau, z)
+    s = 1.0 if d is None else d[0]
     want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0,
               "f4 Z empty": 1.0 / (1.0 + tau * pr.k.modulus)}.get(case, 1.0)
     assert (v is not None) == (case in RANK_ONE) and s == want_s
-    basis = gram_basis(pr)
+    assert d is None or np.all(d == s)
+    basis = _gram_basis(pr)
     cur, prev, ts = _compact_pair(gen, pr.n, pr.p, dense)
     want = sensitivity_step(pr, basis, (c, v), cur.jacobian(basis.params),
-                            prev.jacobian(basis.params), z, tau, beta)
+                            prev.jacobian(basis.params), d, tau, beta)
     diag = valgrad.estimators._step_multiplier(pr, basis.eigvals, c, tau, beta)
+    got = valgrad.estimators._compact_step(diag, cur, prev, (c, v), s, tau, beta,
+                                           basis.params, None if v is None else ts)
     if v is None:
-        got = valgrad.estimators._diagonal_step(diag, cur, prev, c, s, tau, beta)
         assert got.ts is cur.ts and len(got.us) == len(cur.us)
     else:
-        got = valgrad.estimators._rank_one_step(diag, cur, prev, (c, v), s, tau, beta,
-                                                basis.params, ts)
         assert got.ts.base is ts and len(got.ts) == len(got.us) == len(cur.us) + 1
     assert got.a is cur.a and got.b is cur.b
     got = got.jacobian(basis.params)
@@ -586,15 +588,16 @@ def test_factored_sensitivities_match_a_dense_replay_across_folds(which, method,
     a, u = seeded_problem_data(30, 20, 5, 10.0)
     pr = make_experiment_problem(which, a, gamma=gamma)
     run = run_primal(pr, u, method, iterations=120)
-    basis = gram_basis(pr)
+    basis = _gram_basis(pr)
     residuals = pr.residual(run.points.T, u[:, None])
     jac = jac_prev = np.zeros((pr.n, pr.p))
     columns, folds = [], 0
-    for k, sens in enumerate(sensitivities(pr, run, basis, residuals)):
+    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, residuals)):
         if k:
             hess = pr.h.hessian_factors(residuals[:, k - 1])
-            jac, jac_prev = sensitivity_step(pr, basis, hess, jac, jac_prev,
-                                             run.pre_prox[k - 1], run.tau, run.beta), jac
+            d = _prox_derivative(pr, run.tau, run.pre_prox[k - 1])
+            jac, jac_prev = sensitivity_step(pr, basis, hess, jac, jac_prev, d,
+                                             run.tau, run.beta), jac
         got = sens.jacobian(basis.params)
         assert np.linalg.norm(got - jac) <= 1e-12 * np.linalg.norm(jac)
         folds += bool(columns) and columns[-1] == 11 and not len(sens.us)
@@ -619,7 +622,7 @@ def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monk
     step = valgrad.estimators.sensitivity_step
     monkeypatch.setattr(valgrad.estimators, "sensitivity_step",
                         lambda *args: calls.append(1) or step(*args))
-    for _ in sensitivities(pr, run, gram_basis(pr), residuals):
+    for _ in sensitivities(pr, run, u):
         pass
     if which == 1:
         assert not calls
@@ -632,6 +635,23 @@ def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monk
         mixed = sum(0 < count < pr.n for count in zeroed)
         assert 0 < mixed < 120
         assert len(calls) == mixed
+
+
+def test_automatic_estimator_takes_one_prox_derivative_per_step(monkeypatch):
+    # each step is classified by its prox derivative, and a dense step (two
+    # values) takes that same d: K evaluations for K steps, here 38 of the
+    # 60 steps dense and 22 compact
+    a, u = seeded_problem_data(30, 20, 5, 10.0)
+    pr = make_experiment_problem(4, a, gamma=0.01)
+    run = run_primal(pr, u, "ista", iterations=60)
+    dense = sum(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
+    assert 0 < dense < 60
+    calls = []
+    derivative = ElasticNet.prox_derivative
+    monkeypatch.setattr(ElasticNet, "prox_derivative",
+                        lambda self, *args: calls.append(1) or derivative(self, *args))
+    automatic_estimator(pr, run, u)
+    assert len(calls) == 60
 
 
 @pytest.mark.parametrize("which, method", [(2, "heavy_ball"), (4, "ipiasco")])
@@ -662,9 +682,8 @@ def test_automatic_requires_sensitivities():
 def test_sensitivities_require_sensitivities():
     pr, u = instance(1)
     run = run_primal(pr, u, "gd", iterations=3, with_sensitivity=False)
-    residuals = pr.residual(run.points.T, u[:, None])
     with pytest.raises(ValueError):
-        next(sensitivities(pr, run, gram_basis(pr), residuals))
+        next(sensitivities(pr, run, u))
 
 
 def test_implicit_estimator_exact_on_quadratic_anywhere():

@@ -546,7 +546,7 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(valgrad.harness, "closed_form_f1", singular)
+    monkeypatch.setattr(valgrad.harness, "value_function", singular)
     code = main(["run", "--n", "10", "--p", "5", "--problems", "f1", "--iters", "5",
                  "--out", str(tmp_path)])
     assert code == 3

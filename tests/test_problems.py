@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import valgrad.problems
-from valgrad.estimators import gram_basis, sensitivity_step
+from valgrad.estimators import _gram_basis, sensitivity_step
 from valgrad.funcs import BallIndicator, ElasticNet, EuclideanNorm, Huber, SquaredNorm
 from valgrad.linalg import seeded_problem_data, spectral_bounds
 from valgrad.problems import (
@@ -145,10 +145,10 @@ def test_structured_hessians_match_dense(which, radius):
     assert_rel_close(pr.hess_xu(x, u), hxu, 1e-12)
     # the eigenbasis sensitivity step at tau = 1 and beta = 0 with every
     # coordinate in the prox support carries the same Hessian blocks
-    basis = gram_basis(pr)
-    z = np.full(pr.n, 1e3)
+    basis = _gram_basis(pr)
+    d = None if pr.k.prox_part is None else pr.k.prox_derivative(1.0, np.full(pr.n, 1e3))
     hess = pr.h.hessian_factors(pr.residual(x, u))
-    step = basis.vecs @ sensitivity_step(pr, basis, hess, basis.vecs.T @ jac, None, z, 1.0)
+    step = basis.vecs @ sensitivity_step(pr, basis, hess, basis.vecs.T @ jac, None, d, 1.0)
     want = jac - (hxx_loss @ jac + hxu)
     if pr.k.prox_part is None:
         want -= pr.k.modulus * jac

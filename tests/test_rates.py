@@ -204,3 +204,8 @@ def test_rate_report_nonsmooth_problem_has_unavailable_entries():
     rr = rate_report(make_experiment_problem(4, a))
     assert isinstance(rr.omega_p, RateUnavailable)
     assert isinstance(rr.omega_d, RateUnavailable)
+    # CG runs only on a quadratic dual objective: f1, and f3 at gamma = 0
+    for which in (2, 3, 4):
+        rr = rate_report(make_experiment_problem(which, a))
+        assert isinstance(rr.omega_cg, RateUnavailable), which
+    assert rate_report(make_experiment_problem(3, a, gamma=0.0)).omega_cg < 1.0
