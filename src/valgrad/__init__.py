@@ -55,15 +55,11 @@ from .rates import (
     PdhgRate,
     RateReport,
     RateUnavailable,
-    RegularityConstants,
     EnvelopeConstants,
     cg_rate,
-    dual_rate,
     f1_envelope_constants,
     transfer_profile,
     pdhg_rate,
-    primal_rate,
-    problem_constants,
     proximal_rates,
     rate_report,
     error_envelopes,

@@ -109,19 +109,19 @@ def _ground_truth(pr, u, cfg):
     solve (``oracle_primal_solve``, capped at ``cfg.oracle_iterations``)
     gives xstar, within the solve's 1e-7 tolerance.  By duality the
     reference is grad p(u) = y* = grad h(b - A xstar + u).  Away from the
-    closed form the central-difference oracle, warm-started from xstar,
-    cross-checks it.  Returns (gradient, xstar, diagnostic, oracle_flagged,
-    gap): gradient is None when the cross-check gap exceeds
-    ``cfg.cross_check_tol``, oracle_flagged is set when the xstar solve or
-    the finite-difference oracle did not converge, and gap is the
-    max-abs cross-check gap (None for the closed form).
+    closed form the central-difference oracle, warm-started from xstar and
+    under the same cap, cross-checks it.  Returns (gradient, xstar,
+    diagnostic, oracle_flagged, gap): gradient is None when the
+    cross-check gap exceeds ``cfg.cross_check_tol``, oracle_flagged is set
+    when the xstar solve or the finite-difference oracle did not converge,
+    and gap is the max-abs cross-check gap (None for the closed form).
     """
     if pr.is_quadratic():
         _, xstar, _ = value_function(pr, u)
         return pr.grad_u(xstar, u), xstar, "", False, None
     xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
     truth = pr.grad_u(xstar, u)
-    fd = fd_oracle(pr, u, warm=xstar)
+    fd = fd_oracle(pr, u, max_iterations=cfg.oracle_iterations, warm=xstar)
     flagged = fd.flagged or not converged
     gap = float(np.max(np.abs(truth - fd.final)))
     if gap > cfg.cross_check_tol:

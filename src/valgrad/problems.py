@@ -4,7 +4,7 @@ A structured problem is f(x, u) = <c, x> + h(b - A x + u) + k(x) with h, k
 drawn from the convex building blocks in :mod:`valgrad.funcs`.  The dual
 objective for recovering the value-function gradient is
 
-    y  ->  k*(A^T y - c + v) + h*(y) - <b + u, y>,
+    y  ->  k*(A^T y - c) + h*(y) - <b + u, y>,
 
 assembled here together with its smooth/prox splitting, which it reads from
 the functions' own declarations (:class:`valgrad.funcs.ConvexFunction`).
@@ -63,20 +63,10 @@ class StructuredProblem:
         )
         return val if np.ndim(x) > 1 else float(val)
 
-    def conjugate_value(self, v, y) -> float:
-        """f*(v, y) = -<b, y> + k*(A^T y - c + v) + h*(y)."""
-        kc = self.k.conjugate()
-        hc = self.h.conjugate()
-        return (
-            -float(np.dot(self.b, y))
-            + kc.value(self.a.T @ y - self.c + v)
-            + hc.value(y)
-        )
-
     def duality_gap(self, x, y, u) -> float:
-        """Primal value minus dual value; nonnegative by weak duality."""
-        dual = float(np.dot(u, y)) - self.conjugate_value(np.zeros(self.n), y)
-        return self.primal_value(x, u) - dual
+        """Primal value plus the dual objective's value at y, which is
+        minus the dual value; nonnegative by weak duality."""
+        return self.primal_value(x, u) + self.dual_objective(u).value(y)
 
     def dual_objective(self, u) -> "DualObjective":
         return DualObjective(self, np.asarray(u, dtype=float))

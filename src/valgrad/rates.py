@@ -1,7 +1,7 @@
 """Convergence factors and error envelopes.
 
-Regularity constants of the structured problem class, linear convergence
-factors for the primal and dual solves, proximal and primal-dual variants,
+Linear convergence factors for the primal and dual solves, read from the
+curvature pairs the solvers step with, proximal and primal-dual variants,
 smoothness-profile transfer rules under affine precomposition, sums and
 conjugation, and the three per-iteration error envelopes for the analytic,
 automatic and implicit estimators.
@@ -23,65 +23,6 @@ class RateUnavailable:
     """Sentinel for regimes where a linear factor does not exist."""
 
     reason: str
-
-
-@dataclass(frozen=True)
-class RegularityConstants:
-    """Moduli of the pieces: (m, L) for the loss h and regularizer k, plus
-    the spectral extremes L_A = lmax(A^T A), m_p = lmin(A^T A) and
-    m_d = lmin(A A^T)."""
-
-    m_h: float
-    l_h: float
-    m_k: float
-    l_k: float
-    l_a: float
-    m_p: float
-    m_d: float
-
-    def __post_init__(self):
-        pairs = ((self.m_h, self.l_h), (self.m_k, self.l_k))
-        if any(m < 0 or m > lips for m, lips in pairs):
-            raise ValueError("need 0 <= m <= L for each piece")
-        if min(self.l_a, self.m_p, self.m_d) < 0:
-            raise ValueError("spectral constants must be nonnegative")
-
-
-def problem_constants(pr: StructuredProblem) -> RegularityConstants:
-    sb = pr.bounds()
-    hp, kp = pr.h.profile(), pr.k.profile()
-    return RegularityConstants(
-        m_h=hp.m, l_h=hp.lips, m_k=kp.m, l_k=kp.lips,
-        l_a=sb.lmax_ata, m_p=sb.lmin_ata, m_d=sb.lmin_aat,
-    )
-
-
-def primal_rate(rc: RegularityConstants):
-    """(L - m)/(L + m) of the primal objective, with L = L_h L_A + L_k and
-    m = m_h m_p + m_k."""
-    if not np.isfinite(rc.l_h) or not np.isfinite(rc.l_k):
-        return RateUnavailable("nonsmooth piece: no primal gradient Lipschitz bound")
-    num = (rc.l_h * rc.l_a - rc.m_h * rc.m_p) + (rc.l_k - rc.m_k)
-    den = (rc.l_h * rc.l_a + rc.m_h * rc.m_p) + (rc.l_k + rc.m_k)
-    if den <= 0:
-        raise ValueError("degenerate constants")
-    return num / den
-
-
-def dual_rate(rc: RegularityConstants):
-    """Dual linear factor; finite positive moduli of both pieces required."""
-    vals = (rc.m_h, rc.l_h, rc.m_k, rc.l_k)
-    if not all(np.isfinite(v) for v in vals):
-        return RateUnavailable("infinite modulus: dual factor undefined")
-    num = rc.l_h * rc.m_h * (rc.l_k * rc.l_a - rc.m_k * rc.m_d) + rc.l_k * rc.m_k * (
-        rc.l_h - rc.m_h
-    )
-    den = rc.l_h * rc.m_h * (rc.l_k * rc.l_a + rc.m_k * rc.m_d) + rc.l_k * rc.m_k * (
-        rc.l_h + rc.m_h
-    )
-    if den <= 0:
-        raise ValueError("degenerate constants")
-    return num / den
 
 
 def cg_rate(lips: float, m: float):
@@ -280,6 +221,14 @@ def f1_envelope_constants(a: np.ndarray, lam: float, tau: float | None = None) -
 
 @dataclass(frozen=True)
 class RateReport:
+    """Every factor for one problem, each a float or a `RateUnavailable`.
+
+    omega_p and omega_d are gd's factors on the primal and on the dual at
+    u = 0, omega_cg is CG's on a quadratic dual, omega_ista and
+    omega_fista the proximal factors on the dual at step 1/L, and
+    omega_pdhg PDHG's on the saddle-point form.
+    """
+
     omega_p: object
     omega_d: object
     omega_cg: object
@@ -288,10 +237,24 @@ class RateReport:
     omega_pdhg: PdhgRate
 
 
+def _gd_rate(curvature, prox_part):
+    """(L - m)/(L + m), gd's factor at ``step_policy``'s step 2/(L + m)
+    (Nesterov 2004, Thm 2.1.15), for an objective with curvature (L, m);
+    unavailable where gd does not run: a prox part or an infinite L."""
+    if prox_part is not None:
+        return RateUnavailable("prox part: the solvers run ista, not gd")
+    lips, m = curvature
+    if not np.isfinite(lips):
+        return RateUnavailable("smooth part not Lipschitz")
+    return (lips - m) / (lips + m)
+
+
 def rate_report(pr: StructuredProblem) -> RateReport:
-    """Assemble every applicable factor for one problem instance; the CG
-    factor only for a quadratic problem, the one CG runs on."""
-    rc = problem_constants(pr)
+    """Assemble every applicable factor for one problem instance from the
+    curvature pairs the solvers step with: ``pr.curvature()`` for the
+    primal and ``DualObjective.curvature()`` for the dual.  gd's factors
+    only where gd runs, the CG factor only for a quadratic problem, the
+    one CG runs on."""
     dob = pr.dual_objective(np.zeros(pr.p))
     lips_d, m_d = dob.curvature()
     sc_prox = 0.0  # the dual prox part (ball indicator) carries no curvature
@@ -302,15 +265,12 @@ def rate_report(pr: StructuredProblem) -> RateReport:
         om1, om2 = una, una
     sb = pr.bounds()
     op_norm = float(np.sqrt(sb.lmax_ata)) if sb.lmax_ata > 0 else 1.0
-    kp = pr.k.profile()
-    hp_star = transfer_profile(pr.h.profile(), mode="conjugate")
-    pd = pdhg_rate(kp.m, hp_star.m, op_norm, 1.0)
     return RateReport(
-        omega_p=primal_rate(rc),
-        omega_d=dual_rate(rc),
+        omega_p=_gd_rate(pr.curvature(), pr.k.prox_part),
+        omega_d=_gd_rate((lips_d, m_d), dob.prox_part),
         omega_cg=(cg_rate(lips_d, m_d) if pr.is_quadratic()
                   else RateUnavailable("conjugate gradient needs a quadratic dual objective")),
         omega_ista=om1,
         omega_fista=om2,
-        omega_pdhg=pd,
+        omega_pdhg=pdhg_rate(pr.k.modulus, dob.hstar_scale, op_norm, 1.0),
     )

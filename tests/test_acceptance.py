@@ -33,10 +33,8 @@ from valgrad.funcs import (
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import ToyProblem, closed_form_f1, make_experiment_problem
 from valgrad.rates import (
-    dual_rate,
     f1_envelope_constants,
-    primal_rate,
-    problem_constants,
+    rate_report,
     error_envelopes,
 )
 from valgrad.solvers import SolverConfig
@@ -240,13 +238,13 @@ def test_ac7_convex_calculus_suite():
 def test_ac8_rate_cross_checks():
     a, u = seeded_problem_data(50, 30, seed=0, cond_ratio=10.0)
     pr = make_experiment_problem(1, a)
-    rc = problem_constants(pr)
+    rr = rate_report(pr)
     ev_p = np.linalg.eigvalsh(a.T @ a + 2.0 * np.eye(50))
     want_p = (ev_p[-1] - ev_p[0]) / (ev_p[-1] + ev_p[0])
-    dev_p = abs(primal_rate(rc) - want_p)
+    dev_p = abs(rr.omega_p - want_p)
     ev_d = np.linalg.eigvalsh(a @ a.T / 2.0 + np.eye(30))
     want_d = (ev_d[-1] - ev_d[0]) / (ev_d[-1] + ev_d[0])
-    dev_d = abs(dual_rate(rc) - want_d)
+    dev_d = abs(rr.omega_d - want_d)
     xstar, _ = closed_form_f1(a, 2.0, u)
     run = run_primal(pr, u, "gd", iterations=300, with_sensitivity=False)
     errs = [float(np.linalg.norm(x - xstar)) for x in run.points]

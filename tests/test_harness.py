@@ -402,7 +402,7 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
     assert run_grid(cfg, clock=constant_clock)[1]["oracle_flagged"] == []
 
     def capped(pr, u, **kwargs):
-        return fd_oracle(pr, u, max_iterations=5, **kwargs)
+        return fd_oracle(pr, u, **{**kwargs, "max_iterations": 5})
 
     monkeypatch.setattr(valgrad.harness, "fd_oracle", capped)
     _, summary = run_grid(cfg, clock=constant_clock)
@@ -413,6 +413,20 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
     assert "f1 P=6" not in out
+
+
+def test_oracle_iterations_caps_the_fd_oracle(monkeypatch):
+    caps = []
+
+    def spy(pr, u, **kwargs):
+        caps.append(kwargs.get("max_iterations"))
+        return fd_oracle(pr, u, **kwargs)
+
+    monkeypatch.setattr(valgrad.harness, "fd_oracle", spy)
+    cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f3",), iterations=10,
+                           cond_ratio=3.0, oracle_iterations=5000)
+    run_grid(cfg, clock=constant_clock)
+    assert caps == [5000]
 
 
 def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):

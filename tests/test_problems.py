@@ -275,6 +275,22 @@ def test_duality_gap_nonnegative_and_tight():
     assert pr.duality_gap(xstar + 0.1, grad * 0.9, u) > 0
 
 
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+def test_duality_gap_is_primal_minus_conjugate_dual(which):
+    a, u = seeded_problem_data(8, 5, seed=which, cond_ratio=3.0)
+    base = make_experiment_problem(which, a)
+    gen = np.random.Generator(np.random.PCG64(which))
+    c, b = gen.standard_normal(8), gen.standard_normal(5)
+    pr = StructuredProblem(a, base.h, base.k, c=c, b=b)
+    x = gen.standard_normal(8)
+    # a dual point in the domain of h*: a gradient of h
+    y = pr.grad_u(gen.standard_normal(8), u)
+    fstar = (-float(b @ y) + pr.k.conjugate().value(a.T @ y - c)
+             + pr.h.conjugate().value(y))
+    want = pr.primal_value(x, u) - (float(u @ y) - fstar)
+    assert pr.duality_gap(x, y, u) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_dual_objective_validates_shapes():
     pr, u = small_problem(1)
     with pytest.raises(ValueError):

@@ -1,80 +1,91 @@
+import re
+
 import numpy as np
 import pytest
 
-from valgrad.funcs import SmoothnessProfile
+from valgrad.cli import main
+from valgrad.estimators import oracle_primal_solve
+from valgrad.funcs import EuclideanNorm, SmoothnessProfile, SquaredNorm
 from valgrad.linalg import seeded_problem_data, spectral_bounds
-from valgrad.problems import make_experiment_problem
+from valgrad.problems import StructuredProblem, make_experiment_problem
 from valgrad.rates import (
     RateUnavailable,
-    RegularityConstants,
     EnvelopeConstants,
     cg_rate,
-    dual_rate,
     f1_envelope_constants,
     transfer_profile,
     pdhg_rate,
-    primal_rate,
-    problem_constants,
     proximal_rates,
     rate_report,
     error_envelopes,
 )
-
-
-def test_regularity_constants_validation():
-    with pytest.raises(ValueError):
-        RegularityConstants(m_h=2.0, l_h=1.0, m_k=1.0, l_k=1.0, l_a=1.0, m_p=1.0, m_d=1.0)
-    with pytest.raises(ValueError):
-        RegularityConstants(m_h=1.0, l_h=1.0, m_k=1.0, l_k=1.0, l_a=-1.0, m_p=1.0, m_d=1.0)
-
-
-def test_primal_rate_perfectly_conditioned_is_zero():
-    rc = RegularityConstants(m_h=1.0, l_h=1.0, m_k=1.0, l_k=1.0, l_a=1.0, m_p=1.0, m_d=1.0)
-    assert primal_rate(rc) == pytest.approx(0.0)
-    assert dual_rate(rc) == pytest.approx(0.0)
-
-
-def test_primal_rate_identity_matrix_ridge():
-    # A = I, lam = 2: constants (1,1,2,2,1,1,1) give a zero factor
-    rc = RegularityConstants(m_h=1.0, l_h=1.0, m_k=2.0, l_k=2.0, l_a=1.0, m_p=1.0, m_d=1.0)
-    assert primal_rate(rc) == pytest.approx(0.0)
+from valgrad.solvers import prox_gradient, step_policy
 
 
 def test_primal_rate_matches_hessian_eigenvalues():
     a, _ = seeded_problem_data(50, 30, seed=0, cond_ratio=10.0)
     pr = make_experiment_problem(1, a)
-    rc = problem_constants(pr)
     ev = np.linalg.eigvalsh(a.T @ a + 2.0 * np.eye(50))
     want = (ev[-1] - ev[0]) / (ev[-1] + ev[0])
-    assert primal_rate(rc) == pytest.approx(want, abs=1e-10)
+    assert rate_report(pr).omega_p == pytest.approx(want, abs=1e-10)
 
 
 def test_dual_rate_matches_assembled_dual_hessian():
     a, _ = seeded_problem_data(20, 20, seed=1, cond_ratio=5.0)
     pr = make_experiment_problem(1, a)
-    rc = problem_constants(pr)
     q = a @ a.T / 2.0 + np.eye(20)
     ev = np.linalg.eigvalsh(q)
     want = (ev[-1] - ev[0]) / (ev[-1] + ev[0])
-    assert dual_rate(rc) == pytest.approx(want, abs=1e-10)
+    assert rate_report(pr).omega_d == pytest.approx(want, abs=1e-10)
 
 
-def test_dual_rate_monotone_in_m_d():
-    base = dict(m_h=1.0, l_h=2.0, m_k=1.0, l_k=3.0, l_a=4.0, m_p=0.5)
-    r1 = dual_rate(RegularityConstants(**base, m_d=0.0))
-    r2 = dual_rate(RegularityConstants(**base, m_d=1.0))
-    r3 = dual_rate(RegularityConstants(**base, m_d=2.0))
-    assert r1 > r2 > r3
-
-
-def test_rates_unavailable_for_nonsmooth_pieces():
+def test_gd_factors_only_where_gd_runs():
+    # gd runs on a side without a prox part: f1's primal and dual, f2's
+    # primal (Huber's dual has a ball) and f3's dual (k* is smooth)
     a, _ = seeded_problem_data(10, 6, seed=2)
-    pr = make_experiment_problem(3, a)  # elastic net: L_k infinite
-    rc = problem_constants(pr)
-    assert isinstance(primal_rate(rc), RateUnavailable)
-    assert isinstance(dual_rate(rc), RateUnavailable)
-    pr2 = make_experiment_problem(2, a)  # Huber: m_h = 0, still finite
-    assert isinstance(dual_rate(problem_constants(pr2)), float)
+    gd_runs = {1: (True, True), 2: (True, False), 3: (False, True), 4: (False, False)}
+    for which, sides in gd_runs.items():
+        rr = rate_report(make_experiment_problem(which, a))
+        for omega, runs in zip((rr.omega_p, rr.omega_d), sides):
+            if runs:
+                assert isinstance(omega, float) and 0.0 <= omega < 1.0, which
+            else:
+                assert isinstance(omega, RateUnavailable), which
+
+
+def test_dual_factor_bounds_gd_on_elastic_net_dual():
+    a, u = seeded_problem_data(20, 15, seed=3, cond_ratio=5.0)
+    pr = make_experiment_problem(3, a)
+    omega_d = rate_report(pr).omega_d
+    xstar, _, converged = oracle_primal_solve(pr, u, tol=1e-12)
+    assert converged
+    ystar = pr.grad_u(xstar, u)
+    dob = pr.dual_objective(u)
+    tau, _ = step_policy("gd", *dob.curvature())
+    run = prox_gradient(dob.smooth_grad, None, np.zeros(pr.p), tau, 0.0, 1000)
+    errs = np.linalg.norm(run.points - ystar, axis=1)
+    assert errs[1000] > 1e-9
+    ratios = errs[201:1001] / errs[200:1000]
+    assert ratios.max() <= omega_d + 1e-6
+
+
+def test_norm_loss_has_no_primal_gd_factor():
+    a, _ = seeded_problem_data(8, 5, seed=0)
+    pr = StructuredProblem(a, EuclideanNorm(0.1), SquaredNorm(2.0))
+    assert isinstance(rate_report(pr).omega_p, RateUnavailable)
+
+
+@pytest.mark.parametrize("problem", ["f1", "f2", "f3", "f4"])
+def test_rates_table_prints_only_true_factors(problem, capsys):
+    assert main(["rates", "--problem", problem]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("omega_")]
+    assert len(lines) == 6
+    for line in lines:
+        value = line.split("=", 1)[1].strip()
+        if re.fullmatch(r"unavailable \(.+\)|regime: [a-z-]+", value):
+            continue
+        factor = float(value.split()[0])
+        assert 0.0 <= factor < 1.0, line
 
 
 def test_proximal_rates_substitutions():
