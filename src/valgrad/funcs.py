@@ -72,6 +72,9 @@ class ConvexFunction:
     def grad(self, z: np.ndarray) -> np.ndarray:
         raise NonsmoothError(f"{type(self).__name__} has no gradient")
 
+    def hessian_factors(self, z: np.ndarray):
+        raise NonsmoothError(f"{type(self).__name__} has no Hessian factors")
+
     def prox(self, tau: float, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

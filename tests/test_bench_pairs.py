@@ -41,3 +41,31 @@ def test_summarize_reads_higher_is_better():
     assert rows["ops_ok_frac"]["verdict"] == "worse"
     rows = bench_pairs.summarize(_runs(walls, walls, ops=(0.9, 1.0)), METRICS)["w"]
     assert rows["ops_ok_frac"]["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # 10/10 pairs won, and the medians 1.0 and 0.8 differ by more than the
+    # parent's quartile distance 0.05
+    ([1.0, 0.98, 1.02, 0.99, 1.01, 1.0, 0.97, 1.03, 1.0, 1.0],
+     [0.8, 0.78, 0.82, 0.79, 0.81, 0.8, 0.77, 0.83, 0.8, 0.8], "met"),
+    # 9/10 won is still enough
+    ([1.0, 0.98, 1.02, 0.99, 1.01, 1.0, 0.97, 1.03, 1.0, 1.0],
+     [0.8, 0.78, 0.82, 0.79, 0.81, 0.8, 0.77, 0.83, 0.8, 1.1], "met"),
+    # a tie is no win: 8 won and 2 tied of 10
+    ([1.0, 0.98, 1.02, 0.99, 1.01, 1.0, 0.97, 1.03, 1.0, 1.0],
+     [0.8, 0.78, 0.82, 0.79, 0.81, 0.8, 0.77, 0.83, 1.0, 1.0], "not met"),
+    # every pair won, but by less than the parent's quartile distance 0.5
+    ([0.5, 0.75, 1.0, 1.25, 1.5, 0.5, 0.75, 1.0, 1.25, 1.5],
+     [0.4, 0.65, 0.9, 1.15, 1.4, 0.4, 0.65, 0.9, 1.15, 1.4], "not met"),
+    # no change at all
+    ([1.0] * 10, [1.0] * 10, "not met"),
+], ids=["all-pairs", "nine-pairs", "ties-are-no-wins", "within-spread", "equal"])
+def test_summarize_tells_whether_a_gain_is_met(parent, change, want):
+    rows = bench_pairs.summarize(_runs(parent, change), METRICS)["w"]
+    assert rows["wall_s"]["gain"] == want
+
+
+def test_gain_reads_higher_is_better():
+    ops = [0.5, 0.48, 0.52, 0.49, 0.51, 0.5, 0.47, 0.53, 0.5, 0.5]
+    assert bench_pairs.gain(ops, [o + 0.3 for o in ops], -1.0) == "met"
+    assert bench_pairs.gain(ops, [o - 0.3 for o in ops], -1.0) == "not met"

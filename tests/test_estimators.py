@@ -23,7 +23,7 @@ from valgrad.estimators import (
     sensitivity_step,
     value_function,
 )
-from valgrad.funcs import ElasticNet, NonsmoothError, SquaredNorm
+from valgrad.funcs import ElasticNet, EuclideanNorm, NonsmoothError, SquaredNorm
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import (
     StructuredProblem,
@@ -873,17 +873,17 @@ def test_fd_oracle_freeze_threshold_scales_with_m(monkeypatch):
     lips, m = pr.curvature()
     assert m == 2.0
     limits = []
-    solve = valgrad.estimators._certified_solve
+    polish = valgrad.estimators._newton_polish
 
-    def spy(pr, params, x0, limit, max_iterations):
+    def spy(pr, params, y, points, live, limit, *args):
         limits.append(limit)
-        return solve(pr, params, x0, limit, max_iterations)
+        return polish(pr, params, y, points, live, limit, *args)
 
-    monkeypatch.setattr(valgrad.estimators, "_certified_solve", spy)
+    monkeypatch.setattr(valgrad.estimators, "_newton_polish", spy)
     tol, eps = 1e-6, 1e-5
     fd_oracle(pr, u, eps=eps, tol=tol, warm=np.zeros(pr.n))
     steps = np.tile(eps * (1.0 + np.abs(u)), 2)
-    [limit] = limits
+    limit = limits[0]  # the chord steps' limit, handed over first
     np.testing.assert_allclose((lips * limit) ** 2 / steps, tol * m, rtol=1e-12)
 
 
@@ -902,6 +902,14 @@ def test_fd_oracle_within_tol_whatever_the_warm_start(which):
         est = fd_oracle(pr, u, warm=start)
         assert not est.flagged
         np.testing.assert_allclose(est.final, cold.final, atol=1e-6)
+
+
+def test_implicit_estimator_rejects_a_loss_without_hessian_factors():
+    # a norm loss has no Hessian, which is a nonsmooth case, not a missing method
+    a, u = seeded_problem_data(50, 10, 0, 100.0)
+    pr = StructuredProblem(a=a, h=EuclideanNorm(0.1), k=SquaredNorm(2.0))
+    with pytest.raises(NonsmoothError, match="EuclideanNorm has no Hessian"):
+        implicit_estimator(pr, np.zeros(pr.n), u)
 
 
 def test_implicit_estimator_rejects_an_indefinite_surrogate_hessian(monkeypatch):
@@ -937,19 +945,24 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
     pr, u = oracle_instance(which)
     ref, _, _ = oracle_primal_solve(pr, u, tol=1e-11)
     fd_ref = fd_oracle(pr, u, warm=ref)
-    calls = []
+    calls, kinds = [], []
 
-    def garbage(pr, x, par, tau):
-        calls.append(x.shape[1])
-        return np.full_like(x, np.nan) if len(calls) % 2 else x + 1e3
+    def garbage(pr, x, par, tau, jac=None):
+        calls.append((x.shape[1], jac is not None))
+        kind = kinds[-1] if kinds else len(calls) % 2
+        return np.full_like(x, np.nan) if kind else x + 1e3
 
     monkeypatch.setattr(valgrad.estimators, "_newton_step", garbage)
     x, _, ok = oracle_primal_solve(pr, u)
     assert calls and ok  # Newton was tried, and the prox-gradient fallback certified
     assert np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u)) <= 1e-7
-    fd = fd_oracle(pr, u, warm=x)
-    assert not fd.flagged
-    np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
+    for kind in (1, 0):  # every chord and Newton step NaN, then every one +1e3
+        kinds.append(kind)
+        calls.clear()
+        fd = fd_oracle(pr, u, warm=x)
+        assert (2 * pr.p, True) in calls  # the chord step was tried on the block
+        assert not fd.flagged
+        np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
 
 
 def test_certified_solve_without_iterations_returns_its_start_uncertified():
@@ -991,8 +1004,49 @@ def test_oracle_primal_solve_counts_newton_steps_against_the_cap():
 
 def test_fd_oracle_flags_iteration_cap():
     pr, u = instance(2, n=12, p=8, seed=4, cond=5.0)
-    assert fd_oracle(pr, u, max_iterations=5).flagged
+    assert fd_oracle(pr, u, max_iterations=0).flagged
     assert not fd_oracle(pr, u).flagged
+
+
+def test_fd_oracle_counts_each_chord_step_against_the_cap(monkeypatch):
+    # from a perturbed start one chord step leaves columns open; a cap of one
+    # iteration allows that one step and leaves the fallback none
+    pr, u = instance(3, n=12, p=8, seed=4, cond=5.0)
+    xstar, _, _ = oracle_primal_solve(pr, u)
+    chords, caps = [], []
+    newton_step = valgrad.estimators._newton_step
+    certified_solve = valgrad.estimators._certified_solve
+
+    def counted(pr, x, par, tau, jac=None):
+        chords.append(jac is not None)
+        return newton_step(pr, x, par, tau, jac)
+
+    def capped(pr, params, x0, limit, max_iterations):
+        caps.append(max_iterations)
+        return certified_solve(pr, params, x0, limit, max_iterations)
+
+    monkeypatch.setattr(valgrad.estimators, "_newton_step", counted)
+    monkeypatch.setattr(valgrad.estimators, "_certified_solve", capped)
+    fd_oracle(pr, u, max_iterations=1, warm=xstar + 1e-3)
+    assert chords == [True] and caps == [0]
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+@pytest.mark.parametrize("p", [10, 50])
+def test_chord_steps_certify_a_warm_block(which, p, monkeypatch):
+    # from the certified centre minimizer, the chord steps certify all 2P
+    # columns, and no accelerated iteration runs (default-grid cells, seed 0)
+    a, u = seeded_problem_data(50, p, 101 * which + p, 100.0)
+    pr = make_experiment_problem(which, a)
+    xstar, _, ok = oracle_primal_solve(pr, u)
+    assert ok
+    ref = fd_oracle(pr, u, warm=xstar, tol=1e-11)
+    runs = []
+    monkeypatch.setattr(valgrad.estimators, "accelerated_steps",
+                        lambda *args: runs.append(args) or iter(()))
+    est = fd_oracle(pr, u, warm=xstar)
+    assert not est.flagged and not runs
+    np.testing.assert_allclose(est.final, ref.final, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

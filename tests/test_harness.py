@@ -402,7 +402,7 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
     assert run_grid(cfg, clock=constant_clock)[1]["oracle_flagged"] == []
 
     def capped(pr, u, **kwargs):
-        return fd_oracle(pr, u, **{**kwargs, "max_iterations": 5})
+        return fd_oracle(pr, u, **{**kwargs, "max_iterations": 0})
 
     monkeypatch.setattr(valgrad.harness, "fd_oracle", capped)
     _, summary = run_grid(cfg, clock=constant_clock)

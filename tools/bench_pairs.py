@@ -12,9 +12,10 @@ directions come from the change tree's BENCHMARK.json.  Within a pair every
 workload runs once per side; the parent goes first in even pairs and the
 change first in odd ones.  Per workload and metric the file holds each
 side's median and quartiles (inclusive method), the pairs the change won and
-tied, the ratio of the medians and a no-regression verdict against the
-metric's bound (``verdict``); every verdict other than ``ok`` is also
-printed to stderr.  One traced seed-0 run per workload and side adds the
+tied, the ratio of the medians, a no-regression verdict against the
+metric's bound (``verdict``) and whether the pairs show a gain (``gain``,
+``met`` or ``not met``); every verdict other than ``ok`` is also printed to
+stderr.  One traced seed-0 run per workload and side adds the
 per-layer metrics, under ``traced_seed0`` keyed by workload.
 A run that fails or reports wrong output stops the tool with exit status 1
 and writes nothing.
@@ -67,10 +68,23 @@ def verdict(par, chg, sign, bound):
     return "ok"
 
 
+def gain(par, chg, sign):
+    """``met`` if the change wins at least nine tenths of the pairs (a tie
+    is no win) and its median beats the parent's by more than the parent's
+    quartile distance; ``not met`` otherwise.  ``par`` and ``chg`` are the
+    two sides' values in pair order, and ``sign`` is as for ``verdict``."""
+    wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+    parent = spread(par)
+    lead = sign * (parent["median"] - statistics.median(chg))
+    met = 10 * wins >= 9 * len(par) and lead > parent["q3"] - parent["q1"]
+    return "met" if met else "not met"
+
+
 def summarize(runs, metrics):
-    """Per workload and metric: both sides' spread, the pair counts and the
-    verdict.  ``metrics`` maps each metric's name to its BENCHMARK.json
-    entry, which gives its direction (``better``) and its ``bound``."""
+    """Per workload and metric: both sides' spread, the pair counts, the
+    no-regression verdict and whether a gain is shown (``gain``).
+    ``metrics`` maps each metric's name to its BENCHMARK.json entry, which
+    gives its direction (``better``) and its ``bound``."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         side = {s: [r for r in runs if r["workload"] == workload and r["side"] == s]
@@ -87,6 +101,7 @@ def summarize(runs, metrics):
                 "tied_pairs": sum(c == p for p, c in zip(par, chg)),
                 "change_over_parent": statistics.median(chg) / statistics.median(par),
                 "verdict": verdict(par, chg, sign, spec["bound"]),
+                "gain": gain(par, chg, sign),
             }
     return out
 
