@@ -163,8 +163,9 @@ def _cmd_run(args) -> int:
     plots = emit_plots(series, out / "plots")
     print(f"cells completed: {len(summary['cells'])}")
     for name, p in summary["oracle_flagged"]:
-        print(f"warning: {name} P={p}: the finite-difference oracle did not converge "
-              "(its xstar solve or a perturbed solve reached its iteration cap)")
+        print(f"warning: {name} P={p}: the ground truth is not certified (its xstar solve "
+              "or a finite-difference solve reached its iteration cap, or the duality-gap "
+              "bound at the truth exceeds the cross-check tolerance)")
     for name, p, solver, estimator, reason in summary["inapplicable"]:
         print(f"inapplicable {name} P={p} {solver} {estimator}: {reason}; no series written")
     for name, p, solver, estimator, k in summary["diverged"]:

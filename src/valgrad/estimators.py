@@ -3,8 +3,9 @@
 Four estimators of the gradient of p(u) = inf_x f(x, u):
 
 * analytic:  the parameter-gradient of f at an approximate minimizer,
-* automatic: forward sensitivities replayed along the solver's iterates,
-             in the eigenbasis of A^T A,
+* automatic: the solver's iterates differentiated in the eigenbasis of
+             A^T A, by a forward sweep of sensitivities or a batched
+             reverse (adjoint) sweep, whichever carries fewer columns,
 * implicit:  the implicit-function-theorem linear solve at one iterate,
              by a Cholesky factorization,
 * dual:      iterates of the assembled dual problem,
@@ -314,20 +315,30 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
 
     Forward-mode differentiation of the solver (Griewank & Walther,
     Evaluating Derivatives, 2008), replayed along the run's iterates and
-    pre-prox points by the recursion of ``automatic_estimator``
-    (``_compact_sensitivities``); each compact J-hat_k = V^T J_k is rotated
-    back with the eigenbasis V of A^T A, taken once per call.  Raises
-    ``ValueError`` for a run made without sensitivities.
+    pre-prox points by the forward sweep of ``automatic_estimator``
+    (``_compact_sensitivities``), whatever sweep that estimator takes on
+    the run: only the forward one forms J_k.  Each compact J-hat_k = V^T
+    J_k is rotated back with the eigenbasis V of A^T A, taken once per
+    call.  Raises ``ValueError`` for a run made without sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
     residuals = _residual_series(pr, run.points, u)
-    for sens in _compact_sensitivities(pr, run, basis, residuals):
+    derivs = _prox_derivatives(pr, run)
+    for sens in _compact_sensitivities(pr, run, basis, residuals, derivs):
         yield basis.vecs @ sens.jacobian(basis.params)
 
 
+def _prox_derivatives(pr: StructuredProblem, run: PrimalRun):
+    """The K x N block of the prox derivatives ``prox_derivative(tau, z_k)``
+    at the run's pre-prox points, one evaluation on the whole block; None
+    without a prox part."""
+    prox = pr.k.prox_part
+    return None if prox is None else prox.prox_derivative(run.tau, run.pre_prox)
+
+
 def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
-                           residuals):
+                           residuals, derivs):
     """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
     ``_Sensitivity`` per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u
     and V is ``basis.vecs``, so J_k = V J-hat_k.
@@ -335,8 +346,9 @@ def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBa
     J-hat_0 = 0, then one step per pre-prox point z_k of the run, with its
     loss Hessian c (I - v v^T) taken at column k of ``residuals``, the
     P x (K+1) block b - A x_k + u of the run's iterates, and its prox
-    derivative d = ``prox_derivative(tau, z_k)`` evaluated once (d None
-    without a prox part).  Where d is s I the step map is the diagonal
+    derivative d = ``prox_derivative(tau, z_k)``, row k of ``derivs``
+    (``_prox_derivatives``; d None without a prox part).  Where d is s I
+    the step map is the diagonal
     s (1 + beta - tau c Lambda [- tau lam]) plus the shift s tau c params,
     and for v not None the rank-1 term s tau c w (w^T J-hat - v^T), with
     w = params v: ``_compact_step`` updates the compact form in O(N m) for
@@ -355,7 +367,6 @@ def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBa
     """
     eigvals, params = basis.eigvals, basis.params
     tau, beta = run.tau, run.beta
-    prox = pr.k.prox_part
     no_ts = np.zeros((0, pr.p))
     opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step or a fold
     opened[0] = 1.0
@@ -376,9 +387,9 @@ def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBa
     step_c = diag = None  # the last compact step's c and multiplier
     ts = None  # the buffer of t_i of the current pair (a, b)
     yield cur
-    for r, z in zip(residuals.T, run.pre_prox):
-        c, v = pr.h.hessian_factors(r)
-        d = None if prox is None else prox.prox_derivative(tau, z)
+    for k in range(len(run.pre_prox)):
+        c, v = pr.h.hessian_factors(residuals[:, k])
+        d = None if derivs is None else derivs[k]
         if d is not None and d.min() != d.max():
             jac, jac_prev = dense_pair(cur, prev)
             new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, d, tau, beta)
@@ -416,20 +427,34 @@ def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
 def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEstimate:
     """g2(k) = J(k)^T grad_x f(x(k), u) + grad_u f(x(k), u).
 
-    The sensitivities stream from ``_compact_sensitivities`` in the
-    eigenbasis of A^T A, so g2(k) = J-hat(k)^T (V^T grad_x f) + grad_u f.
-    The yields sharing one dense pair (a, b) form a run: its opening dense
+    In the eigenbasis of A^T A, g2(k) = J-hat(k)^T (V^T grad_x f) +
+    grad_u f, K+1 vector-Jacobian products, taken by one of two sweeps
+    chosen from the run before either runs (``_reverse_pays``): the
+    reverse sweep when dense P > K (K + 1) / 2, dense being the number of
+    steps whose prox derivative has two values, the forward sweep
+    otherwise.  A dense forward step carries P columns, while the reverse
+    sweep carries the K - j estimates still open at step j.  Without a
+    prox part no step is dense, and no run of the default grid goes
+    reverse.
+
+    Forward, the sensitivities stream from ``_compact_sensitivities``.  The
+    yields sharing one dense pair (a, b) form a run: its opening dense
     step or fold takes one product as before, and the other steps take three
     for the whole run, plus one for its columns (``_run_estimates``).  Each
     step's U^T g is taken as it streams, so a run holds its coefficient
     vectors and the t_i, not every step's U; its blocks are freed when it
-    ends.  The basis (``_gram_basis``) is taken once per call and freed with
-    it.  The residual block of the whole series is formed once: it gives
-    grad_u f and every step's loss Hessian.  For elastic-net problems the
-    regularizer subgradient is the prox optimality selection, the
-    minimum-norm subgradient at x(0) and (z(k-1) - x(k)) / tau from the
-    run's pre-prox points after it.  The estimates fill one (K+1) x P
-    block.  Raises ``ValueError`` for a run made without sensitivities.
+    ends.  Reverse, ``_reverse_estimates`` runs the transposed steps from
+    K - 1 down to 0 on a (K+1) x N adjoint block.  Both give the same rows
+    up to round-off.  The basis (``_gram_basis``) is taken once per call
+    and freed with it.  The residual block of the whole series is formed
+    once: it gives grad_u f and every step's loss Hessian; the prox
+    derivatives are evaluated once, on the block of pre-prox points
+    (``_prox_derivatives``), and both the choice and the sweep read them.
+    For elastic-net problems the regularizer subgradient is the prox
+    optimality selection, the minimum-norm subgradient at x(0) and
+    (z(k-1) - x(k)) / tau from the run's pre-prox points after it.  The
+    estimates fill one (K+1) x P block.  Raises ``ValueError`` for a run
+    made without sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
@@ -441,10 +466,15 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
         gx[:, 1:] += ((run.pre_prox - run.points[1:]) / run.tau).T
     else:
         gx += pr.k.modulus * run.points.T
+    derivs = _prox_derivatives(pr, run)
+    if _reverse_pays(derivs, pr.p):
+        gx, gu = gx.T @ basis.vecs, gu.T.copy()
+        return GradientEstimate("automatic",
+                                _reverse_estimates(pr, run, basis, res, derivs, gx, gu))
     gx = basis.vecs.T @ gx
     est = np.empty((len(run.points), pr.p))
     start, block, coefs = 0, [], []
-    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, res)):
+    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, res, derivs)):
         if block and sens.a is not block[0].a:
             _run_estimates(est, basis.params, block, coefs, gx, gu, start)
             start, block, coefs = start + len(block), [], []
@@ -454,6 +484,94 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
         block.append(sens)
     _run_estimates(est, basis.params, block, coefs, gx, gu, start)
     return GradientEstimate("automatic", est)
+
+
+def _reverse_pays(derivs, p: int) -> bool:
+    """Whether the reverse sweep carries fewer columns than the forward one:
+    dense P > K (K + 1) / 2.  A dense step, one whose prox derivative (a row
+    of ``derivs``) has two values, carries P columns forward, and the
+    reverse sweep carries the K - j estimates still open at step j, K (K +
+    1) / 2 over its K steps.  False without a prox part (``derivs`` None),
+    where no step is dense."""
+    if derivs is None:
+        return False
+    k = len(derivs)
+    dense = np.count_nonzero(derivs.min(axis=1) != derivs.max(axis=1))
+    return 2 * dense * p > k * (k + 1)
+
+
+def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis, res,
+                       derivs, adj, est):
+    """g2 at every iterate of ``run`` by one batched reverse (adjoint)
+    sweep (Griewank & Walther, Evaluating Derivatives, 2008), the transpose
+    of ``_compact_sensitivities``'s recursion.
+
+    In the eigenbasis a step is J-hat_{j+1} = R_j (M_j J-hat_j + tau c_j
+    (params - w_j v_j^T) - beta J-hat_{j-1}), with R_j = V^T diag(d_j) V
+    for the prox derivative d_j, row j of ``derivs``, M_j the diagonal
+    ``_step_multiplier`` plus the rank-1 tau c_j w_j w_j^T, and (c_j, v_j)
+    the loss Hessian factors at column j of ``res``, w_j = params v_j.  So
+    g2(k) = sum_{j<k} tau c_j (params^T - v_j w_j^T) mu_{k,j} + grad_u f,
+    where the adjoints mu_{k,j} = R_j lam_{k,j+1} run back from lam_{k,k}
+    = V^T grad_x f(x(k)) by lam_{k,j} = M_j mu_{k,j} - beta mu_{k,j+1}.
+    Row k of the (K+1) x N block ``adj``, V^T grad_x f(x(k)) on entry,
+    goes live at step j = k - 1 and holds lam_{k,j+1} from then on, so
+    step j works on rows j+1, ..., K.  R_j takes the rows of V at the
+    zeroed coordinates or at the support, as ``_rotated_prox_derivative``
+    does (``_rotated_rows``), or is the scalar s of a d with one value.
+    The sum of tau c_j mu_{k,j} gives the params^T terms in one product at
+    the end; the v_j terms go straight into ``est``, the (K+1) x P block
+    of the grad_u f rows, which is returned.  ``adj`` and ``est`` are
+    overwritten; a scratch block holds mu and the rank-1 products, and one
+    more block the momentum terms.
+    """
+    eigvals, vecs, params = basis
+    tau, beta = run.tau, run.beta
+    steps = len(derivs)
+    total = np.zeros_like(adj)  # rows: sum_j tau c_j mu_{k,j}
+    mu = np.empty_like(adj)
+    momentum = np.zeros_like(adj) if beta else None  # rows: -beta mu_{k,j+1}
+    step_c = diag = None  # the last step's c and multiplier
+    for j in reversed(range(steps)):
+        live = slice(j + 1, steps + 1)
+        lam, mu_j = adj[live], mu[live]
+        c, v = pr.h.hessian_factors(res[:, j])
+        d = derivs[j]
+        if d.min() != d.max():
+            _rotated_rows(vecs, d, lam, mu_j)
+        else:
+            np.multiply(lam, d[0], out=mu_j)
+        total[live] += np.multiply(mu_j, tau * c, out=lam)  # lam is spent
+        if v is not None:
+            w = np.dot(params, v)
+            mw = np.dot(mu_j, w)
+            est[live] -= np.outer((tau * c) * mw, v)
+        if not j:  # lam_{k,0} multiplies J-hat_0 = 0
+            break
+        if c != step_c:
+            step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
+        np.multiply(mu_j, diag, out=lam)
+        if beta:
+            lam += momentum[live]
+            np.multiply(mu_j, -beta, out=momentum[live])
+        if v is not None:
+            lam += np.outer(mw, (tau * c) * w, out=mu_j)
+    est += total @ params
+    return est
+
+
+def _rotated_rows(vecs, d, rows, out):
+    """rows V^T diag(d) V into ``out``, the row form of
+    ``_rotated_prox_derivative`` for a d with two values, 0 on Z and s on
+    the support S: s (rows - (rows V_Z^T) V_Z) or s (rows V_S^T) V_S,
+    whichever set is smaller."""
+    zero = d == 0
+    on_support = 2 * np.count_nonzero(zero) > d.size
+    sel = vecs[~zero] if on_support else vecs[zero]
+    np.matmul(rows @ sel.T, sel, out=out)
+    if not on_support:
+        np.subtract(rows, out, out=out)
+    out *= d.max()
 
 
 def _run_estimates(out, params, block, coefs, gx, gu, start: int):

@@ -260,7 +260,9 @@ class ElasticNet(ConvexFunction):
 
     def prox_derivative(self, tau, z):
         """Diagonal of the prox Jacobian at z: 0 where |z_i| <= tau*gamma
-        (ties resolved to 0), 1/(1 + tau*lam) elsewhere."""
+        (ties resolved to 0), 1/(1 + tau*lam) elsewhere.  Elementwise, so a
+        K x N block of points gives the K diagonals as its rows, each equal
+        to the one of its row alone."""
         return (np.abs(z) > tau * self.gamma).astype(float) / (1.0 + tau * self.lam)
 
     def conjugate(self):

@@ -113,8 +113,10 @@ def _ground_truth(pr, u, cfg):
     under the same cap, cross-checks it.  Returns (gradient, xstar,
     diagnostic, oracle_flagged, gap): gradient is None when the
     cross-check gap exceeds ``cfg.cross_check_tol``, oracle_flagged is set
-    when the xstar solve or the finite-difference oracle did not converge,
-    and gap is the max-abs cross-check gap (None for the closed form).
+    when the xstar solve or the finite-difference oracle did not converge
+    or the duality-gap bound at the truth (``_gap_bound``) exceeds
+    ``cfg.cross_check_tol``, and gap is the max-abs cross-check gap (None
+    for the closed form).
     """
     if pr.is_quadratic():
         _, xstar, _ = value_function(pr, u)
@@ -122,11 +124,26 @@ def _ground_truth(pr, u, cfg):
     xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
     truth = pr.grad_u(xstar, u)
     fd = fd_oracle(pr, u, max_iterations=cfg.oracle_iterations, warm=xstar)
-    flagged = fd.flagged or not converged
+    flagged = (fd.flagged or not converged
+               or _gap_bound(pr, xstar, truth, u) > cfg.cross_check_tol)
     gap = float(np.max(np.abs(truth - fd.final)))
     if gap > cfg.cross_check_tol:
         return None, None, f"ground-truth cross-check failed: {gap:.3e}", flagged, gap
     return truth, xstar, "", flagged, gap
+
+
+def _gap_bound(pr, x, y, u) -> float:
+    """The duality-gap bound |y - y*| <= sqrt(2 (P + D) / m_d) on a dual
+    point y, for any primal point x: P = ``primal_value(x, u)``, D the
+    dual objective's value at y (P + D is ``duality_gap``) and m_d its
+    strong convexity (Duenner, Forte, Takac & Jaggi, "Primal-Dual Rates and
+    Certificates", ICML 2016).  The gap takes an allowance of
+    4 eps (|P| + |D|) for the round-off in the two values, so a gap that
+    rounds below zero still gives a true bound."""
+    dob = pr.dual_objective(u)
+    primal, dual = pr.primal_value(x, u), dob.value(y)
+    slack = 4.0 * np.finfo(float).eps * (abs(primal) + abs(dual))
+    return float(np.sqrt(max(primal + dual + slack, 0.0) * 2.0 / dob.curvature()[1]))
 
 
 def _method_for(prox_part, inertial: bool) -> str:

@@ -9,6 +9,8 @@ from valgrad.estimators import (
     GradientEstimate,
     _compact_sensitivities,
     _gram_basis,
+    _prox_derivatives,
+    _reverse_pays,
     _Sensitivity,
     analytic_estimator,
     automatic_estimator,
@@ -24,6 +26,7 @@ from valgrad.estimators import (
     value_function,
 )
 from valgrad.funcs import ElasticNet, EuclideanNorm, NonsmoothError, SquaredNorm
+from valgrad.harness import ExperimentConfig, _cell_seed, _primal_methods
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import (
     StructuredProblem,
@@ -357,24 +360,45 @@ def _per_iterate_estimates(pr, run, u):
     return ang, aug
 
 
-# (which, method, N, P): every pipeline at N = 8, P = 5, where f3 takes
-# diagonal steps only, and f3 at N = 12, P = 8, where dense steps open runs
-# of diagonal ones
+# (which, method, N, P, gamma, reverse): every pipeline at N = 8, P = 5,
+# where f3 takes diagonal steps only, f3 at N = 12, P = 8, where dense
+# steps open runs of diagonal ones, and runs whose 40 steps are all dense
+# at P > 41 / 2, which take the reverse sweep: f4 at N = 12, P = 60 and f3
+# at N = 8, P = 40 with gamma = 1
 PIPELINES = [
-    pytest.param(which, method, 8, 5, id=f"{which}-{method}")
+    pytest.param(which, method, 8, 5, 0.1, False, id=f"{which}-{method}")
     for which, method in [(1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
                           (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco")]
-] + [pytest.param(3, method, 12, 8, id=f"3-{method}-dense-and-diagonal")
-     for method in ("ista", "ipiasco")]
+] + [pytest.param(3, method, 12, 8, 0.1, False, id=f"3-{method}-dense-and-diagonal")
+     for method in ("ista", "ipiasco")
+] + [pytest.param(4, method, 12, 60, 0.1, True, id=f"4-{method}-reverse")
+     for method in ("ista", "ipiasco")
+] + [pytest.param(3, "ista", 8, 40, 1.0, True, id="3-ista-reverse")]
 
 
-@pytest.mark.parametrize("which, method, n, p", PIPELINES)
-def test_series_estimators_match_a_per_iterate_loop(which, method, n, p):
+def _pipeline(which, method, n, p, gamma):
+    a, u = seeded_problem_data(n, p, 3, 3.0)
+    pr = make_experiment_problem(which, a, gamma=gamma)
+    return pr, u, run_primal(pr, u, method, iterations=40)
+
+
+def _spy(monkeypatch, name):
+    """The calls of the estimators' function ``name``, one list entry each."""
+    calls = []
+    fn = getattr(valgrad.estimators, name)
+    monkeypatch.setattr(valgrad.estimators, name,
+                        lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("which, method, n, p, gamma, reverse", PIPELINES)
+def test_series_estimators_match_a_per_iterate_loop(which, method, n, p, gamma, reverse,
+                                                    monkeypatch):
     # the estimators evaluate the whole series at once, as one block with a
-    # row per iterate
-    pr, u = instance(which, n=n, p=p, seed=3)
-    run = run_primal(pr, u, method, iterations=40)
+    # row per iterate, forward or by the reverse sweep
+    pr, u, run = _pipeline(which, method, n, p, gamma)
     want_ang, want_aug = _per_iterate_estimates(pr, run, u)
+    swept = _spy(monkeypatch, "_reverse_estimates")
     for est, want in ((analytic_estimator(pr, run.points, u), want_ang),
                       (automatic_estimator(pr, run, u), want_aug)):
         got = est.per_iteration
@@ -382,6 +406,7 @@ def test_series_estimators_match_a_per_iterate_loop(which, method, n, p):
         assert len(want) == 41
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+    assert len(swept) == reverse
 
 
 def test_final_owns_its_data():
@@ -496,16 +521,16 @@ def _same_array(x, y):
     return x is y is None or (x is not None and y is not None and np.array_equal(x, y))
 
 
-@pytest.mark.parametrize("which, method, n, p", PIPELINES)
-def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n, p):
+@pytest.mark.parametrize("which, method, n, p, gamma, reverse", PIPELINES)
+def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n, p, gamma,
+                                                                reverse):
     # the replay along the stored iterates and pre-prox points must round
     # exactly as the recursion along the kernel's own steps
-    pr, u = instance(which, n=n, p=p, seed=3)
+    pr, u, run = _pipeline(which, method, n, p, gamma)
     basis = _gram_basis(pr)
-    run = run_primal(pr, u, method, iterations=40)
     want = _in_run_sensitivities(pr, u, method, 40, basis)
     residuals = pr.residual(run.points.T, u[:, None])
-    got = list(_compact_sensitivities(pr, run, basis, residuals))
+    got = list(_compact_sensitivities(pr, run, basis, residuals, _prox_derivatives(pr, run)))
     assert len(got) == len(want) == 41
     assert all(_same_array(g, w) for sens, ref in zip(got, want) for g, w in zip(sens, ref))
 
@@ -592,7 +617,8 @@ def test_factored_sensitivities_match_a_dense_replay_across_folds(which, method,
     residuals = pr.residual(run.points.T, u[:, None])
     jac = jac_prev = np.zeros((pr.n, pr.p))
     columns, folds = [], 0
-    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, residuals)):
+    derivs = _prox_derivatives(pr, run)
+    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, residuals, derivs)):
         if k:
             hess = pr.h.hessian_factors(residuals[:, k - 1])
             d = _prox_derivative(pr, run.tau, run.pre_prox[k - 1])
@@ -637,27 +663,93 @@ def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monk
         assert len(calls) == mixed
 
 
-def test_automatic_estimator_takes_one_prox_derivative_per_step(monkeypatch):
-    # each step is classified by its prox derivative, and a dense step (two
-    # values) takes that same d: K evaluations for K steps, here 38 of the
-    # 60 steps dense and 22 compact
+def test_automatic_estimator_takes_one_prox_derivative_per_call(monkeypatch):
+    # one evaluation on the K x N block of pre-prox points classifies every
+    # step, and a dense step (two values) takes its row: here 38 of the 60
+    # steps are dense and 22 compact, and each row is the step's own d
     a, u = seeded_problem_data(30, 20, 5, 10.0)
     pr = make_experiment_problem(4, a, gamma=0.01)
     run = run_primal(pr, u, "ista", iterations=60)
-    dense = sum(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
+    per_step = [pr.k.prox_derivative(run.tau, z) for z in run.pre_prox]
+    dense = sum(len(set(d)) > 1 for d in per_step)
     assert 0 < dense < 60
-    calls = []
+    blocks = []
     derivative = ElasticNet.prox_derivative
-    monkeypatch.setattr(ElasticNet, "prox_derivative",
-                        lambda self, *args: calls.append(1) or derivative(self, *args))
+
+    def spy(self, tau, z):
+        blocks.append(derivative(self, tau, z))
+        return blocks[-1]
+
+    monkeypatch.setattr(ElasticNet, "prox_derivative", spy)
     automatic_estimator(pr, run, u)
-    assert len(calls) == 60
+    [block] = blocks
+    assert block.shape == (60, pr.n)
+    assert all(np.array_equal(row, d) for row, d in zip(block, per_step))
 
 
-@pytest.mark.parametrize("which, method", [(2, "heavy_ball"), (4, "ipiasco")])
+@pytest.mark.parametrize("which, method, gamma", [
+    (3, "ista", 20.0), (3, "ipiasco", 60.0), (4, "ista", 10.0), (4, "ipiasco", 10.0),
+])
+def test_the_reverse_sweep_matches_the_forward_one_on_every_kind_of_step(which, method,
+                                                                          gamma, monkeypatch):
+    # from a spread start at N = 30, P = 20 the runs mix dense steps with
+    # single-valued ones, and the inertial ones with all-zero ones; each
+    # sweep is forced on the same run, over the squared and the Huber loss
+    a, u = seeded_problem_data(30, 20, 5, 10.0)
+    pr = make_experiment_problem(which, a, gamma=gamma)
+    run = run_primal(pr, u, method, iterations=60, x0=np.linspace(-3.0, 3.0, pr.n))
+    derivs = _prox_derivatives(pr, run)
+    dense = derivs.min(axis=1) != derivs.max(axis=1)
+    zero = derivs.max(axis=1) == 0
+    assert dense.any() and (~dense & ~zero).any() and zero.any() == (method == "ipiasco")
+    got = {}
+    for reverse in (False, True):
+        monkeypatch.setattr(valgrad.estimators, "_reverse_pays", lambda *_: reverse)
+        got[reverse] = automatic_estimator(pr, run, u).per_iteration
+    assert got[True].shape == (61, pr.p) and got[True].flags.c_contiguous
+    for g, w in zip(got[True], got[False]):
+        assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+
+def test_the_sweep_turns_reverse_where_dense_p_passes_k_k_plus_1_over_2(monkeypatch):
+    # f4 at N = 12 over K = 41 steps, all dense: dense P = 41 P against
+    # K (K + 1) / 2 = 861, equal at P = 21, so P = 20 and 21 go forward
+    # and P = 22 reverse
+    forward = _spy(monkeypatch, "_compact_sensitivities")
+    swept = []
+    for p, reverse in ((20, False), (21, False), (22, True)):
+        a, u = seeded_problem_data(12, p, 3, 3.0)
+        pr = make_experiment_problem(4, a)
+        run = run_primal(pr, u, "ista", iterations=41)
+        assert all(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
+        before = len(forward)
+        automatic_estimator(pr, run, u)
+        swept.append(len(forward) == before)
+    assert swept == [False, False, True]
+
+
+def test_every_default_grid_run_takes_the_forward_sweep():
+    # at K = 250 a run goes reverse only with dense P > 31,375; the default
+    # grid has at most 250 90 = 22,500
+    cfg = ExperimentConfig()
+    runs = 0
+    for name in cfg.problems:
+        which = int(name[1])
+        for p in cfg.p_list:
+            a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
+            pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
+            for method in _primal_methods(pr, cfg.inertia):
+                run = run_primal(pr, u, method, iterations=cfg.iterations)
+                assert not _reverse_pays(_prox_derivatives(pr, run), pr.p), (name, p, method)
+                runs += 1
+    assert runs == 40
+
+
+@pytest.mark.parametrize("which, method", [(2, "heavy_ball"), (4, "ista"), (4, "ipiasco")])
 def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
     # at N = P = 60 and K = 100 one Jacobian outweighs the O(K (N + P))
-    # series; holding all K + 1 Jacobians would peak above 100 of them
+    # series; holding all K + 1 Jacobians would peak above 100 of them.  f4
+    # takes the reverse sweep here, whose (K+1) x N blocks must fit too
     pr, u = instance(which, n=60, p=60, seed=1)
     automatic_estimator(pr, run_primal(pr, u, method, iterations=2), u)  # warm caches
     jac_bytes = pr.n * pr.p * np.dtype(float).itemsize

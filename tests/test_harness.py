@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import valgrad.cli
+import valgrad.estimators
 import valgrad.harness
 from valgrad.cli import main, parse_config
 from valgrad.estimators import error_trace, fd_oracle, oracle_primal_solve
@@ -17,11 +18,16 @@ from valgrad.harness import (
     ConfigError,
     ExperimentConfig,
     Series,
+    _cell_seed,
+    _gap_bound,
+    _run_cell,
     emit_csv,
     emit_plots,
     read_csv,
     run_grid,
 )
+from valgrad.linalg import seeded_problem_data
+from valgrad.problems import make_experiment_problem
 
 SMALL = ExperimentConfig(
     n=12, p_list=(6, 9), problems=("f1", "f3"), iterations=40,
@@ -411,7 +417,7 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
                  "--cond", "3", "--out", str(tmp_path)])
     assert code == (1 if summary["aborted"] else 0)
     out = capsys.readouterr().out
-    assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
+    assert "warning: f3 P=6: the ground truth is not certified" in out
     assert "f1 P=6" not in out
 
 
@@ -443,7 +449,7 @@ def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
                  "--cond", "3", "--out", str(tmp_path)])
     assert code == (1 if summary["aborted"] else 0)
     out = capsys.readouterr().out
-    assert "warning: f3 P=6: the finite-difference oracle did not converge" in out
+    assert "warning: f3 P=6: the ground truth is not certified" in out
 
 
 def test_diverged_series_is_reported_not_raised(tmp_path, capsys, monkeypatch):
@@ -470,6 +476,69 @@ def test_diverged_series_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     [aug] = [s for s in read_csv(tmp_path / "results.csv")
              if (s.solver, s.estimator) == ("ipiasco", "aug")]
     assert (aug.start, aug.errors.size) == (0, k)
+
+
+def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
+    # f3 at N = 12 with two coordinates that no row of A touches: they stay
+    # zeroed, so all 350 steps are dense and dense P = 70,000 > 61,425 sends
+    # the run to the reverse sweep.  At a step of 4/L the iterates grow by
+    # about 3 a step; the aug error overflows long before the ang error
+    a, u = seeded_problem_data(12, 200, 3, 3.0)
+    a[:, :2] = 0.0
+    pr = make_experiment_problem(3, a)
+    tau = 4.0 / pr.curvature()[0]
+    solve = valgrad.harness.run_primal
+    monkeypatch.setattr(valgrad.harness, "run_primal",
+                        lambda pr, u, method, iterations: solve(pr, u, method, tau, None,
+                                                                iterations))
+    swept = []
+    sweep = valgrad.estimators._reverse_estimates
+    monkeypatch.setattr(valgrad.estimators, "_reverse_estimates",
+                        lambda *args: swept.append(1) or sweep(*args))
+    cfg = ExperimentConfig(n=12, p_list=(200,), problems=("f3",), iterations=350,
+                           inertia="off")
+    truth = pr.grad_u(np.zeros(pr.n), u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
+        series, _, diverged = _run_cell(pr, u, truth, None, "f3", 200, cfg, constant_clock)
+    assert swept == [1]
+    (*ang, k_ang), (*aug, k) = diverged
+    assert ang == ["f3", 200, "ista", "ang"] and aug == ["f3", 200, "ista", "aug"]
+    assert 0 < k < k_ang < 350
+    [aug] = [s for s in series if s.estimator == "aug"]
+    assert (aug.start, aug.errors.size) == (0, k)
+
+
+def test_a_truth_the_duality_gap_cannot_certify_is_flagged():
+    # at lam = 1e-13 f2's centre solve stops "certified" at |x| ~ 3e14, where
+    # x - tau grad f(x) rounds to x; its duality-gap bound at the truth is
+    # about 0.5, far above cross_check_tol, and the cell is flagged as well
+    # as aborted
+    cfg = ExperimentConfig(p_list=(10,), problems=("f2",), lam=1e-13)
+    _, summary = run_grid(cfg, clock=constant_clock)
+    assert summary["oracle_flagged"] == [("f2", 10)]
+    assert [cell[:2] for cell in summary["aborted"]] == [("f2", 10)]
+    a, u = seeded_problem_data(cfg.n, 10, _cell_seed(cfg.seed, 2, 10), cfg.cond_ratio)
+    pr = make_experiment_problem(2, a, cfg.lam, cfg.gamma, cfg.delta)
+    xstar = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)[0]
+    assert _gap_bound(pr, xstar, pr.grad_u(xstar, u), u) > 0.1
+
+
+def test_the_gap_bound_holds_on_default_grid_truths():
+    # at seed 0 the bound at a non-quadratic cell's truth stays below 1e-6,
+    # far under cross_check_tol, and above the truth's distance to the dual
+    # point of a tighter solve
+    cfg = ExperimentConfig()
+    for name in ("f2", "f3", "f4"):
+        which = int(name[1])
+        for p in (10, 90):
+            a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
+            pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
+            xstar = oracle_primal_solve(pr, u)[0]
+            tight = oracle_primal_solve(pr, u, tol=1e-11)[0]
+            truth, best = pr.grad_u(xstar, u), pr.grad_u(tight, u)
+            bound = _gap_bound(pr, xstar, truth, u)
+            assert np.linalg.norm(truth - best) <= bound + 1e-11 and bound < 1e-6, (name, p)
 
 
 def test_python_dash_m_runs_the_cli():
