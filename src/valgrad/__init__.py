@@ -52,15 +52,11 @@ from .problems import (
     make_experiment_problem,
 )
 from .rates import (
-    PdhgRate,
     RateReport,
     RateUnavailable,
     EnvelopeConstants,
     cg_rate,
     f1_envelope_constants,
-    transfer_profile,
-    pdhg_rate,
-    proximal_rates,
     rate_report,
     error_envelopes,
 )
@@ -73,7 +69,6 @@ from .solvers import (
     fista,
     optimal_gd_step,
     optimal_inertial_params,
-    pdhg,
     prox_gradient,
     prox_gradient_steps,
     prox_of,

@@ -207,13 +207,7 @@ def _cmd_rates(args) -> int:
     print(f"omega_p     = {_fmt_rate(rr.omega_p)}")
     print(f"omega_d     = {_fmt_rate(rr.omega_d)}")
     print(f"omega_cg    = {_fmt_rate(rr.omega_cg)}")
-    print(f"omega_ista  = {_fmt_rate(rr.omega_ista)}")
     print(f"omega_fista = {_fmt_rate(rr.omega_fista)}")
-    pd = rr.omega_pdhg
-    if pd.omega is None:
-        print(f"omega_pdhg  = regime: {pd.regime}")
-    else:
-        print(f"omega_pdhg  = {pd.omega:.10f} (regime: {pd.regime})")
     return 0
 
 

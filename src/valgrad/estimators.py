@@ -21,13 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .funcs import NonsmoothError, soft_threshold
-from .problems import DualObjective, StructuredProblem, ToyProblem
+from .problems import StructuredProblem, ToyProblem
 from .solvers import (
     SolverConfig,
     accelerated_steps,
     conjugate_gradient,
     fista,
-    pdhg,
     prox_gradient,
     prox_gradient_steps,
     prox_of,
@@ -653,8 +652,6 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
     if method == "cg":
         q, r = dob.quadratic_form()
         tr = conjugate_gradient(q, r, y, cfg.iterations, tol=0.0)
-    elif method == "pdhg":
-        tr = _dual_pdhg(pr, dob, y, cfg)
     else:
         tau, beta = step_policy(method, *dob.curvature(), cfg.tau, cfg.beta)
         if method == "fista":
@@ -664,33 +661,6 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
                 dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta, cfg.iterations
             )
     return GradientEstimate("dual", tr.points)
-
-
-def _dual_pdhg(pr: StructuredProblem, dob: DualObjective, y0, cfg: SolverConfig):
-    """PDHG on min_y k*(A^T y + shift) + [h*(y) - <linear, y>] with K = A^T,
-    sigma = 1/|A|, tau = 1/|A| unless given, and theta = 1."""
-    op_norm = float(np.sqrt(pr.bounds().lmax_ata))
-    hstar = pr.h.conjugate()
-    shift, linear = dob.shift, dob.linear
-
-    def prox_conj(s, z):
-        # prox of (k*(. + shift))* = k(.) - <shift, .>
-        return pr.k.prox(s, z + s * shift)
-
-    def prox_primal(t, z):
-        return hstar.prox(t, z + t * linear)
-
-    return pdhg(
-        k_op=lambda y: pr.a.T @ y,
-        k_op_adj=lambda z: pr.a @ z,
-        prox_conj=prox_conj,
-        prox_primal=prox_primal,
-        y0=y0,
-        sigma=1.0 / op_norm,
-        tau=cfg.tau or 1.0 / op_norm,
-        iterations=cfg.iterations,
-        op_norm=op_norm,
-    )
 
 
 # Every NEWTON_EVERY iterations the certified solve tries NEWTON_STEPS chained

@@ -1,10 +1,10 @@
 """Convergence factors and error envelopes.
 
 Linear convergence factors for the primal and dual solves, read from the
-curvature pairs the solvers step with, proximal and primal-dual variants,
-smoothness-profile transfer rules under affine precomposition, sums and
-conjugation, and the three per-iteration error envelopes for the analytic,
-automatic and implicit estimators.
+curvature pairs the solvers step with: one forward-backward factor for the
+gd and ista series at the step they take, fista's factor on the dual and
+CG's on a quadratic dual, and the three per-iteration error envelopes for
+the analytic, automatic and implicit estimators.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcs import SmoothnessProfile
-from .linalg import SpectralBounds
 from .problems import StructuredProblem
+from .solvers import step_policy
 
 
 @dataclass(frozen=True)
@@ -31,84 +30,6 @@ def cg_rate(lips: float, m: float):
         return RateUnavailable("conjugate gradient needs 0 < m <= L < inf")
     sk = np.sqrt(lips / m)
     return (sk - 1.0) / (sk + 1.0)
-
-
-def proximal_rates(sc_smooth: float, sc_prox: float, tau: float):
-    """(omega_ista, omega_fista) for proximal gradient with strong convexity
-    split between the smooth part and the prox part.
-
-    omega_ista = (1 - tau*sc_smooth)/(1 + tau*sc_prox) and
-    omega_fista = 1 - sqrt(tau*mu/(1 + tau*sc_prox)) with mu the total
-    strong convexity.
-    """
-    if tau <= 0:
-        raise ValueError("step size must be positive")
-    mu = sc_smooth + sc_prox
-    if mu <= 0:
-        una = RateUnavailable("no strong convexity: only sublinear rates apply")
-        return una, una
-    omega1 = (1.0 - tau * sc_smooth) / (1.0 + tau * sc_prox)
-    omega2 = 1.0 - np.sqrt(tau * mu / (1.0 + tau * sc_prox))
-    return omega1, omega2
-
-
-@dataclass(frozen=True)
-class PdhgRate:
-    regime: str  # linear | accelerated-sublinear | sublinear
-    omega: float | None
-    mu: float | None
-
-
-def pdhg_rate(sc_prox_g: float, sc_prox_m: float, lips: float, theta: float) -> PdhgRate:
-    """Primal-dual factor omega = (1 + theta)/(2 + mu), mu = 2 sqrt of the
-    product of the two strong-convexity moduli over the operator norm.
-
-    With only one modulus positive the accelerated O(1/K^2) regime applies,
-    with neither the plain O(1/K) regime.
-    """
-    if lips <= 0:
-        raise ValueError("operator norm must be positive")
-    if sc_prox_g < 0 or sc_prox_m < 0:
-        raise ValueError("strong convexity moduli must be nonnegative")
-    if sc_prox_g > 0 and sc_prox_m > 0:
-        mu = 2.0 * np.sqrt(sc_prox_g * sc_prox_m) / lips
-        return PdhgRate("linear", (1.0 + theta) / (2.0 + mu), mu)
-    if sc_prox_g > 0 or sc_prox_m > 0:
-        return PdhgRate("accelerated-sublinear", None, None)
-    return PdhgRate("sublinear", None, None)
-
-
-def transfer_profile(
-    g_profile: SmoothnessProfile,
-    b_bounds: SpectralBounds | None = None,
-    mode: str = "precompose",
-    other: SmoothnessProfile | None = None,
-) -> SmoothnessProfile:
-    """Transfer rules for smoothness profiles.
-
-    "precompose": g(B .) scales m by lmin(B^T B) and L by lmax(B^T B).
-    "sum": moduli add.  "conjugate": the pair (m, L) maps to (1/L, 1/m),
-    with 0 and inf exchanged.
-    """
-    if mode == "precompose":
-        if b_bounds is None:
-            raise ValueError("precompose needs spectral bounds")
-        m = g_profile.m * b_bounds.lmin_ata
-        lips = g_profile.lips * b_bounds.lmax_ata
-        return SmoothnessProfile(m, lips, g_profile.smooth)
-    if mode == "sum":
-        if other is None:
-            raise ValueError("sum needs a second profile")
-        return SmoothnessProfile(
-            g_profile.m + other.m,
-            g_profile.lips + other.lips,
-            g_profile.smooth and other.smooth,
-        )
-    if mode == "conjugate":
-        m = 0.0 if not np.isfinite(g_profile.lips) else 1.0 / g_profile.lips
-        lips = np.inf if g_profile.m == 0.0 else 1.0 / g_profile.m
-        return SmoothnessProfile(m, lips, np.isfinite(lips))
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -223,54 +144,65 @@ def f1_envelope_constants(a: np.ndarray, lam: float, tau: float | None = None) -
 class RateReport:
     """Every factor for one problem, each a float or a `RateUnavailable`.
 
-    omega_p and omega_d are gd's factors on the primal and on the dual at
-    u = 0, omega_cg is CG's on a quadratic dual, omega_ista and
-    omega_fista the proximal factors on the dual at step 1/L, and
-    omega_pdhg PDHG's on the saddle-point form.
+    omega_p and omega_d are the forward-backward factors of the gd or ista
+    series on the primal and on the dual at u = 0, at the step
+    ``step_policy`` gives them; omega_cg is CG's on a quadratic dual, and
+    omega_fista fista's on the dual at its step 1/L.
     """
 
     omega_p: object
     omega_d: object
     omega_cg: object
-    omega_ista: object
     omega_fista: object
-    omega_pdhg: PdhgRate
 
 
-def _gd_rate(curvature, prox_part):
-    """(L - m)/(L + m), gd's factor at ``step_policy``'s step 2/(L + m)
-    (Nesterov 2004, Thm 2.1.15), for an objective with curvature (L, m);
-    unavailable where gd does not run: a prox part or an infinite L."""
-    if prox_part is not None:
-        return RateUnavailable("prox part: the solvers run ista, not gd")
+def _forward_backward_rate(curvature, prox_part, m_prox: float = 0.0):
+    """max(|1 - tau m_s|, |1 - tau L_s|) / (1 + tau m_prox), the factor of
+    x+ = prox(tau, x - tau grad(x)) for an objective of curvature (L, m)
+    whose prox part is m_prox-strongly convex, so that its smooth part has
+    (L_s, m_s) = (L - m_prox, m - m_prox).  The gradient step contracts by
+    the numerator, and the prox of an m_prox-strongly convex function is
+    1/(1 + tau m_prox)-Lipschitz (Bauschke & Combettes 2017).  tau is the
+    step ``step_policy`` gives the method that runs, gd without a prox part
+    and ista with one; at m_prox = 0 and tau = 2/(L + m) the factor is gd's
+    (L - m)/(L + m) (Nesterov 2004, Thm 2.1.15)."""
     lips, m = curvature
     if not np.isfinite(lips):
         return RateUnavailable("smooth part not Lipschitz")
-    return (lips - m) / (lips + m)
+    tau, _ = step_policy("gd" if prox_part is None else "ista", lips, m)
+    lips_s, m_s = lips - m_prox, m - m_prox
+    omega = max(abs(1.0 - tau * m_s), abs(1.0 - tau * lips_s)) / (1.0 + tau * m_prox)
+    if not omega < 1.0:
+        return RateUnavailable("no strong convexity: only sublinear rates apply")
+    return omega
+
+
+def _fista_rate(lips: float, m: float):
+    """1 - sqrt(tau m) at fista's step tau = 1/L from ``step_policy``."""
+    if not np.isfinite(lips):
+        return RateUnavailable("dual smooth part not Lipschitz")
+    if m <= 0:
+        return RateUnavailable("no strong convexity: only sublinear rates apply")
+    tau, _ = step_policy("fista", lips, m)
+    return 1.0 - np.sqrt(tau * m)
 
 
 def rate_report(pr: StructuredProblem) -> RateReport:
     """Assemble every applicable factor for one problem instance from the
     curvature pairs the solvers step with: ``pr.curvature()`` for the
-    primal and ``DualObjective.curvature()`` for the dual.  gd's factors
-    only where gd runs, the CG factor only for a quadratic problem, the
-    one CG runs on."""
+    primal and ``DualObjective.curvature()`` for the dual.  The primal's
+    prox part, where it has one, is all of the regularizer, so it carries
+    the regularizer's ``modulus``; the dual's (a ball indicator) carries
+    none.  The CG factor exists only for a quadratic problem, the one CG
+    runs on."""
     dob = pr.dual_objective(np.zeros(pr.p))
     lips_d, m_d = dob.curvature()
-    sc_prox = 0.0  # the dual prox part (ball indicator) carries no curvature
-    if np.isfinite(lips_d):
-        om1, om2 = proximal_rates(m_d, sc_prox, 1.0 / lips_d)
-    else:
-        una = RateUnavailable("dual smooth part not Lipschitz")
-        om1, om2 = una, una
-    sb = pr.bounds()
-    op_norm = float(np.sqrt(sb.lmax_ata)) if sb.lmax_ata > 0 else 1.0
+    prox_p = pr.k.prox_part
     return RateReport(
-        omega_p=_gd_rate(pr.curvature(), pr.k.prox_part),
-        omega_d=_gd_rate((lips_d, m_d), dob.prox_part),
+        omega_p=_forward_backward_rate(pr.curvature(), prox_p,
+                                       0.0 if prox_p is None else pr.k.modulus),
+        omega_d=_forward_backward_rate((lips_d, m_d), dob.prox_part),
         omega_cg=(cg_rate(lips_d, m_d) if pr.is_quadratic()
                   else RateUnavailable("conjugate gradient needs a quadratic dual objective")),
-        omega_ista=om1,
-        omega_fista=om2,
-        omega_pdhg=pdhg_rate(pr.k.modulus, dob.hstar_scale, op_norm, 1.0),
+        omega_fista=_fista_rate(lips_d, m_d),
     )

@@ -10,7 +10,7 @@ default step sizes and momenta of every method.  The accelerated
 recursion, with the gradient at the extrapolated point, is
 ``accelerated_steps``: ``fista`` stacks its iterates, and the certified
 oracle solve of :mod:`valgrad.estimators` runs it on a block of columns.
-``pdhg`` and ``conjugate_gradient`` are separate.  Every solver returns an
+``conjugate_gradient`` is separate.  Every solver returns an
 ``IterateTrace``, whose iterates are one array with a row per iterate.
 
 The first-order solvers run a fixed number of iterations (no early exit) so
@@ -33,7 +33,7 @@ class NotSPDError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    method: str = "gd"  # gd | heavy_ball | ista | fista | ipiasco | pdhg | cg
+    method: str = "gd"  # gd | heavy_ball | ista | ipiasco | fista | cg
     tau: float | None = None
     beta: float | None = None
     iterations: int = 100
@@ -133,27 +133,6 @@ def fista(smooth_grad, prox_step, x0, tau, beta, iterations):
     """Trace of ``accelerated_steps``; no restarts."""
     steps = accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations)
     return IterateTrace(np.array([x0, *(x_next for _, x_next in steps)], dtype=float))
-
-
-def pdhg(k_op, k_op_adj, prox_conj, prox_primal, y0, sigma, tau, iterations, op_norm=None):
-    """Primal-dual hybrid gradient for min_y f(K y) + g(y).
-
-    ``prox_conj(sigma, z)`` is the prox of f*, ``prox_primal(tau, z)`` that
-    of g, and the extrapolation is theta = 1.
-    """
-    if op_norm is not None and sigma * tau * op_norm**2 > 1.0 + 1e-12:
-        raise ValueError("sigma * tau * ||K||^2 must be at most 1")
-    y = np.array(y0, dtype=float)
-    y_bar = y.copy()
-    z = np.zeros_like(k_op(y))
-    ys = [y]
-    for _ in range(iterations):
-        z = prox_conj(sigma, z + sigma * k_op(y_bar))
-        y_next = prox_primal(tau, y - tau * k_op_adj(z))
-        y_bar = y_next + (y_next - y)
-        y = y_next
-        ys.append(y)
-    return IterateTrace(np.array(ys))
 
 
 def conjugate_gradient(q, rhs, y0, iterations, tol=0.0):

@@ -27,7 +27,7 @@ from valgrad.harness import (
     run_grid,
 )
 from valgrad.linalg import seeded_problem_data
-from valgrad.problems import make_experiment_problem
+from valgrad.problems import closed_form_f1, make_experiment_problem
 
 SMALL = ExperimentConfig(
     n=12, p_list=(6, 9), problems=("f1", "f3"), iterations=40,
@@ -539,6 +539,21 @@ def test_the_gap_bound_holds_on_default_grid_truths():
             truth, best = pr.grad_u(xstar, u), pr.grad_u(tight, u)
             bound = _gap_bound(pr, xstar, truth, u)
             assert np.linalg.norm(truth - best) <= bound + 1e-11 and bound < 1e-6, (name, p)
+
+
+def test_the_gap_bound_holds_where_the_computed_gap_is_negative():
+    # a point 1e-11 off f1's minimizer: the two values cancel to a gap that
+    # rounds below zero, where a bound clamped at zero would read 0, below
+    # the dual point's true distance
+    a, u = seeded_problem_data(12, 5, 0, 10.0)
+    pr = make_experiment_problem(1, a)
+    xstar, grad = closed_form_f1(a, 2.0, u)
+    x = xstar.copy()
+    x[0] += 1e-11
+    y = pr.grad_u(x, u)
+    assert pr.duality_gap(x, y, u) < 0.0
+    bound = _gap_bound(pr, x, y, u)
+    assert np.isfinite(bound) and bound >= np.linalg.norm(y - grad)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -12,7 +12,6 @@ from valgrad.solvers import (
     fista,
     optimal_gd_step,
     optimal_inertial_params,
-    pdhg,
     prox_gradient,
     prox_of,
     step_policy,
@@ -41,7 +40,7 @@ def test_solver_config_validation():
     # no iterations is a valid run: the estimate is the start point alone
     a, u = seeded_problem_data(8, 5, 0, 3.0)
     pr = make_experiment_problem(1, a)
-    for method in ("gd", "heavy_ball", "fista", "pdhg", "cg"):
+    for method in ("gd", "heavy_ball", "fista", "cg"):
         est = dual_estimator(pr, u, SolverConfig(method, iterations=0))
         np.testing.assert_array_equal(est.per_iteration, np.zeros((1, pr.p)))
 
@@ -106,47 +105,6 @@ def test_ipiasco_matches_heavy_ball_with_identity_prox():
     hb = prox_gradient(grad, None, np.zeros(6), tau, beta, 40)
     ip = prox_gradient(grad, lambda t, z: z, np.zeros(6), tau, beta, 40)
     np.testing.assert_allclose(hb.final, ip.final, atol=1e-12)
-
-
-def test_pdhg_two_iterations_by_hand():
-    # min_y (Ky)^2/2 + y^2/2 with K = 2, sigma = tau = 0.25, theta = 1
-    k_op = lambda y: 2.0 * y
-    prox_conj = lambda s, z: z / (1.0 + s)
-    prox_primal = lambda t, z: z / (1.0 + t)
-    tr = pdhg(k_op, k_op, prox_conj, prox_primal, np.array([1.0]), 0.25, 0.25, 2)
-    # by hand: z1 = (0 + .25*2*1)/1.25 = 0.4; y1 = (1 - .25*0.8)/1.25 = 0.64
-    # ybar = 2*0.64 - 1 = 0.28
-    # z2 = (0.4 + .25*0.56)/1.25 = 0.432; y2 = (0.64 - 0.216)/1.25 = 0.3392
-    assert tr.points[1][0] == pytest.approx(0.64, abs=1e-12)
-    assert tr.points[2][0] == pytest.approx(0.3392, abs=1e-12)
-
-
-def test_pdhg_converges_on_quadratic():
-    # min_y ||Ky||^2/2 + ||y - c||^2/2, solution (K^T K + I)^{-1} c
-    gen = np.random.Generator(np.random.PCG64(8))
-    k_mat = gen.standard_normal((4, 3))
-    c = gen.standard_normal(3)
-    op_norm = float(np.linalg.svd(k_mat, compute_uv=False)[0])
-    xstar = np.linalg.solve(k_mat.T @ k_mat + np.eye(3), c)
-    tr = pdhg(
-        k_op=lambda y: k_mat @ y,
-        k_op_adj=lambda z: k_mat.T @ z,
-        prox_conj=lambda s, z: z / (1.0 + s),
-        prox_primal=lambda t, z: (z + t * c) / (1.0 + t),
-        y0=np.zeros(3),
-        sigma=1.0 / op_norm,
-        tau=1.0 / op_norm,
-        iterations=4000,
-    )
-    np.testing.assert_allclose(tr.final, xstar, atol=1e-8)
-
-
-def test_pdhg_rejects_unstable_steps():
-    with pytest.raises(ValueError):
-        pdhg(
-            lambda y: y, lambda z: z, lambda s, z: z, lambda t, z: z,
-            np.zeros(2), sigma=2.0, tau=2.0, iterations=1, op_norm=1.0,
-        )
 
 
 def test_cg_finite_termination_and_accuracy():
