@@ -208,6 +208,7 @@ def _cmd_rates(args) -> int:
     print(f"omega_d     = {_fmt_rate(rr.omega_d)}")
     print(f"omega_cg    = {_fmt_rate(rr.omega_cg)}")
     print(f"omega_fista = {_fmt_rate(rr.omega_fista)}")
+    print("  (omega_fista is asymptotic: from rest fista's error can exceed e_0 omega^k)")
     return 0
 
 

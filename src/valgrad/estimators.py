@@ -4,8 +4,9 @@ Four estimators of the gradient of p(u) = inf_x f(x, u):
 
 * analytic:  the parameter-gradient of f at an approximate minimizer,
 * automatic: the solver's iterates differentiated in the eigenbasis of
-             A^T A, by a forward sweep of sensitivities or a batched
-             reverse (adjoint) sweep, whichever carries fewer columns,
+             A^T A, by a forward sweep of compact sensitivities or a
+             batched reverse (adjoint) sweep, whichever carries fewer
+             columns,
 * implicit:  the implicit-function-theorem linear solve at one iterate,
              by a Cholesky factorization,
 * dual:      iterates of the assembled dual problem,
@@ -206,24 +207,18 @@ def run_primal(
 class _Sensitivity(NamedTuple):
     """One iterate sensitivity in compact form:
 
-        J-hat_k = diag(p) a + diag(q) b + diag(r) params + U T^T,
+        J-hat_k = diag(p) a + diag(q) b + diag(r) params,
 
-    with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step or fold j
-    (both None before the first one), params = V^T A^T from ``_gram_basis``,
-    and U T^T = sum_i u_i t_i^T.  ``coef`` stacks the N-vectors p, q, r and
-    u_1, ..., u_m as the rows of one (3 + m) x N array, and ``ts`` the
-    P-vectors t_1, ..., t_m as those of an m x P one.  A dense step or a
-    fold yields (p, q, r) = (1, 0, 0) and no columns; the steps after it
-    update every row of ``coef``, and a rank-1 step also appends one pair
-    (u_i, t_i).  ``coef`` is fresh at every step, while ``ts`` is a view of
-    one buffer that the steps sharing (a, b) fill row by row, each row
-    written once.
+    with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step j (both
+    None before the first one) and params = V^T A^T from ``_gram_basis``.
+    ``coef`` stacks the N-vectors p, q and r as the rows of one 3 x N
+    array.  A dense step yields (p, q, r) = (1, 0, 0); the diagonal steps
+    after it update only ``coef``, a fresh array at every step.
     """
 
     a: np.ndarray | None
     b: np.ndarray | None
     coef: np.ndarray
-    ts: np.ndarray
 
     @property
     def p(self):
@@ -237,69 +232,30 @@ class _Sensitivity(NamedTuple):
     def r(self):
         return self.coef[2]
 
-    @property
-    def us(self):
-        """The m x N array of the u_i."""
-        return self.coef[3:]
-
     def jacobian(self, params):
         """J-hat_k as a fresh N x P array."""
         jac = self.r[:, None] * params
         if self.a is not None:
             jac += self.p[:, None] * self.a
             jac += self.q[:, None] * self.b
-        if len(self.ts):
-            jac += self.us.T @ self.ts
         return jac
 
-    def transpose_dot(self, params, w):
-        """J-hat_k^T w for an N-vector w without forming J-hat_k: one GEMV
-        per N x P block (none on b while q is zero, as it stays without
-        momentum), and two on the columns."""
-        pw, qw, rw = self.coef[:3] * w
-        out = np.dot(rw, params)
-        if self.a is not None:
-            out += np.dot(pw, self.a)
-            if np.count_nonzero(qw):
-                out += np.dot(qw, self.b)
-        if len(self.ts):
-            out += np.dot(np.dot(self.us, w), self.ts)
-        return out
 
-
-def _compact_step(diag, cur: _Sensitivity, prev: _Sensitivity, hess, s: float,
-                  tau: float, beta: float, params, ts) -> _Sensitivity:
-    """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev
-    - tau c w (w^T J-hat - v^T)) of ``_compact_sensitivities`` for a loss
-    Hessian c (I - v v^T), ``hess`` = (c, v), and a prox derivative s I, on
-    the compact forms of J-hat and J-hat_prev: every row of ``coef`` steps
-    alike, r also takes the shift s tau c, and the t_i stay.  O(N (m + 3))
-    for m columns, into a fresh ``coef``; J-hat_prev has at most the
-    columns of J-hat.  For v not None (a rank-1 step) the new pair
-    (s tau c w, J-hat^T w - v), w = params v, is appended, with J-hat^T w
-    from the compact form (``_Sensitivity.transpose_dot``) written to row m
-    of the buffer ``ts``; for v None no column is appended and ``ts`` is
-    not read.  ``diag`` is the ``_step_multiplier`` of c, tau and beta,
-    which it does not modify."""
-    c, v = hess
-    if v is None:
-        coef = stepped = diag * cur.coef
-        ts = cur.ts
-    else:
-        m = len(cur.ts)
-        w = np.dot(params, v)
-        np.subtract(cur.transpose_dot(params, w), v, out=ts[m])
-        ts = ts[:m + 1]
-        coef = np.empty((len(cur.coef) + 1, diag.size))
-        stepped = np.multiply(diag, cur.coef, out=coef[:-1])
-    stepped[2] += tau * c
+def _compact_step(diag, cur: _Sensitivity, prev: _Sensitivity, c: float, s: float,
+                  tau: float, beta: float) -> _Sensitivity:
+    """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev) of
+    ``_compact_sensitivities`` for a loss Hessian c I and a prox derivative
+    s I, on the compact forms of J-hat and J-hat_prev: every row of
+    ``coef`` steps alike, and r also takes the shift s tau c.  O(N), into
+    a fresh ``coef``.  ``diag`` is the ``_step_multiplier`` of c, tau and
+    beta, which it does not modify."""
+    coef = diag * cur.coef
+    coef[2] += tau * c
     if beta:
-        coef[:len(prev.coef)] -= beta * prev.coef
+        coef -= beta * prev.coef
     if s != 1.0:
-        stepped *= s
-    if v is not None:
-        coef[-1] = (s * tau * c) * w
-    return _Sensitivity(cur.a, cur.b, coef, ts)
+        coef *= s
+    return _Sensitivity(cur.a, cur.b, coef)
 
 
 def _require_sensitivities(run: PrimalRun):
@@ -316,9 +272,11 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
     Evaluating Derivatives, 2008), replayed along the run's iterates and
     pre-prox points by the forward sweep of ``automatic_estimator``
     (``_compact_sensitivities``), whatever sweep that estimator takes on
-    the run: only the forward one forms J_k.  Each compact J-hat_k = V^T
-    J_k is rotated back with the eigenbasis V of A^T A, taken once per
-    call.  Raises ``ValueError`` for a run made without sensitivities.
+    the run: only the forward one forms J_k.  Each J-hat_k = V^T J_k is
+    built from its compact form, diag(p) a + diag(q) b + diag(r) params
+    on the last dense pair (a, b), and rotated back with the eigenbasis V
+    of A^T A, taken once per call.  Raises ``ValueError`` for a run made
+    without sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
@@ -346,64 +304,40 @@ def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBa
     loss Hessian c (I - v v^T) taken at column k of ``residuals``, the
     P x (K+1) block b - A x_k + u of the run's iterates, and its prox
     derivative d = ``prox_derivative(tau, z_k)``, row k of ``derivs``
-    (``_prox_derivatives``; d None without a prox part).  Where d is s I
-    the step map is the diagonal
-    s (1 + beta - tau c Lambda [- tau lam]) plus the shift s tau c params,
-    and for v not None the rank-1 term s tau c w (w^T J-hat - v^T), with
-    w = params v: ``_compact_step`` updates the compact form in O(N m) for
-    m columns, reusing the previous step's multiplier while c is
-    unchanged, as on every step of a squared-norm loss, and a rank-1 step
-    appends the pair (s tau c w, J-hat_k^T w - v): O(NP) in GEMV reads and
-    no N x P write.  A rank-1 step that brings the columns to
-    m = max(NP // (N + P), 1), where one more would make them hold more
-    numbers than one Jacobian, folds them: its J-hat and the one before
-    are built, as before a dense step, and become the dense pair.  Any
-    other step (d with two values) is dense: ``sensitivity_step`` with that
-    d on J-hat_k and J-hat_{k-1}, built from the compact form unless the
-    last step was dense or a fold.  Only J-hat_k and J-hat_{k-1} are kept;
-    every yielded array is fresh or shared with earlier yields, and never
-    modified.
+    (``_prox_derivatives``; d None without a prox part).  A step is
+    diagonal when v is None and d is s I: the step map is then the
+    diagonal s (1 + beta - tau c Lambda [- tau lam]) plus the shift
+    s tau c params, so ``_compact_step`` updates p, q and r in O(N),
+    reusing the previous step's multiplier while c is unchanged, as on
+    every step of a squared-norm loss.  Any other step is dense:
+    ``sensitivity_step`` on J-hat_k and J-hat_{k-1}, built from the
+    compact form unless the last step was dense.  Only J-hat_k and
+    J-hat_{k-1} are kept; every yielded array is fresh or shared with
+    earlier yields, and never modified.
     """
     eigvals, params = basis.eigvals, basis.params
     tau, beta = run.tau, run.beta
-    no_ts = np.zeros((0, pr.p))
-    opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step or a fold
+    opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step
     opened[0] = 1.0
     opened_prev = opened[[1, 0, 2]]  # (0, 1, 0) for the step before it
-    cap = max(pr.n * pr.p // (pr.n + pr.p), 1)
-
-    def dense_pair(cur, prev):
-        """(J-hat_k, J-hat_{k-1}) as arrays."""
-        if cur.coef is opened:  # the last step was dense or a fold
-            return cur.a, cur.b
-        return cur.jacobian(params), prev.jacobian(params)
-
-    def compact_pair(jac, jac_prev):
-        return (_Sensitivity(jac, jac_prev, opened, no_ts),
-                _Sensitivity(jac, jac_prev, opened_prev, no_ts))
-
-    cur = prev = _Sensitivity(None, None, np.zeros((3, pr.n)), no_ts)
-    step_c = diag = None  # the last compact step's c and multiplier
-    ts = None  # the buffer of t_i of the current pair (a, b)
+    cur = prev = _Sensitivity(None, None, np.zeros((3, pr.n)))
+    step_c = diag = None  # the last diagonal step's c and multiplier
     yield cur
     for k in range(len(run.pre_prox)):
         c, v = pr.h.hessian_factors(residuals[:, k])
         d = None if derivs is None else derivs[k]
-        if d is not None and d.min() != d.max():
-            jac, jac_prev = dense_pair(cur, prev)
+        if v is not None or (d is not None and d.min() != d.max()):
+            if cur.coef is opened:  # the last step was dense
+                jac, jac_prev = cur.a, cur.b
+            else:
+                jac, jac_prev = cur.jacobian(params), prev.jacobian(params)
             new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, d, tau, beta)
-            cur, prev = compact_pair(new, jac)
-            ts = None
+            cur, prev = _Sensitivity(new, jac, opened), _Sensitivity(new, jac, opened_prev)
         else:
             if c != step_c:
                 step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
-            if v is not None and ts is None:
-                ts = np.empty((cap, pr.p))
             s = 1.0 if d is None else d[0]
-            cur, prev = _compact_step(diag, cur, prev, (c, v), s, tau, beta, params, ts), cur
-            if len(cur.ts) >= cap:  # fold the columns into the dense pair
-                cur, prev = compact_pair(*dense_pair(cur, prev))
-                ts = None
+            cur, prev = _compact_step(diag, cur, prev, c, s, tau, beta), cur
         yield cur
 
 
@@ -430,30 +364,27 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     grad_u f, K+1 vector-Jacobian products, taken by one of two sweeps
     chosen from the run before either runs (``_reverse_pays``): the
     reverse sweep when dense P > K (K + 1) / 2, dense being the number of
-    steps whose prox derivative has two values, the forward sweep
-    otherwise.  A dense forward step carries P columns, while the reverse
-    sweep carries the K - j estimates still open at step j.  Without a
-    prox part no step is dense, and no run of the default grid goes
-    reverse.
+    steps whose loss Hessian is rank-1 or whose prox derivative has two
+    values, the forward sweep otherwise.  A dense forward step carries P
+    columns, while the reverse sweep carries the K - j estimates still
+    open at step j.  No run of the default grid goes reverse.
 
     Forward, the sensitivities stream from ``_compact_sensitivities``.  The
-    yields sharing one dense pair (a, b) form a run: its opening dense
-    step or fold takes one product as before, and the other steps take three
-    for the whole run, plus one for its columns (``_run_estimates``).  Each
-    step's U^T g is taken as it streams, so a run holds its coefficient
-    vectors and the t_i, not every step's U; its blocks are freed when it
-    ends.  Reverse, ``_reverse_estimates`` runs the transposed steps from
-    K - 1 down to 0 on a (K+1) x N adjoint block.  Both give the same rows
-    up to round-off.  The basis (``_gram_basis``) is taken once per call
-    and freed with it.  The residual block of the whole series is formed
-    once: it gives grad_u f and every step's loss Hessian; the prox
-    derivatives are evaluated once, on the block of pre-prox points
-    (``_prox_derivatives``), and both the choice and the sweep read them.
-    For elastic-net problems the regularizer subgradient is the prox
-    optimality selection, the minimum-norm subgradient at x(0) and
-    (z(k-1) - x(k)) / tau from the run's pre-prox points after it.  The
-    estimates fill one (K+1) x P block.  Raises ``ValueError`` for a run
-    made without sensitivities.
+    yields sharing one dense pair (a, b) form a run: its dense step's
+    estimate takes one product as before, its diagonal steps' three for
+    the whole run (``_run_estimates``), and its coefficient blocks are
+    freed when the run ends.  Reverse, ``_reverse_estimates`` runs the
+    transposed steps from K - 1 down to 0 on a (K+1) x N adjoint block.
+    Both give the same rows up to round-off.  The basis (``_gram_basis``)
+    is taken once per call and freed with it.  The residual block of the
+    whole series is formed once: it gives grad_u f and every step's loss
+    Hessian; the prox derivatives are evaluated once, on the block of
+    pre-prox points (``_prox_derivatives``), and both the choice and the
+    sweep read them.  For elastic-net problems the regularizer subgradient
+    is the prox optimality selection, the minimum-norm subgradient at x(0)
+    and (z(k-1) - x(k)) / tau from the run's pre-prox points after it.
+    The estimates fill one (K+1) x P block.  Raises ``ValueError`` for a
+    run made without sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
@@ -466,37 +397,39 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     else:
         gx += pr.k.modulus * run.points.T
     derivs = _prox_derivatives(pr, run)
-    if _reverse_pays(derivs, pr.p):
+    if _reverse_pays(pr, res, derivs):
         gx, gu = gx.T @ basis.vecs, gu.T.copy()
         return GradientEstimate("automatic",
                                 _reverse_estimates(pr, run, basis, res, derivs, gx, gu))
     gx = basis.vecs.T @ gx
     est = np.empty((len(run.points), pr.p))
-    start, block, coefs = 0, [], []
-    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, res, derivs)):
+    start, block = 0, []
+    for sens in _compact_sensitivities(pr, run, basis, res, derivs):
         if block and sens.a is not block[0].a:
-            _run_estimates(est, basis.params, block, coefs, gx, gu, start)
-            start, block, coefs = start + len(block), [], []
-        if len(sens.ts):  # keep U^T g and (p, q, r), not U
-            coefs.append(np.dot(sens.us, gx[:, k]))
-            sens = _Sensitivity(sens.a, sens.b, sens.coef[:3].copy(), sens.ts)
+            _run_estimates(est, basis.params, block, gx, gu, start)
+            start, block = start + len(block), []
         block.append(sens)
-    _run_estimates(est, basis.params, block, coefs, gx, gu, start)
+    _run_estimates(est, basis.params, block, gx, gu, start)
     return GradientEstimate("automatic", est)
 
 
-def _reverse_pays(derivs, p: int) -> bool:
+def _reverse_pays(pr: StructuredProblem, res, derivs) -> bool:
     """Whether the reverse sweep carries fewer columns than the forward one:
-    dense P > K (K + 1) / 2.  A dense step, one whose prox derivative (a row
-    of ``derivs``) has two values, carries P columns forward, and the
-    reverse sweep carries the K - j estimates still open at step j, K (K +
-    1) / 2 over its K steps.  False without a prox part (``derivs`` None),
-    where no step is dense."""
-    if derivs is None:
+    dense P > K (K + 1) / 2.  A dense step, one whose loss Hessian at its
+    column of the residual block ``res`` is rank-1 or whose prox
+    derivative (a row of ``derivs``, None without a prox part) has two
+    values, carries P columns forward, and the reverse sweep carries the
+    K - j estimates still open at step j, K (K + 1) / 2 over its K steps.
+    As dense <= K it never pays at 2 P <= K + 1, where the steps are not
+    classified."""
+    steps = res.shape[1] - 1
+    if 2 * pr.p <= steps + 1:
         return False
-    k = len(derivs)
-    dense = np.count_nonzero(derivs.min(axis=1) != derivs.max(axis=1))
-    return 2 * dense * p > k * (k + 1)
+    dense = np.array([pr.h.hessian_factors(r)[1] is not None for r in res.T[:-1]],
+                     dtype=bool)
+    if derivs is not None:
+        dense |= derivs.min(axis=1) != derivs.max(axis=1)
+    return 2 * np.count_nonzero(dense) * pr.p > steps * (steps + 1)
 
 
 def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis, res,
@@ -507,7 +440,8 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
 
     In the eigenbasis a step is J-hat_{j+1} = R_j (M_j J-hat_j + tau c_j
     (params - w_j v_j^T) - beta J-hat_{j-1}), with R_j = V^T diag(d_j) V
-    for the prox derivative d_j, row j of ``derivs``, M_j the diagonal
+    for the prox derivative d_j, row j of ``derivs`` (the identity for
+    ``derivs`` None, without a prox part), M_j the diagonal
     ``_step_multiplier`` plus the rank-1 tau c_j w_j w_j^T, and (c_j, v_j)
     the loss Hessian factors at column j of ``res``, w_j = params v_j.  So
     g2(k) = sum_{j<k} tau c_j (params^T - v_j w_j^T) mu_{k,j} + grad_u f,
@@ -519,24 +453,31 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
     zeroed coordinates or at the support, as ``_rotated_prox_derivative``
     does (``_rotated_rows``), or is the scalar s of a d with one value.
     The sum of tau c_j mu_{k,j} gives the params^T terms in one product at
-    the end; the v_j terms go straight into ``est``, the (K+1) x P block
-    of the grad_u f rows, which is returned.  ``adj`` and ``est`` are
-    overwritten; a scratch block holds mu and the rank-1 products, and one
-    more block the momentum terms.
+    the end.  The v_j terms are gathered 32 rank-1 steps at a time, their
+    coefficients -tau c_j w_j^T mu_{k,j} side by side, and go into
+    ``est``, the (K+1) x P block of the grad_u f rows, which is returned,
+    in one product per chunk: a (K+1) x K block of them would outweigh the
+    adjoint block.  ``adj`` and ``est`` are overwritten; a scratch block
+    holds mu and the rank-1 products, and one more block the momentum
+    terms.
     """
     eigvals, vecs, params = basis
     tau, beta = run.tau, run.beta
-    steps = len(derivs)
+    steps = len(run.pre_prox)
+    chunk = 32
     total = np.zeros_like(adj)  # rows: sum_j tau c_j mu_{k,j}
     mu = np.empty_like(adj)
     momentum = np.zeros_like(adj) if beta else None  # rows: -beta mu_{k,j+1}
     step_c = diag = None  # the last step's c and multiplier
+    terms = []  # (j, -tau c_j w_j^T mu_{.,j}, v_j) of rank-1 steps not yet in est
     for j in reversed(range(steps)):
         live = slice(j + 1, steps + 1)
         lam, mu_j = adj[live], mu[live]
         c, v = pr.h.hessian_factors(res[:, j])
-        d = derivs[j]
-        if d.min() != d.max():
+        d = None if derivs is None else derivs[j]
+        if d is None:
+            np.copyto(mu_j, lam)
+        elif d.min() != d.max():
             _rotated_rows(vecs, d, lam, mu_j)
         else:
             np.multiply(lam, d[0], out=mu_j)
@@ -544,7 +485,14 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
         if v is not None:
             w = np.dot(params, v)
             mw = np.dot(mu_j, w)
-            est[live] -= np.outer((tau * c) * mw, v)
+            terms.append((j, mw * -(tau * c), v))
+        if terms and (len(terms) == chunk or not j):
+            low = terms[-1][0]
+            coef = np.zeros((steps - low, len(terms)))
+            for i, (step, col, _) in enumerate(terms):
+                coef[step - low:, i] = col
+            est[low + 1:] += coef @ np.array([v_j for *_, v_j in terms])
+            terms = []
         if not j:  # lam_{k,0} multiplies J-hat_0 = 0
             break
         if c != step_c:
@@ -573,16 +521,14 @@ def _rotated_rows(vecs, d, rows, out):
     out *= d.max()
 
 
-def _run_estimates(out, params, block, coefs, gx, gu, start: int):
+def _run_estimates(out, params, block, gx, gu, start: int):
     """Write g2 at the iterates start, start + 1, ... of the run ``block``
     of sensitivities sharing one pair (a, b) into those rows of ``out``.  A
-    run with a pair opens with a dense step's or a fold's J-hat = a, whose
-    estimate is a^T g + grad_u f; the steps after it take
-    a^T (P o G) + b^T (Q o G) + params^T (R o G) + T C + grad_u f, with P,
-    Q, R their coefficient vectors side by side, G their columns of
-    V^T grad_x f, T^T the run's last ``ts`` and C the vectors U^T g of
-    ``coefs``, zero-padded.  The steps with columns are the last
-    len(coefs) of the run, as a run's column count never falls."""
+    run with a pair opens with the dense step's J-hat = a, whose estimate
+    is a^T g + grad_u f; the diagonal steps after it take
+    a^T (P o G) + b^T (Q o G) + params^T (R o G) + grad_u f, with P, Q, R
+    their coefficient vectors side by side and G their columns of
+    V^T grad_x f."""
     a, b = block[0].a, block[0].b
     if a is not None:
         out[start] = a.T @ gx[:, start] + gu[:, start]
@@ -595,12 +541,6 @@ def _run_estimates(out, params, block, coefs, gx, gu, start: int):
     if a is not None:
         est += a.T @ (np.array([sens.p for sens in block]).T * g)
         est += b.T @ (np.array([sens.q for sens in block]).T * g)
-    if coefs:
-        ts = block[-1].ts
-        coef = np.zeros((len(ts), len(coefs)))
-        for j, c in enumerate(coefs):
-            coef[:len(c), j] = c
-        est[:, len(block) - len(coefs):] += ts.T @ coef
     est += gu[:, cols]
     out[cols] = est.T
 

@@ -66,6 +66,13 @@ class ExperimentConfig:
             raise ConfigError("inertia must be both, on or off")
         if self.n < 1 or self.iterations < 0:
             raise ConfigError("invalid dimensions")
+        if not self.p_list or not self.problems:
+            raise ConfigError("no P values or no problems")
+        if self.oracle_iterations < 0:
+            raise ConfigError("oracle_iterations must be nonnegative")
+        # a NaN tolerance would pass every cross-check
+        if not (np.isfinite(self.cross_check_tol) and self.cross_check_tol > 0):
+            raise ConfigError("cross_check_tol must be finite and positive")
         bad = [q for q in self.problems if q not in PROBLEMS]
         if bad:
             raise ConfigError(f"unknown problems {bad}")

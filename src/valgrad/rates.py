@@ -2,9 +2,9 @@
 
 Linear convergence factors for the primal and dual solves, read from the
 curvature pairs the solvers step with: one forward-backward factor for the
-gd and ista series at the step they take, fista's factor on the dual and
-CG's on a quadratic dual, and the three per-iteration error envelopes for
-the analytic, automatic and implicit estimators.
+gd and ista series at the step they take, fista's asymptotic factor on the
+dual and CG's on a quadratic dual, and the three per-iteration error
+envelopes for the analytic, automatic and implicit estimators.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ class RateReport:
     omega_p and omega_d are the forward-backward factors of the gd or ista
     series on the primal and on the dual at u = 0, at the step
     ``step_policy`` gives them; omega_cg is CG's on a quadratic dual, and
-    omega_fista fista's on the dual at its step 1/L.
+    omega_fista fista's asymptotic factor on the dual at its step 1/L
+    (``_fista_rate``), which does not bound the error by e_0 omega^k.
     """
 
     omega_p: object
@@ -178,7 +179,11 @@ def _forward_backward_rate(curvature, prox_part, m_prox: float = 0.0):
 
 
 def _fista_rate(lips: float, m: float):
-    """1 - sqrt(tau m) at fista's step tau = 1/L from ``step_policy``."""
+    """1 - sqrt(q), q = tau m, at fista's step tau = 1/L from
+    ``step_policy``: the asymptotic factor, not a per-step one.  On a
+    quadratic dual from rest the slowest mode of fista's constant momentum
+    is critically damped, (1 + sqrt(q) k)(1 - sqrt(q))^k, so the error
+    can exceed e_0 omega^k by a factor that grows with k."""
     if not np.isfinite(lips):
         return RateUnavailable("dual smooth part not Lipschitz")
     if m <= 0:

@@ -363,16 +363,16 @@ def _per_iterate_estimates(pr, run, u):
 # (which, method, N, P, gamma, reverse): every pipeline at N = 8, P = 5,
 # where f3 takes diagonal steps only, f3 at N = 12, P = 8, where dense
 # steps open runs of diagonal ones, and runs whose 40 steps are all dense
-# at P > 41 / 2, which take the reverse sweep: f4 at N = 12, P = 60 and f3
-# at N = 8, P = 40 with gamma = 1
+# at P > 41 / 2, which take the reverse sweep: f2 (every step rank-1) and
+# f4 at N = 12, P = 60, and f3 at N = 8, P = 40 with gamma = 1
 PIPELINES = [
     pytest.param(which, method, 8, 5, 0.1, False, id=f"{which}-{method}")
     for which, method in [(1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"),
                           (3, "ista"), (3, "ipiasco"), (4, "ista"), (4, "ipiasco")]
 ] + [pytest.param(3, method, 12, 8, 0.1, False, id=f"3-{method}-dense-and-diagonal")
      for method in ("ista", "ipiasco")
-] + [pytest.param(4, method, 12, 60, 0.1, True, id=f"4-{method}-reverse")
-     for method in ("ista", "ipiasco")
+] + [pytest.param(which, method, 12, 60, 0.1, True, id=f"{which}-{method}-reverse")
+     for which, method in [(2, "gd"), (2, "heavy_ball"), (4, "ista"), (4, "ipiasco")]
 ] + [pytest.param(3, "ista", 8, 40, 1.0, True, id="3-ista-reverse")]
 
 
@@ -397,6 +397,9 @@ def test_series_estimators_match_a_per_iterate_loop(which, method, n, p, gamma, 
     # the estimators evaluate the whole series at once, as one block with a
     # row per iterate, forward or by the reverse sweep
     pr, u, run = _pipeline(which, method, n, p, gamma)
+    if which == 2 and reverse:  # every step is rank-1, so dense
+        residuals = pr.residual(run.points[:-1].T, u[:, None])
+        assert all(pr.h.hessian_factors(r)[1] is not None for r in residuals.T)
     want_ang, want_aug = _per_iterate_estimates(pr, run, u)
     swept = _spy(monkeypatch, "_reverse_estimates")
     for est, want in ((analytic_estimator(pr, run.points, u), want_ang),
@@ -434,16 +437,13 @@ def test_final_owns_its_data():
 def _in_run_sensitivities(pr, u, method, iterations, basis):
     """The compact sensitivities along the kernel's own steps: the (x, z)
     pairs ``prox_gradient_steps`` yields, each step's residual taken from
-    the block of those iterates.  A step whose prox derivative takes one
-    value s updates the rows p, q, r, u_1, ..., u_m of
-    J-hat = diag(p) a + diag(q) b + diag(r) params + sum_i u_i t_i^T; with
-    a loss Hessian c (I - v v^T) it also appends (s tau c w,
-    J-hat^T w - v), w = params v, and once the columns number
-    NP // (N + P) they fold into a new pair (a, b).  Any other step runs
+    the block of those iterates.  A step whose loss Hessian is c I and
+    whose prox derivative takes one value s updates the rows p, q, r of
+    J-hat = diag(p) a + diag(q) b + diag(r) params.  Any other step runs
     ``sensitivity_step`` on J-hat and J-hat_prev, built from the compact
-    form unless the step before was dense or a fold, with the prox
-    derivative it was classified by.  This is the reference the replay
-    along a stored run must match."""
+    form unless the step before was dense, with the prox derivative it was
+    classified by.  This is the reference the replay along a stored run
+    must match."""
     prox = prox_of(method, pr.k.prox_part)
     tau, beta = step_policy(method, *pr.curvature())
     steps = list(prox_gradient_steps(
@@ -451,41 +451,23 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
     ))
     residuals = pr.residual(np.array([x for x, _, _ in steps]).T, u[:, None])
     eigvals, _, params = basis
-    cap = pr.n * pr.p // (pr.n + pr.p)
-    no_ts = np.zeros((0, pr.p))
     a = b = None
-    ts = no_ts
     coef = coef_prev = np.zeros((3, pr.n))
 
     def build(coef):
-        p, q, r, us = coef[0], coef[1], coef[2], coef[3:]
-        jac = r[:, None] * params
+        jac = coef[2][:, None] * params
         if a is not None:
-            jac += p[:, None] * a
-            jac += q[:, None] * b
-        if len(us):
-            jac += us.T @ ts[:len(us)]
+            jac += coef[0][:, None] * a
+            jac += coef[1][:, None] * b
         return jac
 
-    def transpose_dot(coef, w):
-        out = np.dot(coef[2] * w, params)
-        if a is not None:
-            out += np.dot(coef[0] * w, a)
-            if np.count_nonzero(coef[1] * w):
-                out += np.dot(coef[1] * w, b)
-        if len(coef) > 3:
-            out += np.dot(np.dot(coef[3:], w), ts)
-        return out
-
-    out = [(a, b, coef, ts)]
+    out = [(a, b, coef)]
     dense_last = False
     for r, (_, z, _) in zip(residuals.T, steps):
         c, v = pr.h.hessian_factors(r)
-        d = np.ones(pr.n) if prox is None else pr.k.prox_derivative(tau, z)
-        if np.all(d == d[0]):
-            if v is not None:
-                w = np.dot(params, v)
-                ts = np.vstack([ts, transpose_dot(coef, w) - v])
+        d = None if prox is None else pr.k.prox_derivative(tau, z)
+        if v is None and (d is None or np.all(d == d[0])):
+            s = 1.0 if d is None else d[0]
             diag = 1.0 + beta - (tau * c) * eigvals
             if prox is None:
                 diag -= tau * pr.k.modulus
@@ -494,26 +476,19 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
                 y = diag * x
                 if i == 2:
                     y += tau * c
-                if beta and i < len(coef_prev):
+                if beta:
                     y -= beta * coef_prev[i]
-                y *= d[0]
+                y *= s
                 rows.append(y)
-            if v is not None:
-                rows.append((d[0] * tau * c) * w)
             coef, coef_prev = np.array(rows), coef
             dense_last = False
-            if v is not None and len(coef) - 3 >= cap:
-                a, b = build(coef), build(coef_prev)
-                dense_last = True
         else:
             jac, jac_prev = (a, b) if dense_last else (build(coef), build(coef_prev))
             a, b = sensitivity_step(pr, basis, (c, v), jac, jac_prev, d, tau, beta), jac
             dense_last = True
-        if dense_last:
             coef, coef_prev = np.zeros((3, pr.n)), np.zeros((3, pr.n))
             coef[0] = coef_prev[1] = 1.0
-            ts = no_ts
-        out.append((a, b, coef, ts))
+        out.append((a, b, coef))
     return out
 
 
@@ -536,36 +511,25 @@ def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n,
 
 
 def _compact_pair(gen, n, p, dense):
-    """J-hat and J-hat_prev in compact form and their buffer of t_i.  With
-    ``dense`` "folded" they are the pair a fold leaves: J-hat = a and
-    J-hat_prev = b, random, with no columns.  Otherwise they share one
-    random pair (a, b), or none when ``dense`` is False, and take random
-    rows p, q, r and three and two columns, the buffer having room for one
-    more."""
+    """J-hat and J-hat_prev in compact form.  With ``dense`` "folded" they
+    are the pair a dense step leaves, folded into its random (a, b):
+    J-hat = a and J-hat_prev = b.  Otherwise they take random rows p, q, r
+    on one random pair (a, b), or on none when ``dense`` is False."""
     a, b = gen.standard_normal((2, n, p)) if dense else (None, None)
     if dense == "folded":
-        ts = np.empty((1, p))
         opened = np.zeros((3, n))
         opened[0] = 1.0
-        return (_Sensitivity(a, b, opened, ts[:0]),
-                _Sensitivity(a, b, opened[[1, 0, 2]], ts[:0]), ts)
-    ts = np.empty((4, p))
-    ts[:3] = gen.standard_normal((3, p))
-    cur, prev = (_Sensitivity(a, b, gen.standard_normal((3 + m, n)), ts[:m]) for m in (3, 2))
-    return cur, prev, ts
+        return _Sensitivity(a, b, opened), _Sensitivity(a, b, opened[[1, 0, 2]])
+    return (_Sensitivity(a, b, gen.standard_normal((3, n))),
+            _Sensitivity(a, b, gen.standard_normal((3, n))))
 
 
-RANK_ONE = ("f2 outside the ball", "f4 Z empty")
-
-
-@pytest.mark.parametrize("case", ["f1", "f3 Z empty", "f3 D = 0", "f2 inside the ball",
-                                  *RANK_ONE])
+@pytest.mark.parametrize("case", ["f1", "f3 Z empty", "f3 D = 0", "f2 inside the ball"])
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 @pytest.mark.parametrize("dense", [False, True, "folded"])
 def test_diagonal_step_matches_the_dense_step(case, beta, dense):
-    # the compact step with one prox-derivative value s, against
-    # sensitivity_step on the built Jacobians: diagonal for a loss Hessian
-    # c I, rank-1 (one appended column) for c (I - v v^T)
+    # the compact step for a loss Hessian c I and one prox-derivative value
+    # s, against sensitivity_step on the built Jacobians
     which = int(case[1])
     a, u = seeded_problem_data(10, 6, 2, 3.0)
     pr = make_experiment_problem(which, a, gamma=1e3 if case == "f3 D = 0" else 0.1)
@@ -580,21 +544,15 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     c, v = pr.h.hessian_factors(r)
     d = _prox_derivative(pr, tau, z)
     s = 1.0 if d is None else d[0]
-    want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0,
-              "f4 Z empty": 1.0 / (1.0 + tau * pr.k.modulus)}.get(case, 1.0)
-    assert (v is not None) == (case in RANK_ONE) and s == want_s
+    want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0}.get(case, 1.0)
+    assert v is None and s == want_s
     assert d is None or np.all(d == s)
     basis = _gram_basis(pr)
-    cur, prev, ts = _compact_pair(gen, pr.n, pr.p, dense)
+    cur, prev = _compact_pair(gen, pr.n, pr.p, dense)
     want = sensitivity_step(pr, basis, (c, v), cur.jacobian(basis.params),
                             prev.jacobian(basis.params), d, tau, beta)
     diag = valgrad.estimators._step_multiplier(pr, basis.eigvals, c, tau, beta)
-    got = valgrad.estimators._compact_step(diag, cur, prev, (c, v), s, tau, beta,
-                                           basis.params, None if v is None else ts)
-    if v is None:
-        assert got.ts is cur.ts and len(got.us) == len(cur.us)
-    else:
-        assert got.ts.base is ts and len(got.ts) == len(got.us) == len(cur.us) + 1
+    got = valgrad.estimators._compact_step(diag, cur, prev, c, s, tau, beta)
     assert got.a is cur.a and got.b is cur.b
     got = got.jacobian(basis.params)
     if case == "f3 D = 0":
@@ -606,17 +564,16 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
 @pytest.mark.parametrize("which, method, gamma", [
     (2, "gd", 0.1), (2, "heavy_ball", 0.1), (4, "ipiasco", 0.01),
 ])
-def test_factored_sensitivities_match_a_dense_replay_across_folds(which, method, gamma):
-    # at N = 30, P = 20 the columns fold into the dense pair once they number
-    # NP // (N + P) = 12; f2 takes a rank-1 step at each of the 120 steps,
-    # f4 at this gamma mixes rank-1 steps (Z empty) and dense ones
+def test_compact_sensitivities_match_a_dense_replay(which, method, gamma):
+    # at N = 30, P = 20 f2 takes a rank-1 step at each of the 120 steps, and
+    # f4 at this gamma mixes rank-1 steps with prox derivatives of one value
+    # (Z empty) and of two
     a, u = seeded_problem_data(30, 20, 5, 10.0)
     pr = make_experiment_problem(which, a, gamma=gamma)
     run = run_primal(pr, u, method, iterations=120)
     basis = _gram_basis(pr)
     residuals = pr.residual(run.points.T, u[:, None])
     jac = jac_prev = np.zeros((pr.n, pr.p))
-    columns, folds = [], 0
     derivs = _prox_derivatives(pr, run)
     for k, sens in enumerate(_compact_sensitivities(pr, run, basis, residuals, derivs)):
         if k:
@@ -626,10 +583,6 @@ def test_factored_sensitivities_match_a_dense_replay_across_folds(which, method,
                                              run.tau, run.beta), jac
         got = sens.jacobian(basis.params)
         assert np.linalg.norm(got - jac) <= 1e-12 * np.linalg.norm(jac)
-        folds += bool(columns) and columns[-1] == 11 and not len(sens.us)
-        columns.append(len(sens.us))
-    assert max(columns) == 11
-    assert folds >= (9 if which == 2 else 1)
     if which == 4:
         assert any(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
 
@@ -639,8 +592,9 @@ def test_factored_sensitivities_match_a_dense_replay_across_folds(which, method,
 ])
 def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monkeypatch):
     # f1 has c I and no prox, f2 here keeps its residuals outside the Huber
-    # ball (c (I - v v^T) and no prox), and f3 has c I and a prox derivative with two values exactly
-    # where some but not all coordinates are zeroed
+    # ball (c (I - v v^T) and no prox), so every step is rank-1, and f3 has
+    # c I and a prox derivative with two values exactly where some but not
+    # all coordinates are zeroed
     pr, u = instance(which, n=30, p=20, seed=5, cond=10.0)
     run = run_primal(pr, u, method, iterations=120)
     residuals = pr.residual(run.points.T, u[:, None])
@@ -652,9 +606,10 @@ def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monk
         pass
     if which == 1:
         assert not calls
-    elif which == 2:  # every step is rank-1, and none runs the dense step
+    elif which == 2:  # every step is rank-1, and each runs the dense step
         assert np.linalg.norm(residuals[:, :-1], axis=0).min() > pr.h.delta
-        assert not calls
+        ranked = sum(pr.h.hessian_factors(r)[1] is not None for r in residuals[:, :-1].T)
+        assert len(calls) == ranked == 120
     else:
         zeroed = [np.count_nonzero(pr.k.prox_derivative(run.tau, z) == 0)
                   for z in run.pre_prox]
@@ -688,20 +643,28 @@ def test_automatic_estimator_takes_one_prox_derivative_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("which, method, gamma", [
+    (1, "gd", 0.1), (1, "heavy_ball", 0.1), (2, "gd", 0.1), (2, "heavy_ball", 0.1),
     (3, "ista", 20.0), (3, "ipiasco", 60.0), (4, "ista", 10.0), (4, "ipiasco", 10.0),
 ])
 def test_the_reverse_sweep_matches_the_forward_one_on_every_kind_of_step(which, method,
                                                                           gamma, monkeypatch):
-    # from a spread start at N = 30, P = 20 the runs mix dense steps with
-    # single-valued ones, and the inertial ones with all-zero ones; each
-    # sweep is forced on the same run, over the squared and the Huber loss
+    # from a spread start at N = 30, P = 20 the proximal runs mix dense
+    # steps with single-valued ones, and the inertial ones with all-zero
+    # ones; f1 and f2 have no prox part, and f2 takes a rank-1 step at every
+    # step.  Each sweep is forced on the same run, over the squared and the
+    # Huber loss
     a, u = seeded_problem_data(30, 20, 5, 10.0)
     pr = make_experiment_problem(which, a, gamma=gamma)
     run = run_primal(pr, u, method, iterations=60, x0=np.linspace(-3.0, 3.0, pr.n))
     derivs = _prox_derivatives(pr, run)
-    dense = derivs.min(axis=1) != derivs.max(axis=1)
-    zero = derivs.max(axis=1) == 0
-    assert dense.any() and (~dense & ~zero).any() and zero.any() == (method == "ipiasco")
+    if derivs is None:
+        residuals = pr.residual(run.points[:-1].T, u[:, None])
+        ranked = [pr.h.hessian_factors(r)[1] is not None for r in residuals.T]
+        assert all(ranked) if which == 2 else not any(ranked)
+    else:
+        dense = derivs.min(axis=1) != derivs.max(axis=1)
+        zero = derivs.max(axis=1) == 0
+        assert dense.any() and (~dense & ~zero).any() and zero.any() == (method == "ipiasco")
     got = {}
     for reverse in (False, True):
         monkeypatch.setattr(valgrad.estimators, "_reverse_pays", lambda *_: reverse)
@@ -712,24 +675,32 @@ def test_the_reverse_sweep_matches_the_forward_one_on_every_kind_of_step(which, 
 
 
 def test_the_sweep_turns_reverse_where_dense_p_passes_k_k_plus_1_over_2(monkeypatch):
-    # f4 at N = 12 over K = 41 steps, all dense: dense P = 41 P against
+    # at N = 12 over K = 41 steps, all dense: dense P = 41 P against
     # K (K + 1) / 2 = 861, equal at P = 21, so P = 20 and 21 go forward
-    # and P = 22 reverse
+    # and P = 22 reverse.  f4's ista steps are dense by their prox
+    # derivatives, f2's gd steps by their rank-1 loss Hessians
     forward = _spy(monkeypatch, "_compact_sensitivities")
-    swept = []
-    for p, reverse in ((20, False), (21, False), (22, True)):
-        a, u = seeded_problem_data(12, p, 3, 3.0)
-        pr = make_experiment_problem(4, a)
-        run = run_primal(pr, u, "ista", iterations=41)
-        assert all(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
-        before = len(forward)
-        automatic_estimator(pr, run, u)
-        swept.append(len(forward) == before)
-    assert swept == [False, False, True]
+    for which, method in ((4, "ista"), (2, "gd")):
+        swept = []
+        for p in (20, 21, 22):
+            a, u = seeded_problem_data(12, p, 3, 3.0)
+            pr = make_experiment_problem(which, a)
+            run = run_primal(pr, u, method, iterations=41)
+            if which == 4:
+                assert all(len(set(pr.k.prox_derivative(run.tau, z))) > 1
+                           for z in run.pre_prox)
+            else:
+                residuals = pr.residual(run.points[:-1].T, u[:, None])
+                assert all(pr.h.hessian_factors(r)[1] is not None for r in residuals.T)
+            before = len(forward)
+            automatic_estimator(pr, run, u)
+            swept.append(len(forward) == before)
+        assert swept == [False, False, True], which
 
 
 def test_every_default_grid_run_takes_the_forward_sweep():
-    # at K = 250 a run goes reverse only with dense P > 31,375; the default
+    # at K = 250 a run goes reverse only with dense P > 31,375, a dense step
+    # being rank-1 or having a prox derivative with two values; the default
     # grid has at most 250 90 = 22,500
     cfg = ExperimentConfig()
     runs = 0
@@ -740,16 +711,25 @@ def test_every_default_grid_run_takes_the_forward_sweep():
             pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
             for method in _primal_methods(pr, cfg.inertia):
                 run = run_primal(pr, u, method, iterations=cfg.iterations)
-                assert not _reverse_pays(_prox_derivatives(pr, run), pr.p), (name, p, method)
+                res = pr.residual(run.points.T, u[:, None])
+                derivs = _prox_derivatives(pr, run)
+                dense = sum(pr.h.hessian_factors(res[:, k])[1] is not None
+                            or (derivs is not None and len(set(derivs[k])) > 1)
+                            for k in range(cfg.iterations))
+                assert 2 * dense * p <= 250 * 251
+                assert not _reverse_pays(pr, res, derivs), (name, p, method)
                 runs += 1
     assert runs == 40
 
 
-@pytest.mark.parametrize("which, method", [(2, "heavy_ball"), (4, "ista"), (4, "ipiasco")])
+@pytest.mark.parametrize("which, method", [
+    (2, "gd"), (2, "heavy_ball"), (4, "ista"), (4, "ipiasco"),
+])
 def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
     # at N = P = 60 and K = 100 one Jacobian outweighs the O(K (N + P))
-    # series; holding all K + 1 Jacobians would peak above 100 of them.  f4
-    # takes the reverse sweep here, whose (K+1) x N blocks must fit too
+    # series; holding all K + 1 Jacobians would peak above 100 of them.
+    # Every run here takes the reverse sweep (dense P = 100 60 > 5,050),
+    # whose (K+1) x N blocks and chunks of v-terms must fit too
     pr, u = instance(which, n=60, p=60, seed=1)
     automatic_estimator(pr, run_primal(pr, u, method, iterations=2), u)  # warm caches
     jac_bytes = pr.n * pr.p * np.dtype(float).itemsize

@@ -120,6 +120,23 @@ def test_repeated_grid_entries_are_bad_input(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("cross_check_tol", float("nan"), "cross_check_tol"),
+    ("cross_check_tol", float("inf"), "cross_check_tol"),
+    ("cross_check_tol", 0.0, "cross_check_tol"),
+    ("cross_check_tol", -1e-4, "cross_check_tol"),
+    ("oracle_iterations", -5, "oracle_iterations"),
+    ("p_list", (), "no P values"),
+    ("problems", (), "no problems"),
+], ids=["nan-tol", "inf-tol", "zero-tol", "negative-tol", "negative-oracle-iterations",
+        "empty-p-list", "empty-problems"])
+def test_config_rejects_what_would_skip_the_check_or_the_grid(field, value, message):
+    # a NaN tolerance passes every ground-truth cross-check, a negative
+    # oracle budget flags every cell, and an empty list gives an empty grid
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{field: value})
+
+
 def test_a_cut_series_has_no_final_error(monkeypatch):
     # an ang error that is not finite at K alone cuts the series at K - 1;
     # the cell then has no final ang error to compare dg with

@@ -7,7 +7,7 @@ from valgrad.cli import main
 from valgrad.estimators import dual_estimator, oracle_primal_solve, run_primal
 from valgrad.funcs import EuclideanNorm, SquaredNorm
 from valgrad.linalg import seeded_problem_data
-from valgrad.problems import StructuredProblem, make_experiment_problem
+from valgrad.problems import StructuredProblem, closed_form_f1, make_experiment_problem
 from valgrad.rates import (
     RateUnavailable,
     EnvelopeConstants,
@@ -181,3 +181,19 @@ def test_rate_report_nonsmooth_problem_has_unavailable_entries():
     rr = rate_report(StructuredProblem(tall, EuclideanNorm(0.1), SquaredNorm(2.0)))
     for omega in (rr.omega_d, rr.omega_fista):
         assert isinstance(omega, RateUnavailable) and "strong convexity" in omega.reason
+
+
+def test_fista_error_stays_within_k_plus_1_times_the_asymptotic_factor():
+    # omega_fista is asymptotic: on f1's quadratic dual from rest the
+    # slowest mode is critically damped, (1 + sqrt(q) k)(1 - sqrt(q))^k, so
+    # the error exceeds e_0 omega^k (8.2 times at k = 100) but stays within
+    # (1 + k) omega^k e_0
+    a, u = seeded_problem_data(20, 15, 3, 5.0)
+    pr = make_experiment_problem(1, a)
+    _, truth = closed_form_f1(pr.a, 2.0, u)
+    omega = rate_report(pr).omega_fista
+    points = dual_estimator(pr, u, SolverConfig("fista", iterations=400)).per_iteration
+    errs = np.linalg.norm(points - truth, axis=1)
+    k = np.arange(401)
+    assert np.all(errs <= (1 + k) * omega ** k * errs[0])
+    assert errs[100] > omega ** 100 * errs[0]
