@@ -71,9 +71,11 @@ class _GramBasis(NamedTuple):
 
 
 def _gram_basis(pr: StructuredProblem) -> _GramBasis:
-    """One symmetric eigendecomposition of ``pr.gram`` and the rotated
-    parameter block; nothing is cached on the problem."""
-    eigvals, vecs = np.linalg.eigh(pr.gram)
+    """The problem's eigendecomposition of its Gram matrix, ``pr.gram_eigh``,
+    taken once per problem on first use, and the rotated parameter block,
+    formed anew on every call: caching it too would hold another N x P
+    block per problem."""
+    eigvals, vecs = pr.gram_eigh
     return _GramBasis(eigvals, vecs, vecs.T @ pr.a.T)
 
 
@@ -275,15 +277,22 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
     the run: only the forward one forms J_k.  Each J-hat_k = V^T J_k is
     built from its compact form, diag(p) a + diag(q) b + diag(r) params
     on the last dense pair (a, b), and rotated back with the eigenbasis V
-    of A^T A, taken once per call.  Raises ``ValueError`` for a run made
-    without sensitivities.
+    of A^T A, the problem's ``gram_eigh``, which every call on the problem
+    shares.  Raises ``ValueError`` for a run made without sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
-    residuals = _residual_series(pr, run.points, u)
+    hess = _hessian_series(pr, _residual_series(pr, run.points, u))
     derivs = _prox_derivatives(pr, run)
-    for sens in _compact_sensitivities(pr, run, basis, residuals, derivs):
+    for sens in _compact_sensitivities(pr, run, basis, hess, derivs):
         yield basis.vecs @ sens.jacobian(basis.params)
+
+
+def _hessian_series(pr: StructuredProblem, res):
+    """The loss Hessian factors (c, v) = ``h.hessian_factors`` at columns
+    0, ..., K-1 of the P x (K+1) residual block ``res``, one pair per step
+    of the run, each column evaluated once."""
+    return [pr.h.hessian_factors(res[:, k]) for k in range(res.shape[1] - 1)]
 
 
 def _prox_derivatives(pr: StructuredProblem, run: PrimalRun):
@@ -295,14 +304,14 @@ def _prox_derivatives(pr: StructuredProblem, run: PrimalRun):
 
 
 def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
-                           residuals, derivs):
+                           hess, derivs):
     """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
     ``_Sensitivity`` per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u
     and V is ``basis.vecs``, so J_k = V J-hat_k.
 
     J-hat_0 = 0, then one step per pre-prox point z_k of the run, with its
-    loss Hessian c (I - v v^T) taken at column k of ``residuals``, the
-    P x (K+1) block b - A x_k + u of the run's iterates, and its prox
+    loss Hessian c (I - v v^T), (c, v) = ``hess[k]`` (``_hessian_series``
+    at the residual b - A x_k + u), and its prox
     derivative d = ``prox_derivative(tau, z_k)``, row k of ``derivs``
     (``_prox_derivatives``; d None without a prox part).  A step is
     diagonal when v is None and d is s I: the step map is then the
@@ -323,8 +332,7 @@ def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBa
     cur = prev = _Sensitivity(None, None, np.zeros((3, pr.n)))
     step_c = diag = None  # the last diagonal step's c and multiplier
     yield cur
-    for k in range(len(run.pre_prox)):
-        c, v = pr.h.hessian_factors(residuals[:, k])
+    for k, (c, v) in enumerate(hess):
         d = None if derivs is None else derivs[k]
         if v is not None or (d is not None and d.min() != d.max()):
             if cur.coef is opened:  # the last step was dense
@@ -375,16 +383,18 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     the whole run (``_run_estimates``), and its coefficient blocks are
     freed when the run ends.  Reverse, ``_reverse_estimates`` runs the
     transposed steps from K - 1 down to 0 on a (K+1) x N adjoint block.
-    Both give the same rows up to round-off.  The basis (``_gram_basis``)
-    is taken once per call and freed with it.  The residual block of the
-    whole series is formed once: it gives grad_u f and every step's loss
-    Hessian; the prox derivatives are evaluated once, on the block of
-    pre-prox points (``_prox_derivatives``), and both the choice and the
-    sweep read them.  For elastic-net problems the regularizer subgradient
-    is the prox optimality selection, the minimum-norm subgradient at x(0)
-    and (z(k-1) - x(k)) / tau from the run's pre-prox points after it.
-    The estimates fill one (K+1) x P block.  Raises ``ValueError`` for a
-    run made without sensitivities.
+    Both give the same rows up to round-off.  The eigenbasis is the
+    problem's ``gram_eigh``, taken on the first call and shared by every
+    later one; ``_gram_basis`` forms the rotated parameter block per call.
+    The residual block of the whole series is formed once: it gives
+    grad_u f and every step's loss Hessian factors, taken once per column
+    (``_hessian_series``); the prox derivatives are evaluated once, on the
+    block of pre-prox points (``_prox_derivatives``), and both the choice
+    and the sweep read the factors and the derivatives.  For elastic-net
+    problems the regularizer subgradient is the prox optimality selection,
+    the minimum-norm subgradient at x(0) and (z(k-1) - x(k)) / tau from the
+    run's pre-prox points after it.  The estimates fill one (K+1) x P
+    block.  Raises ``ValueError`` for a run made without sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
@@ -396,15 +406,16 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
         gx[:, 1:] += ((run.pre_prox - run.points[1:]) / run.tau).T
     else:
         gx += pr.k.modulus * run.points.T
+    hess = _hessian_series(pr, res)
     derivs = _prox_derivatives(pr, run)
-    if _reverse_pays(pr, res, derivs):
+    if _reverse_pays(pr, hess, derivs):
         gx, gu = gx.T @ basis.vecs, gu.T.copy()
         return GradientEstimate("automatic",
-                                _reverse_estimates(pr, run, basis, res, derivs, gx, gu))
+                                _reverse_estimates(pr, run, basis, hess, derivs, gx, gu))
     gx = basis.vecs.T @ gx
     est = np.empty((len(run.points), pr.p))
     start, block = 0, []
-    for sens in _compact_sensitivities(pr, run, basis, res, derivs):
+    for sens in _compact_sensitivities(pr, run, basis, hess, derivs):
         if block and sens.a is not block[0].a:
             _run_estimates(est, basis.params, block, gx, gu, start)
             start, block = start + len(block), []
@@ -413,26 +424,25 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     return GradientEstimate("automatic", est)
 
 
-def _reverse_pays(pr: StructuredProblem, res, derivs) -> bool:
+def _reverse_pays(pr: StructuredProblem, hess, derivs) -> bool:
     """Whether the reverse sweep carries fewer columns than the forward one:
-    dense P > K (K + 1) / 2.  A dense step, one whose loss Hessian at its
-    column of the residual block ``res`` is rank-1 or whose prox
+    dense P > K (K + 1) / 2.  A dense step, one whose loss Hessian factors
+    (c, v) in ``hess`` have a rank-1 term (v not None) or whose prox
     derivative (a row of ``derivs``, None without a prox part) has two
     values, carries P columns forward, and the reverse sweep carries the
     K - j estimates still open at step j, K (K + 1) / 2 over its K steps.
     As dense <= K it never pays at 2 P <= K + 1, where the steps are not
     classified."""
-    steps = res.shape[1] - 1
+    steps = len(hess)
     if 2 * pr.p <= steps + 1:
         return False
-    dense = np.array([pr.h.hessian_factors(r)[1] is not None for r in res.T[:-1]],
-                     dtype=bool)
+    dense = np.array([v is not None for _, v in hess], dtype=bool)
     if derivs is not None:
         dense |= derivs.min(axis=1) != derivs.max(axis=1)
     return 2 * np.count_nonzero(dense) * pr.p > steps * (steps + 1)
 
 
-def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis, res,
+def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis, hess,
                        derivs, adj, est):
     """g2 at every iterate of ``run`` by one batched reverse (adjoint)
     sweep (Griewank & Walther, Evaluating Derivatives, 2008), the transpose
@@ -443,7 +453,8 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
     for the prox derivative d_j, row j of ``derivs`` (the identity for
     ``derivs`` None, without a prox part), M_j the diagonal
     ``_step_multiplier`` plus the rank-1 tau c_j w_j w_j^T, and (c_j, v_j)
-    the loss Hessian factors at column j of ``res``, w_j = params v_j.  So
+    = ``hess[j]`` the loss Hessian factors (``_hessian_series``),
+    w_j = params v_j.  So
     g2(k) = sum_{j<k} tau c_j (params^T - v_j w_j^T) mu_{k,j} + grad_u f,
     where the adjoints mu_{k,j} = R_j lam_{k,j+1} run back from lam_{k,k}
     = V^T grad_x f(x(k)) by lam_{k,j} = M_j mu_{k,j} - beta mu_{k,j+1}.
@@ -459,29 +470,34 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
     in one product per chunk: a (K+1) x K block of them would outweigh the
     adjoint block.  ``adj`` and ``est`` are overwritten; a scratch block
     holds mu and the rank-1 products, and one more block the momentum
-    terms.
+    terms.  Without a prox part mu is lam itself, worked on in place, and
+    the scratch block takes the products; for heavy_ball it takes
+    -beta mu before the diagonal overwrites lam, and then trades places
+    with the momentum block, whose terms lam has taken.
     """
     eigvals, vecs, params = basis
     tau, beta = run.tau, run.beta
-    steps = len(run.pre_prox)
+    steps = len(hess)
     chunk = 32
     total = np.zeros_like(adj)  # rows: sum_j tau c_j mu_{k,j}
-    mu = np.empty_like(adj)
+    scratch = np.zeros_like(adj)  # zero in rows not yet live, as it may become momentum
     momentum = np.zeros_like(adj) if beta else None  # rows: -beta mu_{k,j+1}
     step_c = diag = None  # the last step's c and multiplier
     terms = []  # (j, -tau c_j w_j^T mu_{.,j}, v_j) of rank-1 steps not yet in est
     for j in reversed(range(steps)):
         live = slice(j + 1, steps + 1)
-        lam, mu_j = adj[live], mu[live]
-        c, v = pr.h.hessian_factors(res[:, j])
+        lam = adj[live]
+        c, v = hess[j]
         d = None if derivs is None else derivs[j]
         if d is None:
-            np.copyto(mu_j, lam)
-        elif d.min() != d.max():
-            _rotated_rows(vecs, d, lam, mu_j)
-        else:
-            np.multiply(lam, d[0], out=mu_j)
-        total[live] += np.multiply(mu_j, tau * c, out=lam)  # lam is spent
+            mu_j, spare = lam, scratch[live]
+        else:  # lam is spent once mu is formed
+            mu_j, spare = scratch[live], lam
+            if d.min() != d.max():
+                _rotated_rows(vecs, d, lam, mu_j)
+            else:
+                np.multiply(lam, d[0], out=mu_j)
+        total[live] += np.multiply(mu_j, tau * c, out=spare)
         if v is not None:
             w = np.dot(params, v)
             mw = np.dot(mu_j, w)
@@ -497,12 +513,22 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
             break
         if c != step_c:
             step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
-        np.multiply(mu_j, diag, out=lam)
-        if beta:
+        if d is not None:
+            np.multiply(mu_j, diag, out=lam)
+            if beta:
+                lam += momentum[live]
+                np.multiply(mu_j, -beta, out=momentum[live])
+            spare = mu_j
+        elif beta:  # mu_j is lam: -beta mu goes to the scratch rows first
+            np.multiply(mu_j, -beta, out=spare)
+            np.multiply(mu_j, diag, out=lam)
             lam += momentum[live]
-            np.multiply(mu_j, -beta, out=momentum[live])
+            spare = momentum[live]  # spent, so it is the scratch now
+            scratch, momentum = momentum, scratch
+        else:
+            np.multiply(mu_j, diag, out=lam)
         if v is not None:
-            lam += np.outer(mw, (tau * c) * w, out=mu_j)
+            lam += np.outer(mw, (tau * c) * w, out=spare)
     est += total @ params
     return est
 
@@ -838,7 +864,9 @@ def value_function(pr: StructuredProblem, u, warm=None, **kwargs):
         # Closed form up to the h scale: solve grad = 0 directly.
         s, lam = pr.h.modulus, pr.k.modulus
         rhs = s * pr.a.T @ (pr.b + u) - pr.c
-        x = np.linalg.solve(s * pr.gram + lam * np.eye(pr.n), rhs)
+        hxx = s * pr.gram
+        hxx.flat[:: pr.n + 1] += lam
+        x = np.linalg.solve(hxx, rhs)
         return pr.primal_value(x, u), x, True
     x, val, ok = oracle_primal_solve(pr, u, x0=warm, **kwargs)
     return val, x, ok

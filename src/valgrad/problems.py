@@ -99,6 +99,16 @@ class StructuredProblem:
         gram.flags.writeable = False
         return gram
 
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(gram)``: (eigvals, V) with A^T A = V diag(eigvals)
+        V^T, both read-only, computed on first use (never when the problem
+        is built) and once per problem."""
+        eigvals, vecs = np.linalg.eigh(self.gram)
+        eigvals.flags.writeable = False
+        vecs.flags.writeable = False
+        return eigvals, vecs
+
     def _loss_hessian(self, x, u):
         """(c, v, w) with H_h = c (I - v v^T) at the residual and w = A^T v;
         v and w are None where H_h = c I."""
@@ -114,8 +124,11 @@ class StructuredProblem:
         return hxx
 
     def hess_xx(self, x, u):
-        """Smooth-surrogate Hessian A^T H_h A + lam I."""
-        return self.hess_xx_loss(x, u) + self.k.modulus * np.eye(self.n)
+        """Smooth-surrogate Hessian A^T H_h A + lam I, lam added to the
+        diagonal of the fresh loss block in place."""
+        hxx = self.hess_xx_loss(x, u)
+        hxx.flat[:: self.n + 1] += self.k.modulus
+        return hxx
 
     def hess_xu(self, x, u):
         """-A^T H_h = -c (A^T - w v^T)."""

@@ -9,6 +9,7 @@ from valgrad.estimators import (
     GradientEstimate,
     _compact_sensitivities,
     _gram_basis,
+    _hessian_series,
     _prox_derivatives,
     _reverse_pays,
     _Sensitivity,
@@ -505,7 +506,8 @@ def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n,
     basis = _gram_basis(pr)
     want = _in_run_sensitivities(pr, u, method, 40, basis)
     residuals = pr.residual(run.points.T, u[:, None])
-    got = list(_compact_sensitivities(pr, run, basis, residuals, _prox_derivatives(pr, run)))
+    got = list(_compact_sensitivities(pr, run, basis, _hessian_series(pr, residuals),
+                                      _prox_derivatives(pr, run)))
     assert len(got) == len(want) == 41
     assert all(_same_array(g, w) for sens, ref in zip(got, want) for g, w in zip(sens, ref))
 
@@ -575,7 +577,8 @@ def test_compact_sensitivities_match_a_dense_replay(which, method, gamma):
     residuals = pr.residual(run.points.T, u[:, None])
     jac = jac_prev = np.zeros((pr.n, pr.p))
     derivs = _prox_derivatives(pr, run)
-    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, residuals, derivs)):
+    hess_series = _hessian_series(pr, residuals)
+    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, hess_series, derivs)):
         if k:
             hess = pr.h.hessian_factors(residuals[:, k - 1])
             d = _prox_derivative(pr, run.tau, run.pre_prox[k - 1])
@@ -717,7 +720,7 @@ def test_every_default_grid_run_takes_the_forward_sweep():
                             or (derivs is not None and len(set(derivs[k])) > 1)
                             for k in range(cfg.iterations))
                 assert 2 * dense * p <= 250 * 251
-                assert not _reverse_pays(pr, res, derivs), (name, p, method)
+                assert not _reverse_pays(pr, _hessian_series(pr, res), derivs), (name, p, method)
                 runs += 1
     assert runs == 40
 
@@ -742,6 +745,45 @@ def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
         tracemalloc.stop()
     assert len(est.per_iteration) == 101
     assert peak < 25 * jac_bytes, peak / jac_bytes
+
+
+def test_gram_eigh_taken_once_per_problem(monkeypatch):
+    # every automatic_estimator and sensitivities call on a problem shares
+    # one eigendecomposition, taken on first use and never at construction
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    a, u = seeded_problem_data(12, 8, 0, 3.0)
+    pr = make_experiment_problem(2, a)
+    assert not calls
+    for method in ("gd", "heavy_ball"):
+        automatic_estimator(pr, run_primal(pr, u, method, iterations=5), u)
+    assert sum(1 for _ in sensitivities(pr, run_primal(pr, u, "gd", iterations=5), u)) == 6
+    assert len(calls) == 1
+    eigvals, vecs = pr.gram_eigh
+    assert not eigvals.flags.writeable and not vecs.flags.writeable
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 0.0
+    # a second problem on the same A takes its own, the same LAPACK result
+    twin = make_experiment_problem(2, a)
+    _gram_basis(twin)
+    assert len(calls) == 2 and twin.gram_eigh[1] is not vecs
+    assert np.array_equal(twin.gram_eigh[1], vecs) and np.array_equal(twin.gram_eigh[0], eigvals)
+
+
+@pytest.mark.parametrize("which, method", [(2, "gd"), (2, "heavy_ball"), (4, "ista")])
+def test_reverse_run_takes_each_hessian_factor_once(which, method, monkeypatch):
+    # the sweep choice and the reverse sweep read one list of loss Hessian
+    # factors: K calls of hessian_factors, not K for each of them
+    pr, u = instance(which, n=60, p=60, seed=1)
+    run = run_primal(pr, u, method, iterations=100)
+    calls = []
+    factors = type(pr.h).hessian_factors
+    monkeypatch.setattr(type(pr.h), "hessian_factors",
+                        lambda self, z: calls.append(1) or factors(self, z))
+    swept = _spy(monkeypatch, "_reverse_estimates")
+    automatic_estimator(pr, run, u)
+    assert swept == [1] and len(calls) == 100
 
 
 def test_automatic_requires_sensitivities():
@@ -908,6 +950,9 @@ def test_value_function_closed_form_vs_oracle():
     x_it, val_it, ok_it = oracle_primal_solve(pr, u, max_iterations=20000)
     assert ok_it
     assert val_it == pytest.approx(val_cf, abs=1e-10)
+    # lam goes onto the diagonal of s A^T A in place, the bits of s A^T A + lam I
+    want = np.linalg.solve(pr.gram + 2.0 * np.eye(pr.n), pr.a.T @ u)
+    assert np.array_equal(x_cf, want)
 
 
 def test_fd_oracle_matches_closed_form_f1():

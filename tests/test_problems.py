@@ -179,6 +179,15 @@ def test_gram_and_bounds_computed_once(monkeypatch):
     assert first == spectral_bounds(pr.a)
 
 
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+def test_hess_xx_adds_the_modulus_bit_for_bit(which):
+    # lam goes onto the diagonal in place: the same bits as adding lam I
+    pr, u = small_problem(which)
+    x = np.random.Generator(np.random.PCG64(which)).standard_normal(pr.n)
+    want = pr.hess_xx_loss(x, u) + pr.k.modulus * np.eye(pr.n)
+    assert np.array_equal(pr.hess_xx(x, u), want)
+
+
 def test_make_experiment_problem_variants():
     a = np.eye(3)
     assert isinstance(make_experiment_problem(1, a).h, SquaredNorm)
