@@ -19,7 +19,6 @@ from .estimators import (
     run_primal,
     run_toy,
     sensitivities,
-    value_function,
 )
 from .funcs import (
     BallIndicator,

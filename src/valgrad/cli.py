@@ -173,9 +173,8 @@ def _cmd_run(args) -> int:
               f"iteration {k} on; the series stops before it")
     for name, p, diag in summary["aborted"]:
         print(f"aborted {name} P={p}: {diag}")
-    if summary["cross_check_gap"]:
-        name, p, gap = max(summary["cross_check_gap"], key=lambda cell: cell[2])
-        print(f"largest ground-truth vs finite-difference gap: {gap:.3e} ({name} P={p})")
+    name, p, gap = max(summary["cross_check_gap"], key=lambda cell: cell[2])
+    print(f"largest ground-truth vs finite-difference gap: {gap:.3e} ({name} P={p})")
     wins = [flag for *_, flag in summary["dg_beats_ang"]]
     if wins:
         print(f"dual beats analytic (P < N): {sum(wins)}/{len(wins)} cells")

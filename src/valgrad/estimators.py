@@ -830,22 +830,30 @@ def oracle_primal_solve(
     A line-searched Newton phase (``_newton_solve``) runs from ``x0``; if
     it stops uncertified, the one-column ``_certified_solve`` goes on from
     its point with the iterations left, each Newton step having counted as
-    one.  On the default grid at seed 0 the Newton phase certifies all 15
-    centre solves in 366 steps, 0.14-0.15 s where the accelerated loop
-    alone took 1.3-1.5 s (2-core x86-64, one BLAS thread); over seeds
-    0-20, 4 of 315 solves need the fallback.
+    one.  On the default grid at seed 0 the Newton phase certifies all 20
+    centre solves in 368 steps, one for each of f1's five, in 0.11-0.16 s
+    (2-core x86-64, one BLAS thread); over seeds 0-20, 4 of 420 solves need
+    the fallback.
 
     ``tol`` is in gradient units: with G = (z - x+)/tau,
-    G - grad f_s(z) + grad f_s(x+) is a subgradient at x+ of norm at most
-    (1 + tau L)|G| = 2|G|, so m-strong convexity gives |x+ - x*| <= 2|G|/m
-    and the dual point grad h(b - A x+ + u) lies within L_h |A| 2|G|/m of
-    grad p(u).  Both phases stop once that bound is at most ``tol``;
-    ``converged`` is False if the solve reached ``max_iterations`` first.
+    g = G - grad f_s(z) + grad f_s(x+) is a subgradient at x+ of norm at
+    most (1 + tau L)|G| = 2|G|.  Write y = grad h(b - A x+ + u) and y* =
+    grad p(u) = grad h(b - A x* + u).  Monotonicity of d k, with k's
+    modulus m_k = ``pr.k.modulus``, and co-coercivity of grad h (Nesterov,
+    Introductory Lectures on Convex Optimization, 2004, Thm 2.1.5) give
+
+        |y - y*|^2 / L_h + m_k |x+ - x*|^2 <= |g| |x+ - x*|,
+
+    whose right side less m_k |x+ - x*|^2 is at most |g|^2 / (4 m_k), so
+    |y - y*| <= sqrt(L_h / m_k) |G|.  The bound needs no |A|, so it stays
+    above round-off at large (N, P).  Both phases stop once it is at most
+    ``tol``; ``converged`` is False if the solve reached ``max_iterations``
+    first.
     """
     u = np.asarray(u, dtype=float)
-    lips, m = pr.curvature()
-    lips_dual = pr.h.profile().lips * np.sqrt(pr.bounds().lmax_ata)  # L_h |A|
-    limit = np.array([tol * m / (2.0 * lips_dual * lips)])  # tau times the |G| bound
+    lips = pr.curvature()[0]
+    ratio = np.sqrt(pr.h.profile().lips / pr.k.modulus)  # sqrt(L_h / m_k)
+    limit = np.array([tol / (ratio * lips)])  # tau times the |G| bound
     x0 = np.zeros(pr.n) if x0 is None else np.asarray(x0, dtype=float)
     x, steps, certified = _newton_solve(pr, u, x0, limit[0], max_iterations)
     if not certified:
@@ -854,22 +862,6 @@ def oracle_primal_solve(
         )
         x, certified = points[:, 0], bool(done[0])
     return x, pr.primal_value(x, u), certified
-
-
-def value_function(pr: StructuredProblem, u, warm=None, **kwargs):
-    """p(u), exactly for a quadratic problem (``is_quadratic``), otherwise by
-    an oracle-grade solve; returns (value, minimizer, converged)."""
-    u = np.asarray(u, dtype=float)
-    if pr.is_quadratic():
-        # Closed form up to the h scale: solve grad = 0 directly.
-        s, lam = pr.h.modulus, pr.k.modulus
-        rhs = s * pr.a.T @ (pr.b + u) - pr.c
-        hxx = s * pr.gram
-        hxx.flat[:: pr.n + 1] += lam
-        x = np.linalg.solve(hxx, rhs)
-        return pr.primal_value(x, u), x, True
-    x, val, ok = oracle_primal_solve(pr, u, x0=warm, **kwargs)
-    return val, x, ok
 
 
 def fd_oracle(
@@ -882,8 +874,7 @@ def fd_oracle(
 ) -> GradientEstimate:
     """Central-difference gradient of the value function.
 
-    Coordinate i uses the step s_i = eps * (1 + |u_i|).  A quadratic
-    problem (``is_quadratic``) takes its closed form; otherwise the 2P
+    Coordinate i uses the step s_i = eps * (1 + |u_i|).  The 2P
     perturbed problems at u +- s_i e_i are solved together as the columns
     of one N x 2P block, every column starting from ``warm``, the minimizer
     at u (solved here when not given).  ``_newton_polish`` first takes up
@@ -905,38 +896,34 @@ def fd_oracle(
     rests on the certificate alone, whichever phase passes it.  The
     estimate is flagged if some column reaches ``max_iterations``.
 
-    On the default grid over seeds 0-20 the chord steps certify all 31,500
-    columns.  At seed 0 the 15 blocks take 12-18 ms in all, where the
-    accelerated loop with its Newton polish took 152-202 ms (2-core x86-64,
-    one BLAS thread).
+    On the default grid over seeds 0-20 the chord steps certify all 42,000
+    columns, f1's included.  At seed 0 the 20 blocks take 18-21 ms in all
+    (2-core x86-64, one BLAS thread); the accelerated loop with its Newton
+    polish took 152-202 ms for the 15 blocks of f2-f4.
     """
     u = np.asarray(u, dtype=float)
     steps = eps * (1.0 + np.abs(u))
     # column i is u + s_i e_i, column P + i is u - s_i e_i
     params = u[:, None] + np.hstack([np.diag(steps), np.diag(-steps)])
-    if pr.is_quadratic():
-        vals = np.array([value_function(pr, col)[0] for col in params.T])
-        flagged = False
-    else:
-        lips, m = pr.curvature()
-        if warm is None:
-            warm = oracle_primal_solve(pr, u, max_iterations=max_iterations)[0]
-        warm = np.asarray(warm, dtype=float)
-        # |z - x+| bound per column, i.e. tau times the |G| bound
-        limit = np.sqrt(tol * m * np.concatenate([steps, steps])) / lips
-        start = np.repeat(warm[:, None], 2 * pr.p, axis=1)
-        tau = 1.0 / lips
-        jac = _fb_jacobian(pr, warm, u, warm - tau * pr.primal_smooth_grad(warm, u), tau)
-        points, live = start.copy(), np.ones(2 * pr.p, dtype=bool)
-        taken = _newton_polish(pr, params, start, points, live, limit, tau,
-                               min(NEWTON_STEPS, max_iterations), jac)
-        if live.any():
-            rest, certified = _certified_solve(pr, params[:, live], start[:, live],
-                                               limit[live], max_iterations - taken)
-            points[:, live] = rest
-            live[live] = ~certified
-        flagged = bool(live.any())
-        vals = pr.primal_value(points, params)
+    lips, m = pr.curvature()
+    if warm is None:
+        warm = oracle_primal_solve(pr, u, max_iterations=max_iterations)[0]
+    warm = np.asarray(warm, dtype=float)
+    # |z - x+| bound per column, i.e. tau times the |G| bound
+    limit = np.sqrt(tol * m * np.concatenate([steps, steps])) / lips
+    start = np.repeat(warm[:, None], 2 * pr.p, axis=1)
+    tau = 1.0 / lips
+    jac = _fb_jacobian(pr, warm, u, warm - tau * pr.primal_smooth_grad(warm, u), tau)
+    points, live = start.copy(), np.ones(2 * pr.p, dtype=bool)
+    taken = _newton_polish(pr, params, start, points, live, limit, tau,
+                           min(NEWTON_STEPS, max_iterations), jac)
+    if live.any():
+        rest, certified = _certified_solve(pr, params[:, live], start[:, live],
+                                           limit[live], max_iterations - taken)
+        points[:, live] = rest
+        live[live] = ~certified
+    flagged = bool(live.any())
+    vals = pr.primal_value(points, params)
     g = (vals[: pr.p] - vals[pr.p :]) / (2.0 * steps)
     return GradientEstimate("fd", g[None, :], flagged=flagged)
 

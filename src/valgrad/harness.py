@@ -29,7 +29,6 @@ from .estimators import (
     implicit_estimator,
     oracle_primal_solve,
     run_primal,
-    value_function,
 )
 from .linalg import seeded_problem_data
 from .problems import make_experiment_problem
@@ -68,6 +67,16 @@ class ExperimentConfig:
             raise ConfigError("invalid dimensions")
         if not self.p_list or not self.problems:
             raise ConfigError("no P values or no problems")
+        # written as "not ok" so that NaN fails each test; run_grid would
+        # otherwise raise a bare ValueError, or flag every cell at lam = NaN
+        if not (self.lam > 0 and self.delta > 0):
+            raise ConfigError("lam and delta must be positive")
+        if not self.gamma >= 0:
+            raise ConfigError("gamma must be nonnegative")
+        if not self.cond_ratio >= 1:
+            raise ConfigError("cond_ratio must be at least 1")
+        if not all(q >= 1 for q in self.p_list):
+            raise ConfigError("P values must be at least 1")
         if self.oracle_iterations < 0:
             raise ConfigError("oracle_iterations must be nonnegative")
         # a NaN tolerance would pass every cross-check
@@ -109,25 +118,19 @@ def _cell_seed(seed: int, which: int, p: int) -> int:
 
 
 def _ground_truth(pr, u, cfg):
-    """Reference gradient (and minimizer if one exists) for one cell.
+    """Reference gradient and minimizer for one cell.
 
-    A quadratic problem (``is_quadratic``) takes the minimizer xstar of
-    ``value_function``'s closed form; for the others a certified primal
-    solve (``oracle_primal_solve``, capped at ``cfg.oracle_iterations``)
-    gives xstar, within the solve's 1e-7 tolerance.  By duality the
-    reference is grad p(u) = y* = grad h(b - A xstar + u).  Away from the
-    closed form the central-difference oracle, warm-started from xstar and
+    A certified primal solve (``oracle_primal_solve``, capped at
+    ``cfg.oracle_iterations``) gives xstar, and by duality the reference
+    grad p(u) = y* = grad h(b - A xstar + u), within the solve's 1e-7
+    tolerance.  The central-difference oracle, warm-started from xstar and
     under the same cap, cross-checks it.  Returns (gradient, xstar,
-    diagnostic, oracle_flagged, gap): gradient is None when the
-    cross-check gap exceeds ``cfg.cross_check_tol``, oracle_flagged is set
-    when the xstar solve or the finite-difference oracle did not converge
-    or the duality-gap bound at the truth (``_gap_bound``) exceeds
-    ``cfg.cross_check_tol``, and gap is the max-abs cross-check gap (None
-    for the closed form).
+    diagnostic, oracle_flagged, gap): gradient is None when the max-abs
+    cross-check gap ``gap`` exceeds ``cfg.cross_check_tol``, and
+    oracle_flagged is set when the xstar solve or the finite-difference
+    oracle did not converge or the duality-gap bound at the truth
+    (``_gap_bound``) exceeds ``cfg.cross_check_tol``.
     """
-    if pr.is_quadratic():
-        _, xstar, _ = value_function(pr, u)
-        return pr.grad_u(xstar, u), xstar, "", False, None
     xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
     truth = pr.grad_u(xstar, u)
     fd = fd_oracle(pr, u, max_iterations=cfg.oracle_iterations, warm=xstar)
@@ -201,8 +204,7 @@ def run_grid(cfg: ExperimentConfig, clock=None):
             truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u, cfg)
             if oracle_flagged:
                 summary["oracle_flagged"].append((name, p))
-            if gap is not None:
-                summary["cross_check_gap"].append((name, p, gap))
+            summary["cross_check_gap"].append((name, p, gap))
             if truth is None:
                 summary["aborted"].append((name, p, diag))
                 continue

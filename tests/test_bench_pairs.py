@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,55 @@ def test_gain_reads_higher_is_better():
     ops = [0.5, 0.48, 0.52, 0.49, 0.51, 0.5, 0.47, 0.53, 0.5, 0.5]
     assert bench_pairs.gain(ops, [o + 0.3 for o in ops], -1.0) == "met"
     assert bench_pairs.gain(ops, [o - 0.3 for o in ops], -1.0) == "not met"
+
+
+def test_traced_runs_give_each_layer_metric_a_spread_per_side():
+    # five traced runs per side and workload; each layer metric gets the
+    # median and quartiles of its runs, so one outlying run moves neither
+    assert bench_pairs.TRACED_RUNS == 5
+    layer = {"parent": [0.70, 0.52, 0.80, 0.71, 0.60], "change": [0.60, 0.59, 0.58, 0.95, 0.57]}
+    runs = [{"workload": workload, "side": side,
+             "metrics": {"estimators.automatic.s": value, "calls": 9}}
+            for workload in ("grid", "sensitivity")
+            for side, values in layer.items() for value in values]
+    got = bench_pairs.summarize_traced(runs)
+    assert set(got) == {"grid", "sensitivity"}
+    for workload in got:
+        automatic = got[workload]["estimators.automatic.s"]
+        assert automatic["parent"] == pytest.approx({"median": 0.70, "q1": 0.60, "q3": 0.71})
+        assert automatic["change"] == pytest.approx({"median": 0.59, "q1": 0.58, "q3": 0.60})
+        assert got[workload]["calls"] == {side: {"median": 9, "q1": 9, "q3": 9}
+                                          for side in ("parent", "change")}
+
+
+def test_main_takes_alternating_traced_runs_and_writes_their_spreads(tmp_path, monkeypatch):
+    # a fake perfbench: every traced run reads its call number as its layer
+    # time, so the spreads tell which runs went into each side
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [METRICS["wall_s"]]}
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run_bench(tree, workload, seed, seconds, trace):
+        calls.append((Path(tree).name, seed, trace))
+        metrics = {"wall_s": {"value": 1.0}, "layer.s": {"value": float(len(calls))}}
+        env = {"commit": Path(tree).name, "src_sha256": "0", "blas_threads": "1",
+               "python": "3", "numpy": "2"}
+        return {"correct": True, "metrics": metrics}, env
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--pairs", "2", "--seed", "5",
+                             "--out", str(out)]) == 0
+    traced = [(tree, seed) for tree, seed, trace in calls if trace == 1]
+    assert traced == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                      ("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                      ("parent", 0), ("change", 0)]
+    layer = json.loads(out.read_text())["traced_seed0"]
+    assert layer["runs_per_side"] == bench_pairs.TRACED_RUNS
+    # the traced runs are calls 5-14, after the two pairs' four timed runs
+    assert layer["w"]["layer.s"]["parent"] == {"median": 9.0, "q1": 8.0, "q3": 12.0}
+    assert layer["w"]["layer.s"]["change"] == {"median": 10.0, "q1": 7.0, "q3": 11.0}

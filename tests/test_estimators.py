@@ -24,7 +24,6 @@ from valgrad.estimators import (
     run_toy,
     sensitivities,
     sensitivity_step,
-    value_function,
 )
 from valgrad.funcs import ElasticNet, EuclideanNorm, NonsmoothError, SquaredNorm
 from valgrad.harness import ExperimentConfig, _cell_seed, _primal_methods
@@ -899,19 +898,21 @@ def test_dual_estimator_with_a_linear_term_and_an_offset(method):
     np.testing.assert_allclose(est.final, b - a @ xstar + u, atol=1e-10)
 
 
-def test_a_smooth_elastic_net_takes_the_closed_forms_of_the_ridge():
+def test_a_smooth_elastic_net_takes_the_oracles_of_the_ridge():
     # at gamma = 0 neither k nor h* has a prox part, so f3 is quadratic and
-    # its oracles are f1's, bit for bit
+    # its certified solve and finite differences are f1's, bit for bit
     a, u = seeded_problem_data(8, 5, 4, 3.0)
     f1, f3 = (make_experiment_problem(which, a, gamma=0.0) for which in (1, 3))
     assert f3.is_quadratic()
-    np.testing.assert_array_equal(fd_oracle(f3, u).per_iteration,
-                                  fd_oracle(f1, u).per_iteration)
-    val3, x3, ok3 = value_function(f3, u)
-    val1, x1, ok1 = value_function(f1, u)
+    x3, val3, ok3 = oracle_primal_solve(f3, u)
+    x1, val1, ok1 = oracle_primal_solve(f1, u)
     assert ok3 and ok1 and val3 == val1
     np.testing.assert_array_equal(x3, x1)
+    fd3, fd1 = fd_oracle(f3, u, warm=x3), fd_oracle(f1, u, warm=x1)
+    assert not fd3.flagged and not fd1.flagged
+    np.testing.assert_array_equal(fd3.per_iteration, fd1.per_iteration)
     _, grad = closed_form_f1(a, 2.0, u)
+    np.testing.assert_allclose(f3.grad_u(x3, u), grad, atol=1e-7)
     est = dual_estimator(f3, u, SolverConfig("cg", iterations=f3.p))
     np.testing.assert_allclose(est.final, grad, atol=1e-10)
 
@@ -942,17 +943,15 @@ def test_estimator_consensus_smooth_problems():
             np.testing.assert_allclose(ang, other, atol=1e-5)
 
 
-def test_value_function_closed_form_vs_oracle():
+def test_oracle_primal_solve_matches_closed_form_f1():
+    # f1 takes the certified solve like every other problem; its truth is
+    # within tol of the closed form, and its value is the closed form's
     pr, u = instance(1, cond=2.0)
-    val_cf, x_cf, ok = value_function(pr, u)
-    assert ok
-    # compare against the generic iterative path on the same problem
-    x_it, val_it, ok_it = oracle_primal_solve(pr, u, max_iterations=20000)
-    assert ok_it
-    assert val_it == pytest.approx(val_cf, abs=1e-10)
-    # lam goes onto the diagonal of s A^T A in place, the bits of s A^T A + lam I
-    want = np.linalg.solve(pr.gram + 2.0 * np.eye(pr.n), pr.a.T @ u)
-    assert np.array_equal(x_cf, want)
+    xstar, grad = closed_form_f1(pr.a, 2.0, u)
+    x, val, ok = oracle_primal_solve(pr, u)
+    assert ok and val == pr.primal_value(x, u)
+    assert np.linalg.norm(pr.grad_u(x, u) - grad) <= 1e-7
+    assert val == pytest.approx(pr.primal_value(xstar, u), abs=1e-10)
 
 
 def test_fd_oracle_matches_closed_form_f1():
@@ -1051,7 +1050,7 @@ def oracle_instance(which):
     return make_experiment_problem(which, a), u
 
 
-@pytest.mark.parametrize("which", [2, 3, 4])
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
 @pytest.mark.parametrize("tol", [1e-4, 1e-7])
 def test_oracle_primal_solve_certifies_tol(which, tol):
     # tol bounds |grad h(b - A x + u) - grad p(u)|; a cold solve must land
@@ -1062,6 +1061,42 @@ def test_oracle_primal_solve_certifies_tol(which, tol):
     x, val, ok = oracle_primal_solve(pr, u, tol=tol)
     assert ok and val == pr.primal_value(x, u)
     assert np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u)) <= tol
+
+
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, p", [(20, 15), (30, 45)])
+def test_the_certificate_bound_holds_for_the_accelerated_loop(which, n, p, monkeypatch):
+    # with the Newton phase giving up at once and no Newton polish, every
+    # point is certified by the accelerated loop's own |z - x+| test; each
+    # must lie within tol of a tightly certified reference, which checks the
+    # bound sqrt(L_h / m_k) |G| on the dual point
+    for seed in range(3):
+        a, u = seeded_problem_data(n, p, seed, 30.0)
+        pr = make_experiment_problem(which, a)
+        ref, _, ok = oracle_primal_solve(pr, u, tol=1e-12)
+        assert ok
+        with monkeypatch.context() as m:
+            m.setattr(valgrad.estimators, "_newton_solve",
+                      lambda pr, u, x, limit, max_iterations: (x, 0, False))
+            m.setattr(valgrad.estimators, "NEWTON_EVERY", 10**9)
+            for tol in (1e-3, 1e-5):
+                x, _, ok = oracle_primal_solve(pr, u, tol=tol)
+                assert ok
+                err = np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u))
+                assert err <= tol, (seed, tol, err)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_oracle_primal_solve_certifies_at_a_large_size(which):
+    # the bound L_h |A| 2|G| / m fell below the round-off in x - T(x) here,
+    # so 200 Newton steps ended uncertified; sqrt(L_h / m_k) |G| needs no |A|
+    a, u = seeded_problem_data(1000, 800, which, 100.0)
+    pr = make_experiment_problem(which, a)
+    x, _, ok = oracle_primal_solve(pr, u, max_iterations=200)
+    assert ok
+    if which == 1:
+        _, grad = closed_form_f1(a, 2.0, u)
+        assert np.max(np.abs(pr.grad_u(x, u) - grad)) <= 1e-10
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])

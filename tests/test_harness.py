@@ -128,11 +128,26 @@ def test_repeated_grid_entries_are_bad_input(tmp_path, capsys):
     ("oracle_iterations", -5, "oracle_iterations"),
     ("p_list", (), "no P values"),
     ("problems", (), "no problems"),
+    ("lam", 0.0, "lam and delta"),
+    ("lam", float("nan"), "lam and delta"),
+    ("delta", -1.0, "lam and delta"),
+    ("delta", float("nan"), "lam and delta"),
+    ("gamma", -0.1, "gamma"),
+    ("gamma", float("nan"), "gamma"),
+    ("cond_ratio", 0.5, "cond_ratio"),
+    ("cond_ratio", float("nan"), "cond_ratio"),
+    ("p_list", (0,), "P values must be at least 1"),
+    ("p_list", (10, -3), "P values must be at least 1"),
 ], ids=["nan-tol", "inf-tol", "zero-tol", "negative-tol", "negative-oracle-iterations",
-        "empty-p-list", "empty-problems"])
+        "empty-p-list", "empty-problems", "zero-lam", "nan-lam", "negative-delta",
+        "nan-delta", "negative-gamma", "nan-gamma", "cond-below-1", "nan-cond",
+        "zero-p", "negative-p"])
 def test_config_rejects_what_would_skip_the_check_or_the_grid(field, value, message):
     # a NaN tolerance passes every ground-truth cross-check, a negative
-    # oracle budget flags every cell, and an empty list gives an empty grid
+    # oracle budget flags every cell, and an empty list gives an empty grid;
+    # a problem or data value no cell can be built with is bad input too, not
+    # a ValueError from inside run_grid (or, at lam = NaN, a grid of flagged
+    # and diverged cells)
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**{field: value})
 
@@ -429,13 +444,14 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(valgrad.harness, "fd_oracle", capped)
     _, summary = run_grid(cfg, clock=constant_clock)
-    assert summary["oracle_flagged"] == [("f3", 6)]
+    # every problem, f1 included, takes the finite-difference cross-check
+    assert summary["oracle_flagged"] == [("f1", 6), ("f3", 6)]
     code = main(["run", "--n", "12", "--p", "6", "--problems", "f1,f3", "--iters", "10",
                  "--cond", "3", "--out", str(tmp_path)])
     assert code == (1 if summary["aborted"] else 0)
     out = capsys.readouterr().out
-    assert "warning: f3 P=6: the ground truth is not certified" in out
-    assert "f1 P=6" not in out
+    for name in ("f1", "f3"):
+        assert f"warning: {name} P=6: the ground truth is not certified" in out
 
 
 def test_oracle_iterations_caps_the_fd_oracle(monkeypatch):
@@ -460,7 +476,8 @@ def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
                            cond_ratio=3.0, oracle_iterations=5000)
     _, summary = run_grid(cfg, clock=constant_clock)
-    # f1 takes its closed form; the finite-difference columns still converge
+    # f1's one Newton step certifies its centre solve; f3's needs more, and
+    # the finite-difference columns still converge
     assert summary["oracle_flagged"] == [("f3", 6)]
     code = main(["run", "--n", "12", "--p", "6", "--problems", "f1,f3", "--iters", "10",
                  "--cond", "3", "--out", str(tmp_path)])
@@ -542,11 +559,11 @@ def test_a_truth_the_duality_gap_cannot_certify_is_flagged():
 
 
 def test_the_gap_bound_holds_on_default_grid_truths():
-    # at seed 0 the bound at a non-quadratic cell's truth stays below 1e-6,
-    # far under cross_check_tol, and above the truth's distance to the dual
-    # point of a tighter solve
+    # at seed 0 the bound at a cell's truth stays below 1e-6, far under
+    # cross_check_tol, and above the truth's distance to the dual point of a
+    # tighter solve
     cfg = ExperimentConfig()
-    for name in ("f2", "f3", "f4"):
+    for name in ("f1", "f2", "f3", "f4"):
         which = int(name[1])
         for p in (10, 90):
             a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
@@ -612,8 +629,9 @@ def test_inapplicable_implicit_estimate_is_reported_not_raised(tmp_path, capsys,
 
 def test_cross_check_gap_is_reported(tmp_path, capsys):
     _, summary = run_grid(SMALL, clock=constant_clock)
-    # f1 takes its closed form, so only the f3 cells have a cross-check
-    assert [cell[:2] for cell in summary["cross_check_gap"]] == [("f3", 6), ("f3", 9)]
+    # every cell, f1's included, has a cross-check
+    assert [cell[:2] for cell in summary["cross_check_gap"]] == summary["cells"] == [
+        ("f1", 6), ("f1", 9), ("f3", 6), ("f3", 9)]
     assert all(0.0 <= gap <= SMALL.cross_check_tol for *_, gap in summary["cross_check_gap"])
     name, p, worst = max(summary["cross_check_gap"], key=lambda cell: cell[2])
     code = main(["run", "--n", "12", "--p", "6,9", "--problems", "f1,f3", "--iters", "40",
@@ -657,11 +675,12 @@ def test_cli_bad_values_exit_2(argv, capsys):
 
 
 def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
-    # a LinAlgError is a ValueError, but a failed solve is not bad input
-    def singular(*args):
+    # a LinAlgError is a ValueError, but a failed solve is not bad input;
+    # here the centre solve's Newton step meets a singular Jacobian
+    def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(valgrad.harness, "value_function", singular)
+    monkeypatch.setattr(valgrad.estimators, "_newton_step", singular)
     code = main(["run", "--n", "10", "--p", "5", "--problems", "f1", "--iters", "5",
                  "--out", str(tmp_path)])
     assert code == 3

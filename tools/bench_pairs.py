@@ -15,8 +15,10 @@ side's median and quartiles (inclusive method), the pairs the change won and
 tied, the ratio of the medians, a no-regression verdict against the
 metric's bound (``verdict``) and whether the pairs show a gain (``gain``,
 ``met`` or ``not met``); every verdict other than ``ok`` is also printed to
-stderr.  One traced seed-0 run per workload and side adds the
-per-layer metrics, under ``traced_seed0`` keyed by workload.
+stderr.  TRACED_RUNS traced seed-0 runs per workload and side add the
+per-layer metrics, the side that goes first alternating from run to run;
+``traced_seed0`` holds each layer metric's median and quartiles per side,
+keyed by workload.
 A run that fails or reports wrong output stops the tool with exit status 1
 and writes nothing.
 """
@@ -29,6 +31,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# traced seed-0 runs per workload and side: one traced run moves by 20-30%
+# on unchanged code, so a layer's before and after are read off medians
+TRACED_RUNS = 5
 
 
 def run_bench(tree, workload, seed, seconds, trace):
@@ -106,6 +112,20 @@ def summarize(runs, metrics):
     return out
 
 
+def summarize_traced(traced_runs):
+    """Per workload and layer metric, each side's spread over its traced
+    runs; ``traced_runs`` holds {"workload", "side", "metrics"} dicts, with
+    ``metrics`` mapping a metric's name to its value."""
+    out = {}
+    for workload in sorted({r["workload"] for r in traced_runs}):
+        side = {s: [r["metrics"] for r in traced_runs
+                    if r["workload"] == workload and r["side"] == s]
+                for s in ("parent", "change")}
+        out[workload] = {name: {s: spread([m[name] for m in side[s]]) for s in side}
+                         for name in side["change"][0]}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent source tree")
@@ -133,13 +153,14 @@ def main(argv=None):
                                  **{m: result["metrics"][m]["value"] for m in metrics}})
                     print(f"pair {pair} {workload} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
-        traced = {"command": "python3 perfbench/run.py --workload W --seed 0 "
-                             f"--seconds {seconds:g} --trace 1"}
-        for workload in workloads:
-            for side in ("parent", "change"):
-                result, _ = run_bench(trees[side], workload, 0, seconds, 1)
-                traced.setdefault(workload, {})[side] = {
-                    k: v["value"] for k, v in result["metrics"].items()}
+        traced_runs = []
+        for run in range(TRACED_RUNS):
+            order = ("parent", "change") if run % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    result, _ = run_bench(trees[side], workload, 0, seconds, 1)
+                    traced_runs.append({"workload": workload, "side": side, "metrics": {
+                        k: v["value"] for k, v in result["metrics"].items()}})
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -168,7 +189,13 @@ def main(argv=None):
                  f"{' then '.join(workloads)} in each pair",
         "workloads": workloads_summary,
         "runs": runs,
-        "traced_seed0": traced,
+        "traced_seed0": {
+            "command": "python3 perfbench/run.py --workload W --seed 0 "
+                       f"--seconds {seconds:g} --trace 1",
+            "runs_per_side": TRACED_RUNS,
+            "order": "parent first in even runs, change first in odd runs",
+            **summarize_traced(traced_runs),
+        },
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
