@@ -78,7 +78,8 @@ def test_traced_runs_give_each_layer_metric_a_spread_per_side():
     assert bench_pairs.TRACED_RUNS == 5
     layer = {"parent": [0.70, 0.52, 0.80, 0.71, 0.60], "change": [0.60, 0.59, 0.58, 0.95, 0.57]}
     runs = [{"workload": workload, "side": side,
-             "metrics": {"estimators.automatic.s": value, "calls": 9}}
+             "metrics": {"estimators.automatic.s": value, "calls": 9,
+                         **({"new.s": 1.0} if side == "change" else {})}}
             for workload in ("grid", "sensitivity")
             for side, values in layer.items() for value in values]
     got = bench_pairs.summarize_traced(runs)
@@ -89,6 +90,8 @@ def test_traced_runs_give_each_layer_metric_a_spread_per_side():
         assert automatic["change"] == pytest.approx({"median": 0.59, "q1": 0.58, "q3": 0.60})
         assert got[workload]["calls"] == {side: {"median": 9, "q1": 9, "q3": 9}
                                           for side in ("parent", "change")}
+        # a metric the parent's benchmark does not emit has the change's side only
+        assert got[workload]["new.s"] == {"change": {"median": 1.0, "q1": 1.0, "q3": 1.0}}
 
 
 def test_main_takes_alternating_traced_runs_and_writes_their_spreads(tmp_path, monkeypatch):

@@ -115,14 +115,17 @@ def summarize(runs, metrics):
 def summarize_traced(traced_runs):
     """Per workload and layer metric, each side's spread over its traced
     runs; ``traced_runs`` holds {"workload", "side", "metrics"} dicts, with
-    ``metrics`` mapping a metric's name to its value."""
+    ``metrics`` mapping a metric's name to its value.  A metric that only
+    one side's benchmark emits gets only that side's spread."""
     out = {}
     for workload in sorted({r["workload"] for r in traced_runs}):
         side = {s: [r["metrics"] for r in traced_runs
                     if r["workload"] == workload and r["side"] == s]
                 for s in ("parent", "change")}
-        out[workload] = {name: {s: spread([m[name] for m in side[s]]) for s in side}
-                         for name in side["change"][0]}
+        names = dict.fromkeys(name for runs in side.values() for name in runs[0])
+        out[workload] = {name: {s: spread([m[name] for m in runs])
+                                for s, runs in side.items() if name in runs[0]}
+                         for name in names}
     return out
 
 
