@@ -4,9 +4,11 @@ Four estimators of the gradient of p(u) = inf_x f(x, u):
 
 * analytic:  the parameter-gradient of f at an approximate minimizer,
 * automatic: the solver's iterates differentiated in the eigenbasis of
-             A^T A, by a forward sweep of compact sensitivities or a
-             batched reverse (adjoint) sweep, whichever carries fewer
-             columns,
+             A^T A, by a forward sweep of the sensitivities in compact
+             form or a batched reverse (adjoint) sweep, whichever carries
+             fewer columns, each returning the block of estimates;
+             ``sensitivities`` is the dense replay of the J_k, their
+             reference,
 * implicit:  the implicit-function-theorem linear solve at one iterate,
              by a Cholesky factorization,
 * dual:      iterates of the assembled dual problem,
@@ -206,60 +208,6 @@ def run_primal(
     return PrimalRun(tau, beta, points, pre_prox)
 
 
-class _Sensitivity(NamedTuple):
-    """One iterate sensitivity in compact form:
-
-        J-hat_k = diag(p) a + diag(q) b + diag(r) params,
-
-    with (a, b) = (J-hat_{j+1}, J-hat_j) for the last dense step j (both
-    None before the first one) and params = V^T A^T from ``_gram_basis``.
-    ``coef`` stacks the N-vectors p, q and r as the rows of one 3 x N
-    array.  A dense step yields (p, q, r) = (1, 0, 0); the diagonal steps
-    after it update only ``coef``, a fresh array at every step.
-    """
-
-    a: np.ndarray | None
-    b: np.ndarray | None
-    coef: np.ndarray
-
-    @property
-    def p(self):
-        return self.coef[0]
-
-    @property
-    def q(self):
-        return self.coef[1]
-
-    @property
-    def r(self):
-        return self.coef[2]
-
-    def jacobian(self, params):
-        """J-hat_k as a fresh N x P array."""
-        jac = self.r[:, None] * params
-        if self.a is not None:
-            jac += self.p[:, None] * self.a
-            jac += self.q[:, None] * self.b
-        return jac
-
-
-def _compact_step(diag, cur: _Sensitivity, prev: _Sensitivity, c: float, s: float,
-                  tau: float, beta: float) -> _Sensitivity:
-    """The step J-hat+ = s (diag J-hat + tau c params - beta J-hat_prev) of
-    ``_compact_sensitivities`` for a loss Hessian c I and a prox derivative
-    s I, on the compact forms of J-hat and J-hat_prev: every row of
-    ``coef`` steps alike, and r also takes the shift s tau c.  O(N), into
-    a fresh ``coef``.  ``diag`` is the ``_step_multiplier`` of c, tau and
-    beta, which it does not modify."""
-    coef = diag * cur.coef
-    coef[2] += tau * c
-    if beta:
-        coef -= beta * prev.coef
-    if s != 1.0:
-        coef *= s
-    return _Sensitivity(cur.a, cur.b, coef)
-
-
 def _require_sensitivities(run: PrimalRun):
     """Raise ``ValueError`` for a run made without sensitivities."""
     if run.pre_prox is None:
@@ -271,21 +219,25 @@ def sensitivities(pr: StructuredProblem, run: PrimalRun, u):
     parameter ``u``, one fresh N x P array per yield, J_0 = 0 first.
 
     Forward-mode differentiation of the solver (Griewank & Walther,
-    Evaluating Derivatives, 2008), replayed along the run's iterates and
-    pre-prox points by the forward sweep of ``automatic_estimator``
-    (``_compact_sensitivities``), whatever sweep that estimator takes on
-    the run: only the forward one forms J_k.  Each J-hat_k = V^T J_k is
-    built from its compact form, diag(p) a + diag(q) b + diag(r) params
-    on the last dense pair (a, b), and rotated back with the eigenbasis V
-    of A^T A, the problem's ``gram_eigh``, which every call on the problem
-    shares.  Raises ``ValueError`` for a run made without sensitivities.
+    Evaluating Derivatives, 2008) as a dense replay along the run's
+    iterates and pre-prox points: ``sensitivity_step`` at every step, in
+    the eigenbasis V of A^T A, the problem's ``gram_eigh``, and each
+    J-hat_k = V^T J_k rotated back.  It shares none of the compact form of
+    ``automatic_estimator``'s forward sweep, and is the reference for both
+    of its sweeps.  Raises ``ValueError`` for a run made without
+    sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
     hess = _hessian_series(pr, _residual_series(pr, run.points, u))
     derivs = _prox_derivatives(pr, run)
-    for sens in _compact_sensitivities(pr, run, basis, hess, derivs):
-        yield basis.vecs @ sens.jacobian(basis.params)
+    jac = jac_prev = np.zeros((pr.n, pr.p))
+    yield jac.copy()
+    for k, factors in enumerate(hess):
+        d = None if derivs is None else derivs[k]
+        jac, jac_prev = sensitivity_step(pr, basis, factors, jac, jac_prev, d,
+                                         run.tau, run.beta), jac
+        yield basis.vecs @ jac
 
 
 def _hessian_series(pr: StructuredProblem, res):
@@ -301,52 +253,6 @@ def _prox_derivatives(pr: StructuredProblem, run: PrimalRun):
     without a prox part."""
     prox = pr.k.prox_part
     return None if prox is None else prox.prox_derivative(run.tau, run.pre_prox)
-
-
-def _compact_sensitivities(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
-                           hess, derivs):
-    """The iterate sensitivities of ``run`` in the eigenbasis of A^T A, one
-    ``_Sensitivity`` per yield: J-hat_k = V^T J_k, where J_k = d x_k / d u
-    and V is ``basis.vecs``, so J_k = V J-hat_k.
-
-    J-hat_0 = 0, then one step per pre-prox point z_k of the run, with its
-    loss Hessian c (I - v v^T), (c, v) = ``hess[k]`` (``_hessian_series``
-    at the residual b - A x_k + u), and its prox
-    derivative d = ``prox_derivative(tau, z_k)``, row k of ``derivs``
-    (``_prox_derivatives``; d None without a prox part).  A step is
-    diagonal when v is None and d is s I: the step map is then the
-    diagonal s (1 + beta - tau c Lambda [- tau lam]) plus the shift
-    s tau c params, so ``_compact_step`` updates p, q and r in O(N),
-    reusing the previous step's multiplier while c is unchanged, as on
-    every step of a squared-norm loss.  Any other step is dense:
-    ``sensitivity_step`` on J-hat_k and J-hat_{k-1}, built from the
-    compact form unless the last step was dense.  Only J-hat_k and
-    J-hat_{k-1} are kept; every yielded array is fresh or shared with
-    earlier yields, and never modified.
-    """
-    eigvals, params = basis.eigvals, basis.params
-    tau, beta = run.tau, run.beta
-    opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step
-    opened[0] = 1.0
-    opened_prev = opened[[1, 0, 2]]  # (0, 1, 0) for the step before it
-    cur = prev = _Sensitivity(None, None, np.zeros((3, pr.n)))
-    step_c = diag = None  # the last diagonal step's c and multiplier
-    yield cur
-    for k, (c, v) in enumerate(hess):
-        d = None if derivs is None else derivs[k]
-        if v is not None or (d is not None and d.min() != d.max()):
-            if cur.coef is opened:  # the last step was dense
-                jac, jac_prev = cur.a, cur.b
-            else:
-                jac, jac_prev = cur.jacobian(params), prev.jacobian(params)
-            new = sensitivity_step(pr, basis, (c, v), jac, jac_prev, d, tau, beta)
-            cur, prev = _Sensitivity(new, jac, opened), _Sensitivity(new, jac, opened_prev)
-        else:
-            if c != step_c:
-                step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
-            s = 1.0 if d is None else d[0]
-            cur, prev = _compact_step(diag, cur, prev, c, s, tau, beta), cur
-        yield cur
 
 
 def _residual_series(pr: StructuredProblem, points, u):
@@ -377,24 +283,24 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
     columns, while the reverse sweep carries the K - j estimates still
     open at step j.  No run of the default grid goes reverse.
 
-    Forward, the sensitivities stream from ``_compact_sensitivities``.  The
-    yields sharing one dense pair (a, b) form a run: its dense step's
-    estimate takes one product as before, its diagonal steps' three for
-    the whole run (``_run_estimates``), and its coefficient blocks are
-    freed when the run ends.  Reverse, ``_reverse_estimates`` runs the
-    transposed steps from K - 1 down to 0 on a (K+1) x N adjoint block.
-    Both give the same rows up to round-off.  The eigenbasis is the
-    problem's ``gram_eigh``, taken on the first call and shared by every
-    later one; ``_gram_basis`` forms the rotated parameter block per call.
-    The residual block of the whole series is formed once: it gives
-    grad_u f and every step's loss Hessian factors, taken once per column
-    (``_hessian_series``); the prox derivatives are evaluated once, on the
-    block of pre-prox points (``_prox_derivatives``), and both the choice
-    and the sweep read the factors and the derivatives.  For elastic-net
-    problems the regularizer subgradient is the prox optimality selection,
-    the minimum-norm subgradient at x(0) and (z(k-1) - x(k)) / tau from the
-    run's pre-prox points after it.  The estimates fill one (K+1) x P
-    block.  Raises ``ValueError`` for a run made without sensitivities.
+    Both sweeps take the same arguments, V^T grad_x f and the (K+1) x P
+    block of the grad_u f rows, and return that block with J-hat(k)^T
+    (V^T grad_x f) added in place: ``_forward_estimates`` steps the
+    sensitivities from J-hat(0) = 0 in compact form, and
+    ``_reverse_estimates`` runs the transposed steps from K - 1 down to 0
+    on a (K+1) x N adjoint block.  Both give the same rows up to round-off.
+    The eigenbasis is the problem's ``gram_eigh``, taken on the first call
+    and shared by every later one; ``_gram_basis`` forms the rotated
+    parameter block per call.  The residual block of the whole series is
+    formed once: it gives grad_u f and every step's loss Hessian factors,
+    taken once per column (``_hessian_series``); the prox derivatives are
+    evaluated once, on the block of pre-prox points
+    (``_prox_derivatives``), and both the choice and the sweep read the
+    factors and the derivatives.  For elastic-net problems the regularizer
+    subgradient is the prox optimality selection, the minimum-norm
+    subgradient at x(0) and (z(k-1) - x(k)) / tau from the run's pre-prox
+    points after it.  Raises ``ValueError`` for a run made without
+    sensitivities.
     """
     _require_sensitivities(run)
     basis = _gram_basis(pr)
@@ -408,20 +314,13 @@ def automatic_estimator(pr: StructuredProblem, run: PrimalRun, u) -> GradientEst
         gx += pr.k.modulus * run.points.T
     hess = _hessian_series(pr, res)
     derivs = _prox_derivatives(pr, run)
+    # the blocks are rebound, so that the originals are freed
     if _reverse_pays(pr, hess, derivs):
-        gx, gu = gx.T @ basis.vecs, gu.T.copy()
-        return GradientEstimate("automatic",
-                                _reverse_estimates(pr, run, basis, hess, derivs, gx, gu))
-    gx = basis.vecs.T @ gx
-    est = np.empty((len(run.points), pr.p))
-    start, block = 0, []
-    for sens in _compact_sensitivities(pr, run, basis, hess, derivs):
-        if block and sens.a is not block[0].a:
-            _run_estimates(est, basis.params, block, gx, gu, start)
-            start, block = start + len(block), []
-        block.append(sens)
-    _run_estimates(est, basis.params, block, gx, gu, start)
-    return GradientEstimate("automatic", est)
+        sweep, gx = _reverse_estimates, gx.T @ basis.vecs
+    else:
+        sweep, gx = _forward_estimates, basis.vecs.T @ gx
+    gu = gu.T.copy()
+    return GradientEstimate("automatic", sweep(pr, run, basis, hess, derivs, gx, gu))
 
 
 def _reverse_pays(pr: StructuredProblem, hess, derivs) -> bool:
@@ -442,11 +341,117 @@ def _reverse_pays(pr: StructuredProblem, hess, derivs) -> bool:
     return 2 * np.count_nonzero(dense) * pr.p > steps * (steps + 1)
 
 
+def _forward_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis, hess,
+                       derivs, gx, est):
+    """g2 at every iterate of ``run`` by one forward sweep of its
+    sensitivities (Griewank & Walther, Evaluating Derivatives, 2008) in the
+    eigenbasis of A^T A: J-hat_k = V^T J_k, where J_k = d x_k / d u and V
+    is ``basis.vecs``.
+
+    J-hat_0 = 0, then one step per pre-prox point z_k of the run, with its
+    loss Hessian c (I - v v^T), (c, v) = ``hess[k]`` (``_hessian_series``
+    at the residual b - A x_k + u), and its prox derivative
+    d = ``prox_derivative(tau, z_k)``, row k of ``derivs``
+    (``_prox_derivatives``; d None without a prox part).  A step is
+    diagonal when v is None and d is s I: the step map is then the
+    diagonal s (1 + beta - tau c Lambda [- tau lam]) plus the shift
+    s tau c params, so J-hat keeps its compact form diag(p) a + diag(q) b
+    + diag(r) params on the last dense pair (a, b) (``_compact_jacobian``)
+    and ``_compact_step`` steps the rows p, q, r in O(N), reusing the
+    previous step's multiplier while c is unchanged, as on every step of a
+    squared-norm loss.  Any other step is dense: ``sensitivity_step`` on
+    J-hat_k and J-hat_{k-1}, rebuilt from their compact forms unless the
+    step before was dense too, opens the pair (J-hat_{k+1}, J-hat_k) with
+    (p, q, r) = (1, 0, 0).
+
+    ``gx`` is the N x (K+1) block of V^T grad_x f and ``est`` the (K+1) x P
+    block of the grad_u f rows, to which J-hat_k^T (V^T grad_x f(x_k)) is
+    added and which is returned: one product at each dense step's own
+    iterate, and one per pair for the iterates stepped on it
+    (``_pair_estimates``), whose rows are freed when the pair is.  Only the
+    pair and the rows since it are kept.
+    """
+    eigvals, params = basis.eigvals, basis.params
+    tau, beta = run.tau, run.beta
+    opened = np.zeros((3, pr.n))  # (p, q, r) = (1, 0, 0) after a dense step
+    opened[0] = 1.0
+    opened_prev = opened[[1, 0, 2]]  # (0, 1, 0) for the step before it
+    a = b = None  # the last dense pair
+    coef = coef_prev = np.zeros((3, pr.n))
+    rows, start = [coef], 0  # the compact forms of iterates start, start + 1, ...
+    step_c = diag = None  # the last diagonal step's c and multiplier
+    for k, (c, v) in enumerate(hess):
+        d = None if derivs is None else derivs[k]
+        if v is not None or (d is not None and d.min() != d.max()):
+            if rows:  # the step before was diagonal
+                _pair_estimates(est, params, a, b, rows, gx, start)
+                a, b = (_compact_jacobian(params, a, b, coef),
+                        _compact_jacobian(params, a, b, coef_prev))
+            a, b = sensitivity_step(pr, basis, (c, v), a, b, d, tau, beta), a
+            est[k + 1] += a.T @ gx[:, k + 1]
+            coef, coef_prev, rows, start = opened, opened_prev, [], k + 2
+        else:
+            if c != step_c:
+                step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
+            s = 1.0 if d is None else d[0]
+            coef, coef_prev = _compact_step(diag, coef, coef_prev, c, s, tau, beta), coef
+            rows.append(coef)
+    _pair_estimates(est, params, a, b, rows, gx, start)
+    return est
+
+
+def _compact_jacobian(params, a, b, coef):
+    """J-hat = diag(p) a + diag(q) b + diag(r) params, a fresh N x P array,
+    from its compact form: the rows p, q and r of the 3 x N ``coef`` on
+    the dense pair (a, b), both None before the first dense step, and
+    params = V^T A^T from ``_gram_basis``."""
+    jac = coef[2][:, None] * params
+    if a is not None:
+        jac += coef[0][:, None] * a
+        jac += coef[1][:, None] * b
+    return jac
+
+
+def _compact_step(diag, coef, coef_prev, c: float, s: float, tau: float, beta: float):
+    """The diagonal step J-hat+ = s (diag J-hat + tau c params - beta
+    J-hat_prev) of ``_forward_estimates``, for a loss Hessian c I and a
+    prox derivative s I, on the compact forms ``coef`` and ``coef_prev``
+    of J-hat and J-hat_prev on one dense pair (``_compact_jacobian``):
+    every row steps alike, and r also takes the shift s tau c.  O(N);
+    returns the rows of J-hat+, a fresh 3 x N array.  ``diag`` is the
+    ``_step_multiplier`` of c, tau and beta, which it does not modify."""
+    out = diag * coef
+    out[2] += tau * c
+    if beta:
+        out -= beta * coef_prev
+    if s != 1.0:
+        out *= s
+    return out
+
+
+def _pair_estimates(est, params, a, b, rows, gx, start: int):
+    """Add J-hat_k^T g_k to the rows k = start, start + 1, ... of ``est``
+    for the iterates whose compact forms, the 3 x N arrays ``rows``, share
+    the dense pair (a, b), both None before the first dense step:
+    a^T (P o G) + b^T (Q o G) + params^T (R o G), with P, Q and R their
+    rows p, q and r side by side and G their columns g_k of ``gx``, three
+    products for all of them."""
+    if not rows:
+        return
+    cols = slice(start, start + len(rows))
+    g = gx[:, cols]
+    out = params.T @ (np.array([coef[2] for coef in rows]).T * g)
+    if a is not None:
+        out += a.T @ (np.array([coef[0] for coef in rows]).T * g)
+        out += b.T @ (np.array([coef[1] for coef in rows]).T * g)
+    est[cols] += out.T
+
+
 def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis, hess,
                        derivs, adj, est):
     """g2 at every iterate of ``run`` by one batched reverse (adjoint)
     sweep (Griewank & Walther, Evaluating Derivatives, 2008), the transpose
-    of ``_compact_sensitivities``'s recursion.
+    of ``_forward_estimates``'s recursion.
 
     In the eigenbasis a step is J-hat_{j+1} = R_j (M_j J-hat_j + tau c_j
     (params - w_j v_j^T) - beta J-hat_{j-1}), with R_j = V^T diag(d_j) V
@@ -545,30 +550,6 @@ def _rotated_rows(vecs, d, rows, out):
     if not on_support:
         np.subtract(rows, out, out=out)
     out *= d.max()
-
-
-def _run_estimates(out, params, block, gx, gu, start: int):
-    """Write g2 at the iterates start, start + 1, ... of the run ``block``
-    of sensitivities sharing one pair (a, b) into those rows of ``out``.  A
-    run with a pair opens with the dense step's J-hat = a, whose estimate
-    is a^T g + grad_u f; the diagonal steps after it take
-    a^T (P o G) + b^T (Q o G) + params^T (R o G) + grad_u f, with P, Q, R
-    their coefficient vectors side by side and G their columns of
-    V^T grad_x f."""
-    a, b = block[0].a, block[0].b
-    if a is not None:
-        out[start] = a.T @ gx[:, start] + gu[:, start]
-        block, start = block[1:], start + 1
-    if not block:
-        return
-    cols = slice(start, start + len(block))
-    g = gx[:, cols]
-    est = params.T @ (np.array([sens.r for sens in block]).T * g)
-    if a is not None:
-        est += a.T @ (np.array([sens.p for sens in block]).T * g)
-        est += b.T @ (np.array([sens.q for sens in block]).T * g)
-    est += gu[:, cols]
-    out[cols] = est.T
 
 
 def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:

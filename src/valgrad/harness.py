@@ -248,8 +248,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         t0 = clock()
         run = run_primal(pr, u, method, iterations=cfg.iterations)
         ns_run = int(clock() - t0)
-        if xstar is not None:
-            add(method, "primal", np.linalg.norm(run.points - xstar, axis=1), ns_run)
+        add(method, "primal", np.linalg.norm(run.points - xstar, axis=1), ns_run)
 
         t0 = clock()
         ang = analytic_estimator(pr, run.points, u)

@@ -7,12 +7,14 @@ import valgrad.estimators
 from valgrad.estimators import (
     EstimatorInapplicable,
     GradientEstimate,
-    _compact_sensitivities,
+    _compact_jacobian,
+    _compact_step,
     _gram_basis,
     _hessian_series,
+    _pair_estimates,
     _prox_derivatives,
     _reverse_pays,
-    _Sensitivity,
+    _step_multiplier,
     analytic_estimator,
     automatic_estimator,
     dual_estimator,
@@ -395,21 +397,26 @@ def _spy(monkeypatch, name):
 def test_series_estimators_match_a_per_iterate_loop(which, method, n, p, gamma, reverse,
                                                     monkeypatch):
     # the estimators evaluate the whole series at once, as one block with a
-    # row per iterate, forward or by the reverse sweep
+    # row per iterate; the automatic one is forced through each sweep in
+    # turn, and both must match the dense replay of ``sensitivities``
     pr, u, run = _pipeline(which, method, n, p, gamma)
+    residuals = pr.residual(run.points.T, u[:, None])
     if which == 2 and reverse:  # every step is rank-1, so dense
-        residuals = pr.residual(run.points[:-1].T, u[:, None])
-        assert all(pr.h.hessian_factors(r)[1] is not None for r in residuals.T)
+        assert all(pr.h.hessian_factors(r)[1] is not None for r in residuals[:, :-1].T)
+    assert _reverse_pays(pr, _hessian_series(pr, residuals), _prox_derivatives(pr, run)) == reverse
     want_ang, want_aug = _per_iterate_estimates(pr, run, u)
-    swept = _spy(monkeypatch, "_reverse_estimates")
-    for est, want in ((analytic_estimator(pr, run.points, u), want_ang),
-                      (automatic_estimator(pr, run, u), want_aug)):
+    checks = [(analytic_estimator(pr, run.points, u), want_ang)]
+    swept = {name: _spy(monkeypatch, name) for name in ("_forward_estimates", "_reverse_estimates")}
+    for forced in (False, True):
+        monkeypatch.setattr(valgrad.estimators, "_reverse_pays", lambda *_, r=forced: r)
+        checks.append((automatic_estimator(pr, run, u), want_aug))
+    assert swept == {"_forward_estimates": [1], "_reverse_estimates": [1]}
+    for est, want in checks:
         got = est.per_iteration
         assert got.shape == (41, pr.p) and got.flags.c_contiguous
         assert len(want) == 41
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
-    assert len(swept) == reverse
 
 
 def test_final_owns_its_data():
@@ -492,27 +499,48 @@ def _in_run_sensitivities(pr, u, method, iterations, basis):
     return out
 
 
-def _same_array(x, y):
-    return x is y is None or (x is not None and y is not None and np.array_equal(x, y))
+def _compact_estimates(params, compact, gx, est):
+    """The rows J-hat_k^T g_k added to ``est`` from the compact
+    sensitivities (a, b, coef), one per iterate: a dense step's own
+    iterate, the first on a new pair, takes a^T g_k, and the iterates
+    stepped on the pair after it one ``_pair_estimates`` call."""
+    start = 0
+    for end in range(1, len(compact) + 1):
+        if end < len(compact) and compact[end][0] is compact[start][0]:
+            continue
+        a, b, _ = compact[start]
+        if a is not None:
+            est[start] += a.T @ gx[:, start]
+            start += 1
+        _pair_estimates(est, params, a, b, [coef for *_, coef in compact[start:end]], gx, start)
+        start = end
+    return est
 
 
 @pytest.mark.parametrize("which, method, n, p, gamma, reverse", PIPELINES)
 def test_sensitivities_replay_the_in_run_recursion_bit_for_bit(which, method, n, p, gamma,
-                                                                reverse):
-    # the replay along the stored iterates and pre-prox points must round
-    # exactly as the recursion along the kernel's own steps
+                                                                reverse, monkeypatch):
+    # the forward sweep along the stored iterates and pre-prox points must
+    # round exactly as the recursion along the kernel's own steps: its
+    # block against the one formed from the in-run compact forms, given
+    # the sweep's own V^T grad_x f and grad_u f blocks
     pr, u, run = _pipeline(which, method, n, p, gamma)
     basis = _gram_basis(pr)
-    want = _in_run_sensitivities(pr, u, method, 40, basis)
-    residuals = pr.residual(run.points.T, u[:, None])
-    got = list(_compact_sensitivities(pr, run, basis, _hessian_series(pr, residuals),
-                                      _prox_derivatives(pr, run)))
-    assert len(got) == len(want) == 41
-    assert all(_same_array(g, w) for sens, ref in zip(got, want) for g, w in zip(sens, ref))
+    compact = _in_run_sensitivities(pr, u, method, 40, basis)
+    assert len(compact) == 41
+    inputs = []
+    sweep = valgrad.estimators._forward_estimates
+    monkeypatch.setattr(valgrad.estimators, "_forward_estimates",
+                        lambda *args: inputs.append((args[-2], args[-1].copy())) or sweep(*args))
+    monkeypatch.setattr(valgrad.estimators, "_reverse_pays", lambda *_: False)
+    got = automatic_estimator(pr, run, u).per_iteration
+    [(gx, est)] = inputs
+    assert np.array_equal(got, _compact_estimates(basis.params, compact, gx, est))
 
 
 def _compact_pair(gen, n, p, dense):
-    """J-hat and J-hat_prev in compact form.  With ``dense`` "folded" they
+    """J-hat and J-hat_prev in compact form, as (a, b, coef, coef_prev)
+    with the 3 x N rows (p, q, r) of each.  With ``dense`` "folded" they
     are the pair a dense step leaves, folded into its random (a, b):
     J-hat = a and J-hat_prev = b.  Otherwise they take random rows p, q, r
     on one random pair (a, b), or on none when ``dense`` is False."""
@@ -520,20 +548,23 @@ def _compact_pair(gen, n, p, dense):
     if dense == "folded":
         opened = np.zeros((3, n))
         opened[0] = 1.0
-        return _Sensitivity(a, b, opened), _Sensitivity(a, b, opened[[1, 0, 2]])
-    return (_Sensitivity(a, b, gen.standard_normal((3, n))),
-            _Sensitivity(a, b, gen.standard_normal((3, n))))
+        return a, b, opened, opened[[1, 0, 2]]
+    return a, b, gen.standard_normal((3, n)), gen.standard_normal((3, n))
 
 
-@pytest.mark.parametrize("case", ["f1", "f3 Z empty", "f3 D = 0", "f2 inside the ball"])
+@pytest.mark.parametrize("case", ["f1", "f3 Z empty", "f3 D = 0", "f2 inside the ball",
+                                  "f1 scaled loss"])
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 @pytest.mark.parametrize("dense", [False, True, "folded"])
 def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     # the compact step for a loss Hessian c I and one prox-derivative value
-    # s, against sensitivity_step on the built Jacobians
+    # s, against sensitivity_step on the built Jacobians; the scaled loss
+    # has c = 2, every other case c = 1
     which = int(case[1])
     a, u = seeded_problem_data(10, 6, 2, 3.0)
     pr = make_experiment_problem(which, a, gamma=1e3 if case == "f3 D = 0" else 0.1)
+    if case == "f1 scaled loss":
+        pr = StructuredProblem(a=pr.a, h=SquaredNorm(2.0), k=pr.k)
     gen = np.random.Generator(np.random.PCG64(which))
     x = gen.standard_normal(pr.n)
     if case == "f2 inside the ball":  # P < N: A x = u has an exact solution
@@ -546,16 +577,17 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
     d = _prox_derivative(pr, tau, z)
     s = 1.0 if d is None else d[0]
     want_s = {"f3 Z empty": 1.0 / (1.0 + tau * pr.k.modulus), "f3 D = 0": 0.0}.get(case, 1.0)
-    assert v is None and s == want_s
+    assert v is None and s == want_s and c == (2.0 if case == "f1 scaled loss" else 1.0)
     assert d is None or np.all(d == s)
     basis = _gram_basis(pr)
-    cur, prev = _compact_pair(gen, pr.n, pr.p, dense)
-    want = sensitivity_step(pr, basis, (c, v), cur.jacobian(basis.params),
-                            prev.jacobian(basis.params), d, tau, beta)
-    diag = valgrad.estimators._step_multiplier(pr, basis.eigvals, c, tau, beta)
-    got = valgrad.estimators._compact_step(diag, cur, prev, c, s, tau, beta)
-    assert got.a is cur.a and got.b is cur.b
-    got = got.jacobian(basis.params)
+    a, b, coef, coef_prev = _compact_pair(gen, pr.n, pr.p, dense)
+    given = [coef.copy(), coef_prev.copy()]
+    want = sensitivity_step(pr, basis, (c, v), _compact_jacobian(basis.params, a, b, coef),
+                            _compact_jacobian(basis.params, a, b, coef_prev), d, tau, beta)
+    diag = _step_multiplier(pr, basis.eigvals, c, tau, beta)
+    got = _compact_jacobian(basis.params, a, b,
+                            _compact_step(diag, coef, coef_prev, c, s, tau, beta))
+    assert np.array_equal(coef, given[0]) and np.array_equal(coef_prev, given[1])
     if case == "f3 D = 0":
         assert not np.any(got) and not np.any(want)
     else:
@@ -565,26 +597,20 @@ def test_diagonal_step_matches_the_dense_step(case, beta, dense):
 @pytest.mark.parametrize("which, method, gamma", [
     (2, "gd", 0.1), (2, "heavy_ball", 0.1), (4, "ipiasco", 0.01),
 ])
-def test_compact_sensitivities_match_a_dense_replay(which, method, gamma):
+def test_compact_sensitivities_match_a_dense_replay(which, method, gamma, monkeypatch):
     # at N = 30, P = 20 f2 takes a rank-1 step at each of the 120 steps, and
     # f4 at this gamma mixes rank-1 steps with prox derivatives of one value
-    # (Z empty) and of two
+    # (Z empty) and of two: the forward sweep's compact steps against the
+    # dense replay of ``sensitivities``, sensitivity_step at every step
     a, u = seeded_problem_data(30, 20, 5, 10.0)
     pr = make_experiment_problem(which, a, gamma=gamma)
     run = run_primal(pr, u, method, iterations=120)
-    basis = _gram_basis(pr)
-    residuals = pr.residual(run.points.T, u[:, None])
-    jac = jac_prev = np.zeros((pr.n, pr.p))
-    derivs = _prox_derivatives(pr, run)
-    hess_series = _hessian_series(pr, residuals)
-    for k, sens in enumerate(_compact_sensitivities(pr, run, basis, hess_series, derivs)):
-        if k:
-            hess = pr.h.hessian_factors(residuals[:, k - 1])
-            d = _prox_derivative(pr, run.tau, run.pre_prox[k - 1])
-            jac, jac_prev = sensitivity_step(pr, basis, hess, jac, jac_prev, d,
-                                             run.tau, run.beta), jac
-        got = sens.jacobian(basis.params)
-        assert np.linalg.norm(got - jac) <= 1e-12 * np.linalg.norm(jac)
+    swept = _spy(monkeypatch, "_forward_estimates")
+    got = automatic_estimator(pr, run, u).per_iteration
+    _, want = _per_iterate_estimates(pr, run, u)
+    assert swept == [1] and len(got) == len(want) == 121
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
     if which == 4:
         assert any(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
 
@@ -593,19 +619,17 @@ def test_compact_sensitivities_match_a_dense_replay(which, method, gamma):
     (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"), (3, "ista"), (3, "ipiasco"),
 ])
 def test_only_steps_that_are_not_diagonal_run_the_dense_step(which, method, monkeypatch):
-    # f1 has c I and no prox, f2 here keeps its residuals outside the Huber
-    # ball (c (I - v v^T) and no prox), so every step is rank-1, and f3 has
-    # c I and a prox derivative with two values exactly where some but not
-    # all coordinates are zeroed
+    # in the forward sweep: f1 has c I and no prox, f2 here keeps its
+    # residuals outside the Huber ball (c (I - v v^T) and no prox), so every
+    # step is rank-1, and f3 has c I and a prox derivative with two values
+    # exactly where some but not all coordinates are zeroed
     pr, u = instance(which, n=30, p=20, seed=5, cond=10.0)
     run = run_primal(pr, u, method, iterations=120)
     residuals = pr.residual(run.points.T, u[:, None])
-    calls = []
-    step = valgrad.estimators.sensitivity_step
-    monkeypatch.setattr(valgrad.estimators, "sensitivity_step",
-                        lambda *args: calls.append(1) or step(*args))
-    for _ in sensitivities(pr, run, u):
-        pass
+    calls = _spy(monkeypatch, "sensitivity_step")
+    swept = _spy(monkeypatch, "_forward_estimates")
+    automatic_estimator(pr, run, u)
+    assert swept == [1]
     if which == 1:
         assert not calls
     elif which == 2:  # every step is rank-1, and each runs the dense step
@@ -681,7 +705,7 @@ def test_the_sweep_turns_reverse_where_dense_p_passes_k_k_plus_1_over_2(monkeypa
     # K (K + 1) / 2 = 861, equal at P = 21, so P = 20 and 21 go forward
     # and P = 22 reverse.  f4's ista steps are dense by their prox
     # derivatives, f2's gd steps by their rank-1 loss Hessians
-    forward = _spy(monkeypatch, "_compact_sensitivities")
+    forward = _spy(monkeypatch, "_forward_estimates")
     for which, method in ((4, "ista"), (2, "gd")):
         swept = []
         for p in (20, 21, 22):
@@ -725,15 +749,18 @@ def test_every_default_grid_run_takes_the_forward_sweep():
 
 
 @pytest.mark.parametrize("which, method", [
+    (1, "gd"), (1, "heavy_ball"), (3, "ista"), (3, "ipiasco"),
     (2, "gd"), (2, "heavy_ball"), (4, "ista"), (4, "ipiasco"),
 ])
-def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
+def test_automatic_estimator_keeps_two_jacobians_alive(which, method, monkeypatch):
     # at N = P = 60 and K = 100 one Jacobian outweighs the O(K (N + P))
     # series; holding all K + 1 Jacobians would peak above 100 of them.
-    # Every run here takes the reverse sweep (dense P = 100 60 > 5,050),
-    # whose (K+1) x N blocks and chunks of v-terms must fit too
+    # f1 and f3 take the forward sweep, whose pair and compact rows must
+    # fit; f2 and f4 the reverse sweep (dense P = 100 60 > 5,050), whose
+    # (K+1) x N blocks and chunks of v-terms must fit too
     pr, u = instance(which, n=60, p=60, seed=1)
     automatic_estimator(pr, run_primal(pr, u, method, iterations=2), u)  # warm caches
+    swept = _spy(monkeypatch, "_reverse_estimates")
     jac_bytes = pr.n * pr.p * np.dtype(float).itemsize
     tracemalloc.start()
     try:
@@ -743,6 +770,7 @@ def test_automatic_estimator_keeps_two_jacobians_alive(which, method):
     finally:
         tracemalloc.stop()
     assert len(est.per_iteration) == 101
+    assert len(swept) == (which in (2, 4))
     assert peak < 25 * jac_bytes, peak / jac_bytes
 
 

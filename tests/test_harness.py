@@ -516,7 +516,8 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
     # f3 at N = 12 with two coordinates that no row of A touches: they stay
     # zeroed, so all 350 steps are dense and dense P = 70,000 > 61,425 sends
     # the run to the reverse sweep.  At a step of 4/L the iterates grow by
-    # about 3 a step; the aug error overflows long before the ang error
+    # about 3 a step; the aug error overflows long before the ang error, and
+    # the distance to the cell's minimizer overflows too
     a, u = seeded_problem_data(12, 200, 3, 3.0)
     a[:, :2] = 0.0
     pr = make_experiment_problem(3, a)
@@ -531,14 +532,16 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
                         lambda *args: swept.append(1) or sweep(*args))
     cfg = ExperimentConfig(n=12, p_list=(200,), problems=("f3",), iterations=350,
                            inertia="off")
-    truth = pr.grad_u(np.zeros(pr.n), u)
+    xstar = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
-        series, _, diverged = _run_cell(pr, u, truth, None, "f3", 200, cfg, constant_clock)
+        series, _, diverged = _run_cell(pr, u, pr.grad_u(xstar, u), xstar, "f3", 200, cfg,
+                                        constant_clock)
     assert swept == [1]
-    (*ang, k_ang), (*aug, k) = diverged
+    (*primal, k_x), (*ang, k_ang), (*aug, k) = diverged
+    assert primal == ["f3", 200, "ista", "primal"]
     assert ang == ["f3", 200, "ista", "ang"] and aug == ["f3", 200, "ista", "aug"]
-    assert 0 < k < k_ang < 350
+    assert 0 < k < k_ang < 350 and k_x < 350
     [aug] = [s for s in series if s.estimator == "aug"]
     assert (aug.start, aug.errors.size) == (0, k)
 
