@@ -42,6 +42,8 @@ _ARG_CHECKS = {
     "gamma": (lambda v: v >= 0, "nonnegative"),
     "delta": (lambda v: v > 0, "positive"),
     "iters": (lambda v: v >= 0, "nonnegative"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "tol": (lambda v: np.isfinite(v) and v > 0, "finite and positive"),
     "u": (lambda v: v > 0, "positive"),
     "problem": (lambda v: v in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
 }
@@ -177,7 +179,7 @@ def _cmd_run(args) -> int:
     print(f"largest ground-truth vs finite-difference gap: {gap:.3e} ({name} P={p})")
     wins = [flag for *_, flag in summary["dg_beats_ang"]]
     if wins:
-        print(f"dual beats analytic (P < N): {sum(wins)}/{len(wins)} cells")
+        print(f"dual beats analytic (P < N): {sum(wins)}/{len(wins)} cell-and-solver pairs")
     print(f"wrote {csv_path} and {len(plots)} plots under {out / 'plots'}")
     return 1 if summary["aborted"] else 0
 

@@ -120,30 +120,30 @@ def sensitivity_step(
     if beta:
         out -= beta * jac_prev
     if d is not None:
-        out = _rotated_prox_derivative(vecs, d, out)
+        _rotated_prox_derivative(vecs, d, out)
     return out
 
 
 def _rotated_prox_derivative(vecs, d, jac):
-    """V^T diag(d) V J-hat for the elastic-net prox derivative d, which is
-    0 on the zeroed coordinates Z and s on the support S; updates ``jac``
-    in place where it can.
+    """J-hat <- V^T diag(d) V J-hat in place, for the elastic-net prox
+    derivative d, which is 0 on the zeroed coordinates Z and s on the
+    support S.
 
     It is s (J-hat - V_Z^T (V_Z J-hat)) with V_Z the rows Z of V, or
     s V_S^T (V_S J-hat), whichever set is smaller: at most N^2 P
     multiply-adds, those of one N x N by N x P product, and none when Z is
-    empty.  An empty S (D = 0) gives zeros.
+    empty.  An empty S (D = 0) gives zeros.  ``_rotated_rows`` is its row
+    form.
     """
     zero = d == 0
     count = np.count_nonzero(zero)
     if 2 * count > d.size:
         rows = vecs[~zero]
-        jac = rows.T @ (rows @ jac)
+        np.matmul(rows.T, rows @ jac, out=jac)
     elif count:
         rows = vecs[zero]
         jac -= rows.T @ (rows @ jac)
     jac *= d.max()
-    return jac
 
 
 @dataclass
@@ -467,18 +467,19 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
     goes live at step j = k - 1 and holds lam_{k,j+1} from then on, so
     step j works on rows j+1, ..., K.  R_j takes the rows of V at the
     zeroed coordinates or at the support, as ``_rotated_prox_derivative``
-    does (``_rotated_rows``), or is the scalar s of a d with one value.
+    does, and is the scalar s where Z is empty (``_rotated_rows``).
     The sum of tau c_j mu_{k,j} gives the params^T terms in one product at
     the end.  The v_j terms are gathered 32 rank-1 steps at a time, their
     coefficients -tau c_j w_j^T mu_{k,j} side by side, and go into
     ``est``, the (K+1) x P block of the grad_u f rows, which is returned,
     in one product per chunk: a (K+1) x K block of them would outweigh the
-    adjoint block.  ``adj`` and ``est`` are overwritten; a scratch block
-    holds mu and the rank-1 products, and one more block the momentum
-    terms.  Without a prox part mu is lam itself, worked on in place, and
-    the scratch block takes the products; for heavy_ball it takes
-    -beta mu before the diagonal overwrites lam, and then trades places
-    with the momentum block, whose terms lam has taken.
+    adjoint block.  ``adj`` and ``est`` are overwritten.  Each live row of
+    ``adj`` turns lam_{k,j+1} into mu_{k,j} in place, where mu is lam
+    without a prox part, and then into lam_{k,j}; a scratch block takes
+    the products and the rotation's work, and one more block the momentum
+    terms.  With momentum the scratch rows take -beta mu before the
+    diagonal overwrites mu, and then trade places with the momentum block,
+    whose terms lam has taken.
     """
     eigvals, vecs, params = basis
     tau, beta = run.tau, run.beta
@@ -491,21 +492,14 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
     terms = []  # (j, -tau c_j w_j^T mu_{.,j}, v_j) of rank-1 steps not yet in est
     for j in reversed(range(steps)):
         live = slice(j + 1, steps + 1)
-        lam = adj[live]
+        mu, spare = adj[live], scratch[live]  # lam_{k,j+1} until R_j is applied
         c, v = hess[j]
-        d = None if derivs is None else derivs[j]
-        if d is None:
-            mu_j, spare = lam, scratch[live]
-        else:  # lam is spent once mu is formed
-            mu_j, spare = scratch[live], lam
-            if d.min() != d.max():
-                _rotated_rows(vecs, d, lam, mu_j)
-            else:
-                np.multiply(lam, d[0], out=mu_j)
-        total[live] += np.multiply(mu_j, tau * c, out=spare)
+        if derivs is not None:
+            _rotated_rows(vecs, derivs[j], mu, spare)
+        total[live] += np.multiply(mu, tau * c, out=spare)
         if v is not None:
             w = np.dot(params, v)
-            mw = np.dot(mu_j, w)
+            mw = np.dot(mu, w)
             terms.append((j, mw * -(tau * c), v))
         if terms and (len(terms) == chunk or not j):
             low = terms[-1][0]
@@ -518,38 +512,36 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
             break
         if c != step_c:
             step_c, diag = c, _step_multiplier(pr, eigvals, c, tau, beta)
-        if d is not None:
-            np.multiply(mu_j, diag, out=lam)
-            if beta:
-                lam += momentum[live]
-                np.multiply(mu_j, -beta, out=momentum[live])
-            spare = mu_j
-        elif beta:  # mu_j is lam: -beta mu goes to the scratch rows first
-            np.multiply(mu_j, -beta, out=spare)
-            np.multiply(mu_j, diag, out=lam)
-            lam += momentum[live]
+        if beta:
+            np.multiply(mu, -beta, out=spare)
+            mu *= diag
+            mu += momentum[live]
             spare = momentum[live]  # spent, so it is the scratch now
             scratch, momentum = momentum, scratch
         else:
-            np.multiply(mu_j, diag, out=lam)
+            mu *= diag
         if v is not None:
-            lam += np.outer(mw, (tau * c) * w, out=spare)
+            mu += np.outer(mw, (tau * c) * w, out=spare)
     est += total @ params
     return est
 
 
-def _rotated_rows(vecs, d, rows, out):
-    """rows V^T diag(d) V into ``out``, the row form of
-    ``_rotated_prox_derivative`` for a d with two values, 0 on Z and s on
-    the support S: s (rows - (rows V_Z^T) V_Z) or s (rows V_S^T) V_S,
-    whichever set is smaller."""
+def _rotated_rows(vecs, d, rows, work):
+    """rows <- rows V^T diag(d) V in place, the row form of
+    ``_rotated_prox_derivative`` for the prox derivative d, 0 on the zeroed
+    coordinates Z and s on the support S: s (rows - (rows V_Z^T) V_Z) or
+    s (rows V_S^T) V_S, whichever set is smaller, and s rows where Z is
+    empty.  ``work``, a block of the shape of ``rows``, takes the product
+    in the zeroed-coordinates case."""
     zero = d == 0
-    on_support = 2 * np.count_nonzero(zero) > d.size
-    sel = vecs[~zero] if on_support else vecs[zero]
-    np.matmul(rows @ sel.T, sel, out=out)
-    if not on_support:
-        np.subtract(rows, out, out=out)
-    out *= d.max()
+    count = np.count_nonzero(zero)
+    if 2 * count > d.size:
+        sel = vecs[~zero]
+        np.matmul(rows @ sel.T, sel, out=rows)
+    elif count:
+        sel = vecs[zero]
+        rows -= np.matmul(rows @ sel.T, sel, out=work)
+    rows *= d.max()
 
 
 def implicit_estimator(pr: StructuredProblem, x, u) -> GradientEstimate:

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError("P values must be at least 1")
         if self.oracle_iterations < 0:
             raise ConfigError("oracle_iterations must be nonnegative")
+        if self.seed < 0:  # numpy's generator would raise a bare ValueError
+            raise ConfigError("seed must be nonnegative")
         # a NaN tolerance would pass every cross-check
         if not (np.isfinite(self.cross_check_tol) and self.cross_check_tol > 0):
             raise ConfigError("cross_check_tol must be finite and positive")

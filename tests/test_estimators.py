@@ -615,6 +615,36 @@ def test_compact_sensitivities_match_a_dense_replay(which, method, gamma, monkey
         assert any(len(set(pr.k.prox_derivative(run.tau, z))) > 1 for z in run.pre_prox)
 
 
+class _VaryingCurvature(SquaredNorm):
+    """A squared norm whose Hessian factor c varies with z, scale (1 -
+    tanh(|z|) / 2) with no rank-1 term: every step of a run on it is
+    diagonal with its own c, which no loss of the package gives.  c stays
+    at most the scale the step size is chosen for, so the sensitivities
+    do not grow."""
+
+    def hessian_factors(self, z):
+        return self.scale * (1.0 - 0.5 * np.tanh(np.linalg.norm(z))), None
+
+
+@pytest.mark.parametrize("method", ["gd", "heavy_ball", "ista", "ipiasco"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_both_sweeps_follow_a_loss_hessian_that_varies_step_by_step(method, reverse,
+                                                                    monkeypatch):
+    # each sweep forms the step multiplier anew whenever c changes; with a
+    # constant c of the package's losses a multiplier formed once would pass
+    a, u = seeded_problem_data(8, 5, 3, 3.0)
+    k = SquaredNorm(2.0) if method in ("gd", "heavy_ball") else ElasticNet(2.0, 0.1)
+    pr = StructuredProblem(a=a, h=_VaryingCurvature(1.0), k=k)
+    run = run_primal(pr, u, method, iterations=40)
+    hess = _hessian_series(pr, pr.residual(run.points.T, u[:, None]))
+    assert len({c for c, _ in hess}) == 40 and all(v is None for _, v in hess)
+    monkeypatch.setattr(valgrad.estimators, "_reverse_pays", lambda *_: reverse)
+    got = automatic_estimator(pr, run, u).per_iteration
+    _, want = _per_iterate_estimates(pr, run, u)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
 @pytest.mark.parametrize("which, method", [
     (1, "gd"), (1, "heavy_ball"), (2, "gd"), (2, "heavy_ball"), (3, "ista"), (3, "ipiasco"),
 ])

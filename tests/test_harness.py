@@ -138,16 +138,17 @@ def test_repeated_grid_entries_are_bad_input(tmp_path, capsys):
     ("cond_ratio", float("nan"), "cond_ratio"),
     ("p_list", (0,), "P values must be at least 1"),
     ("p_list", (10, -3), "P values must be at least 1"),
+    ("seed", -1, "seed"),
 ], ids=["nan-tol", "inf-tol", "zero-tol", "negative-tol", "negative-oracle-iterations",
         "empty-p-list", "empty-problems", "zero-lam", "nan-lam", "negative-delta",
         "nan-delta", "negative-gamma", "nan-gamma", "cond-below-1", "nan-cond",
-        "zero-p", "negative-p"])
+        "zero-p", "negative-p", "negative-seed"])
 def test_config_rejects_what_would_skip_the_check_or_the_grid(field, value, message):
     # a NaN tolerance passes every ground-truth cross-check, a negative
     # oracle budget flags every cell, and an empty list gives an empty grid;
-    # a problem or data value no cell can be built with is bad input too, not
-    # a ValueError from inside run_grid (or, at lam = NaN, a grid of flagged
-    # and diverged cells)
+    # a problem, data value or seed no cell can be built with is bad input
+    # too, not a ValueError from inside run_grid (or, at lam = NaN, a grid of
+    # flagged and diverged cells)
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**{field: value})
 
@@ -646,6 +647,18 @@ def test_cross_check_gap_is_reported(tmp_path, capsys):
     ]
 
 
+def test_dual_beats_analytic_counts_cell_and_solver_pairs(tmp_path, capsys):
+    # one entry per cell and primal solver: 4 cells with P < N, 2 solvers each
+    _, summary = run_grid(SMALL, clock=constant_clock)
+    wins = [flag for *_, flag in summary["dg_beats_ang"]]
+    assert len(wins) == 8
+    code = main(["run", "--n", "12", "--p", "6,9", "--problems", "f1,f3", "--iters", "40",
+                 "--cond", "3", "--out", str(tmp_path)])
+    assert code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("dual")]
+    assert lines == [f"dual beats analytic (P < N): {sum(wins)}/8 cell-and-solver pairs"]
+
+
 def test_seed7_f3_p90_passes_its_cross_check():
     # the dual FISTA reference this cell once used was 1.2e-4 off the
     # finite differences, which aborted it; the certified primal solve agrees
@@ -670,7 +683,9 @@ def test_cli_bad_arguments_exit_2():
     ["run", "--p", "0"], ["run", "--p", "10,x"], ["run", "--problems", "f1,f7"],
     ["run", "--lam", "-1"], ["run", "--cond", "0.5"], ["verify", "--problem", "f9"],
     ["verify", "--delta", "0"], ["rates", "--n", "0"], ["rates", "--gamma", "-0.1"],
-    ["toy", "--u", "0"], ["toy", "--iters", "-1"],
+    ["toy", "--u", "0"], ["toy", "--iters", "-1"], ["run", "--seed", "-1"],
+    ["verify", "--seed", "-1"], ["rates", "--seed", "-1"], ["verify", "--tol", "nan"],
+    ["verify", "--tol", "0"], ["verify", "--tol", "-1"],
 ])
 def test_cli_bad_values_exit_2(argv, capsys):
     assert main(argv) == 2
