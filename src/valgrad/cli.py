@@ -4,7 +4,11 @@ Subcommands: ``run`` (experiment grid with CSV and SVG output), ``verify``
 (dual estimator against the finite-difference oracle), ``rates``
 (convergence-factor table) and ``toy`` (the three scalar counterexamples:
 each estimate's final value, the truth and the u each example ran at).
-A flat ``key = value`` config file can override any defaults.
+``run``, ``verify`` and ``rates`` share their flags and build one
+``ExperimentConfig``, which checks the values; ``verify`` and ``rates``
+examine the one cell of it, ``harness.grid_cell``, that ``run`` builds for
+their problem, P and seed.  A flat ``key = value`` config file can
+override any defaults.
 
 Exit codes: 0 success; 1 a failed verification or an aborted grid cell;
 2 bad input: an invalid argument or config file (``ConfigError``) or a file
@@ -21,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import dual_estimator, fd_oracle, run_toy
-from .harness import PROBLEMS, ConfigError, ExperimentConfig, emit_csv, emit_plots, run_grid
-from .linalg import seeded_problem_data
+from .harness import (CROSS_CHECK_TOL, ConfigError, ExperimentConfig, emit_csv, emit_plots,
+                      grid_cell, run_grid)
 from .problems import ToyProblem, make_experiment_problem
 from .rates import RateUnavailable, rate_report
 from .solvers import SolverConfig
@@ -34,19 +38,14 @@ _CONFIG_TYPES = {
     "identity": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
-# argument -> (test, requirement): the values no command can run with
+# argument -> (test, requirement) for the values no config holds: verify's
+# tolerance and toy's u and iteration count; ExperimentConfig checks the rest
 _ARG_CHECKS = {
-    "n": (lambda v: v >= 1, "at least 1"),
-    "cond": (lambda v: v >= 1.0, "at least 1"),
-    "lam": (lambda v: v > 0, "positive"),
-    "gamma": (lambda v: v >= 0, "nonnegative"),
-    "delta": (lambda v: v > 0, "positive"),
+    "tol": (lambda v: 0 < v < np.inf, "finite and positive"),
+    "u": (lambda v: 0 < v < np.inf, "finite and positive"),
     "iters": (lambda v: v >= 0, "nonnegative"),
-    "seed": (lambda v: v >= 0, "nonnegative"),
-    "tol": (lambda v: np.isfinite(v) and v > 0, "finite and positive"),
-    "u": (lambda v: v > 0, "positive"),
-    "problem": (lambda v: v in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
 }
+_DEFAULT = ExperimentConfig()
 
 
 def parse_config(path: str) -> dict:
@@ -81,19 +80,20 @@ def _build_parser(defaults=None):
 
     def common(p):
         p.add_argument("--config", help="key = value file overriding defaults")
-        p.add_argument("--n", type=int, default=50)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cond", type=float, default=100.0)
-        p.add_argument("--lam", "--lambda", dest="lam", type=float, default=2.0)
-        p.add_argument("--gamma", type=float, default=0.1)
-        p.add_argument("--delta", type=float, default=0.1)
+        p.add_argument("--n", type=int, default=_DEFAULT.n)
+        p.add_argument("--seed", type=int, default=_DEFAULT.seed)
+        p.add_argument("--cond", type=float, default=_DEFAULT.cond_ratio)
+        p.add_argument("--lam", "--lambda", dest="lam", type=float, default=_DEFAULT.lam)
+        p.add_argument("--gamma", type=float, default=_DEFAULT.gamma)
+        p.add_argument("--delta", type=float, default=_DEFAULT.delta)
 
     run_p = sub.add_parser("run", help="run the experiment grid")
     common(run_p)
-    run_p.add_argument("--p", default="10,30,50,70,90", help="comma-separated P values")
-    run_p.add_argument("--problems", default="f1,f2,f3,f4")
-    run_p.add_argument("--iters", type=int, default=250)
-    run_p.add_argument("--inertia", choices=("both", "on", "off"), default="both")
+    run_p.add_argument("--p", default=",".join(map(str, _DEFAULT.p_list)),
+                       help="comma-separated P values")
+    run_p.add_argument("--problems", default=",".join(_DEFAULT.problems))
+    run_p.add_argument("--iters", type=int, default=_DEFAULT.iterations)
+    run_p.add_argument("--inertia", choices=("both", "on", "off"), default=_DEFAULT.inertia)
     run_p.add_argument("--out", default="out")
 
     ver_p = sub.add_parser("verify", help="check the dual estimator against finite differences")
@@ -101,7 +101,7 @@ def _build_parser(defaults=None):
     ver_p.add_argument("--problem", default="f2")
     ver_p.add_argument("--p", type=int, default=10)
     ver_p.add_argument("--iters", type=int, default=2000)
-    ver_p.add_argument("--tol", type=float, default=1e-4)
+    ver_p.add_argument("--tol", type=float, default=CROSS_CHECK_TOL)
 
     rates_p = sub.add_parser("rates", help="print the convergence-factor table")
     common(rates_p)
@@ -121,44 +121,35 @@ def _build_parser(defaults=None):
 def _p_values(text) -> tuple:
     """The comma-separated P values of ``--p``; raises ``ConfigError``."""
     try:
-        values = tuple(int(s) for s in str(text).split(","))
+        return tuple(int(s) for s in str(text).split(","))
     except ValueError:
         raise ConfigError(f"--p must be comma-separated integers, got {text!r}") from None
-    if min(values) < 1:
-        raise ConfigError(f"--p values must be at least 1, got {text!r}")
-    return values
 
 
 def _check_args(args) -> None:
-    """Raise ``ConfigError`` for an argument value no command can run with."""
+    """Raise ``ConfigError`` for a value of ``_ARG_CHECKS`` no command can run with."""
     for name, (ok, need) in _ARG_CHECKS.items():
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             raise ConfigError(f"--{name} must be {need}, got {value!r}")
-    if hasattr(args, "p"):
-        _p_values(args.p)
 
 
-def _make_problem(args):
-    which = int(args.problem[1])
-    if getattr(args, "identity", False):
-        a = np.eye(args.n)
-        u = seeded_problem_data(args.n, args.n, args.seed, 1.0)[1]
+def _config(args) -> ExperimentConfig:
+    """The grid of ``run``'s flags, or for ``verify`` and ``rates`` the
+    one-cell grid of their problem and P; a flag the command lacks keeps
+    the config's default.  Raises ``ConfigError``."""
+    if args.command == "run":
+        grid = {"p_list": _p_values(args.p), "problems": tuple(args.problems.split(",")),
+                "inertia": args.inertia}
     else:
-        a, u = seeded_problem_data(args.n, args.p, args.seed, args.cond)
-    return make_experiment_problem(which, a, args.lam, args.gamma, args.delta), u
+        grid = {"p_list": (args.p,), "problems": (args.problem,)}
+    return ExperimentConfig(
+        n=args.n, lam=args.lam, gamma=args.gamma, delta=args.delta, seed=args.seed,
+        cond_ratio=args.cond, iterations=getattr(args, "iters", _DEFAULT.iterations), **grid)
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig(
-        n=args.n,
-        p_list=_p_values(args.p),
-        problems=tuple(args.problems.split(",")),
-        lam=args.lam, gamma=args.gamma, delta=args.delta,
-        iterations=args.iters, seed=args.seed, inertia=args.inertia,
-        cond_ratio=args.cond,
-    )
-    series, summary = run_grid(cfg)
+    series, summary = run_grid(_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = emit_csv(series, out / "results.csv")
@@ -185,8 +176,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pr, u = _make_problem(args)
-    dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=args.iters))
+    cfg = _config(args)
+    pr, u = grid_cell(cfg, args.problem, args.p)
+    dg = dual_estimator(pr, u, SolverConfig(method="fista", iterations=cfg.iterations))
     fd = fd_oracle(pr, u)
     disc = float(np.max(np.abs(dg.final - fd.final)))
     print(f"max-abs discrepancy dual vs finite differences: {disc:.6e}")
@@ -202,7 +194,12 @@ def _fmt_rate(r) -> str:
 
 
 def _cmd_rates(args) -> int:
-    pr, _ = _make_problem(args)
+    cfg = _config(args)
+    if args.identity:  # A = I (N x N), whatever P
+        pr = make_experiment_problem(int(args.problem[1]), np.eye(cfg.n), cfg.lam, cfg.gamma,
+                                     cfg.delta)
+    else:
+        pr = grid_cell(cfg, args.problem, args.p)[0]
     rr = rate_report(pr)
     print(f"problem {args.problem}, N={pr.n}, P={pr.p}")
     print(f"omega_p     = {_fmt_rate(rr.omega_p)}")

@@ -92,7 +92,7 @@ class SquaredNorm(ConvexFunction):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("scale must be positive")
 
     def value(self, z):
@@ -134,7 +134,7 @@ class Huber(ConvexFunction):
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
 
     def value(self, z):
@@ -194,7 +194,7 @@ class SquaredNormBall(ConvexFunction):
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
 
     def value(self, z):
@@ -220,9 +220,6 @@ class SquaredNormBall(ConvexFunction):
     def conjugate(self):
         return Huber(self.radius)
 
-    def profile(self):
-        return SmoothnessProfile(1.0, np.inf, False)
-
 
 @dataclass(frozen=True)
 class ElasticNet(ConvexFunction):
@@ -232,7 +229,7 @@ class ElasticNet(ConvexFunction):
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.gamma < 0:
+        if not (self.lam > 0 and self.gamma >= 0):
             raise ValueError("need lam > 0 and gamma >= 0")
 
     def value(self, z):
@@ -277,11 +274,6 @@ class ElasticNet(ConvexFunction):
         """The elastic net itself when gamma > 0; at gamma = 0 it is quadratic."""
         return self if self.gamma > 0 else None
 
-    def profile(self):
-        if self.gamma == 0.0:
-            return SmoothnessProfile(self.lam, self.lam, True)
-        return SmoothnessProfile(self.lam, np.inf, False)
-
 
 @dataclass(frozen=True)
 class ElasticNetConjugate(ConvexFunction):
@@ -291,7 +283,7 @@ class ElasticNetConjugate(ConvexFunction):
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.gamma < 0:
+        if not (self.lam > 0 and self.gamma >= 0):
             raise ValueError("need lam > 0 and gamma >= 0")
 
     def value(self, z):
@@ -326,7 +318,7 @@ class BallIndicator(ConvexFunction):
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError("radius must be nonnegative")
 
     def value(self, z):
@@ -354,7 +346,7 @@ class EuclideanNorm(ConvexFunction):
     scale: float
 
     def __post_init__(self):
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValueError("scale must be nonnegative")
 
     def value(self, z):

@@ -45,8 +45,17 @@ class ConfigError(ValueError):
     """Bad input: an invalid configuration, config file or argument."""
 
 
+# the certified ground truth: the iteration cap of its primal solve and of
+# the finite-difference oracle, and the most its cross-check gap and its
+# duality-gap bound may reach
+ORACLE_ITERATIONS = 10_000
+CROSS_CHECK_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The grid ``valgrad run`` measures; each field is one of its flags."""
+
     n: int = 50
     p_list: tuple = (10, 30, 50, 70, 90)
     problems: tuple = PROBLEMS
@@ -57,8 +66,6 @@ class ExperimentConfig:
     seed: int = 0
     inertia: str = "both"  # both | on | off
     cond_ratio: float = 100.0
-    oracle_iterations: int = 10_000
-    cross_check_tol: float = 1e-4
 
     def __post_init__(self):
         if self.inertia not in ("both", "on", "off"):
@@ -67,23 +74,19 @@ class ExperimentConfig:
             raise ConfigError("invalid dimensions")
         if not self.p_list or not self.problems:
             raise ConfigError("no P values or no problems")
-        # written as "not ok" so that NaN fails each test; run_grid would
-        # otherwise raise a bare ValueError, or flag every cell at lam = NaN
-        if not (self.lam > 0 and self.delta > 0):
-            raise ConfigError("lam and delta must be positive")
-        if not self.gamma >= 0:
-            raise ConfigError("gamma must be nonnegative")
-        if not self.cond_ratio >= 1:
-            raise ConfigError("cond_ratio must be at least 1")
+        # written as "not ok" so that NaN fails each test, and bounded so
+        # that infinity does: run_grid would otherwise raise a bare
+        # ValueError, fail an eigenvalue solve or pass a NaN cross-check
+        if not (0 < self.lam < np.inf and 0 < self.delta < np.inf):
+            raise ConfigError("lam and delta must be positive and finite")
+        if not 0 <= self.gamma < np.inf:
+            raise ConfigError("gamma must be nonnegative and finite")
+        if not 1 <= self.cond_ratio < np.inf:
+            raise ConfigError("cond_ratio must be at least 1 and finite")
         if not all(q >= 1 for q in self.p_list):
             raise ConfigError("P values must be at least 1")
-        if self.oracle_iterations < 0:
-            raise ConfigError("oracle_iterations must be nonnegative")
         if self.seed < 0:  # numpy's generator would raise a bare ValueError
             raise ConfigError("seed must be nonnegative")
-        # a NaN tolerance would pass every cross-check
-        if not (np.isfinite(self.cross_check_tol) and self.cross_check_tol > 0):
-            raise ConfigError("cross_check_tol must be finite and positive")
         bad = [q for q in self.problems if q not in PROBLEMS]
         if bad:
             raise ConfigError(f"unknown problems {bad}")
@@ -115,31 +118,35 @@ class Series:
 _by_key = attrgetter("problem", "p", "solver", "estimator")
 
 
-def _cell_seed(seed: int, which: int, p: int) -> int:
-    return seed * 7919 + 101 * which + p
+def grid_cell(cfg: ExperimentConfig, name: str, p: int):
+    """The problem and u of the grid's cell (name, P), drawn from the cell
+    seed seed * 7919 + 101 * which + P, ``which`` the problem's number."""
+    which = int(name[1])
+    a, u = seeded_problem_data(cfg.n, p, cfg.seed * 7919 + 101 * which + p, cfg.cond_ratio)
+    return make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta), u
 
 
-def _ground_truth(pr, u, cfg):
+def _ground_truth(pr, u):
     """Reference gradient and minimizer for one cell.
 
     A certified primal solve (``oracle_primal_solve``, capped at
-    ``cfg.oracle_iterations``) gives xstar, and by duality the reference
+    ``ORACLE_ITERATIONS``) gives xstar, and by duality the reference
     grad p(u) = y* = grad h(b - A xstar + u), within the solve's 1e-7
     tolerance.  The central-difference oracle, warm-started from xstar and
     under the same cap, cross-checks it.  Returns (gradient, xstar,
     diagnostic, oracle_flagged, gap): gradient is None when the max-abs
-    cross-check gap ``gap`` exceeds ``cfg.cross_check_tol``, and
+    cross-check gap ``gap`` exceeds ``CROSS_CHECK_TOL``, and
     oracle_flagged is set when the xstar solve or the finite-difference
     oracle did not converge or the duality-gap bound at the truth
-    (``_gap_bound``) exceeds ``cfg.cross_check_tol``.
+    (``_gap_bound``) exceeds ``CROSS_CHECK_TOL``.
     """
-    xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)
+    xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=ORACLE_ITERATIONS)
     truth = pr.grad_u(xstar, u)
-    fd = fd_oracle(pr, u, max_iterations=cfg.oracle_iterations, warm=xstar)
+    fd = fd_oracle(pr, u, max_iterations=ORACLE_ITERATIONS, warm=xstar)
     flagged = (fd.flagged or not converged
-               or _gap_bound(pr, xstar, truth, u) > cfg.cross_check_tol)
+               or _gap_bound(pr, xstar, truth, u) > CROSS_CHECK_TOL)
     gap = float(np.max(np.abs(truth - fd.final)))
-    if gap > cfg.cross_check_tol:
+    if gap > CROSS_CHECK_TOL:
         return None, None, f"ground-truth cross-check failed: {gap:.3e}", flagged, gap
     return truth, xstar, "", flagged, gap
 
@@ -199,11 +206,9 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     summary = {"cells": [], "aborted": [], "oracle_flagged": [], "inapplicable": [],
                "cross_check_gap": [], "dg_beats_ang": [], "diverged": []}
     for name in cfg.problems:
-        which = int(name[1])
         for p in cfg.p_list:
-            a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
-            pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
-            truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u, cfg)
+            pr, u = grid_cell(cfg, name, p)
+            truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u)
             if oracle_flagged:
                 summary["oracle_flagged"].append((name, p))
             summary["cross_check_gap"].append((name, p, gap))

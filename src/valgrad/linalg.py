@@ -62,7 +62,7 @@ def seeded_problem_data(
     """
     if n < 1 or p < 1:
         raise ValueError("dimensions must be at least 1")
-    if cond_ratio < 1.0:
+    if not cond_ratio >= 1.0:
         raise ValueError("cond_ratio must be >= 1")
     gen = np.random.Generator(np.random.PCG64(seed))
     draws = _standard_normal(gen, p * n + p)

@@ -243,7 +243,7 @@ def make_experiment_problem(
 def closed_form_f1(a: np.ndarray, lam: float, u: np.ndarray):
     """Exact minimizer and value-function gradient of the fully quadratic
     problem: x* = (A^T A + lam I)^{-1} A^T u and grad p(u) = u - A x*."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)

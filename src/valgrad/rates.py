@@ -157,20 +157,20 @@ class RateReport:
     omega_fista: object
 
 
-def _forward_backward_rate(curvature, prox_part, m_prox: float = 0.0):
+def _forward_backward_rate(curvature, m_prox: float = 0.0):
     """max(|1 - tau m_s|, |1 - tau L_s|) / (1 + tau m_prox), the factor of
     x+ = prox(tau, x - tau grad(x)) for an objective of curvature (L, m)
     whose prox part is m_prox-strongly convex, so that its smooth part has
     (L_s, m_s) = (L - m_prox, m - m_prox).  The gradient step contracts by
     the numerator, and the prox of an m_prox-strongly convex function is
     1/(1 + tau m_prox)-Lipschitz (Bauschke & Combettes 2017).  tau is the
-    step ``step_policy`` gives the method that runs, gd without a prox part
-    and ista with one; at m_prox = 0 and tau = 2/(L + m) the factor is gd's
-    (L - m)/(L + m) (Nesterov 2004, Thm 2.1.15)."""
+    step 2/(L + m) that ``step_policy`` gives both gd (no prox part) and
+    ista (a prox part); at m_prox = 0 the factor is gd's (L - m)/(L + m)
+    (Nesterov 2004, Thm 2.1.15)."""
     lips, m = curvature
     if not np.isfinite(lips):
         return RateUnavailable("smooth part not Lipschitz")
-    tau, _ = step_policy("gd" if prox_part is None else "ista", lips, m)
+    tau, _ = step_policy("gd", lips, m)
     lips_s, m_s = lips - m_prox, m - m_prox
     omega = max(abs(1.0 - tau * m_s), abs(1.0 - tau * lips_s)) / (1.0 + tau * m_prox)
     if not omega < 1.0:
@@ -202,11 +202,10 @@ def rate_report(pr: StructuredProblem) -> RateReport:
     runs on."""
     dob = pr.dual_objective(np.zeros(pr.p))
     lips_d, m_d = dob.curvature()
-    prox_p = pr.k.prox_part
     return RateReport(
-        omega_p=_forward_backward_rate(pr.curvature(), prox_p,
-                                       0.0 if prox_p is None else pr.k.modulus),
-        omega_d=_forward_backward_rate((lips_d, m_d), dob.prox_part),
+        omega_p=_forward_backward_rate(pr.curvature(),
+                                       0.0 if pr.k.prox_part is None else pr.k.modulus),
+        omega_d=_forward_backward_rate((lips_d, m_d)),
         omega_cg=(cg_rate(lips_d, m_d) if pr.is_quadratic()
                   else RateUnavailable("conjugate gradient needs a quadratic dual objective")),
         omega_fista=_fista_rate(lips_d, m_d),

@@ -39,7 +39,7 @@ class SolverConfig:
     iterations: int = 100
 
     def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
+        if self.tau is not None and not self.tau > 0:
             raise ValueError("step size must be positive")
         if self.beta is not None and not 0.0 <= self.beta < 1.0:
             raise ValueError("momentum must lie in [0, 1)")

@@ -28,7 +28,7 @@ from valgrad.estimators import (
     sensitivity_step,
 )
 from valgrad.funcs import ElasticNet, EuclideanNorm, NonsmoothError, SquaredNorm
-from valgrad.harness import ExperimentConfig, _cell_seed, _primal_methods
+from valgrad.harness import ExperimentConfig, _primal_methods, grid_cell
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import (
     StructuredProblem,
@@ -761,10 +761,8 @@ def test_every_default_grid_run_takes_the_forward_sweep():
     cfg = ExperimentConfig()
     runs = 0
     for name in cfg.problems:
-        which = int(name[1])
         for p in cfg.p_list:
-            a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
-            pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
+            pr, u = grid_cell(cfg, name, p)
             for method in _primal_methods(pr, cfg.inertia):
                 run = run_primal(pr, u, method, iterations=cfg.iterations)
                 res = pr.residual(run.points.T, u[:, None])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import re
@@ -15,14 +16,16 @@ import valgrad.harness
 from valgrad.cli import main, parse_config
 from valgrad.estimators import error_trace, fd_oracle, oracle_primal_solve
 from valgrad.harness import (
+    CROSS_CHECK_TOL,
+    ORACLE_ITERATIONS,
     ConfigError,
     ExperimentConfig,
     Series,
-    _cell_seed,
     _gap_bound,
     _run_cell,
     emit_csv,
     emit_plots,
+    grid_cell,
     read_csv,
     run_grid,
 )
@@ -30,8 +33,7 @@ from valgrad.linalg import seeded_problem_data
 from valgrad.problems import closed_form_f1, make_experiment_problem
 
 SMALL = ExperimentConfig(
-    n=12, p_list=(6, 9), problems=("f1", "f3"), iterations=40,
-    cond_ratio=3.0, oracle_iterations=5000,
+    n=12, p_list=(6, 9), problems=("f1", "f3"), iterations=40, cond_ratio=3.0,
 )
 
 
@@ -96,8 +98,7 @@ def test_run_grid_produces_expected_series():
 def test_run_grid_keys_unique_on_every_problem():
     # both inertias on all four problems: the two dual series of a cell never
     # share a solver name, so every series key is unique without a dedup pass
-    cfg = ExperimentConfig(n=8, p_list=(3, 5), iterations=10, cond_ratio=3.0,
-                           oracle_iterations=5000)
+    cfg = ExperimentConfig(n=8, p_list=(3, 5), iterations=10, cond_ratio=3.0)
     series, summary = run_grid(cfg, clock=constant_clock)
     assert not summary["aborted"]
     assert len({_key(s) for s in series}) == len(series) == 8 * 2 * 5
@@ -121,34 +122,31 @@ def test_repeated_grid_entries_are_bad_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("cross_check_tol", float("nan"), "cross_check_tol"),
-    ("cross_check_tol", float("inf"), "cross_check_tol"),
-    ("cross_check_tol", 0.0, "cross_check_tol"),
-    ("cross_check_tol", -1e-4, "cross_check_tol"),
-    ("oracle_iterations", -5, "oracle_iterations"),
     ("p_list", (), "no P values"),
     ("problems", (), "no problems"),
     ("lam", 0.0, "lam and delta"),
     ("lam", float("nan"), "lam and delta"),
+    ("lam", float("inf"), "lam and delta"),
     ("delta", -1.0, "lam and delta"),
     ("delta", float("nan"), "lam and delta"),
+    ("delta", float("inf"), "lam and delta"),
     ("gamma", -0.1, "gamma"),
     ("gamma", float("nan"), "gamma"),
+    ("gamma", float("inf"), "gamma"),
     ("cond_ratio", 0.5, "cond_ratio"),
     ("cond_ratio", float("nan"), "cond_ratio"),
+    ("cond_ratio", float("inf"), "cond_ratio"),
     ("p_list", (0,), "P values must be at least 1"),
     ("p_list", (10, -3), "P values must be at least 1"),
     ("seed", -1, "seed"),
-], ids=["nan-tol", "inf-tol", "zero-tol", "negative-tol", "negative-oracle-iterations",
-        "empty-p-list", "empty-problems", "zero-lam", "nan-lam", "negative-delta",
-        "nan-delta", "negative-gamma", "nan-gamma", "cond-below-1", "nan-cond",
-        "zero-p", "negative-p", "negative-seed"])
+], ids=["empty-p-list", "empty-problems", "zero-lam", "nan-lam", "inf-lam", "negative-delta",
+        "nan-delta", "inf-delta", "negative-gamma", "nan-gamma", "inf-gamma", "cond-below-1",
+        "nan-cond", "inf-cond", "zero-p", "negative-p", "negative-seed"])
 def test_config_rejects_what_would_skip_the_check_or_the_grid(field, value, message):
-    # a NaN tolerance passes every ground-truth cross-check, a negative
-    # oracle budget flags every cell, and an empty list gives an empty grid;
-    # a problem, data value or seed no cell can be built with is bad input
-    # too, not a ValueError from inside run_grid (or, at lam = NaN, a grid of
-    # flagged and diverged cells)
+    # an empty list gives an empty grid; a problem, data value or seed no
+    # cell can be built with is bad input too, not a ValueError from inside
+    # run_grid (or, at lam = NaN, a grid of flagged and diverged cells, and
+    # at gamma = inf a NaN cross-check gap that passes the check)
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**{field: value})
 
@@ -201,7 +199,7 @@ def test_run_grid_inertia_off_and_on():
 def test_run_grid_runs_gd_on_an_elastic_net_without_l1():
     # gamma = 0 leaves f3/f4 no prox part, so they run gd and heavy_ball
     cfg = ExperimentConfig(n=8, p_list=(3, 5), problems=("f3", "f4"), gamma=0.0,
-                           iterations=10, cond_ratio=3.0, oracle_iterations=5000)
+                           iterations=10, cond_ratio=3.0)
     series, summary = run_grid(cfg, clock=constant_clock)
     assert not summary["aborted"] and len(summary["cells"]) == 4
     assert {s.solver for s in series if s.estimator != "dg"} == {"gd", "heavy_ball"}
@@ -402,6 +400,28 @@ def test_cli_verify_pass_and_fail(capsys):
     assert code == 1
 
 
+def test_verify_and_rates_examine_the_cell_run_builds(tmp_path, monkeypatch):
+    # each command builds its (A, u) through grid_cell from the cell seed,
+    # so all three see the f3 P=90 data that run --seed 7 measures
+    cells = []
+    ground_truth, dual, report = (valgrad.harness._ground_truth, valgrad.cli.dual_estimator,
+                                  valgrad.cli.rate_report)
+    monkeypatch.setattr(valgrad.harness, "_ground_truth",
+                        lambda pr, u, *rest: cells.append((pr, u)) or ground_truth(pr, u, *rest))
+    monkeypatch.setattr(valgrad.cli, "dual_estimator",
+                        lambda pr, u, solver: cells.append((pr, u)) or dual(pr, u, solver))
+    monkeypatch.setattr(valgrad.cli, "rate_report",
+                        lambda pr: cells.append((pr, None)) or report(pr))
+    cell = ["--p", "90", "--seed", "7", "--n", "20", "--cond", "5", "--gamma", "0.3"]
+    assert main(["run", "--problems", "f3", *cell, "--iters", "2", "--out", str(tmp_path)]) == 0
+    main(["verify", "--problem", "f3", *cell, "--iters", "5"])
+    assert main(["rates", "--problem", "f3", *cell]) == 0
+    (run_pr, run_u), (verify_pr, verify_u), (rates_pr, _) = cells
+    assert run_pr.a.shape == (90, 20) and np.array_equal(verify_u, run_u)
+    for pr in (verify_pr, rates_pr):
+        assert np.array_equal(pr.a, run_pr.a) and (pr.h, pr.k) == (run_pr.h, run_pr.k)
+
+
 def test_cli_toy_output(capsys):
     assert main(["toy", "--u", "0.5"]) == 0
     out = capsys.readouterr().out
@@ -435,9 +455,32 @@ def test_cli_run_small_grid(tmp_path, capsys):
     assert (out_dir / "plots" / "f1_P5.svg").exists()
 
 
+def test_every_config_field_is_set_by_a_run_flag(tmp_path, monkeypatch):
+    class Stop(Exception):
+        """Stops the command before the grid runs."""
+
+    configs = []
+
+    def capture(cfg):
+        configs.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(valgrad.cli, "run_grid", capture)
+    with pytest.raises(Stop):
+        main(["run", "--n", "7", "--p", "3,4", "--problems", "f2", "--lam", "1.5",
+              "--gamma", "0.3", "--delta", "0.2", "--iters", "9", "--seed", "4",
+              "--inertia", "off", "--cond", "5", "--out", str(tmp_path)])
+    assert configs == [ExperimentConfig(n=7, p_list=(3, 4), problems=("f2",), lam=1.5,
+                                        gamma=0.3, delta=0.2, iterations=9, seed=4,
+                                        inertia="off", cond_ratio=5.0)]
+    default = ExperimentConfig()
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(configs[0], field.name) != getattr(default, field.name), field.name
+
+
 def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
-                           cond_ratio=3.0, oracle_iterations=5000)
+                           cond_ratio=3.0)
     assert run_grid(cfg, clock=constant_clock)[1]["oracle_flagged"] == []
 
     def capped(pr, u, **kwargs):
@@ -463,8 +506,9 @@ def test_oracle_iterations_caps_the_fd_oracle(monkeypatch):
         return fd_oracle(pr, u, **kwargs)
 
     monkeypatch.setattr(valgrad.harness, "fd_oracle", spy)
+    monkeypatch.setattr(valgrad.harness, "ORACLE_ITERATIONS", 5000)
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f3",), iterations=10,
-                           cond_ratio=3.0, oracle_iterations=5000)
+                           cond_ratio=3.0)
     run_grid(cfg, clock=constant_clock)
     assert caps == [5000]
 
@@ -475,7 +519,7 @@ def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", capped)
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
-                           cond_ratio=3.0, oracle_iterations=5000)
+                           cond_ratio=3.0)
     _, summary = run_grid(cfg, clock=constant_clock)
     # f1's one Newton step certifies its centre solve; f3's needs more, and
     # the finite-difference columns still converge
@@ -533,7 +577,7 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
                         lambda *args: swept.append(1) or sweep(*args))
     cfg = ExperimentConfig(n=12, p_list=(200,), problems=("f3",), iterations=350,
                            inertia="off")
-    xstar = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)[0]
+    xstar = oracle_primal_solve(pr, u, max_iterations=ORACLE_ITERATIONS)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
         series, _, diverged = _run_cell(pr, u, pr.grad_u(xstar, u), xstar, "f3", 200, cfg,
@@ -550,28 +594,25 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
 def test_a_truth_the_duality_gap_cannot_certify_is_flagged():
     # at lam = 1e-13 f2's centre solve stops "certified" at |x| ~ 3e14, where
     # x - tau grad f(x) rounds to x; its duality-gap bound at the truth is
-    # about 0.5, far above cross_check_tol, and the cell is flagged as well
+    # about 0.5, far above CROSS_CHECK_TOL, and the cell is flagged as well
     # as aborted
     cfg = ExperimentConfig(p_list=(10,), problems=("f2",), lam=1e-13)
     _, summary = run_grid(cfg, clock=constant_clock)
     assert summary["oracle_flagged"] == [("f2", 10)]
     assert [cell[:2] for cell in summary["aborted"]] == [("f2", 10)]
-    a, u = seeded_problem_data(cfg.n, 10, _cell_seed(cfg.seed, 2, 10), cfg.cond_ratio)
-    pr = make_experiment_problem(2, a, cfg.lam, cfg.gamma, cfg.delta)
-    xstar = oracle_primal_solve(pr, u, max_iterations=cfg.oracle_iterations)[0]
+    pr, u = grid_cell(cfg, "f2", 10)
+    xstar = oracle_primal_solve(pr, u, max_iterations=ORACLE_ITERATIONS)[0]
     assert _gap_bound(pr, xstar, pr.grad_u(xstar, u), u) > 0.1
 
 
 def test_the_gap_bound_holds_on_default_grid_truths():
     # at seed 0 the bound at a cell's truth stays below 1e-6, far under
-    # cross_check_tol, and above the truth's distance to the dual point of a
+    # CROSS_CHECK_TOL, and above the truth's distance to the dual point of a
     # tighter solve
     cfg = ExperimentConfig()
     for name in ("f1", "f2", "f3", "f4"):
-        which = int(name[1])
         for p in (10, 90):
-            a, u = seeded_problem_data(cfg.n, p, _cell_seed(cfg.seed, which, p), cfg.cond_ratio)
-            pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
+            pr, u = grid_cell(cfg, name, p)
             xstar = oracle_primal_solve(pr, u)[0]
             tight = oracle_primal_solve(pr, u, tol=1e-11)[0]
             truth, best = pr.grad_u(xstar, u), pr.grad_u(tight, u)
@@ -636,7 +677,7 @@ def test_cross_check_gap_is_reported(tmp_path, capsys):
     # every cell, f1's included, has a cross-check
     assert [cell[:2] for cell in summary["cross_check_gap"]] == summary["cells"] == [
         ("f1", 6), ("f1", 9), ("f3", 6), ("f3", 9)]
-    assert all(0.0 <= gap <= SMALL.cross_check_tol for *_, gap in summary["cross_check_gap"])
+    assert all(0.0 <= gap <= CROSS_CHECK_TOL for *_, gap in summary["cross_check_gap"])
     name, p, worst = max(summary["cross_check_gap"], key=lambda cell: cell[2])
     code = main(["run", "--n", "12", "--p", "6,9", "--problems", "f1,f3", "--iters", "40",
                  "--cond", "3", "--out", str(tmp_path)])
@@ -685,7 +726,9 @@ def test_cli_bad_arguments_exit_2():
     ["verify", "--delta", "0"], ["rates", "--n", "0"], ["rates", "--gamma", "-0.1"],
     ["toy", "--u", "0"], ["toy", "--iters", "-1"], ["run", "--seed", "-1"],
     ["verify", "--seed", "-1"], ["rates", "--seed", "-1"], ["verify", "--tol", "nan"],
-    ["verify", "--tol", "0"], ["verify", "--tol", "-1"],
+    ["verify", "--tol", "0"], ["verify", "--tol", "-1"], ["run", "--lam", "inf"],
+    ["verify", "--gamma", "inf"], ["rates", "--delta", "inf"], ["run", "--cond", "inf"],
+    ["toy", "--u", "inf"],
 ])
 def test_cli_bad_values_exit_2(argv, capsys):
     assert main(argv) == 2
