@@ -69,9 +69,9 @@ def parse_config(path: str) -> dict:
     return values
 
 
-def _build_parser(defaults=None):
-    """The full parser; ``defaults`` (config-file values) replace the
-    subcommands' defaults, so explicit flags still win."""
+def _build_parser(defaults: dict):
+    """The full parser; each subcommand takes the ``defaults`` (config-file
+    values) it declares in place of its own, so explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="valgrad",
         description="Gradient estimation for value functions of parametric convex problems",
@@ -100,7 +100,7 @@ def _build_parser(defaults=None):
     common(ver_p)
     ver_p.add_argument("--problem", default="f2")
     ver_p.add_argument("--p", type=int, default=10)
-    ver_p.add_argument("--iters", type=int, default=2000)
+    ver_p.add_argument("--iters", type=int, default=20_000)
     ver_p.add_argument("--tol", type=float, default=CROSS_CHECK_TOL)
 
     rates_p = sub.add_parser("rates", help="print the convergence-factor table")
@@ -114,7 +114,7 @@ def _build_parser(defaults=None):
     toy_p.add_argument("--u", type=float, default=0.5)
     toy_p.add_argument("--iters", type=int, default=200)
     for p in (run_p, ver_p, rates_p, toy_p):
-        p.set_defaults(**(defaults or {}))
+        p.set_defaults(**{k: defaults[k] for k in defaults.keys() & {a.dest for a in p._actions}})
     return parser
 
 
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     try:
-        defaults = None if path is None else parse_config(path)
+        defaults = {} if path is None else parse_config(path)
     except (OSError, ConfigError) as exc:
         pre.error(str(exc))
     args = _build_parser(defaults).parse_args(argv)

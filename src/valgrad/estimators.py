@@ -173,24 +173,23 @@ def run_primal(
     pr: StructuredProblem,
     u,
     method: str = "gd",
-    tau: float | None = None,
-    beta: float | None = None,
     iterations: int = 250,
     x0=None,
     with_sensitivity: bool = True,
 ) -> PrimalRun:
-    """Run a primal solver, recording what the forward sensitivities need.
+    """Run a primal solver from ``x0`` (0 by default), recording what the
+    forward sensitivities need.
 
     All four methods run through ``prox_gradient_steps``.  The objective's
     prox part decides the prox (``prox_of``): problems without one take gd
-    or heavy_ball, problems with one ista or ipiasco.  ``step_policy`` gives
-    the default step size and momentum, using the whole-objective curvature.
-    With ``with_sensitivity`` the run keeps the pre-prox points, from which
-    ``sensitivities`` replays the Jacobians; the run itself forms none.
+    or heavy_ball, problems with one ista or ipiasco.  ``step_policy``
+    gives the step size and momentum from the whole-objective curvature;
+    with ``with_sensitivity`` the run keeps the pre-prox points, from which
+    ``sensitivities`` replays the Jacobians, and forms none itself.
     """
     prox = prox_of(method, pr.k.prox_part)
     u = np.asarray(u, dtype=float)
-    tau, beta = step_policy(method, *pr.curvature(), tau, beta)
+    tau, beta = step_policy(method, *pr.curvature())
 
     x0 = np.zeros(pr.n) if x0 is None else np.array(x0, dtype=float)
     xs, zs = [x0], []
@@ -592,7 +591,7 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
         q, r = dob.quadratic_form()
         tr = conjugate_gradient(q, r, y, cfg.iterations, tol=0.0)
     else:
-        tau, beta = step_policy(method, *dob.curvature(), cfg.tau, cfg.beta)
+        tau, beta = step_policy(method, *dob.curvature())
         if method == "fista":
             tr = fista(dob.smooth_grad, dob.prox, y, tau, beta, cfg.iterations)
         else:
@@ -762,7 +761,7 @@ def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int
     that does not descend (d.pg >= 0), a step below MIN_STEP, or after
     ``max_iterations`` steps.
     """
-    tau = 1.0 / pr.curvature()[0]
+    tau, _ = step_policy("fista", *pr.curvature())
     prox = pr.k.prox_part
     value = pr.primal_value(x, u)
     for steps in range(1, max_iterations + 1):
@@ -794,13 +793,12 @@ def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int
 def oracle_primal_solve(
     pr: StructuredProblem,
     u,
-    x0=None,
     max_iterations: int = 40_000,
     tol: float = 1e-7,
 ):
     """Certified primal solve for oracle use; returns (x, value, converged).
 
-    A line-searched Newton phase (``_newton_solve``) runs from ``x0``; if
+    A line-searched Newton phase (``_newton_solve``) runs from x = 0; if
     it stops uncertified, the one-column ``_certified_solve`` goes on from
     its point with the iterations left, each Newton step having counted as
     one.  On the default grid at seed 0 the Newton phase certifies all 20
@@ -827,8 +825,7 @@ def oracle_primal_solve(
     lips = pr.curvature()[0]
     ratio = np.sqrt(pr.h.profile().lips / pr.k.modulus)  # sqrt(L_h / m_k)
     limit = np.array([tol / (ratio * lips)])  # tau times the |G| bound
-    x0 = np.zeros(pr.n) if x0 is None else np.asarray(x0, dtype=float)
-    x, steps, certified = _newton_solve(pr, u, x0, limit[0], max_iterations)
+    x, steps, certified = _newton_solve(pr, u, np.zeros(pr.n), limit[0], max_iterations)
     if not certified:
         points, done = _certified_solve(
             pr, u[:, None], x[:, None], limit, max_iterations - steps
@@ -885,7 +882,7 @@ def fd_oracle(
     # |z - x+| bound per column, i.e. tau times the |G| bound
     limit = np.sqrt(tol * m * np.concatenate([steps, steps])) / lips
     start = np.repeat(warm[:, None], 2 * pr.p, axis=1)
-    tau = 1.0 / lips
+    tau, _ = step_policy("fista", lips, m)
     jac = _fb_jacobian(pr, warm, u, warm - tau * pr.primal_smooth_grad(warm, u), tau)
     points, live = start.copy(), np.ones(2 * pr.p, dtype=bool)
     taken = _newton_polish(pr, params, start, points, live, limit, tau,

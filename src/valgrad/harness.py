@@ -120,10 +120,15 @@ _by_key = attrgetter("problem", "p", "solver", "estimator")
 
 def grid_cell(cfg: ExperimentConfig, name: str, p: int):
     """The problem and u of the grid's cell (name, P), drawn from the cell
-    seed seed * 7919 + 101 * which + P, ``which`` the problem's number."""
+    seed seed * 7919 + 101 * which + P, ``which`` the problem's number;
+    raises ``ConfigError`` when ``cond_ratio`` makes A^T A overflow."""
     which = int(name[1])
     a, u = seeded_problem_data(cfg.n, p, cfg.seed * 7919 + 101 * which + p, cfg.cond_ratio)
-    return make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta), u
+    pr = make_experiment_problem(which, a, cfg.lam, cfg.gamma, cfg.delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(pr.gram).all():
+            raise ConfigError(f"cond_ratio (--cond) {cfg.cond_ratio:g} overflows A^T A")
+    return pr, u
 
 
 def _ground_truth(pr, u):

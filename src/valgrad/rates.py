@@ -118,8 +118,9 @@ def error_envelopes(tc: EnvelopeConstants, x0_err: float, big_k: int) -> Envelop
     )
 
 
-def f1_envelope_constants(a: np.ndarray, lam: float, tau: float | None = None) -> EnvelopeConstants:
-    """Exact envelope constants for the fully quadratic problem.
+def f1_envelope_constants(a: np.ndarray, lam: float) -> EnvelopeConstants:
+    """Exact envelope constants for the fully quadratic problem, at the
+    step gd takes (``step_policy``) and its factor ``_forward_backward_rate``.
 
     Both Hessian blocks are constant, so their Lipschitz moduli vanish; the
     sensitivity and implicit-map norms are the exact operator norm of
@@ -130,9 +131,10 @@ def f1_envelope_constants(a: np.ndarray, lam: float, tau: float | None = None) -
     smax, smin = float(sing[0]), float(sing[-1]) if a.shape[0] >= a.shape[1] else 0.0
     lips = smax**2 + lam
     m = (smin**2 if a.shape[0] >= a.shape[1] else 0.0) + lam
-    if tau is None:
-        tau = 2.0 / (lips + m)
-    omega = max(abs(1.0 - tau * m), abs(1.0 - tau * lips))
+    tau, _ = step_policy("gd", lips, m)
+    omega = _forward_backward_rate((lips, m))
+    if isinstance(omega, RateUnavailable):
+        raise ValueError(f"no envelope: {omega.reason}")
     phi_norm = float(np.max(sing / (sing**2 + lam)))
     return EnvelopeConstants(
         lips_x=lips, lips_xu=0.0, lips_xx=0.0,

@@ -5,9 +5,9 @@ gradient step of ``prox_gradient_steps``.  Whether a step applies a prox
 is decided by the objective: ``prox_of`` returns its prox part's prox, or
 None (the identity) when it has none, and checks the method name against
 it; the name itself chooses only the momentum (none for gd and ista).
-``prox_gradient`` stacks its iterates, and ``step_policy`` holds the
-default step sizes and momenta of every method.  The accelerated
-recursion, with the gradient at the extrapolated point, is
+``prox_gradient`` stacks its iterates, and ``step_policy`` gives every
+method its step size and momentum from the curvature alone.  The
+accelerated recursion, with the gradient at the extrapolated point, is
 ``accelerated_steps``: ``fista`` stacks its iterates, and the certified
 oracle solve of :mod:`valgrad.estimators` runs it on a block of columns.
 ``conjugate_gradient`` is separate.  Every solver returns an
@@ -33,16 +33,12 @@ class NotSPDError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """A dual solve's method and iteration count; ``step_policy`` gives its step."""
+
     method: str = "gd"  # gd | heavy_ball | ista | ipiasco | fista | cg
-    tau: float | None = None
-    beta: float | None = None
     iterations: int = 100
 
     def __post_init__(self):
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError("step size must be positive")
-        if self.beta is not None and not 0.0 <= self.beta < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
         if self.iterations < 0:
             raise ValueError("iteration count must be nonnegative")
 
@@ -177,21 +173,19 @@ def optimal_inertial_params(lips, m):
     return 4.0 / (sl + sm) ** 2, ((sl - sm) / (sl + sm)) ** 2
 
 
-def step_policy(method, lips, m, tau=None, beta=None):
-    """(tau, beta) for a method on an objective with curvature in [m, lips].
+def step_policy(method, lips, m):
+    """(tau, beta) for a method on an objective with curvature in [m, lips];
+    no other place decides a step size or momentum.
 
     gd and ista take 2/(L+m) and no momentum, heavy_ball and ipiasco the
     optimal strongly convex pair, fista 1/L and the constant strongly
-    convex momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = min(tau m, 1).  A
-    given tau or beta wins, except that gd and ista never take momentum.
-    """
+    convex momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = tau m."""
     if method in ("gd", "ista"):
-        return (optimal_gd_step(lips, m) if tau is None else tau), 0.0
+        return optimal_gd_step(lips, m), 0.0
     if method in ("heavy_ball", "ipiasco"):
-        t_opt, b_opt = optimal_inertial_params(lips, m)
-        return (t_opt if tau is None else tau), (b_opt if beta is None else beta)
+        return optimal_inertial_params(lips, m)
     if method == "fista":
-        tau = 1.0 / lips if tau is None else tau
-        q = min(tau * m, 1.0)
-        return tau, ((1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q)) if beta is None else beta)
+        tau = 1.0 / lips
+        q = tau * m
+        return tau, (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
     raise ValueError(f"unknown method {method!r}")

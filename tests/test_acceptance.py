@@ -84,7 +84,7 @@ def _envelope_setup():
     pr = make_experiment_problem(1, a)
     xstar, grad = closed_form_f1(a, 2.0, u)
     tc = f1_envelope_constants(a, 2.0)
-    run = run_primal(pr, u, "gd", tau=tc.tau, iterations=250)
+    run = run_primal(pr, u, "gd", iterations=250)
     x0_err = float(np.linalg.norm(run.points[0] - xstar))
     env = error_envelopes(tc, x0_err, 250)
     return pr, u, grad, run, env

@@ -38,7 +38,6 @@ from valgrad.problems import (
 )
 from valgrad.solvers import (
     SolverConfig,
-    optimal_gd_step,
     prox_gradient,
     prox_gradient_steps,
     prox_of,
@@ -903,19 +902,6 @@ def test_dual_estimator_huber_dual_solvers_agree(method):
     ref = dual_estimator(pr, u, SolverConfig(method="fista", iterations=20000))
     est = dual_estimator(pr, u, SolverConfig(method=method, iterations=5000))
     np.testing.assert_allclose(est.final, ref.final, atol=1e-6)
-
-
-@pytest.mark.parametrize("which,plain,inertial", [
-    (1, "gd", "heavy_ball"), (2, "ista", "ipiasco"),
-])
-def test_dual_estimator_explicit_zero_momentum(which, plain, inertial):
-    # beta=0.0 means no momentum, not "use the optimal momentum"
-    pr, u = instance(which, cond=2.0)
-    tau = optimal_gd_step(*pr.dual_objective(u).curvature())
-    ref = dual_estimator(pr, u, SolverConfig(method=plain, tau=tau, iterations=60))
-    est = dual_estimator(pr, u, SolverConfig(method=inertial, tau=tau, beta=0.0,
-                                             iterations=60))
-    np.testing.assert_array_equal(est.per_iteration, ref.per_iteration)
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4])

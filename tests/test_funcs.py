@@ -14,7 +14,6 @@ from valgrad.funcs import (
 )
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import closed_form_f1
-from valgrad.solvers import SolverConfig
 
 ALL_FUNCS = [
     SquaredNorm(1.0),
@@ -163,11 +162,11 @@ NAN = float("nan")
     lambda: SquaredNorm(NAN), lambda: Huber(NAN), lambda: ElasticNet(NAN, 0.1),
     lambda: ElasticNet(1.0, NAN), lambda: ElasticNetConjugate(NAN, 0.1),
     lambda: SquaredNormBall(NAN), lambda: BallIndicator(NAN), lambda: EuclideanNorm(NAN),
-    lambda: SolverConfig(tau=NAN), lambda: seeded_problem_data(4, 3, 0, cond_ratio=NAN),
+    lambda: seeded_problem_data(4, 3, 0, cond_ratio=NAN),
     lambda: closed_form_f1(np.eye(2), NAN, np.zeros(2)),
 ], ids=["squared-norm", "huber", "elastic-net-lam", "elastic-net-gamma",
         "elastic-net-conjugate", "squared-norm-ball", "ball-indicator", "euclidean-norm",
-        "solver-tau", "cond-ratio", "closed-form-lam"])
+        "cond-ratio", "closed-form-lam"])
 def test_parameter_validation_rejects_nan(build):
     # each check reads "not ok", so that NaN fails it as well
     with pytest.raises(ValueError):

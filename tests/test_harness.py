@@ -400,6 +400,28 @@ def test_cli_verify_pass_and_fail(capsys):
     assert code == 1
 
 
+def test_cli_verify_defaults_pass_a_cell_with_p_at_least_n(capsys):
+    # at 2,000 fista steps the dual estimate of f1 P=50 (N=50) was 6.5e-2
+    # from the finite differences; the default budget certifies it
+    assert main(["verify", "--problem", "f1", "--p", "50"]) == 0
+    disc = float(capsys.readouterr().out.split(":")[1])
+    assert disc <= CROSS_CHECK_TOL
+
+
+def test_a_cond_that_overflows_the_gram_matrix_is_bad_input(tmp_path, capsys):
+    # A^T A overflows long before the data does; that is a bad --cond, not
+    # a numerical failure of a solve
+    with pytest.raises(ConfigError, match="--cond"):
+        grid_cell(ExperimentConfig(cond_ratio=1e200), "f1", 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
+        assert main(["run", "--cond", "1e200", "--problems", "f1", "--p", "10",
+                     "--iters", "5", "--out", str(tmp_path)]) == 2
+        assert main(["rates", "--problem", "f2", "--cond", "1e300"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(ln.startswith("error: ") and "--cond" in ln for ln in err)
+
+
 def test_verify_and_rates_examine_the_cell_run_builds(tmp_path, monkeypatch):
     # each command builds its (A, u) through grid_cell from the cell seed,
     # so all three see the f3 P=90 data that run --seed 7 measures
@@ -566,18 +588,18 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
     a, u = seeded_problem_data(12, 200, 3, 3.0)
     a[:, :2] = 0.0
     pr = make_experiment_problem(3, a)
-    tau = 4.0 / pr.curvature()[0]
-    solve = valgrad.harness.run_primal
-    monkeypatch.setattr(valgrad.harness, "run_primal",
-                        lambda pr, u, method, iterations: solve(pr, u, method, tau, None,
-                                                                iterations))
+    xstar = oracle_primal_solve(pr, u, max_iterations=ORACLE_ITERATIONS)[0]
+    primal = pr.curvature()
+    policy = valgrad.estimators.step_policy
+    monkeypatch.setattr(valgrad.estimators, "step_policy",
+                        lambda method, lips, m: (4.0 / lips, 0.0) if (lips, m) == primal
+                        else policy(method, lips, m))
     swept = []
     sweep = valgrad.estimators._reverse_estimates
     monkeypatch.setattr(valgrad.estimators, "_reverse_estimates",
                         lambda *args: swept.append(1) or sweep(*args))
     cfg = ExperimentConfig(n=12, p_list=(200,), problems=("f3",), iterations=350,
                            inertia="off")
-    xstar = oracle_primal_solve(pr, u, max_iterations=ORACLE_ITERATIONS)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
         series, _, diverged = _run_cell(pr, u, pr.grad_u(xstar, u), xstar, "f3", 200, cfg,
@@ -773,6 +795,27 @@ def test_cli_config_overrides_defaults_flags_win(tmp_path, capsys):
     assert main(["rates", "--config", str(cfg), "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "N=5" in out
+
+
+def test_cli_config_keys_reach_only_the_commands_that_declare_them(tmp_path, capsys):
+    # one file for every command: a key a command lacks leaves it alone,
+    # and the command that declares it still checks it
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("tol = 0\nu = -1\nn = 4\nidentity = true\niters = 5\n")
+    assert main(["run", "--config", str(cfg), "--p", "3", "--problems", "f1",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["rates", "--config", str(cfg)]) == 0
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert main(["toy", "--config", str(cfg)]) == 2
+    assert main(["toy", "--config", str(cfg), "--u", "0.5"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --tol must be finite and positive, got 0.0",
+                   "error: --u must be finite and positive, got -1.0"]
+    # a key no command declares stays an error
+    cfg.write_text("tol = 1e-6\nnope = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["toy", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_cli_config_equals_form_reads_the_file(tmp_path, capsys):

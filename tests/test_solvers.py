@@ -30,12 +30,6 @@ def quad(seed=0, n=6, cond=10.0):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(beta=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(iterations=-1)
     # no iterations is a valid run: the estimate is the start point alone
     a, u = seeded_problem_data(8, 5, 0, 3.0)
@@ -151,10 +145,6 @@ def test_optimal_parameters():
 @pytest.mark.parametrize("method", ["gd", "ista"])
 def test_step_policy_plain_methods_take_no_momentum(method):
     assert step_policy(method, 3.0, 1.0) == (0.5, 0.0)
-    assert step_policy(method, 3.0, 1.0, tau=0.1) == (0.1, 0.0)
-    # a given momentum is ignored: gd and ista are the beta = 0 recursion
-    assert step_policy(method, 3.0, 1.0, beta=0.7) == (0.5, 0.0)
-    assert step_policy(method, 3.0, 1.0, tau=0.1, beta=0.7) == (0.1, 0.0)
 
 
 @pytest.mark.parametrize("method", ["heavy_ball", "ipiasco"])
@@ -163,18 +153,11 @@ def test_step_policy_inertial_methods_take_the_optimal_pair(method):
     tau, beta = step_policy(method, 4.0, 1.0)
     assert tau == pytest.approx(4.0 / 9.0)
     assert beta == pytest.approx(1.0 / 9.0)
-    assert step_policy(method, 4.0, 1.0, tau=0.1) == (0.1, beta)
-    assert step_policy(method, 4.0, 1.0, beta=0.3) == (tau, 0.3)
-    assert step_policy(method, 4.0, 1.0, beta=0.0) == (tau, 0.0)
 
 
 def test_step_policy_fista_and_unknown_methods():
     # tau = 1/L and the momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = tau m
     assert step_policy("fista", 4.0, 1.0) == (0.25, 1.0 / 3.0)
-    assert step_policy("fista", 4.0, 1.0, beta=0.3) == (0.25, 0.3)
-    # q is capped at 1, where the momentum vanishes
-    assert step_policy("fista", 4.0, 1.0, tau=2.0) == (2.0, 0.0)
-    assert step_policy("fista", 4.0, 1.0, tau=0.1, beta=0.3) == (0.1, 0.3)
     for method in ("pdhg", "cg", "nonsense"):
         with pytest.raises(ValueError):
             step_policy(method, 4.0, 1.0)
