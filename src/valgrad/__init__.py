@@ -60,7 +60,6 @@ from .rates import (
     error_envelopes,
 )
 from .solvers import (
-    IterateTrace,
     NotSPDError,
     SolverConfig,
     accelerated_steps,

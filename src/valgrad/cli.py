@@ -38,12 +38,13 @@ _CONFIG_TYPES = {
     "identity": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
-# argument -> (test, requirement) for the values no config holds: verify's
-# tolerance and toy's u and iteration count; ExperimentConfig checks the rest
+# (command, argument) -> (test, requirement) for the values no config holds:
+# verify's tolerance and toy's u and iteration count; ExperimentConfig checks
+# the rest, run's and verify's --iters included
 _ARG_CHECKS = {
-    "tol": (lambda v: 0 < v < np.inf, "finite and positive"),
-    "u": (lambda v: 0 < v < np.inf, "finite and positive"),
-    "iters": (lambda v: v >= 0, "nonnegative"),
+    ("verify", "tol"): (lambda v: 0 < v < np.inf, "finite and positive"),
+    ("toy", "u"): (lambda v: 0 < v < np.inf, "finite and positive"),
+    ("toy", "iters"): (lambda v: v >= 0, "nonnegative"),
 }
 _DEFAULT = ExperimentConfig()
 
@@ -127,10 +128,10 @@ def _p_values(text) -> tuple:
 
 
 def _check_args(args) -> None:
-    """Raise ``ConfigError`` for a value of ``_ARG_CHECKS`` no command can run with."""
-    for name, (ok, need) in _ARG_CHECKS.items():
+    """Raise ``ConfigError`` for a value of ``_ARG_CHECKS`` the command cannot run with."""
+    for (command, name), (ok, need) in _ARG_CHECKS.items():
         value = getattr(args, name, None)
-        if value is not None and not ok(value):
+        if command == args.command and not ok(value):
             raise ConfigError(f"--{name} must be {need}, got {value!r}")
 
 

@@ -588,24 +588,24 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
     y = np.zeros(pr.p)
     method = cfg.method
     if method == "cg":
-        q, r = dob.quadratic_form()
-        tr = conjugate_gradient(q, r, y, cfg.iterations, tol=0.0)
-    else:
-        tau, beta = step_policy(method, *dob.curvature())
-        if method == "fista":
-            tr = fista(dob.smooth_grad, dob.prox, y, tau, beta, cfg.iterations)
-        else:
-            tr = prox_gradient(
-                dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta, cfg.iterations
-            )
-    return GradientEstimate("dual", tr.points)
+        return GradientEstimate("dual", conjugate_gradient(*dob.quadratic_form(), y,
+                                                           cfg.iterations))
+    tau, beta = step_policy(method, *dob.curvature())
+    if method == "fista":
+        prox = None if dob.prox_part is None else dob.prox_part.prox
+        return GradientEstimate("dual", fista(dob.smooth_grad, prox, y, tau, beta,
+                                              cfg.iterations))
+    return GradientEstimate("dual", prox_gradient(
+        dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta, cfg.iterations))
 
 
 # Every NEWTON_EVERY iterations the certified solve tries NEWTON_STEPS chained
 # semismooth Newton steps per live column; fd_oracle takes up to NEWTON_STEPS
-# chord steps before it.
+# chord steps before it.  ORACLE_ITERATIONS caps oracle_primal_solve and
+# fd_oracle, each Newton or chord step counting as one iteration.
 NEWTON_EVERY = 25
 NEWTON_STEPS = 3
+ORACLE_ITERATIONS = 10_000
 
 
 def _forward_backward(pr: StructuredProblem, x, par, tau: float):
@@ -641,17 +641,21 @@ def _newton_step(pr: StructuredProblem, x, par, tau: float, jac=None):
     Each column solves with its own Jacobian (``_fb_jacobian``), or, for a
     given ``jac``, every column takes the chord step with that one matrix
     in a single solve with the N x K right-hand side (Kelley, Iterative
-    Methods for Linear and Nonlinear Equations, 1995).
+    Methods for Linear and Nonlinear Equations, 1995).  A singular system
+    gives up: the step then returns NaN, a point no certificate passes.
     """
     prox = pr.k.prox_part
     pre = x - tau * pr.primal_smooth_grad(x, par)
     # F(x), column by column replaced by the Newton step J^{-1} F(x)
     delta = x - (pre if prox is None else prox.prox(tau, pre))
-    if jac is not None:
-        return x - np.linalg.solve(jac, delta)
-    for j in range(x.shape[1]):
-        delta[:, j] = np.linalg.solve(_fb_jacobian(pr, x[:, j], par[:, j], pre[:, j], tau),
-                                      delta[:, j])
+    try:
+        if jac is not None:
+            return x - np.linalg.solve(jac, delta)
+        for j in range(x.shape[1]):
+            delta[:, j] = np.linalg.solve(
+                _fb_jacobian(pr, x[:, j], par[:, j], pre[:, j], tau), delta[:, j])
+    except np.linalg.LinAlgError:
+        return np.full_like(x, np.nan)
     return x - delta
 
 
@@ -793,7 +797,7 @@ def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int
 def oracle_primal_solve(
     pr: StructuredProblem,
     u,
-    max_iterations: int = 40_000,
+    max_iterations: int = ORACLE_ITERATIONS,
     tol: float = 1e-7,
 ):
     """Certified primal solve for oracle use; returns (x, value, converged).
@@ -838,7 +842,7 @@ def fd_oracle(
     pr: StructuredProblem,
     u,
     eps: float = 1e-5,
-    max_iterations: int = 40_000,
+    max_iterations: int = ORACLE_ITERATIONS,
     tol: float = 1e-6,
     warm=None,
 ) -> GradientEstimate:
@@ -947,4 +951,4 @@ def run_toy(
     analytic = np.full_like(points, du)
     grad_d, (lo_d, hi_d), y0, tau_d = toy.dual(u)
     dual = prox_gradient(grad_d, lambda _, y: np.clip(y, lo_d, hi_d), y0, tau_d, 0.0, iterations)
-    return ToyRun(points, analytic, jacs * grad + du, analytic.copy(), dual.points, truth)
+    return ToyRun(points, analytic, jacs * grad + du, analytic.copy(), dual, truth)

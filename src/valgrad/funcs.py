@@ -140,8 +140,13 @@ class Huber(ConvexFunction):
     def value(self, z):
         z = np.asarray(z, dtype=float)
         r = _norm(z)
-        v = np.where(r <= self.delta, 0.5 * r * r, self.delta * (r - 0.5 * self.delta))
-        return v if z.ndim > 1 else float(v)
+        # each branch only where it is taken: the linear one overflows at a huge delta
+        if z.ndim == 1:
+            return 0.5 * r * r if r <= self.delta else self.delta * (r - 0.5 * self.delta)
+        v = 0.5 * r * r
+        outside = r > self.delta
+        v[outside] = self.delta * (r[outside] - 0.5 * self.delta)
+        return v
 
     def grad(self, z):
         z = np.asarray(z, dtype=float)

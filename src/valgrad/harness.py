@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
+    ORACLE_ITERATIONS,
     EstimatorInapplicable,
     analytic_estimator,
     automatic_estimator,
@@ -45,10 +46,8 @@ class ConfigError(ValueError):
     """Bad input: an invalid configuration, config file or argument."""
 
 
-# the certified ground truth: the iteration cap of its primal solve and of
-# the finite-difference oracle, and the most its cross-check gap and its
-# duality-gap bound may reach
-ORACLE_ITERATIONS = 10_000
+# the most the certified ground truth's cross-check gap and its duality-gap
+# bound may reach
 CROSS_CHECK_TOL = 1e-4
 
 
@@ -70,8 +69,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.inertia not in ("both", "on", "off"):
             raise ConfigError("inertia must be both, on or off")
-        if self.n < 1 or self.iterations < 0:
-            raise ConfigError("invalid dimensions")
+        if self.n < 1:
+            raise ConfigError("n must be at least 1")
+        if self.iterations < 0:
+            raise ConfigError("iterations must be nonnegative")
         if not self.p_list or not self.problems:
             raise ConfigError("no P values or no problems")
         # written as "not ok" so that NaN fails each test, and bounded so

@@ -196,11 +196,6 @@ class DualObjective:
             - self.linear
         )
 
-    def prox(self, tau, z):
-        if self.prox_part is None:
-            return np.asarray(z, dtype=float)
-        return self.prox_part.prox(tau, z)
-
     def curvature(self) -> tuple[float, float]:
         """(L, m) of the smooth part."""
         sb = self.problem.bounds()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .funcs import SquaredNorm
 from .problems import StructuredProblem
 from .solvers import step_policy
 
@@ -118,24 +119,26 @@ def error_envelopes(tc: EnvelopeConstants, x0_err: float, big_k: int) -> Envelop
     )
 
 
-def f1_envelope_constants(a: np.ndarray, lam: float) -> EnvelopeConstants:
-    """Exact envelope constants for the fully quadratic problem, at the
-    step gd takes (``step_policy``) and its factor ``_forward_backward_rate``.
+def f1_envelope_constants(pr: StructuredProblem) -> EnvelopeConstants:
+    """Exact envelope constants for f1, loss ||.||^2 / 2 and regularizer
+    lam ||.||^2 / 2, at its run's curvature ``pr.curvature()``, the step gd
+    takes there (``step_policy``) and its factor ``_forward_backward_rate``.
 
     Both Hessian blocks are constant, so their Lipschitz moduli vanish; the
     sensitivity and implicit-map norms are the exact operator norm of
-    (A^T A + lam I)^{-1} A^T.
+    (A^T A + lam I)^{-1} A^T, max s / (s^2 + lam) over the singular values
+    s of A, from ``pr.gram_eigh`` clamped at 0.  Raises ``ValueError`` for
+    any other problem.
     """
-    a = np.asarray(a, dtype=float)
-    sing = np.linalg.svd(a, compute_uv=False)
-    smax, smin = float(sing[0]), float(sing[-1]) if a.shape[0] >= a.shape[1] else 0.0
-    lips = smax**2 + lam
-    m = (smin**2 if a.shape[0] >= a.shape[1] else 0.0) + lam
+    if pr.h != SquaredNorm(1.0) or not isinstance(pr.k, SquaredNorm):
+        raise ValueError("envelope constants need f1's quadratic loss and regularizer")
+    lips, m = pr.curvature()
     tau, _ = step_policy("gd", lips, m)
     omega = _forward_backward_rate((lips, m))
     if isinstance(omega, RateUnavailable):
         raise ValueError(f"no envelope: {omega.reason}")
-    phi_norm = float(np.max(sing / (sing**2 + lam)))
+    sq = np.maximum(pr.gram_eigh[0], 0.0)
+    phi_norm = float(np.max(np.sqrt(sq) / (sq + pr.k.modulus)))
     return EnvelopeConstants(
         lips_x=lips, lips_xu=0.0, lips_xx=0.0,
         l1=phi_norm, l2=phi_norm, tau=tau, omega=omega,

@@ -1,4 +1,4 @@
-"""First-order methods with full iterate traces.
+"""First-order methods that return their iterates.
 
 gd, heavy ball, ista and ipiasco are one recursion, the inertial proximal
 gradient step of ``prox_gradient_steps``.  Whether a step applies a prox
@@ -10,12 +10,12 @@ method its step size and momentum from the curvature alone.  The
 accelerated recursion, with the gradient at the extrapolated point, is
 ``accelerated_steps``: ``fista`` stacks its iterates, and the certified
 oracle solve of :mod:`valgrad.estimators` runs it on a block of columns.
-``conjugate_gradient`` is separate.  Every solver returns an
-``IterateTrace``, whose iterates are one array with a row per iterate.
+``conjugate_gradient`` is separate.  Every solver returns its iterates
+x0, x1, ..., xk as one (k+1) x d array, a row per iterate.
 
 The first-order solvers run a fixed number of iterations (no early exit) so
-runs are directly comparable; CG may stop on its residual, and the
-oracle-grade solves in :mod:`valgrad.estimators` stop on a certificate.
+runs are directly comparable; CG stops early only on a zero residual, and
+the oracle-grade solves in :mod:`valgrad.estimators` stop on a certificate.
 Oracles passed in must be pure functions, which makes every solver
 deterministic.
 """
@@ -41,24 +41,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iteration count must be nonnegative")
-
-
-@dataclass
-class IterateTrace:
-    """The iterates x0, x1, ..., xk of a solver run as one (k+1) x d array,
-    one row per iterate; ``final`` is a copy of the last row, so holding it
-    does not keep the block alive."""
-
-    points: np.ndarray
-    # set by solvers with a stopping test: did it pass within the budget
-    converged: bool | None = None
-
-    @property
-    def final(self):
-        return self.points[-1].copy()
-
-    def __len__(self):
-        return len(self.points)
 
 
 def prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
@@ -100,10 +82,10 @@ def prox_of(method, prox_part):
 
 
 def prox_gradient(smooth_grad, prox_step, x0, tau, beta, iterations):
-    """Trace of ``prox_gradient_steps``: gd (beta = 0, no prox), heavy ball
-    (no prox), ista (beta = 0) and ipiasco."""
+    """The iterates of ``prox_gradient_steps``, x0 first, as one array: gd
+    (beta = 0, no prox), heavy ball (no prox), ista (beta = 0) and ipiasco."""
     steps = prox_gradient_steps(smooth_grad, prox_step, x0, tau, beta, iterations)
-    return IterateTrace(np.array([x0, *(x_next for *_, x_next in steps)], dtype=float))
+    return np.array([x0, *(x_next for *_, x_next in steps)], dtype=float)
 
 
 def accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
@@ -126,18 +108,18 @@ def accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations):
 
 
 def fista(smooth_grad, prox_step, x0, tau, beta, iterations):
-    """Trace of ``accelerated_steps``; no restarts."""
+    """The iterates of ``accelerated_steps``, x0 first, as one array."""
     steps = accelerated_steps(smooth_grad, prox_step, x0, tau, beta, iterations)
-    return IterateTrace(np.array([x0, *(x_next for _, x_next in steps)], dtype=float))
+    return np.array([x0, *(x_next for _, x_next in steps)], dtype=float)
 
 
-def conjugate_gradient(q, rhs, y0, iterations, tol=0.0):
-    """Minimize y^T Q y / 2 - rhs^T y for an SPD matrix Q.
+def conjugate_gradient(q, rhs, y0, iterations):
+    """Minimize y^T Q y / 2 - rhs^T y for an SPD matrix Q; returns the
+    iterates, y0 first, as one array.
 
-    Terminates early once the residual norm drops below ``tol``; raises
-    :class:`NotSPDError` on a nonpositive curvature direction.  The trace's
-    ``converged`` tells whether that test passed before the iteration cap;
-    the residual it tests is the recursively updated one.
+    Stops early only once the recursively updated residual is exactly zero,
+    where the next step would divide 0 by 0; raises :class:`NotSPDError` on
+    a nonpositive curvature direction.
     """
     y = np.array(y0, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -146,7 +128,7 @@ def conjugate_gradient(q, rhs, y0, iterations, tol=0.0):
     rr = float(np.dot(r, r))
     ys = [y]
     for _ in range(iterations):
-        if np.sqrt(rr) <= tol:
+        if rr == 0.0:
             break
         qp = q @ p
         curv = float(np.dot(p, qp))
@@ -159,7 +141,7 @@ def conjugate_gradient(q, rhs, y0, iterations, tol=0.0):
         p = r + (rr_new / rr) * p
         rr = rr_new
         ys.append(y)
-    return IterateTrace(np.array(ys), converged=bool(np.sqrt(rr) <= tol))
+    return np.array(ys)
 
 
 def optimal_gd_step(lips, m):

@@ -83,7 +83,7 @@ def _envelope_setup():
     a, u = seeded_problem_data(50, 30, seed=7, cond_ratio=100.0)
     pr = make_experiment_problem(1, a)
     xstar, grad = closed_form_f1(a, 2.0, u)
-    tc = f1_envelope_constants(a, 2.0)
+    tc = f1_envelope_constants(pr)
     run = run_primal(pr, u, "gd", iterations=250)
     x0_err = float(np.linalg.norm(run.points[0] - xstar))
     env = error_envelopes(tc, x0_err, 250)

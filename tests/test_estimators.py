@@ -273,7 +273,7 @@ def test_primal_run_dual_trace_and_reference_share_one_recursion(method):
     tau, beta = step_policy(method, *pr.curvature())
     grad = lambda x: pr.primal_smooth_grad(x, u)
     want = _reference_iterates(grad, prox, np.zeros(pr.n), tau, beta, 30)
-    traced = prox_gradient(grad, prox, np.zeros(pr.n), tau, beta, 30).points
+    traced = prox_gradient(grad, prox, np.zeros(pr.n), tau, beta, 30)
     run = run_primal(pr, u, method, iterations=30)
     bare = run_primal(pr, u, method, iterations=30, with_sensitivity=False)
     assert (run.tau, run.beta) == (tau, beta)
@@ -425,8 +425,6 @@ def test_final_owns_its_data():
     cfg = SolverConfig(method="fista", iterations=20)
     held = {
         "run": run,
-        "trace": prox_gradient(lambda x: pr.primal_smooth_grad(x, u), None, np.zeros(pr.n),
-                               run.tau, run.beta, 20),
         "analytic": analytic_estimator(pr, run.points, u),
         "automatic": automatic_estimator(pr, run, u),
         "implicit": implicit_estimator(pr, run.final, u),
@@ -436,7 +434,7 @@ def test_final_owns_its_data():
         final = obj.final
         assert final.base is None, name
         assert final.flags.c_contiguous, name
-        block = obj.points if name in ("run", "trace") else obj.per_iteration
+        block = obj.points if name == "run" else obj.per_iteration
         assert np.array_equal(final, block[-1]), name
 
 
@@ -918,7 +916,9 @@ def test_dual_estimator_fista_matches_the_constant_momentum_loop(which):
     z = x.copy()
     want = [x.copy()]
     for _ in range(200):
-        x_next = dob.prox(tau, z - tau * dob.smooth_grad(z))
+        x_next = z - tau * dob.smooth_grad(z)
+        if dob.prox_part is not None:
+            x_next = dob.prox_part.prox(tau, x_next)
         z = x_next + beta * (x_next - x)
         x = x_next
         want.append(x.copy())
@@ -1164,6 +1164,28 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
         assert (2 * pr.p, True) in calls  # the chord step was tried on the block
         assert not fd.flagged
         np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
+
+
+def test_newton_step_gives_up_on_a_singular_system(monkeypatch):
+    # a singular system yields NaN, which no certificate passes, where
+    # np.linalg.solve would raise: for the chord step's matrix and for one
+    # column's own Jacobian alike
+    pr, u = oracle_instance(3)
+    x = np.zeros((pr.n, 2))
+    par = np.repeat(u[:, None], 2, axis=1)
+    tau, _ = step_policy("fista", *pr.curvature())
+    step = valgrad.estimators._newton_step
+    assert np.isnan(step(pr, x, par, tau, np.zeros((pr.n, pr.n)))).all()
+    assert np.isfinite(step(pr, x, par, tau)).all()
+    fb_jacobian = valgrad.estimators._fb_jacobian
+    jacobians = iter([None, np.zeros((pr.n, pr.n))])
+
+    def second_singular(pr, x, par, pre, tau):
+        jac = next(jacobians)
+        return fb_jacobian(pr, x, par, pre, tau) if jac is None else jac
+
+    monkeypatch.setattr(valgrad.estimators, "_fb_jacobian", second_singular)
+    assert np.isnan(step(pr, x, par, tau)).all()
 
 
 def test_certified_solve_without_iterations_returns_its_start_uncertified():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ def test_huber_value_is_moreau_envelope_of_norm():
         w = EuclideanNorm(0.7).prox(1.0, z)
         env = 0.5 * float(np.dot(z - w, z - w)) + 0.7 * float(np.linalg.norm(w))
         assert f.value(z) == pytest.approx(env, abs=1e-12)
+
+
+def test_huber_value_evaluates_only_the_branch_it_takes():
+    # at delta = 1e300 the linear branch, delta (r - delta / 2), overflows
+    # where it is not taken
+    z = np.array([0.3, 0.4])  # norm 0.5
+    block = np.array([[0.3, 3.0], [0.4, 4.0]])  # columns of norm 0.5 and 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Huber(1e300).value(z) == 0.125
+        np.testing.assert_array_equal(Huber(1e300).value(block), [0.125, 12.5])
+        np.testing.assert_array_equal(Huber(1.0).value(block), [0.125, 4.5])
 
 
 def test_elastic_net_prox_solves_its_subproblem():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import os
 import re
@@ -48,6 +49,25 @@ def test_config_validation():
         ExperimentConfig(problems=("f9",))
     with pytest.raises(ValueError):
         ExperimentConfig(n=0)
+
+
+def test_config_names_the_field_it_rejects(capsys):
+    with pytest.raises(ConfigError, match="iterations must be nonnegative"):
+        ExperimentConfig(iterations=-1)
+    with pytest.raises(ConfigError, match="n must be at least 1"):
+        ExperimentConfig(n=0)
+    # run's and verify's --iters are checked by the config alone
+    for command in ("run", "verify"):
+        assert main([command, "--iters", "-1"]) == 2
+        assert capsys.readouterr().err == "error: iterations must be nonnegative\n"
+
+
+def test_oracle_defaults_share_the_harness_cap():
+    # verify calls the oracles at their defaults, run at the harness's cap
+    assert ORACLE_ITERATIONS == valgrad.estimators.ORACLE_ITERATIONS == 10_000
+    for oracle in (oracle_primal_solve, fd_oracle):
+        cap = inspect.signature(oracle).parameters["max_iterations"].default
+        assert cap == ORACLE_ITERATIONS, oracle.__name__
 
 
 def _key(s):
@@ -757,9 +777,25 @@ def test_cli_bad_values_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_singular_newton_system_does_not_end_the_grid(tmp_path, capsys):
+    # f1 P=1's centre Newton step meets a singular Jacobian; the solve goes
+    # on in the certified fallback, and the grid's other cells are written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--n", "5", "--seed", "973877", "--lam", "501", "--gamma", "0",
+                     "--delta", "0.0171", "--cond", "1.59e13", "--p", "1,2,3", "--iters", "4",
+                     "--problems", "f1,f3", "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    aborted = re.findall(r"^aborted (f\d) P=(\d+):", out, flags=re.M)
+    assert aborted == [("f1", "1"), ("f3", "2")]
+    plots = sorted(p.name for p in (tmp_path / "plots").iterdir())
+    assert plots == ["f1_P2.svg", "f1_P3.svg", "f3_P1.svg", "f3_P3.svg"]
+
+
 def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a LinAlgError is a ValueError, but a failed solve is not bad input;
-    # here the centre solve's Newton step meets a singular Jacobian
+    # here a patched Newton step raises one where a real one gives up
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 

@@ -80,8 +80,8 @@ def test_dual_factor_bounds_gd_on_elastic_net_dual():
     ystar = pr.grad_u(xstar, u)
     dob = pr.dual_objective(u)
     tau, _ = step_policy("gd", *dob.curvature())
-    run = prox_gradient(dob.smooth_grad, None, np.zeros(pr.p), tau, 0.0, 1000)
-    errs = np.linalg.norm(run.points - ystar, axis=1)
+    ys = prox_gradient(dob.smooth_grad, None, np.zeros(pr.p), tau, 0.0, 1000)
+    errs = np.linalg.norm(ys - ystar, axis=1)
     assert errs[1000] > 1e-9
     ratios = errs[201:1001] / errs[200:1000]
     assert ratios.max() <= omega_d + 1e-6
@@ -148,7 +148,7 @@ def test_envelopes_formula_spot_check():
 
 def test_f1_constants_exact_operator_norms():
     a, _ = seeded_problem_data(12, 8, seed=4, cond_ratio=3.0)
-    tc = f1_envelope_constants(a, 2.0)
+    tc = f1_envelope_constants(make_experiment_problem(1, a))
     ev = np.linalg.eigvalsh(a.T @ a)
     assert tc.lips_x == pytest.approx(ev[-1] + 2.0)
     jstar = np.linalg.solve(a.T @ a + 2.0 * np.eye(12), a.T)
@@ -156,6 +156,22 @@ def test_f1_constants_exact_operator_norms():
     assert tc.lips_xu == 0.0 and tc.lips_xx == 0.0
     lips, m = ev[-1] + 2.0, 2.0  # wide matrix: lmin(A^T A) = 0
     assert tc.omega == pytest.approx((lips - m) / (lips + m))
+
+
+def test_f1_constants_take_the_runs_curvature():
+    # the envelope is the one at the run's own step, from the problem's
+    # spectrum; it exists only for f1's quadratic form
+    a, u = seeded_problem_data(50, 30, seed=7, cond_ratio=100.0)
+    pr = make_experiment_problem(1, a)
+    tc = f1_envelope_constants(pr)
+    run = run_primal(pr, u, "gd", iterations=3)
+    assert tc.tau == run.tau
+    assert tc.lips_x == pr.curvature()[0]
+    for which in (2, 3, 4):
+        with pytest.raises(ValueError, match="quadratic"):
+            f1_envelope_constants(make_experiment_problem(which, a))
+    with pytest.raises(ValueError, match="quadratic"):
+        f1_envelope_constants(StructuredProblem(a, SquaredNorm(2.0), SquaredNorm(2.0)))
 
 
 def test_rate_report_identity_problem():
