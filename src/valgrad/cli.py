@@ -40,10 +40,12 @@ _CONFIG_TYPES = {
 
 # (command, argument) -> (test, requirement) for the values no config holds:
 # verify's tolerance and toy's u and iteration count; ExperimentConfig checks
-# the rest, run's and verify's --iters included
+# the rest, run's and verify's --iters included.  The exp example starts at
+# x0 = u + 1 (``ToyProblem.primal``), whose e^x0 must be finite.
 _ARG_CHECKS = {
     ("verify", "tol"): (lambda v: 0 < v < np.inf, "finite and positive"),
-    ("toy", "u"): (lambda v: 0 < v < np.inf, "finite and positive"),
+    ("toy", "u"): (lambda v: 0 < v and v + 1.0 < np.log(np.finfo(float).max),
+                   f"positive with e^(u + 1) below {np.finfo(float).max:.4g}"),
     ("toy", "iters"): (lambda v: v >= 0, "nonnegative"),
 }
 _DEFAULT = ExperimentConfig()

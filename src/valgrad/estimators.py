@@ -599,10 +599,10 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
         dob.smooth_grad, prox_of(method, dob.prox_part), y, tau, beta, cfg.iterations))
 
 
-# Every NEWTON_EVERY iterations the certified solve tries NEWTON_STEPS chained
-# semismooth Newton steps per live column; fd_oracle takes up to NEWTON_STEPS
-# chord steps before it.  ORACLE_ITERATIONS caps oracle_primal_solve and
-# fd_oracle, each Newton or chord step counting as one iteration.
+# Before its first accelerated iteration, and every NEWTON_EVERY after that,
+# the certified solve takes up to NEWTON_STEPS chord Newton steps on its live
+# columns.  ORACLE_ITERATIONS caps oracle_primal_solve and fd_oracle, each
+# Newton step counting as one iteration, as each accelerated one does.
 NEWTON_EVERY = 25
 NEWTON_STEPS = 3
 ORACLE_ITERATIONS = 10_000
@@ -616,13 +616,13 @@ def _forward_backward(pr: StructuredProblem, x, par, tau: float):
     return pre if prox is None else prox.prox(tau, pre)
 
 
-def _fb_jacobian(pr: StructuredProblem, x, par, pre, tau: float):
+def _fb_jacobian(pr: StructuredProblem, x, par, tau: float):
     """The generalized Jacobian of F(x) = x - T(x) at one point x (an
     N-vector) with parameter ``par``, where T(x) = prox_{tau k}(pre) and
-    ``pre`` = x - tau grad f_s(x).
+    pre = x - tau grad f_s(x).
 
     It is I - D (I - tau hess_xx_loss), with D the elastic-net prox
-    derivative at ``pre`` (the one the forward sensitivities use); with a
+    derivative at pre (the one the forward sensitivities use); with a
     smooth k, F = tau grad f and the Jacobian is tau hess_xx (Stella,
     Themelis & Patrinos, 2017).
     """
@@ -630,99 +630,84 @@ def _fb_jacobian(pr: StructuredProblem, x, par, pre, tau: float):
     if prox is None:
         return tau * pr.hess_xx(x, par)
     eye = np.eye(pr.n)
-    d = prox.prox_derivative(tau, pre)
+    d = prox.prox_derivative(tau, x - tau * pr.primal_smooth_grad(x, par))
     return eye - d[:, None] * (eye - tau * pr.hess_xx_loss(x, par))
 
 
-def _newton_step(pr: StructuredProblem, x, par, tau: float, jac=None):
-    """One semismooth Newton step per column on F(x) = x - T(x), where
-    T(x) = prox_{tau k}(x - tau grad f_s(x)) and x, par are N x K and P x K.
-
-    Each column solves with its own Jacobian (``_fb_jacobian``), or, for a
-    given ``jac``, every column takes the chord step with that one matrix
-    in a single solve with the N x K right-hand side (Kelley, Iterative
-    Methods for Linear and Nonlinear Equations, 1995).  A singular system
-    gives up: the step then returns NaN, a point no certificate passes.
+def _newton_step(pr: StructuredProblem, x, par, tau: float, jac):
+    """One Newton step x - J^{-1} F(x) for every column, on F(x) = x - T(x)
+    with T(x) = prox_{tau k}(x - tau grad f_s(x)); x, par are N x K and
+    P x K.  J = ``jac`` is one N x N Jacobian (``_fb_jacobian``) for all
+    columns, so the step is a single solve with the N x K right-hand side;
+    for a column whose own Jacobian differs it is the chord step (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, 1995).  A
+    singular system gives up: the step then returns NaN, a point no
+    certificate passes.
     """
-    prox = pr.k.prox_part
-    pre = x - tau * pr.primal_smooth_grad(x, par)
-    # F(x), column by column replaced by the Newton step J^{-1} F(x)
-    delta = x - (pre if prox is None else prox.prox(tau, pre))
     try:
-        if jac is not None:
-            return x - np.linalg.solve(jac, delta)
-        for j in range(x.shape[1]):
-            delta[:, j] = np.linalg.solve(
-                _fb_jacobian(pr, x[:, j], par[:, j], pre[:, j], tau), delta[:, j])
+        return x - np.linalg.solve(jac, x - _forward_backward(pr, x, par, tau))
     except np.linalg.LinAlgError:
         return np.full_like(x, np.nan)
-    return x - delta
-
-
-def _newton_polish(pr: StructuredProblem, params, y, points, live, limit, tau: float,
-                   steps: int, jac=None) -> int:
-    """Up to ``steps`` chained Newton steps (``_newton_step``, chord steps
-    for a given ``jac``) from y, the N x K block of the ``live`` columns of
-    ``points``.  A Newton point y is used only if it passes the
-    certificate |y - T(y)| <= limit[j]: the column is then certified at
-    T(y), written to ``points`` and cleared from ``live``, and leaves the
-    block.  Returns the number of steps taken."""
-    cols = np.flatnonzero(live)
-    taken = 0
-    while taken < steps and cols.size:
-        taken += 1
-        y = _newton_step(pr, y, params[:, cols], tau, jac)
-        y_plus = _forward_backward(pr, y, params[:, cols], tau)
-        done = np.linalg.norm(y - y_plus, axis=0) <= limit[cols]
-        points[:, cols[done]] = y_plus[:, done]
-        live[cols[done]] = False
-        cols, y = cols[~done], y[:, ~done]
-    return taken
 
 
 def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: int):
-    """Solve min_x f(x, u_j) for every column u_j of ``params`` (P x K).
+    """Solve min_x f(x, u_j) for every column u_j of ``params`` (P x K),
+    every column from ``x0`` (N x K); returns (points, certified).
 
-    ``accelerated_steps`` runs on the whole N x K block, every column from
-    ``x0`` (N x K), with fista's step 1/L and momentum from ``step_policy``.
-    With x+ = T(z) the prox-gradient step from the extrapolated point z, a
-    column is certified at x+ once |z - x+| <= limit[j]; it then leaves the
-    ``live`` mask and its point is kept, while the block keeps iterating.
-    Every NEWTON_EVERY iterations ``_newton_polish`` tries up to
-    NEWTON_STEPS chained Newton steps on the live columns, under the same
-    certificate; a column it does not certify goes on with the accelerated
-    iteration untouched.  The momentum is not restarted from a Newton
-    point: one from a wrong active set can still undercut an early
-    accelerated iterate's objective, and restarting there stalls
-    ill-conditioned problems.  Correctness rests on the certificate alone.
-    Returns (points, certified), certified False for the columns that
-    reached ``max_iterations`` (all of them, at ``x0``, when it is 0).
+    A column is certified at x+ = T(z), the prox-gradient step from a point
+    z, once |z - x+| <= limit[j]; it then leaves the ``live`` mask and its
+    point is kept, while the block goes on.  The points z are the
+    extrapolated points of ``accelerated_steps`` (fista's step 1/L and
+    momentum from ``step_policy``, on the whole block) and Newton points:
+    before the first accelerated iteration, and every NEWTON_EVERY
+    iterations after it, up to NEWTON_STEPS chained chord steps
+    (``_newton_step``) run from the live columns of the current iterate,
+    all with one Jacobian, ``_fb_jacobian`` at the first live column.  A
+    column they do not certify goes on with the accelerated iteration
+    untouched.  The momentum is not restarted from a Newton point: one from
+    a wrong active set can still undercut an early accelerated iterate's
+    objective, and restarting there stalls ill-conditioned problems.
+    Correctness rests on the certificate alone.  Every Newton step and
+    every accelerated iteration counts against ``max_iterations``;
+    certified is False for the columns it leaves open (all of them, at
+    ``x0``, when it is 0).
 
     It is the fallback of ``oracle_primal_solve``, whose line-searched
-    Newton phase does the cold centre solves, and of ``fd_oracle``'s chord
-    steps.  The polish stays for the centre solves: the four that fall back
-    on the default grid over seeds 0-20 (the P=10 cells of f3 at seeds 1,
-    16 and 17 and of f4 at seed 5) certify either way, but the whole
-    ``oracle_primal_solve`` takes 139-213 ms each without it and 10-92 ms
-    with it (2-core x86-64, one BLAS thread).
+    Newton phase does the cold centre solves, and the whole of
+    ``fd_oracle``, whose chord steps from the centre minimizer certify
+    every column on the default grid.
     """
     tau, beta = step_policy("fista", *pr.curvature())
     prox = pr.k.prox_part
     points = np.array(x0, dtype=float)
     live = np.ones(points.shape[1], dtype=bool)  # columns not yet certified
-    x = points
     steps = accelerated_steps(
         lambda z: pr.primal_smooth_grad(z, params), None if prox is None else prox.prox,
         x0, tau, beta, max_iterations,
     )
-    for it, (z, x) in enumerate(steps, 1):
+    x, left, it = points, max_iterations, 0
+    while left and live.any():
+        if it % NEWTON_EVERY == 0:
+            cols = np.flatnonzero(live)
+            jac = _fb_jacobian(pr, x[:, cols[0]], params[:, cols[0]], tau)
+            y = x[:, cols]
+            for _ in range(min(NEWTON_STEPS, left)):
+                left -= 1
+                y = _newton_step(pr, y, params[:, cols], tau, jac)
+                y_plus = _forward_backward(pr, y, params[:, cols], tau)
+                done = np.linalg.norm(y - y_plus, axis=0) <= limit[cols]
+                points[:, cols[done]] = y_plus[:, done]
+                live[cols[done]] = False
+                cols, y = cols[~done], y[:, ~done]
+                if not cols.size:
+                    return points, ~live
+            if not left:
+                break
+        z, x = next(steps)
+        it, left = it + 1, left - 1
         done = live & (np.linalg.norm(z - x, axis=0) <= limit)
         points[:, done] = x[:, done]
         live &= ~done
-        if it % NEWTON_EVERY == 0 and live.any():
-            _newton_polish(pr, params, x[:, live], points, live, limit, tau, NEWTON_STEPS)
-        if not live.any():
-            break
     points[:, live] = x[:, live]
     return points, ~live
 
@@ -769,7 +754,7 @@ def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int
     prox = pr.k.prox_part
     value = pr.primal_value(x, u)
     for steps in range(1, max_iterations + 1):
-        y = _newton_step(pr, x[:, None], u[:, None], tau)[:, 0]
+        y = _newton_step(pr, x[:, None], u[:, None], tau, _fb_jacobian(pr, x, u, tau))[:, 0]
         y_plus = _forward_backward(pr, y, u, tau)
         if np.linalg.norm(y - y_plus) <= limit:
             return y_plus, steps, True
@@ -808,7 +793,8 @@ def oracle_primal_solve(
     one.  On the default grid at seed 0 the Newton phase certifies all 20
     centre solves in 368 steps, one for each of f1's five, in 0.11-0.16 s
     (2-core x86-64, one BLAS thread); over seeds 0-20, 4 of 420 solves need
-    the fallback.
+    the fallback.  Its chord steps every NEWTON_EVERY iterations take
+    those four from 102-133 ms each to 9-82 ms (best of 3).
 
     ``tol`` is in gradient units: with G = (z - x+)/tau,
     g = G - grad f_s(z) + grad f_s(x+) is a subgradient at x+ of norm at
@@ -849,14 +835,10 @@ def fd_oracle(
     """Central-difference gradient of the value function.
 
     Coordinate i uses the step s_i = eps * (1 + |u_i|).  The 2P
-    perturbed problems at u +- s_i e_i are solved together as the columns
-    of one N x 2P block, every column starting from ``warm``, the minimizer
-    at u (solved here when not given).  ``_newton_polish`` first takes up
-    to NEWTON_STEPS chord Newton steps on the block, all with the one
-    Jacobian ``_fb_jacobian`` of F(x) = x - T(x) at (warm, u), each step a
-    single solve.  The columns they leave uncertified go to
-    ``_certified_solve`` from ``warm``, with the iterations left, each
-    chord step having counted as one.
+    perturbed problems at u +- s_i e_i are solved together by one
+    ``_certified_solve`` on the N x 2P block, every column starting from
+    ``warm``, the minimizer at u (solved here when not given), under the
+    cap ``max_iterations``.
 
     Certificate: at a point z with x+ = T(z) = prox(z - tau grad(z)), the
     gradient mapping G = (z - x+)/tau makes G - grad(z) + grad(x+) a
@@ -866,14 +848,11 @@ def fd_oracle(
     so its difference quotient is off by at most the larger error over
     2 s_i.  A column is frozen once |G| <= sqrt(tol * m * s_i), which keeps
     that error within ``tol`` (gradient units); the O(eps^2) truncation
-    error and the round-off in evaluating p come on top.  Correctness
-    rests on the certificate alone, whichever phase passes it.  The
-    estimate is flagged if some column reaches ``max_iterations``.
+    error and the round-off in evaluating p come on top.  The estimate is
+    flagged if some column reaches ``max_iterations``.
 
-    On the default grid over seeds 0-20 the chord steps certify all 42,000
-    columns, f1's included.  At seed 0 the 20 blocks take 18-21 ms in all
-    (2-core x86-64, one BLAS thread); the accelerated loop with its Newton
-    polish took 152-202 ms for the 15 blocks of f2-f4.
+    On the default grid over seeds 0-20 the chord steps before the solve's
+    first accelerated iteration certify all 42,000 columns, f1's included.
     """
     u = np.asarray(u, dtype=float)
     steps = eps * (1.0 + np.abs(u))
@@ -882,24 +861,13 @@ def fd_oracle(
     lips, m = pr.curvature()
     if warm is None:
         warm = oracle_primal_solve(pr, u, max_iterations=max_iterations)[0]
-    warm = np.asarray(warm, dtype=float)
+    start = np.repeat(np.asarray(warm, dtype=float)[:, None], 2 * pr.p, axis=1)
     # |z - x+| bound per column, i.e. tau times the |G| bound
     limit = np.sqrt(tol * m * np.concatenate([steps, steps])) / lips
-    start = np.repeat(warm[:, None], 2 * pr.p, axis=1)
-    tau, _ = step_policy("fista", lips, m)
-    jac = _fb_jacobian(pr, warm, u, warm - tau * pr.primal_smooth_grad(warm, u), tau)
-    points, live = start.copy(), np.ones(2 * pr.p, dtype=bool)
-    taken = _newton_polish(pr, params, start, points, live, limit, tau,
-                           min(NEWTON_STEPS, max_iterations), jac)
-    if live.any():
-        rest, certified = _certified_solve(pr, params[:, live], start[:, live],
-                                           limit[live], max_iterations - taken)
-        points[:, live] = rest
-        live[live] = ~certified
-    flagged = bool(live.any())
+    points, certified = _certified_solve(pr, params, start, limit, max_iterations)
     vals = pr.primal_value(points, params)
     g = (vals[: pr.p] - vals[pr.p :]) / (2.0 * steps)
-    return GradientEstimate("fd", g[None, :], flagged=flagged)
+    return GradientEstimate("fd", g[None, :], flagged=not certified.all())
 
 
 # ---------------------------------------------------------------------------

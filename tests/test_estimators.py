@@ -5,6 +5,8 @@ import pytest
 
 import valgrad.estimators
 from valgrad.estimators import (
+    NEWTON_EVERY,
+    NEWTON_STEPS,
     EstimatorInapplicable,
     GradientEstimate,
     _compact_jacobian,
@@ -38,6 +40,7 @@ from valgrad.problems import (
 )
 from valgrad.solvers import (
     SolverConfig,
+    accelerated_steps,
     prox_gradient,
     prox_gradient_steps,
     prox_of,
@@ -1038,17 +1041,17 @@ def test_fd_oracle_freeze_threshold_scales_with_m(monkeypatch):
     lips, m = pr.curvature()
     assert m == 2.0
     limits = []
-    polish = valgrad.estimators._newton_polish
+    certified_solve = valgrad.estimators._certified_solve
 
-    def spy(pr, params, y, points, live, limit, *args):
+    def spy(pr, params, x0, limit, max_iterations):
         limits.append(limit)
-        return polish(pr, params, y, points, live, limit, *args)
+        return certified_solve(pr, params, x0, limit, max_iterations)
 
-    monkeypatch.setattr(valgrad.estimators, "_newton_polish", spy)
+    monkeypatch.setattr(valgrad.estimators, "_certified_solve", spy)
     tol, eps = 1e-6, 1e-5
     fd_oracle(pr, u, eps=eps, tol=tol, warm=np.zeros(pr.n))
     steps = np.tile(eps * (1.0 + np.abs(u)), 2)
-    limit = limits[0]  # the chord steps' limit, handed over first
+    [limit] = limits  # the one block solve of all 2P columns
     np.testing.assert_allclose((lips * limit) ** 2 / steps, tol * m, rtol=1e-12)
 
 
@@ -1108,10 +1111,11 @@ def test_oracle_primal_solve_certifies_tol(which, tol):
 @pytest.mark.parametrize("which", [1, 2, 3, 4])
 @pytest.mark.parametrize("n, p", [(20, 15), (30, 45)])
 def test_the_certificate_bound_holds_for_the_accelerated_loop(which, n, p, monkeypatch):
-    # with the Newton phase giving up at once and no Newton polish, every
-    # point is certified by the accelerated loop's own |z - x+| test; each
-    # must lie within tol of a tightly certified reference, which checks the
-    # bound sqrt(L_h / m_k) |G| on the dual point
+    # with the Newton phase giving up at once and no Newton polish (which
+    # runs from iteration 0 on, so only NEWTON_STEPS = 0 turns it off),
+    # every point is certified by the accelerated loop's own |z - x+| test;
+    # each must lie within tol of a tightly certified reference, which
+    # checks the bound sqrt(L_h / m_k) |G| on the dual point
     for seed in range(3):
         a, u = seeded_problem_data(n, p, seed, 30.0)
         pr = make_experiment_problem(which, a)
@@ -1120,7 +1124,8 @@ def test_the_certificate_bound_holds_for_the_accelerated_loop(which, n, p, monke
         with monkeypatch.context() as m:
             m.setattr(valgrad.estimators, "_newton_solve",
                       lambda pr, u, x, limit, max_iterations: (x, 0, False))
-            m.setattr(valgrad.estimators, "NEWTON_EVERY", 10**9)
+            m.setattr(valgrad.estimators, "NEWTON_STEPS", 0)
+            m.setattr(valgrad.estimators, "_newton_step", None)  # never called
             for tol in (1e-3, 1e-5):
                 x, _, ok = oracle_primal_solve(pr, u, tol=tol)
                 assert ok
@@ -1148,8 +1153,8 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
     fd_ref = fd_oracle(pr, u, warm=ref)
     calls, kinds = [], []
 
-    def garbage(pr, x, par, tau, jac=None):
-        calls.append((x.shape[1], jac is not None))
+    def garbage(pr, x, par, tau, jac):
+        calls.append(x.shape[1])
         kind = kinds[-1] if kinds else len(calls) % 2
         return np.full_like(x, np.nan) if kind else x + 1e3
 
@@ -1161,31 +1166,22 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
         kinds.append(kind)
         calls.clear()
         fd = fd_oracle(pr, u, warm=x)
-        assert (2 * pr.p, True) in calls  # the chord step was tried on the block
+        assert 2 * pr.p in calls  # the chord step was tried on the whole block
         assert not fd.flagged
         np.testing.assert_allclose(fd.final, fd_ref.final, atol=1e-6)
 
 
-def test_newton_step_gives_up_on_a_singular_system(monkeypatch):
-    # a singular system yields NaN, which no certificate passes, where
-    # np.linalg.solve would raise: for the chord step's matrix and for one
-    # column's own Jacobian alike
+def test_newton_step_gives_up_on_a_singular_system():
+    # a singular chord matrix yields NaN, which no certificate passes, where
+    # np.linalg.solve would raise
     pr, u = oracle_instance(3)
     x = np.zeros((pr.n, 2))
     par = np.repeat(u[:, None], 2, axis=1)
     tau, _ = step_policy("fista", *pr.curvature())
     step = valgrad.estimators._newton_step
     assert np.isnan(step(pr, x, par, tau, np.zeros((pr.n, pr.n)))).all()
-    assert np.isfinite(step(pr, x, par, tau)).all()
-    fb_jacobian = valgrad.estimators._fb_jacobian
-    jacobians = iter([None, np.zeros((pr.n, pr.n))])
-
-    def second_singular(pr, x, par, pre, tau):
-        jac = next(jacobians)
-        return fb_jacobian(pr, x, par, pre, tau) if jac is None else jac
-
-    monkeypatch.setattr(valgrad.estimators, "_fb_jacobian", second_singular)
-    assert np.isnan(step(pr, x, par, tau)).all()
+    jac = valgrad.estimators._fb_jacobian(pr, x[:, 0], u, tau)
+    assert np.isfinite(step(pr, x, par, tau, jac)).all()
 
 
 def test_certified_solve_without_iterations_returns_its_start_uncertified():
@@ -1231,44 +1227,78 @@ def test_fd_oracle_flags_iteration_cap():
     assert not fd_oracle(pr, u).flagged
 
 
+def drawn_accelerated_steps(monkeypatch):
+    """The list of the accelerated iterations the estimators draw from
+    here on: the generator may be made, but none of its steps taken."""
+    drawn = []
+
+    def spy(*args):
+        for step in accelerated_steps(*args):
+            drawn.append(step)
+            yield step
+
+    monkeypatch.setattr(valgrad.estimators, "accelerated_steps", spy)
+    return drawn
+
+
 def test_fd_oracle_counts_each_chord_step_against_the_cap(monkeypatch):
     # from a perturbed start one chord step leaves columns open; a cap of one
-    # iteration allows that one step and leaves the fallback none
+    # iteration allows that one step and no accelerated iteration after it
     pr, u = instance(3, n=12, p=8, seed=4, cond=5.0)
     xstar, _, _ = oracle_primal_solve(pr, u)
-    chords, caps = [], []
+    chords = []
     newton_step = valgrad.estimators._newton_step
-    certified_solve = valgrad.estimators._certified_solve
 
-    def counted(pr, x, par, tau, jac=None):
-        chords.append(jac is not None)
+    def counted(pr, x, par, tau, jac):
+        chords.append(x.shape[1])
         return newton_step(pr, x, par, tau, jac)
 
-    def capped(pr, params, x0, limit, max_iterations):
-        caps.append(max_iterations)
-        return certified_solve(pr, params, x0, limit, max_iterations)
+    monkeypatch.setattr(valgrad.estimators, "_newton_step", counted)
+    drawn = drawn_accelerated_steps(monkeypatch)
+    assert fd_oracle(pr, u, max_iterations=1, warm=xstar + 1e-3).flagged
+    assert chords == [2 * pr.p] and not drawn
+
+
+@pytest.mark.parametrize("which", [2, 3, 4])
+@pytest.mark.parametrize("cap", [1, 3, 4, 27, 28, 29, 60])
+def test_certified_solve_counts_every_newton_step_against_the_cap(which, cap, monkeypatch):
+    # chord steps before the first accelerated iteration and in the polish
+    # every NEWTON_EVERY iterations count as accelerated iterations do: a
+    # solve that certifies nothing takes exactly max_iterations of them
+    pr, u = oracle_instance(which)
+    params = u[:, None] + np.array([[0.0, 1e-3]])
+    newton = []
+    newton_step = valgrad.estimators._newton_step
+
+    def counted(*args):
+        newton.append(args)
+        return newton_step(*args)
 
     monkeypatch.setattr(valgrad.estimators, "_newton_step", counted)
-    monkeypatch.setattr(valgrad.estimators, "_certified_solve", capped)
-    fd_oracle(pr, u, max_iterations=1, warm=xstar + 1e-3)
-    assert chords == [True] and caps == [0]
+    drawn = drawn_accelerated_steps(monkeypatch)
+    _, certified = valgrad.estimators._certified_solve(
+        pr, params, np.zeros((pr.n, 2)), np.zeros(2), cap)
+    assert not certified.any()
+    assert len(newton) + len(drawn) == cap
+    # each cycle is NEWTON_STEPS Newton steps, then NEWTON_EVERY accelerated
+    cycles, rest = divmod(cap, NEWTON_STEPS + NEWTON_EVERY)
+    assert len(newton) == NEWTON_STEPS * cycles + min(rest, NEWTON_STEPS)
 
 
 @pytest.mark.parametrize("which", [2, 3, 4])
 @pytest.mark.parametrize("p", [10, 50])
 def test_chord_steps_certify_a_warm_block(which, p, monkeypatch):
-    # from the certified centre minimizer, the chord steps certify all 2P
-    # columns, and no accelerated iteration runs (default-grid cells, seed 0)
+    # from the certified centre minimizer, the chord steps before the first
+    # accelerated iteration certify all 2P columns, and no accelerated
+    # iteration is drawn (default-grid cells, seed 0)
     a, u = seeded_problem_data(50, p, 101 * which + p, 100.0)
     pr = make_experiment_problem(which, a)
     xstar, _, ok = oracle_primal_solve(pr, u)
     assert ok
     ref = fd_oracle(pr, u, warm=xstar, tol=1e-11)
-    runs = []
-    monkeypatch.setattr(valgrad.estimators, "accelerated_steps",
-                        lambda *args: runs.append(args) or iter(()))
+    drawn = drawn_accelerated_steps(monkeypatch)
     est = fd_oracle(pr, u, warm=xstar)
-    assert not est.flagged and not runs
+    assert not est.flagged and not drawn
     np.testing.assert_allclose(est.final, ref.final, atol=1e-6)
 
 

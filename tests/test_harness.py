@@ -770,11 +770,19 @@ def test_cli_bad_arguments_exit_2():
     ["verify", "--seed", "-1"], ["rates", "--seed", "-1"], ["verify", "--tol", "nan"],
     ["verify", "--tol", "0"], ["verify", "--tol", "-1"], ["run", "--lam", "inf"],
     ["verify", "--gamma", "inf"], ["rates", "--delta", "inf"], ["run", "--cond", "inf"],
-    ["toy", "--u", "inf"],
+    ["toy", "--u", "inf"], ["toy", "--u", "1e300"], ["toy", "--u", "708.8"],
 ])
 def test_cli_bad_values_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_toy_runs_up_to_the_largest_finite_exponential(capsys):
+    # the exp example starts at x0 = u + 1, and e^709.7 is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["toy", "--u", "708.7"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_singular_newton_system_does_not_end_the_grid(tmp_path, capsys):
@@ -846,7 +854,7 @@ def test_cli_config_keys_reach_only_the_commands_that_declare_them(tmp_path, cap
     assert main(["toy", "--config", str(cfg), "--u", "0.5"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: --tol must be finite and positive, got 0.0",
-                   "error: --u must be finite and positive, got -1.0"]
+                   "error: --u must be positive with e^(u + 1) below 1.798e+308, got -1.0"]
     # a key no command declares stays an error
     cfg.write_text("tol = 1e-6\nnope = 3\n")
     with pytest.raises(SystemExit) as exc:
