@@ -1228,8 +1228,8 @@ def test_fd_oracle_flags_iteration_cap():
 
 
 def drawn_accelerated_steps(monkeypatch):
-    """The list of the accelerated iterations the estimators draw from
-    here on: the generator may be made, but none of its steps taken."""
+    """The list that every accelerated iteration the estimators draw from
+    here on is appended to; making the generator alone appends nothing."""
     drawn = []
 
     def spy(*args):
