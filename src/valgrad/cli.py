@@ -221,7 +221,8 @@ def _cmd_toy(args) -> int:
         run = run_toy(ToyProblem(kind), u, iterations=args.iters)
         values = (run.analytic[-1], run.automatic[-1], run.implicit[-1], run.dual[-1],
                   run.truth[2], u)
-        print(f"{kind:<22}" + "".join(f"{v:>12.6f}" for v in values))
+        # .6g after a space keeps the fields apart, e^u near 1e308 included
+        print(f"{kind:<22}" + "".join(f" {v:>11.6g}" for v in values))
     return 0
 
 

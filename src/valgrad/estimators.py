@@ -264,7 +264,7 @@ def _residual_series(pr: StructuredProblem, points, u):
 def analytic_estimator(pr: StructuredProblem, points, u) -> GradientEstimate:
     """g1(k) = grad_u f(x(k), u) = grad h(b - A x(k) + u) at the rows x(k)
     of ``points``; needs smooth h."""
-    if not pr.h.profile().smooth:
+    if not np.isfinite(pr.h.profile().lips):
         raise NonsmoothError("analytic estimator requires a smooth loss")
     gu = pr.h.grad(_residual_series(pr, points, u))
     return GradientEstimate("analytic", np.ascontiguousarray(gu.T))
@@ -609,17 +609,19 @@ ORACLE_ITERATIONS = 10_000
 
 
 def _forward_backward(pr: StructuredProblem, x, par, tau: float):
-    """T(x) = prox_{tau k}(x - tau grad f_s(x)), the prox-gradient step
-    whose fixed points are the minimizers."""
-    pre = x - tau * pr.primal_smooth_grad(x, par)
+    """(g, T(x)): the smooth gradient g = grad f_s(x) and the prox-gradient
+    step T(x) = prox_{tau k}(x - tau g), whose fixed points are the
+    minimizers."""
+    g = pr.primal_smooth_grad(x, par)
+    pre = x - tau * g
     prox = pr.k.prox_part
-    return pre if prox is None else prox.prox(tau, pre)
+    return g, (pre if prox is None else prox.prox(tau, pre))
 
 
-def _fb_jacobian(pr: StructuredProblem, x, par, tau: float):
+def _fb_jacobian(pr: StructuredProblem, x, par, tau: float, g):
     """The generalized Jacobian of F(x) = x - T(x) at one point x (an
-    N-vector) with parameter ``par``, where T(x) = prox_{tau k}(pre) and
-    pre = x - tau grad f_s(x).
+    N-vector) with parameter ``par`` and smooth gradient g there, where
+    T(x) = prox_{tau k}(pre) and pre = x - tau g.
 
     It is I - D (I - tau hess_xx_loss), with D the elastic-net prox
     derivative at pre (the one the forward sensitivities use); with a
@@ -630,22 +632,21 @@ def _fb_jacobian(pr: StructuredProblem, x, par, tau: float):
     if prox is None:
         return tau * pr.hess_xx(x, par)
     eye = np.eye(pr.n)
-    d = prox.prox_derivative(tau, x - tau * pr.primal_smooth_grad(x, par))
+    d = prox.prox_derivative(tau, x - tau * g)
     return eye - d[:, None] * (eye - tau * pr.hess_xx_loss(x, par))
 
 
-def _newton_step(pr: StructuredProblem, x, par, tau: float, jac):
-    """One Newton step x - J^{-1} F(x) for every column, on F(x) = x - T(x)
-    with T(x) = prox_{tau k}(x - tau grad f_s(x)); x, par are N x K and
-    P x K.  J = ``jac`` is one N x N Jacobian (``_fb_jacobian``) for all
-    columns, so the step is a single solve with the N x K right-hand side;
-    for a column whose own Jacobian differs it is the chord step (Kelley,
-    Iterative Methods for Linear and Nonlinear Equations, 1995).  A
-    singular system gives up: the step then returns NaN, a point no
-    certificate passes.
+def _newton_step(jac, x, tx):
+    """The Newton step x - J^{-1} (x - T(x)) on F(x) = x - T(x), for a
+    point x, or an N x K block of them, and tx = T(x).  J = ``jac`` is one
+    N x N Jacobian (``_fb_jacobian``) for all columns, so the step is a
+    single solve; for a column whose own Jacobian differs it is the chord
+    step (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+    1995).  A singular system gives up: the step then returns NaN, a point
+    no certificate passes.
     """
     try:
-        return x - np.linalg.solve(jac, x - _forward_backward(pr, x, par, tau))
+        return x - np.linalg.solve(jac, x - tx)
     except np.linalg.LinAlgError:
         return np.full_like(x, np.nan)
 
@@ -689,12 +690,14 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
     while left and live.any():
         if it % NEWTON_EVERY == 0:
             cols = np.flatnonzero(live)
-            jac = _fb_jacobian(pr, x[:, cols[0]], params[:, cols[0]], tau)
             y = x[:, cols]
-            for _ in range(min(NEWTON_STEPS, left)):
+            for k in range(min(NEWTON_STEPS, left)):
                 left -= 1
-                y = _newton_step(pr, y, params[:, cols], tau, jac)
-                y_plus = _forward_backward(pr, y, params[:, cols], tau)
+                g, ty = _forward_backward(pr, y, params[:, cols], tau)
+                if not k:
+                    jac = _fb_jacobian(pr, y[:, 0], params[:, cols[0]], tau, g[:, 0])
+                y = _newton_step(jac, y, ty)
+                y_plus = _forward_backward(pr, y, params[:, cols], tau)[1]
                 done = np.linalg.norm(y - y_plus, axis=0) <= limit[cols]
                 points[:, cols[done]] = y_plus[:, done]
                 live[cols[done]] = False
@@ -718,48 +721,40 @@ ARMIJO = 1e-4
 MIN_STEP = 1e-12
 
 
-def _min_norm_subgradient(pr: StructuredProblem, x, u):
-    """The minimum-norm subgradient of the whole objective f(., u) at x.
-
-    For the elastic net it is the smooth gradient plus lam x, with
-    gamma sign(x) added where x != 0 and soft-thresholded by gamma where
-    x = 0; with a smooth k it is the gradient.
-    """
-    g = pr.primal_smooth_grad(x, u)
-    prox = pr.k.prox_part
-    if prox is None:
-        return g
-    g = g + prox.lam * x
-    return np.where(x != 0, g + prox.gamma * np.sign(x), soft_threshold(g, prox.gamma))
-
-
 def _newton_solve(pr: StructuredProblem, u, x, limit: float, max_iterations: int):
     """Line-searched Newton phase of ``oracle_primal_solve``; returns
     (point, Newton steps taken, certified).
 
-    Each step takes the semismooth Newton point y of ``_newton_step`` and
-    stops certified at T(y) once |y - T(y)| <= limit, the certificate of
+    Each step evaluates the smooth gradient g twice: at x, where it gives
+    the Jacobian, T(x) and pg, the whole objective's minimum-norm
+    subgradient (g with a smooth k; for the elastic net g + lam x, plus
+    gamma sign(x) where x != 0 and soft-thresholded by gamma where x = 0),
+    and at the semismooth Newton point y of ``_newton_step``.  It stops
+    certified at T(y) once |y - T(y)| <= limit, the certificate of
     ``_certified_solve``.  Otherwise it searches along d = y - x: with a
     smooth k the trial point is x + t d (damped Newton; Stella, Themelis &
     Patrinos, 2017), for the elastic net x + t d projected onto the orthant
-    sign(x), or -sign(pg) at zero coordinates, with pg the minimum-norm
-    subgradient (orthant-wise Newton; Byrd, Chin, Nocedal & Oztoprak,
-    Math. Program. 2016).  t halves from 1 until the Armijo test
-    F(x_t) < F(x) + ARMIJO pg.(x_t - x) on the whole objective passes.  The
-    phase gives up uncertified at x on a non-finite direction, a direction
-    that does not descend (d.pg >= 0), a step below MIN_STEP, or after
-    ``max_iterations`` steps.
+    sign(x), or -sign(pg) at zero coordinates (orthant-wise Newton; Byrd,
+    Chin, Nocedal & Oztoprak, Math. Program. 2016).  t halves from 1 until
+    the Armijo test F(x_t) < F(x) + ARMIJO pg.(x_t - x) on the whole
+    objective passes.  The phase gives up uncertified at x on a non-finite
+    direction, a direction that does not descend (d.pg >= 0), a step below
+    MIN_STEP, or after ``max_iterations`` steps.
     """
     tau, _ = step_policy("fista", *pr.curvature())
     prox = pr.k.prox_part
     value = pr.primal_value(x, u)
     for steps in range(1, max_iterations + 1):
-        y = _newton_step(pr, x[:, None], u[:, None], tau, _fb_jacobian(pr, x, u, tau))[:, 0]
-        y_plus = _forward_backward(pr, y, u, tau)
+        g, tx = _forward_backward(pr, x, u, tau)
+        y = _newton_step(_fb_jacobian(pr, x, u, tau, g), x, tx)
+        y_plus = _forward_backward(pr, y, u, tau)[1]
         if np.linalg.norm(y - y_plus) <= limit:
             return y_plus, steps, True
         d = y - x
-        pg = _min_norm_subgradient(pr, x, u)
+        pg = g
+        if prox is not None:
+            pg = g + prox.lam * x
+            pg = np.where(x != 0, pg + prox.gamma * np.sign(x), soft_threshold(pg, prox.gamma))
         if not (np.all(np.isfinite(d)) and d @ pg < 0):
             return x, steps, False
         orthant = np.where(x != 0, np.sign(x), -np.sign(pg))

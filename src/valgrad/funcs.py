@@ -42,11 +42,11 @@ def _sqnorm(z):
 
 @dataclass(frozen=True)
 class SmoothnessProfile:
-    """Strong-convexity modulus m and gradient Lipschitz constant L (m <= L)."""
+    """Strong-convexity modulus m and gradient Lipschitz constant L (m <= L),
+    L infinite for a nonsmooth function."""
 
     m: float
     lips: float
-    smooth: bool
 
 
 class ConvexFunction:
@@ -124,7 +124,7 @@ class SquaredNorm(ConvexFunction):
         return 1.0 / self.scale, None
 
     def profile(self):
-        return SmoothnessProfile(self.scale, self.scale, True)
+        return SmoothnessProfile(self.scale, self.scale)
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class Huber(ConvexFunction):
         return 1.0, BallIndicator(self.delta)
 
     def profile(self):
-        return SmoothnessProfile(0.0, 1.0, True)
+        return SmoothnessProfile(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,8 @@ class ElasticNetConjugate(ConvexFunction):
 
     def profile(self):
         if self.gamma == 0.0:
-            return SmoothnessProfile(1.0 / self.lam, 1.0 / self.lam, True)
-        return SmoothnessProfile(0.0, 1.0 / self.lam, True)
+            return SmoothnessProfile(1.0 / self.lam, 1.0 / self.lam)
+        return SmoothnessProfile(0.0, 1.0 / self.lam)
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ class BallIndicator(ConvexFunction):
         return EuclideanNorm(self.radius)
 
     def profile(self):
-        return SmoothnessProfile(0.0, np.inf, False)
+        return SmoothnessProfile(0.0, np.inf)
 
 
 @dataclass(frozen=True)
@@ -371,4 +371,4 @@ class EuclideanNorm(ConvexFunction):
         return 0.0, BallIndicator(self.scale)
 
     def profile(self):
-        return SmoothnessProfile(0.0, np.inf, False)
+        return SmoothnessProfile(0.0, np.inf)

@@ -1153,8 +1153,8 @@ def test_certified_solve_survives_a_garbage_newton_step(which, monkeypatch):
     fd_ref = fd_oracle(pr, u, warm=ref)
     calls, kinds = [], []
 
-    def garbage(pr, x, par, tau, jac):
-        calls.append(x.shape[1])
+    def garbage(jac, x, tx):
+        calls.append(x.shape[1] if x.ndim == 2 else 1)
         kind = kinds[-1] if kinds else len(calls) % 2
         return np.full_like(x, np.nan) if kind else x + 1e3
 
@@ -1179,9 +1179,28 @@ def test_newton_step_gives_up_on_a_singular_system():
     par = np.repeat(u[:, None], 2, axis=1)
     tau, _ = step_policy("fista", *pr.curvature())
     step = valgrad.estimators._newton_step
-    assert np.isnan(step(pr, x, par, tau, np.zeros((pr.n, pr.n)))).all()
-    jac = valgrad.estimators._fb_jacobian(pr, x[:, 0], u, tau)
-    assert np.isfinite(step(pr, x, par, tau, jac)).all()
+    g, tx = valgrad.estimators._forward_backward(pr, x, par, tau)
+    assert np.isnan(step(np.zeros((pr.n, pr.n)), x, tx)).all()
+    jac = valgrad.estimators._fb_jacobian(pr, x[:, 0], u, tau, g[:, 0])
+    assert np.isfinite(step(jac, x, tx)).all()
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_newton_solve_evaluates_the_gradient_twice_per_step(which, monkeypatch):
+    # once at x, for the Jacobian, T(x) and the minimum-norm subgradient, and
+    # once at the Newton point y, for the certificate; all on N-vectors
+    pr, u = oracle_instance(which)
+    shapes = []
+    grad = StructuredProblem.primal_smooth_grad
+
+    def counted(self, x, par):
+        shapes.append(np.shape(x))
+        return grad(self, x, par)
+
+    monkeypatch.setattr(StructuredProblem, "primal_smooth_grad", counted)
+    _, steps, ok = valgrad.estimators._newton_solve(pr, u, np.zeros(pr.n), 1e-9, 100)
+    assert ok and steps > 1
+    assert shapes == [(pr.n,)] * (2 * steps)
 
 
 def test_certified_solve_without_iterations_returns_its_start_uncertified():
@@ -1249,9 +1268,9 @@ def test_fd_oracle_counts_each_chord_step_against_the_cap(monkeypatch):
     chords = []
     newton_step = valgrad.estimators._newton_step
 
-    def counted(pr, x, par, tau, jac):
+    def counted(jac, x, tx):
         chords.append(x.shape[1])
-        return newton_step(pr, x, par, tau, jac)
+        return newton_step(jac, x, tx)
 
     monkeypatch.setattr(valgrad.estimators, "_newton_step", counted)
     drawn = drawn_accelerated_steps(monkeypatch)

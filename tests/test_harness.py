@@ -486,6 +486,19 @@ def test_cli_toy_output(capsys):
         assert [float(r[6]) for r in rows] == used
 
 
+@pytest.mark.parametrize("u", ["1e-12", "708.7"])
+def test_cli_toy_rows_keep_seven_fields(u, capsys):
+    # e^708.7 has 308 digits in fixed point, which ran the exp row's fields
+    # together; every row is its name and six numbers at any u toy accepts
+    assert main(["toy", "--u", u]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    assert [len(r) for r in rows] == [7] * 4
+    exp_row = rows[1]
+    assert exp_row[0] == "exp_lower_bound"
+    assert float(exp_row[5]) == pytest.approx(np.exp(float(u)), rel=1e-5)
+    assert float(exp_row[6]) == float(u)
+
+
 def test_cli_run_small_grid(tmp_path, capsys):
     out_dir = tmp_path / "res"
     code = main([
