@@ -65,8 +65,6 @@ from .solvers import (
     accelerated_steps,
     conjugate_gradient,
     fista,
-    optimal_gd_step,
-    optimal_inertial_params,
     prox_gradient,
     prox_gradient_steps,
     prox_of,

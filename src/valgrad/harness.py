@@ -140,21 +140,18 @@ def _ground_truth(pr, u):
     grad p(u) = y* = grad h(b - A xstar + u), within the solve's 1e-7
     tolerance.  The central-difference oracle, warm-started from xstar and
     under the same cap, cross-checks it.  Returns (gradient, xstar,
-    diagnostic, oracle_flagged, gap): gradient is None when the max-abs
-    cross-check gap ``gap`` exceeds ``CROSS_CHECK_TOL``, and
-    oracle_flagged is set when the xstar solve or the finite-difference
-    oracle did not converge or the duality-gap bound at the truth
-    (``_gap_bound``) exceeds ``CROSS_CHECK_TOL``.
+    oracle_flagged, gap): gap is the max-abs cross-check gap, which
+    ``run_grid`` holds against ``CROSS_CHECK_TOL``, and oracle_flagged is
+    set when the xstar solve or the finite-difference oracle did not
+    converge or the duality-gap bound at the truth (``_gap_bound``)
+    exceeds ``CROSS_CHECK_TOL``.
     """
     xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=ORACLE_ITERATIONS)
     truth = pr.grad_u(xstar, u)
     fd = fd_oracle(pr, u, max_iterations=ORACLE_ITERATIONS, warm=xstar)
     flagged = (fd.flagged or not converged
                or _gap_bound(pr, xstar, truth, u) > CROSS_CHECK_TOL)
-    gap = float(np.max(np.abs(truth - fd.final)))
-    if gap > CROSS_CHECK_TOL:
-        return None, None, f"ground-truth cross-check failed: {gap:.3e}", flagged, gap
-    return truth, xstar, "", flagged, gap
+    return truth, xstar, flagged, float(np.max(np.abs(truth - fd.final)))
 
 
 def _gap_bound(pr, x, y, u) -> float:
@@ -214,27 +211,15 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     for name in cfg.problems:
         for p in cfg.p_list:
             pr, u = grid_cell(cfg, name, p)
-            truth, xstar, diag, oracle_flagged, gap = _ground_truth(pr, u)
+            truth, xstar, oracle_flagged, gap = _ground_truth(pr, u)
             if oracle_flagged:
                 summary["oracle_flagged"].append((name, p))
             summary["cross_check_gap"].append((name, p, gap))
-            if truth is None:
-                summary["aborted"].append((name, p, diag))
+            if gap > CROSS_CHECK_TOL:
+                summary["aborted"].append((name, p, f"ground-truth cross-check failed: {gap:.3e}"))
                 continue
-            cell, inapplicable, diverged = _run_cell(pr, u, truth, xstar, name, p, cfg, clock)
-            series.extend(cell)
-            summary["inapplicable"] += inapplicable
-            summary["diverged"] += diverged
-            # a diverged series is cut before K and has no final error
-            finals = {(s.solver, s.estimator): float(s.errors[-1]) for s in cell
-                      if s.start + s.errors.size - 1 == cfg.iterations}
+            series += _run_cell(pr, u, truth, xstar, name, p, cfg, clock, summary)
             summary["cells"].append((name, p))
-            for solver in _primal_methods(pr, cfg.inertia):
-                dg_solver = _dual_method(pr, solver)
-                ang = finals.get((solver, "ang"))
-                dg = finals.get((dg_solver, "dg"))
-                if ang is not None and dg is not None and p < cfg.n:
-                    summary["dg_beats_ang"].append((name, p, solver, dg < ang))
     series.sort(key=_by_key)
     return series, summary
 
@@ -242,20 +227,26 @@ def run_grid(cfg: ExperimentConfig, clock=None):
 # a diverging sensitivity recursion overflows; it is reported through
 # ``diverged`` instead of numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
-    """The error series of one cell, the estimates found inapplicable as
-    (problem, P, solver, estimator, reason), which write no series, and the
-    diverged series as (problem, P, solver, estimator, k), k the iteration
-    of the first non-finite error; such a series is cut before k, and left
-    out if that leaves it empty."""
-    out, inapplicable, diverged = [], [], []
+def _run_cell(pr, u, truth, xstar, name, p, cfg, clock, summary):
+    """The error series of one cell.  Writes into ``summary`` the
+    estimates found inapplicable (``inapplicable``), as (problem, P,
+    solver, estimator, reason), which write no series; the diverged series
+    (``diverged``), as (problem, P, solver, estimator, k), k the iteration
+    of the first non-finite error, such a series cut before k and left out
+    if that leaves it empty; and at P < N, per primal solver whose ang and
+    dg series are not cut, whether dg's final error is below ang's
+    (``dg_beats_ang``), as (problem, P, solver, flag)."""
+    out = []
 
     def add(solver, estimator, errors, wall_ns, start=0):
+        """Keep one series; returns its final error, None for a cut series."""
         series, k = _series(name, p, solver, estimator, errors, wall_ns, start)
         if series.errors.size:
             out.append(series)
         if k is not None:
-            diverged.append((name, p, solver, estimator, k))
+            summary["diverged"].append((name, p, solver, estimator, k))
+            return None
+        return float(series.errors[-1])
 
     for method in _primal_methods(pr, cfg.inertia):
         t0 = clock()
@@ -265,7 +256,7 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
 
         t0 = clock()
         ang = analytic_estimator(pr, run.points, u)
-        add(method, "ang", error_trace(ang, truth), int(clock() - t0))
+        ang_final = add(method, "ang", error_trace(ang, truth), int(clock() - t0))
 
         t0 = clock()
         aug = automatic_estimator(pr, run, u)
@@ -275,15 +266,17 @@ def _run_cell(pr, u, truth, xstar, name, p, cfg, clock):
         try:
             ig = implicit_estimator(pr, run.final, u)
         except EstimatorInapplicable as exc:
-            inapplicable.append((name, p, method, "ig", str(exc)))
+            summary["inapplicable"].append((name, p, method, "ig", str(exc)))
         else:
             add(method, "ig", error_trace(ig, truth), int(clock() - t0), start=cfg.iterations)
 
         dg_method = _dual_method(pr, method)
         t0 = clock()
         dg = dual_estimator(pr, u, SolverConfig(method=dg_method, iterations=cfg.iterations))
-        add(dg_method, "dg", error_trace(dg, truth), int(clock() - t0))
-    return out, inapplicable, diverged
+        dg_final = add(dg_method, "dg", error_trace(dg, truth), int(clock() - t0))
+        if p < cfg.n and ang_final is not None and dg_final is not None:
+            summary["dg_beats_ang"].append((name, p, method, dg_final < ang_final))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -144,17 +144,6 @@ def conjugate_gradient(q, rhs, y0, iterations):
     return np.array(ys)
 
 
-def optimal_gd_step(lips, m):
-    """2 / (L + m)."""
-    return 2.0 / (lips + m)
-
-
-def optimal_inertial_params(lips, m):
-    """Step 4/(sqrt(L)+sqrt(m))^2 and momentum ((sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)))^2."""
-    sl, sm = np.sqrt(lips), np.sqrt(m)
-    return 4.0 / (sl + sm) ** 2, ((sl - sm) / (sl + sm)) ** 2
-
-
 def step_policy(method, lips, m):
     """(tau, beta) for a method on an objective with curvature in [m, lips];
     no other place decides a step size or momentum.
@@ -163,9 +152,10 @@ def step_policy(method, lips, m):
     optimal strongly convex pair, fista 1/L and the constant strongly
     convex momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = tau m."""
     if method in ("gd", "ista"):
-        return optimal_gd_step(lips, m), 0.0
+        return 2.0 / (lips + m), 0.0
     if method in ("heavy_ball", "ipiasco"):
-        return optimal_inertial_params(lips, m)
+        sl, sm = np.sqrt(lips), np.sqrt(m)
+        return 4.0 / (sl + sm) ** 2, ((sl - sm) / (sl + sm)) ** 2
     if method == "fista":
         tau = 1.0 / lips
         q = tau * m

@@ -302,6 +302,12 @@ def test_read_csv_rejects_bad_header(tmp_path):
         read_csv(bad)
 
 
+def test_read_csv_names_a_path_it_cannot_read(tmp_path):
+    missing = tmp_path / "absent.csv"
+    with pytest.raises(OSError, match=re.escape(f"failed reading {missing}: ")):
+        read_csv(missing)
+
+
 # ---------------------------------------------------------------------------
 # Plots
 
@@ -426,6 +432,17 @@ def test_cli_verify_defaults_pass_a_cell_with_p_at_least_n(capsys):
     assert main(["verify", "--problem", "f1", "--p", "50"]) == 0
     disc = float(capsys.readouterr().out.split(":")[1])
     assert disc <= CROSS_CHECK_TOL
+
+
+def test_cli_verify_warns_when_an_oracle_solve_does_not_converge(capsys, monkeypatch):
+    # with no iterations allowed the finite-difference columns stop
+    # uncertified: verify says so, and its discrepancy (4.9e-2) fails
+    fd = valgrad.cli.fd_oracle
+    monkeypatch.setattr(valgrad.cli, "fd_oracle",
+                        lambda pr, u, **kwargs: fd(pr, u, **{**kwargs, "max_iterations": 0}))
+    assert main(["verify", "--problem", "f2", "--p", "5", "--n", "8", "--iters", "50"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["warning: an inner oracle solve did not converge"]
 
 
 def test_a_cond_that_overflows_the_gram_matrix_is_bad_input(tmp_path, capsys):
@@ -635,10 +652,11 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
                            inertia="off")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings
-        series, _, diverged = _run_cell(pr, u, pr.grad_u(xstar, u), xstar, "f3", 200, cfg,
-                                        constant_clock)
+        summary = {"inapplicable": [], "diverged": [], "dg_beats_ang": []}
+        series = _run_cell(pr, u, pr.grad_u(xstar, u), xstar, "f3", 200, cfg, constant_clock,
+                           summary)
     assert swept == [1]
-    (*primal, k_x), (*ang, k_ang), (*aug, k) = diverged
+    (*primal, k_x), (*ang, k_ang), (*aug, k) = summary["diverged"]
     assert primal == ["f3", 200, "ista", "primal"]
     assert ang == ["f3", 200, "ista", "ang"] and aug == ["f3", 200, "ista", "aug"]
     assert 0 < k < k_ang < 350 and k_x < 350
@@ -825,6 +843,18 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
+
+@pytest.mark.parametrize("blocked", ["results.csv", "plots/f1_P3.svg"])
+def test_cli_a_file_that_cannot_be_written_exits_2(blocked, tmp_path, capsys):
+    # a directory where run writes its CSV or a plot: exit 2 with one error
+    # line naming the file, not a traceback
+    (tmp_path / blocked).mkdir(parents=True)
+    code = main(["run", "--n", "6", "--p", "3", "--problems", "f1", "--iters", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: failed writing {tmp_path / blocked}: ")
 
 
 def test_parse_config_file(tmp_path):

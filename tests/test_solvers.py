@@ -10,8 +10,6 @@ from valgrad.solvers import (
     SolverConfig,
     conjugate_gradient,
     fista,
-    optimal_gd_step,
-    optimal_inertial_params,
     prox_gradient,
     prox_of,
     step_policy,
@@ -41,7 +39,7 @@ def test_solver_config_validation():
 
 def test_gradient_descent_linear_convergence():
     q, b, xstar, lips, m = quad()
-    tau = optimal_gd_step(lips, m)
+    tau, _ = step_policy("gd", lips, m)
     xs = prox_gradient(lambda x: q @ x - b, None, np.zeros(6), tau, 0.0, 200)
     errs = [np.linalg.norm(x - xstar) for x in xs]
     omega = (lips - m) / (lips + m)
@@ -61,8 +59,8 @@ def test_gradient_descent_objective_monotone():
 def test_heavy_ball_beats_gd_on_ill_conditioned():
     q, b, xstar, lips, m = quad(seed=2, cond=500.0)
     grad = lambda x: q @ x - b
-    gd_xs = prox_gradient(grad, None, np.zeros(6), optimal_gd_step(lips, m), 0.0, 150)
-    tau, beta = optimal_inertial_params(lips, m)
+    gd_xs = prox_gradient(grad, None, np.zeros(6), step_policy("gd", lips, m)[0], 0.0, 150)
+    tau, beta = step_policy("heavy_ball", lips, m)
     hb_xs = prox_gradient(grad, None, np.zeros(6), tau, beta, 150)
     assert np.linalg.norm(hb_xs[-1] - xstar) < np.linalg.norm(gd_xs[-1] - xstar)
 
@@ -94,7 +92,7 @@ def test_fista_strongly_convex_momentum_converges_linearly():
 def test_ipiasco_matches_heavy_ball_with_identity_prox():
     q, b, xstar, lips, m = quad(seed=6)
     grad = lambda x: q @ x - b
-    tau, beta = optimal_inertial_params(lips, m)
+    tau, beta = step_policy("heavy_ball", lips, m)
     hb = prox_gradient(grad, None, np.zeros(6), tau, beta, 40)
     ip = prox_gradient(grad, lambda t, z: z, np.zeros(6), tau, beta, 40)
     np.testing.assert_allclose(hb[-1], ip[-1], atol=1e-12)
@@ -124,13 +122,6 @@ def test_cg_raises_on_indefinite():
         conjugate_gradient(q, np.array([1.0, 1.0]), np.zeros(2), 10)
 
 
-def test_optimal_parameters():
-    assert optimal_gd_step(3.0, 1.0) == pytest.approx(0.5)
-    tau, beta = optimal_inertial_params(4.0, 1.0)
-    assert tau == pytest.approx(4.0 / 9.0)
-    assert beta == pytest.approx(1.0 / 9.0)
-
-
 @pytest.mark.parametrize("method", ["gd", "ista"])
 def test_step_policy_plain_methods_take_no_momentum(method):
     assert step_policy(method, 3.0, 1.0) == (0.5, 0.0)
@@ -138,7 +129,6 @@ def test_step_policy_plain_methods_take_no_momentum(method):
 
 @pytest.mark.parametrize("method", ["heavy_ball", "ipiasco"])
 def test_step_policy_inertial_methods_take_the_optimal_pair(method):
-    assert step_policy(method, 4.0, 1.0) == optimal_inertial_params(4.0, 1.0)
     tau, beta = step_policy(method, 4.0, 1.0)
     assert tau == pytest.approx(4.0 / 9.0)
     assert beta == pytest.approx(1.0 / 9.0)
