@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .funcs import NonsmoothError, soft_threshold
+from .funcs import NonsmoothError, soft_threshold, vector_norm
 from .problems import StructuredProblem, ToyProblem
 from .solvers import (
     SolverConfig,
@@ -785,11 +785,15 @@ def oracle_primal_solve(
     A line-searched Newton phase (``_newton_solve``) runs from x = 0; if
     it stops uncertified, the one-column ``_certified_solve`` goes on from
     its point with the iterations left, each Newton step having counted as
-    one.  On the default grid at seed 0 the Newton phase certifies all 20
-    centre solves in 368 steps, one for each of f1's five, in 0.11-0.16 s
-    (2-core x86-64, one BLAS thread); over seeds 0-20, 4 of 420 solves need
-    the fallback.  Its chord steps every NEWTON_EVERY iterations take
-    those four from 102-133 ms each to 9-82 ms (best of 3).
+    one.  ``run``'s ground truth takes it at P >= N, and at P < N where
+    ``oracle_dual_solve`` does not certify.  On the default grid at seed 0
+    that is the 12 cells with P >= N, which the Newton phase certifies in
+    49 steps, one for each of f1's three, in 0.6-1.6 ms each (2-core
+    x86-64, one BLAS thread); over seeds 0-20 it runs 253 solves, the one
+    dual hand-over among them, and none needs the fallback.  On the f3 and
+    f4 cells with P < N its Newton phase takes 28-323 line-searched steps
+    over those seeds, each an N x N system, and 4 of them need the
+    fallback; the dual takes 7-25 steps there, each a P x P system.
 
     ``tol`` is in gradient units: with G = (z - x+)/tau,
     g = G - grad f_s(z) + grad f_s(x+) is a subgradient at x+ of norm at
@@ -817,6 +821,82 @@ def oracle_primal_solve(
         )
         x, certified = points[:, 0], bool(done[0])
     return x, pr.primal_value(x, u), certified
+
+
+def oracle_dual_solve(
+    pr: StructuredProblem,
+    u,
+    max_iterations: int = ORACLE_ITERATIONS,
+    tol: float = 1e-7,
+):
+    """Certified dual solve for oracle use; returns (y, x, steps, certified).
+
+    Damped Newton on the smooth part of the dual D(y) = k*(A^T y - c) +
+    h*(y) - <b + u, y> from y = 0, whose minimizer is y* = grad p(u) when
+    h*'s prox part (Huber's ball) is inactive there.  Each step solves one
+    P x P system with the generalized Hessian A diag(d) A^T + s I, d the
+    diagonal of k*'s Hessian at A^T y - c (``hessian_diagonal``; nonzero
+    only on the support S, where the elastic net's kink is not hit, all of
+    it for a ridge k) and s the scale of h*'s quadratic part, and halves
+    its step from 1 until the Armijo test on D passes (the Lasso-dual
+    structure of Li, Sun & Toh, SIAM J. Optim. 2018).
+
+    D's smooth part is m_d-strongly convex (``DualObjective.curvature``),
+    so |y - y*| <= |grad D(y)| / m_d, and grad k* is 1/m_k-Lipschitz, so
+    the primal point x = grad k*(A^T y - c) is within |A| |y - y*| / m_k of
+    x*.  The solve stops once both radii are at most ``tol``, certified if
+    h* has no prox part or if |y| + |grad D(y)| / m_d <= delta, which puts
+    the ball at y* out of reach.  It gives up uncertified where that ball
+    test fails, on a singular system, a non-finite or non-descending step,
+    a step below MIN_STEP, or after ``max_iterations`` steps; ``steps``
+    is the number of Newton steps taken.  Cheaper than the primal N x N
+    Newton system at P < N, where ``_ground_truth`` takes it first.
+    """
+    dob = pr.dual_objective(u)
+    m_d = dob.curvature()[1]
+    # the |grad D| that puts both radii within tol
+    limit = tol * m_d * min(1.0, pr.k.modulus / np.sqrt(pr.bounds().lmax_ata))
+    y = np.zeros(pr.p)
+    value, steps, certified = dob.smooth_value(y), 0, False
+    while steps < max_iterations:
+        g = dob.smooth_grad(y)
+        r = vector_norm(g)
+        if r <= limit:
+            ball = dob.prox_part
+            certified = ball is None or vector_norm(y) + r / m_d <= ball.radius
+            break
+        moved = _dual_newton_step(pr, dob, y, g, value)
+        if moved is None:
+            break
+        (y, value), steps = moved, steps + 1
+    return y, dob.kconj.grad(pr.a.T @ y + dob.shift), steps, certified
+
+
+def _dual_newton_step(pr: StructuredProblem, dob, y, g, value):
+    """One damped Newton step of ``oracle_dual_solve`` from y, where the
+    smooth dual's gradient is g and its value ``value``; returns (y+, its
+    value), or None where the step gives up."""
+    d = dob.kconj.hessian_diagonal(pr.a.T @ y + dob.shift)
+    on = d != 0
+    a_s = pr.a[:, on]
+    hess = (a_s * d[on]) @ a_s.T
+    hess.flat[:: pr.p + 1] += dob.hstar_scale
+    try:
+        step = np.linalg.solve(hess, g)
+    except np.linalg.LinAlgError:
+        return None
+    slope = -float(g @ step)
+    if not (np.all(np.isfinite(step)) and slope < 0):
+        return None
+    t = 1.0
+    while t >= MIN_STEP:
+        trial = y - t * step
+        trial_value = dob.smooth_value(trial)
+        # strict, so that a trial round-off leaves at y is no step
+        if trial_value < value + ARMIJO * t * slope:
+            return trial, trial_value
+        t *= 0.5
+    return None
 
 
 def fd_oracle(

@@ -9,6 +9,7 @@ subgradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,19 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 # column: value returns one entry per column, grad and prox act per column.
 
 
+def vector_norm(z) -> float:
+    """Euclidean norm of an array's entries, the arithmetic of
+    ``np.linalg.norm(z)`` for a real array (the square root of the dot
+    product of the raveled array with itself) without its dispatch, so the
+    two agree bit for bit."""
+    z = np.asarray(z, dtype=float).ravel(order="K")
+    return math.sqrt(z.dot(z))
+
+
 def _norm(z):
     """Euclidean norm of a vector, or of each column of a block."""
     if z.ndim == 1:
-        return float(np.linalg.norm(z))
+        return vector_norm(z)
     return np.linalg.norm(z, axis=0)
 
 
@@ -104,6 +114,10 @@ class SquaredNorm(ConvexFunction):
     def hessian(self, z):
         return self.scale * np.eye(len(z))
 
+    def hessian_diagonal(self, z):
+        """The diagonal of ``hessian(z)``, which is diagonal."""
+        return np.full(len(z), self.scale)
+
     def hessian_factors(self, z):
         """(c, v) with hessian(z) = c (I - v v^T); v is None, the Hessian is scale I."""
         return self.scale, None
@@ -155,7 +169,7 @@ class Huber(ConvexFunction):
 
     def hessian(self, z):
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r <= self.delta:
             return np.eye(len(z))
         return (self.delta / r) * (np.eye(len(z)) - np.outer(z, z) / (r * r))
@@ -165,7 +179,7 @@ class Huber(ConvexFunction):
         delta-ball, with the same tie rule as ``hessian``, and
         (delta / r, z / r) outside, where r = ||z||."""
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r <= self.delta:
             return 1.0, None
         return self.delta / r, z / r
@@ -203,21 +217,21 @@ class SquaredNormBall(ConvexFunction):
             raise ValueError("radius must be positive")
 
     def value(self, z):
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r > self.radius * (1.0 + 1e-12):
             return np.inf
         return 0.5 * r * r
 
     def grad(self, z):
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r >= self.radius:
             raise NonsmoothError("not differentiable on the ball boundary")
         return z.copy()
 
     def prox(self, tau, z):
         z = np.asarray(z, dtype=float) / (1.0 + tau)
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r > self.radius:
             z = (self.radius / r) * z
         return z
@@ -299,8 +313,12 @@ class ElasticNetConjugate(ConvexFunction):
         return soft_threshold(np.asarray(z, dtype=float), self.gamma) / self.lam
 
     def hessian(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.diag((np.abs(z) > self.gamma).astype(float) / self.lam)
+        return np.diag(self.hessian_diagonal(z))
+
+    def hessian_diagonal(self, z):
+        """The diagonal of ``hessian(z)``: 1/lam where |z_i| > gamma, 0 at
+        and inside the kink (a generalized Hessian there)."""
+        return (np.abs(np.asarray(z, dtype=float)) > self.gamma).astype(float) / self.lam
 
     def prox(self, tau, z):
         # Moreau identity against the elastic-net prox.
@@ -327,12 +345,12 @@ class BallIndicator(ConvexFunction):
             raise ValueError("radius must be nonnegative")
 
     def value(self, z):
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         return 0.0 if r <= self.radius * (1.0 + 1e-12) + 1e-300 else np.inf
 
     def prox(self, tau, z):
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r > self.radius:
             return (self.radius / r) * z
         return z.copy()
@@ -355,11 +373,11 @@ class EuclideanNorm(ConvexFunction):
             raise ValueError("scale must be nonnegative")
 
     def value(self, z):
-        return self.scale * float(np.linalg.norm(z))
+        return self.scale * vector_norm(z)
 
     def prox(self, tau, z):
         z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
+        r = vector_norm(z)
         if r <= tau * self.scale:
             return np.zeros_like(z)
         return (1.0 - tau * self.scale / r) * z

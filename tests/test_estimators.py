@@ -23,6 +23,7 @@ from valgrad.estimators import (
     error_trace,
     fd_oracle,
     implicit_estimator,
+    oracle_dual_solve,
     oracle_primal_solve,
     run_primal,
     run_toy,
@@ -1233,6 +1234,30 @@ def test_newton_phase_certifies_the_sparse_centre_solves(which, p, monkeypatch):
     x, _, ok = oracle_primal_solve(pr, u)
     assert ok and not calls
     assert np.linalg.norm(pr.grad_u(x, u) - pr.grad_u(ref, u)) <= 1e-7
+
+
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+def test_oracle_dual_solve_lies_within_both_radii_of_the_primal_truth(which):
+    # at P < N the dual Newton solve certifies |y - y*| <= tol and
+    # |x(y) - x*| <= tol; a tightly certified primal solve stands in for
+    # (x*, y*)
+    for seed in range(3):
+        a, u = seeded_problem_data(20, 8, seed, 30.0)
+        pr = make_experiment_problem(which, a)
+        ref, _, ok = oracle_primal_solve(pr, u, tol=1e-12)
+        assert ok
+        for tol in (1e-4, 1e-7):
+            y, x, steps, ok = oracle_dual_solve(pr, u, tol=tol)
+            assert ok and steps > 0
+            assert np.linalg.norm(y - pr.grad_u(ref, u)) <= tol, (seed, tol)
+            assert np.linalg.norm(x - ref) <= tol, (seed, tol)
+
+
+def test_oracle_dual_solve_counts_newton_steps_against_the_cap():
+    pr, u = instance(3, n=20, p=8, seed=1, cond=30.0)
+    y, x, steps, ok = oracle_dual_solve(pr, u, max_iterations=0)
+    assert (steps, ok) == (0, False) and not y.any()
+    assert oracle_dual_solve(pr, u, max_iterations=1)[2:] == (1, False)
 
 
 def test_oracle_primal_solve_counts_newton_steps_against_the_cap():

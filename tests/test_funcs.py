@@ -13,6 +13,7 @@ from valgrad.funcs import (
     SquaredNorm,
     SquaredNormBall,
     soft_threshold,
+    vector_norm,
 )
 from valgrad.linalg import seeded_problem_data
 from valgrad.problems import closed_form_f1
@@ -357,6 +358,8 @@ def test_hessians_match_gradient_fd():
             ):
                 continue
             hess = f.hessian(z)
+            if not isinstance(f, Huber):
+                np.testing.assert_array_equal(f.hessian_diagonal(z), np.diag(hess))
             for i in range(len(z)):
                 e = np.zeros_like(z)
                 e[i] = eps
@@ -379,3 +382,20 @@ def test_hessian_factors_rebuild_hessian(f, z):
     rank1 = 0.0 if v is None else np.outer(v, v)
     np.testing.assert_allclose(c * (np.eye(len(z)) - rank1), f.hessian(z),
                                rtol=1e-15, atol=1e-15)
+
+
+_BLOCK = np.random.default_rng(7).standard_normal((9, 4)) * np.logspace(-3, 3, 4)
+
+
+@pytest.mark.parametrize("z", [
+    np.random.default_rng(3).standard_normal(37) * 1e3,
+    _BLOCK[:, 2],  # a strided column of a C-ordered block
+    np.zeros(0),
+    np.full(5, 1e200),  # the squares overflow
+], ids=["contiguous", "strided-column", "empty", "overflow"])
+def test_vector_norm_is_numpy_norm_bit_for_bit(z):
+    with np.errstate(over="ignore"):  # both warn alike where the squares overflow
+        expected = float(np.linalg.norm(z))
+        got = vector_norm(z)
+    assert type(got) is float and got == expected
+

@@ -15,7 +15,7 @@ import valgrad.cli
 import valgrad.estimators
 import valgrad.harness
 from valgrad.cli import main, parse_config
-from valgrad.estimators import error_trace, fd_oracle, oracle_primal_solve
+from valgrad.estimators import error_trace, fd_oracle, oracle_dual_solve, oracle_primal_solve
 from valgrad.harness import (
     CROSS_CHECK_TOL,
     ORACLE_ITERATIONS,
@@ -23,6 +23,7 @@ from valgrad.harness import (
     ExperimentConfig,
     Series,
     _gap_bound,
+    _ground_truth,
     _run_cell,
     emit_csv,
     emit_plots,
@@ -585,10 +586,20 @@ def test_oracle_iterations_caps_the_fd_oracle(monkeypatch):
     assert caps == [5000]
 
 
+def skip_the_dual_solve(monkeypatch):
+    """Cap the ground truth's dual solve at 0 steps, so that every cell
+    takes the primal path."""
+    def capped(pr, u, **kwargs):
+        return oracle_dual_solve(pr, u, **{**kwargs, "max_iterations": 0})
+
+    monkeypatch.setattr(valgrad.harness, "oracle_dual_solve", capped)
+
+
 def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
     def capped(pr, u, **kwargs):
         return oracle_primal_solve(pr, u, **{**kwargs, "max_iterations": 1})
 
+    skip_the_dual_solve(monkeypatch)
     monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", capped)
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
                            cond_ratio=3.0)
@@ -664,11 +675,56 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
     assert (aug.start, aug.errors.size) == (0, k)
 
 
-def test_a_truth_the_duality_gap_cannot_certify_is_flagged():
-    # at lam = 1e-13 f2's centre solve stops "certified" at |x| ~ 3e14, where
-    # x - tau grad f(x) rounds to x; its duality-gap bound at the truth is
-    # about 0.5, far above CROSS_CHECK_TOL, and the cell is flagged as well
-    # as aborted
+def test_the_ground_truth_takes_the_dual_below_n_and_the_primal_from_n_on(monkeypatch):
+    # P < N: the dual solve certifies and no primal solve runs; P >= N:
+    # the primal solve alone, with the whole cap
+    calls = []
+
+    def spy(solve):
+        def spied(pr, u, **kwargs):
+            calls.append((solve.__name__, pr.p, kwargs["max_iterations"]))
+            return solve(pr, u, **kwargs)
+        return spied
+
+    for solve in (oracle_dual_solve, oracle_primal_solve):
+        monkeypatch.setattr(valgrad.harness, solve.__name__, spy(solve))
+    cfg = ExperimentConfig(n=12, p_list=(6, 15), problems=("f1", "f3"), iterations=5,
+                           cond_ratio=3.0)
+    _, summary = run_grid(cfg, clock=constant_clock)
+    assert summary["oracle_flagged"] == [] and summary["aborted"] == []
+    assert calls == [("oracle_dual_solve", 6, ORACLE_ITERATIONS),
+                     ("oracle_primal_solve", 15, ORACLE_ITERATIONS)] * 2
+
+
+def test_a_binding_ball_hands_the_dual_solve_over_to_the_primal(monkeypatch):
+    # f4 at P < N with delta below |y| at the minimizer of the dual's smooth
+    # part: the dual solve reaches that minimizer but cannot certify it, and
+    # the cell takes the primal solve with the iterations left; its truth
+    # lies on the ball and is certified
+    cfg = ExperimentConfig(n=20, p_list=(8,), problems=("f4",), delta=0.03, cond_ratio=30.0)
+    pr, u = grid_cell(cfg, "f4", 8)
+    y, _, steps, certified = oracle_dual_solve(pr, u)
+    assert not certified and steps > 0 and np.linalg.norm(y) > 0.03
+    caps = []
+
+    def spy(pr, u, **kwargs):
+        caps.append(kwargs["max_iterations"])
+        return oracle_primal_solve(pr, u, **kwargs)
+
+    monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", spy)
+    truth, _, flagged, gap = _ground_truth(pr, u)
+    assert caps == [ORACLE_ITERATIONS - steps]
+    assert not flagged and gap <= 1e-6
+    assert np.linalg.norm(truth) == pytest.approx(0.03, rel=1e-9)
+
+
+def test_a_truth_the_duality_gap_cannot_certify_is_flagged(monkeypatch):
+    # at lam = 1e-13 f2's primal centre solve stops "certified" at
+    # |x| ~ 3e14, where x - tau grad f(x) rounds to x; its duality-gap bound
+    # at the truth is about 0.5, far above CROSS_CHECK_TOL, and the cell is
+    # flagged as well as aborted.  (The dual solve certifies this cell, whose
+    # dual is 5.5e16-strongly convex, so it is skipped here.)
+    skip_the_dual_solve(monkeypatch)
     cfg = ExperimentConfig(p_list=(10,), problems=("f2",), lam=1e-13)
     _, summary = run_grid(cfg, clock=constant_clock)
     assert summary["oracle_flagged"] == [("f2", 10)]
@@ -816,20 +872,40 @@ def test_cli_toy_runs_up_to_the_largest_finite_exponential(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_a_singular_newton_system_does_not_end_the_grid(tmp_path, capsys):
-    # f1 P=1's centre Newton step meets a singular Jacobian; the solve goes
-    # on in the certified fallback, and the grid's other cells are written
+SINGULAR_NEWTON_RUN = ["run", "--n", "5", "--seed", "973877", "--lam", "501", "--gamma", "0",
+                       "--delta", "0.0171", "--cond", "1.59e13", "--p", "1,2,3", "--iters", "4",
+                       "--problems", "f1,f3"]
+
+
+def test_a_singular_newton_system_does_not_end_the_grid(tmp_path, capsys, monkeypatch):
+    # on the primal path, f1 P=1's centre Newton step meets a singular
+    # Jacobian; the solve goes on in the certified fallback, and the grid's
+    # other cells are written
+    skip_the_dual_solve(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["run", "--n", "5", "--seed", "973877", "--lam", "501", "--gamma", "0",
-                     "--delta", "0.0171", "--cond", "1.59e13", "--p", "1,2,3", "--iters", "4",
-                     "--problems", "f1,f3", "--out", str(tmp_path)])
+        code = main(SINGULAR_NEWTON_RUN + ["--out", str(tmp_path)])
     assert code == 1
     out = capsys.readouterr().out
     aborted = re.findall(r"^aborted (f\d) P=(\d+):", out, flags=re.M)
     assert aborted == [("f1", "1"), ("f3", "2")]
     plots = sorted(p.name for p in (tmp_path / "plots").iterdir())
     assert plots == ["f1_P2.svg", "f1_P3.svg", "f3_P1.svg", "f3_P3.svg"]
+
+
+def test_the_dual_truth_completes_the_cells_the_primal_path_aborts(tmp_path, capsys):
+    # the same grid with the dual solve at P < N: every cell passes its
+    # cross-check, and the two the primal path aborts agree with the
+    # finite differences
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(SINGULAR_NEWTON_RUN + ["--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "cells completed: 6" in out and "aborted" not in out
+    [gap] = re.findall(r"^largest ground-truth vs finite-difference gap: (\S+) ", out, flags=re.M)
+    assert float(gap) <= 1e-9
+    assert len(list((tmp_path / "plots").iterdir())) == 6
 
 
 def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
