@@ -398,4 +398,3 @@ def test_vector_norm_is_numpy_norm_bit_for_bit(z):
         expected = float(np.linalg.norm(z))
         got = vector_norm(z)
     assert type(got) is float and got == expected
-
