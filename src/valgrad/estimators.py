@@ -601,7 +601,7 @@ def dual_estimator(pr: StructuredProblem, u, cfg: SolverConfig) -> GradientEstim
 
 # Before its first accelerated iteration, and every NEWTON_EVERY after that,
 # the certified solve takes up to NEWTON_STEPS chord Newton steps on its live
-# columns.  ORACLE_ITERATIONS caps oracle_primal_solve and fd_oracle, each
+# columns.  ORACLE_ITERATIONS caps certified_truth and fd_oracle, each
 # Newton step counting as one iteration, as each accelerated one does.
 NEWTON_EVERY = 25
 NEWTON_STEPS = 3
@@ -673,8 +673,7 @@ def _certified_solve(pr: StructuredProblem, params, x0, limit, max_iterations: i
     certified is False for the columns it leaves open (all of them, at
     ``x0``, when it is 0).
 
-    It is the fallback of ``oracle_primal_solve``, whose line-searched
-    Newton phase does the cold centre solves, and the whole of
+    It is the fallback of ``oracle_primal_solve`` and the whole of
     ``fd_oracle``, whose chord steps from the centre minimizer certify
     every column on the default grid.
     """
@@ -785,15 +784,7 @@ def oracle_primal_solve(
     A line-searched Newton phase (``_newton_solve``) runs from x = 0; if
     it stops uncertified, the one-column ``_certified_solve`` goes on from
     its point with the iterations left, each Newton step having counted as
-    one.  ``run``'s ground truth takes it at P >= N, and at P < N where
-    ``oracle_dual_solve`` does not certify.  On the default grid at seed 0
-    that is the 12 cells with P >= N, which the Newton phase certifies in
-    49 steps, one for each of f1's three, in 0.6-1.6 ms each (2-core
-    x86-64, one BLAS thread); over seeds 0-20 it runs 253 solves, the one
-    dual hand-over among them, and none needs the fallback.  On the f3 and
-    f4 cells with P < N its Newton phase takes 28-323 line-searched steps
-    over those seeds, each an N x N system, and 4 of them need the
-    fallback; the dual takes 7-25 steps there, each a P x P system.
+    one.  ``certified_truth`` decides which cells take it.
 
     ``tol`` is in gradient units: with G = (z - x+)/tau,
     g = G - grad f_s(z) + grad f_s(x+) is a subgradient at x+ of norm at
@@ -849,8 +840,7 @@ def oracle_dual_solve(
     the ball at y* out of reach.  It gives up uncertified where that ball
     test fails, on a singular system, a non-finite or non-descending step,
     a step below MIN_STEP, or after ``max_iterations`` steps; ``steps``
-    is the number of Newton steps taken.  Cheaper than the primal N x N
-    Newton system at P < N, where ``_ground_truth`` takes it first.
+    is the number of Newton steps taken.
     """
     dob = pr.dual_objective(u)
     m_d = dob.curvature()[1]
@@ -899,6 +889,33 @@ def _dual_newton_step(pr: StructuredProblem, dob, y, g, value):
     return None
 
 
+def certified_truth(pr: StructuredProblem, u, max_iterations: int = ORACLE_ITERATIONS):
+    """The certified reference gradient grad p(u) = y*, within 1e-7, and
+    the minimizer x* of one cell; returns (truth, xstar, certified).
+
+    The truth comes from whichever Newton system is smaller.  At P < N
+    ``oracle_dual_solve`` gives y* and x* = grad k*(A^T y* - c) directly;
+    where it does not certify (Huber's ball binds, it stalls or it reaches
+    the cap), ``oracle_primal_solve`` runs with the iterations left, from
+    x = 0: from the dual's x it can stop on a false certificate where the
+    Newton system is near singular.  At P >= N the primal solve runs
+    alone, and the truth is grad h(b - A x* + u).  Each Newton step counts as one iteration of
+    ``max_iterations``; certified is False when neither solve certified.
+    On the default grid over seeds 0-20 the dual takes 7-25 steps on the
+    f3 and f4 cells with P < N, each a P x P system, where the primal
+    Newton phase takes 28-323, each an N x N system; 1 of the 168 dual
+    solves hands over (seed 15, f4 P=30, where the ball binds).
+    """
+    left = max_iterations
+    if pr.p < pr.n:
+        truth, xstar, steps, certified = oracle_dual_solve(pr, u, max_iterations=left)
+        if certified:
+            return truth, xstar, True
+        left -= steps
+    xstar, _, certified = oracle_primal_solve(pr, u, max_iterations=left)
+    return pr.grad_u(xstar, u), xstar, certified
+
+
 def fd_oracle(
     pr: StructuredProblem,
     u,
@@ -912,8 +929,8 @@ def fd_oracle(
     Coordinate i uses the step s_i = eps * (1 + |u_i|).  The 2P
     perturbed problems at u +- s_i e_i are solved together by one
     ``_certified_solve`` on the N x 2P block, every column starting from
-    ``warm``, the minimizer at u (solved here when not given), under the
-    cap ``max_iterations``.
+    ``warm``, the minimizer at u (``certified_truth``'s when not given),
+    under the cap ``max_iterations``.
 
     Certificate: at a point z with x+ = T(z) = prox(z - tau grad(z)), the
     gradient mapping G = (z - x+)/tau makes G - grad(z) + grad(x+) a
@@ -935,7 +952,7 @@ def fd_oracle(
     params = u[:, None] + np.hstack([np.diag(steps), np.diag(-steps)])
     lips, m = pr.curvature()
     if warm is None:
-        warm = oracle_primal_solve(pr, u, max_iterations=max_iterations)[0]
+        warm = certified_truth(pr, u, max_iterations)[1]
     start = np.repeat(np.asarray(warm, dtype=float)[:, None], 2 * pr.p, axis=1)
     # |z - x+| bound per column, i.e. tau times the |G| bound
     limit = np.sqrt(tol * m * np.concatenate([steps, steps])) / lips

@@ -20,16 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    ORACLE_ITERATIONS,
     EstimatorInapplicable,
     analytic_estimator,
     automatic_estimator,
+    certified_truth,
     dual_estimator,
     error_trace,
     fd_oracle,
     implicit_estimator,
-    oracle_dual_solve,
-    oracle_primal_solve,
     run_primal,
 )
 from .linalg import seeded_problem_data
@@ -134,32 +132,17 @@ def grid_cell(cfg: ExperimentConfig, name: str, p: int):
 
 
 def _ground_truth(pr, u):
-    """Reference gradient and minimizer for one cell.
-
-    At P < N a certified dual Newton solve (``oracle_dual_solve``), one
-    P x P system per step, gives the reference grad p(u) = y* directly,
-    and xstar = grad k*(A^T y - c), both within 1e-7.  Where it does not
-    certify (Huber's ball binds, it stalls or it reaches its cap), and at
-    every P >= N, a certified primal solve (``oracle_primal_solve``) gives
-    xstar, and by duality the reference grad h(b - A xstar + u), within the
-    same 1e-7; the two share the ``ORACLE_ITERATIONS`` cap, each Newton
-    step counting as one iteration.  The central-difference oracle,
-    warm-started from xstar and under the same cap, cross-checks it.
+    """``certified_truth``'s gradient and minimizer for one cell, which the
+    central-difference oracle, warm-started from xstar, cross-checks.
     Returns (gradient, xstar, oracle_flagged, gap): gap is the max-abs
     cross-check gap, which ``run_grid`` holds against ``CROSS_CHECK_TOL``,
-    and oracle_flagged is set when neither solve certified, the
+    and oracle_flagged is set when the truth is not certified, the
     finite-difference oracle did not converge or the duality-gap bound at
     the truth (``_gap_bound``) exceeds ``CROSS_CHECK_TOL``.
     """
-    converged, left = False, ORACLE_ITERATIONS
-    if pr.p < pr.n:
-        truth, xstar, steps, converged = oracle_dual_solve(pr, u, max_iterations=left)
-        left -= steps
-    if not converged:
-        xstar, _, converged = oracle_primal_solve(pr, u, max_iterations=left)
-        truth = pr.grad_u(xstar, u)
-    fd = fd_oracle(pr, u, max_iterations=ORACLE_ITERATIONS, warm=xstar)
-    flagged = (fd.flagged or not converged
+    truth, xstar, certified = certified_truth(pr, u)
+    fd = fd_oracle(pr, u, warm=xstar)
+    flagged = (fd.flagged or not certified
                or _gap_bound(pr, xstar, truth, u) > CROSS_CHECK_TOL)
     return truth, xstar, flagged, float(np.max(np.abs(truth - fd.final)))
 

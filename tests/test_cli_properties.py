@@ -91,9 +91,7 @@ def check(argv):
         assert (code == 1) == aborted, (argv, code, out)
 
 
-# a run whose oracle solves reach their iteration cap (lam = 1e-11, say)
-# takes seconds, so run draws fewer examples
-@settings(PROPERTY, max_examples=40)
+@PROPERTY
 @given(command_lines("run"))
 def test_run_exits_with_a_documented_code(argv):
     check(argv)

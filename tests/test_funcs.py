@@ -75,6 +75,16 @@ def test_huber_quadratic_and_linear_regions():
     np.testing.assert_allclose(f.grad(outside), outside / 5.0)
 
 
+def test_squared_norm_ball_inside_the_ball():
+    # inside the ball it is ||z||^2/2: its gradient is a copy of z
+    f = SquaredNormBall(1.0)
+    z = np.array([0.3, 0.4])  # norm 0.5
+    assert f.value(z) == pytest.approx(0.125)
+    g = f.grad(z)
+    np.testing.assert_array_equal(g, z)
+    assert not np.shares_memory(g, z)
+
+
 def test_huber_value_is_moreau_envelope_of_norm():
     # h_delta = inf_w ||.-w||^2/2 + delta*||w|| evaluated numerically
     f = Huber(0.7)

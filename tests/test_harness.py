@@ -15,10 +15,16 @@ import valgrad.cli
 import valgrad.estimators
 import valgrad.harness
 from valgrad.cli import main, parse_config
-from valgrad.estimators import error_trace, fd_oracle, oracle_dual_solve, oracle_primal_solve
+from valgrad.estimators import (
+    ORACLE_ITERATIONS,
+    certified_truth,
+    error_trace,
+    fd_oracle,
+    oracle_dual_solve,
+    oracle_primal_solve,
+)
 from valgrad.harness import (
     CROSS_CHECK_TOL,
-    ORACLE_ITERATIONS,
     ConfigError,
     ExperimentConfig,
     Series,
@@ -64,9 +70,10 @@ def test_config_names_the_field_it_rejects(capsys):
 
 
 def test_oracle_defaults_share_the_harness_cap():
-    # verify calls the oracles at their defaults, run at the harness's cap
-    assert ORACLE_ITERATIONS == valgrad.estimators.ORACLE_ITERATIONS == 10_000
-    for oracle in (oracle_primal_solve, fd_oracle):
+    # run and verify call the certified truth and the finite-difference
+    # oracle at their defaults, and every oracle defaults to the one cap
+    assert ORACLE_ITERATIONS == 10_000
+    for oracle in (certified_truth, oracle_dual_solve, oracle_primal_solve, fd_oracle):
         cap = inspect.signature(oracle).parameters["max_iterations"].default
         assert cap == ORACLE_ITERATIONS, oracle.__name__
 
@@ -435,6 +442,14 @@ def test_cli_verify_defaults_pass_a_cell_with_p_at_least_n(capsys):
     assert disc <= CROSS_CHECK_TOL
 
 
+def test_verify_certifies_its_centre_as_run_does(monkeypatch):
+    # verify's finite-difference centre comes from certified_truth, as
+    # run's truth does: at P < N one dual solve and no N x N primal solve
+    calls = spy_on_the_centre_solves(monkeypatch)
+    assert main(["verify", "--problem", "f3", "--p", "10"]) == 0
+    assert calls == [("oracle_dual_solve", 10, ORACLE_ITERATIONS)]
+
+
 def test_cli_verify_warns_when_an_oracle_solve_does_not_converge(capsys, monkeypatch):
     # with no iterations allowed the finite-difference columns stop
     # uncertified: verify says so, and its discrepancy (4.9e-2) fails
@@ -572,18 +587,22 @@ def test_flagged_oracle_is_reported(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_iterations_caps_the_fd_oracle(monkeypatch):
-    caps = []
+    # run_grid passes no cap, so the centre solve and the finite-difference
+    # block each run under ORACLE_ITERATIONS, their default
+    calls = []
 
-    def spy(pr, u, **kwargs):
-        caps.append(kwargs.get("max_iterations"))
-        return fd_oracle(pr, u, **kwargs)
+    def spy(oracle):
+        def spied(pr, u, *args, **kwargs):
+            calls.append((oracle.__name__, args, sorted(kwargs)))
+            return oracle(pr, u, *args, **kwargs)
+        return spied
 
-    monkeypatch.setattr(valgrad.harness, "fd_oracle", spy)
-    monkeypatch.setattr(valgrad.harness, "ORACLE_ITERATIONS", 5000)
+    for oracle in (certified_truth, fd_oracle):
+        monkeypatch.setattr(valgrad.harness, oracle.__name__, spy(oracle))
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f3",), iterations=10,
                            cond_ratio=3.0)
     run_grid(cfg, clock=constant_clock)
-    assert caps == [5000]
+    assert calls == [("certified_truth", (), []), ("fd_oracle", (), ["warm"])]
 
 
 def skip_the_dual_solve(monkeypatch):
@@ -592,7 +611,23 @@ def skip_the_dual_solve(monkeypatch):
     def capped(pr, u, **kwargs):
         return oracle_dual_solve(pr, u, **{**kwargs, "max_iterations": 0})
 
-    monkeypatch.setattr(valgrad.harness, "oracle_dual_solve", capped)
+    monkeypatch.setattr(valgrad.estimators, "oracle_dual_solve", capped)
+
+
+def spy_on_the_centre_solves(monkeypatch):
+    """Record (solve, P, cap) for each dual and primal centre solve that
+    ``certified_truth`` makes."""
+    calls = []
+
+    def spy(solve):
+        def spied(pr, u, **kwargs):
+            calls.append((solve.__name__, pr.p, kwargs["max_iterations"]))
+            return solve(pr, u, **kwargs)
+        return spied
+
+    for solve in (oracle_dual_solve, oracle_primal_solve):
+        monkeypatch.setattr(valgrad.estimators, solve.__name__, spy(solve))
+    return calls
 
 
 def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
@@ -600,7 +635,7 @@ def test_unconverged_xstar_solve_is_reported(tmp_path, capsys, monkeypatch):
         return oracle_primal_solve(pr, u, **{**kwargs, "max_iterations": 1})
 
     skip_the_dual_solve(monkeypatch)
-    monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", capped)
+    monkeypatch.setattr(valgrad.estimators, "oracle_primal_solve", capped)
     cfg = ExperimentConfig(n=12, p_list=(6,), problems=("f1", "f3"), iterations=10,
                            cond_ratio=3.0)
     _, summary = run_grid(cfg, clock=constant_clock)
@@ -678,16 +713,7 @@ def test_a_reverse_sweep_that_overflows_is_reported_not_raised(monkeypatch):
 def test_the_ground_truth_takes_the_dual_below_n_and_the_primal_from_n_on(monkeypatch):
     # P < N: the dual solve certifies and no primal solve runs; P >= N:
     # the primal solve alone, with the whole cap
-    calls = []
-
-    def spy(solve):
-        def spied(pr, u, **kwargs):
-            calls.append((solve.__name__, pr.p, kwargs["max_iterations"]))
-            return solve(pr, u, **kwargs)
-        return spied
-
-    for solve in (oracle_dual_solve, oracle_primal_solve):
-        monkeypatch.setattr(valgrad.harness, solve.__name__, spy(solve))
+    calls = spy_on_the_centre_solves(monkeypatch)
     cfg = ExperimentConfig(n=12, p_list=(6, 15), problems=("f1", "f3"), iterations=5,
                            cond_ratio=3.0)
     _, summary = run_grid(cfg, clock=constant_clock)
@@ -705,15 +731,10 @@ def test_a_binding_ball_hands_the_dual_solve_over_to_the_primal(monkeypatch):
     pr, u = grid_cell(cfg, "f4", 8)
     y, _, steps, certified = oracle_dual_solve(pr, u)
     assert not certified and steps > 0 and np.linalg.norm(y) > 0.03
-    caps = []
-
-    def spy(pr, u, **kwargs):
-        caps.append(kwargs["max_iterations"])
-        return oracle_primal_solve(pr, u, **kwargs)
-
-    monkeypatch.setattr(valgrad.harness, "oracle_primal_solve", spy)
+    calls = spy_on_the_centre_solves(monkeypatch)
     truth, _, flagged, gap = _ground_truth(pr, u)
-    assert caps == [ORACLE_ITERATIONS - steps]
+    assert calls == [("oracle_dual_solve", 8, ORACLE_ITERATIONS),
+                     ("oracle_primal_solve", 8, ORACLE_ITERATIONS - steps)]
     assert not flagged and gap <= 1e-6
     assert np.linalg.norm(truth) == pytest.approx(0.03, rel=1e-9)
 

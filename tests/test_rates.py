@@ -131,6 +131,8 @@ def test_envelopes_trivial_cases():
     # doubling the initial error doubles every bound
     env2 = error_envelopes(tc, x0_err=2.0, big_k=3)
     np.testing.assert_allclose(np.array(env2.implicit), 2 * np.array(env.implicit))
+    with pytest.raises(ValueError, match="nonnegative"):
+        error_envelopes(tc, x0_err=1.0, big_k=-1)
 
 
 def test_envelopes_formula_spot_check():
@@ -172,6 +174,9 @@ def test_f1_constants_take_the_runs_curvature():
             f1_envelope_constants(make_experiment_problem(which, a))
     with pytest.raises(ValueError, match="quadratic"):
         f1_envelope_constants(StructuredProblem(a, SquaredNorm(2.0), SquaredNorm(2.0)))
+    # at lam = 1e-16 gd's factor rounds to 1: no linear rate, so no envelope
+    with pytest.raises(ValueError, match="no envelope: no strong convexity"):
+        f1_envelope_constants(make_experiment_problem(1, a, lam=1e-16))
 
 
 def test_rate_report_identity_problem():
