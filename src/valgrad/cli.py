@@ -10,10 +10,12 @@ examine the one cell of it, ``harness.grid_cell``, that ``run`` builds for
 their problem, P and seed.  A flat ``key = value`` config file can
 override any defaults.
 
-Exit codes: 0 success; 1 a failed verification or an aborted grid cell;
+Exit codes: 0 success; 1 a failed verification or an aborted grid cell,
+one whose cross-check failed or that raised ``numpy.linalg.LinAlgError``;
 2 bad input: an invalid argument or config file (``ConfigError``) or a file
 that cannot be read or written; 3 a numerical failure, a linear-algebra
-routine that raised ``numpy.linalg.LinAlgError``.
+routine that raised ``numpy.linalg.LinAlgError`` in ``verify`` or ``rates``
+or outside any ``run`` cell.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ def _cmd_run(args) -> int:
               f"iteration {k} on; the series stops before it")
     for name, p, diag in summary["aborted"]:
         print(f"aborted {name} P={p}: {diag}")
-    name, p, gap = max(summary["cross_check_gap"], key=lambda cell: cell[2])
-    print(f"largest ground-truth vs finite-difference gap: {gap:.3e} ({name} P={p})")
+    if summary["cross_check_gap"]:
+        name, p, gap = max(summary["cross_check_gap"], key=lambda cell: cell[2])
+        print(f"largest ground-truth vs finite-difference gap: {gap:.3e} ({name} P={p})")
     wins = [flag for *_, flag in summary["dg_beats_ang"]]
     if wins:
         print(f"dual beats analytic (P < N): {sum(wins)}/{len(wins)} cell-and-solver pairs")

@@ -107,8 +107,9 @@ def sensitivity_step(
     ``hess`` = (c, v) being ``h.hessian_factors`` at the residual
     b - A x + u, so G = c (Lambda J-hat - params - w (w^T J-hat - v^T))
     with w = params v, plus lam J-hat for a smooth k: a diagonal and a
-    rank-1 term, O(NP).  Returns J-hat+, a fresh array.  This is the dense
-    step of the automatic estimator's recursion.
+    rank-1 term, O(NP).  V^T D V is ``_rotated_rows`` on the rows of
+    (J-hat+)^T, the one projection of both sweeps.  Returns J-hat+, a fresh
+    array.  This is the dense step of the automatic estimator's recursion.
     """
     eigvals, vecs, params = basis
     c, v = hess
@@ -120,30 +121,8 @@ def sensitivity_step(
     if beta:
         out -= beta * jac_prev
     if d is not None:
-        _rotated_prox_derivative(vecs, d, out)
+        _rotated_rows(vecs, d, out.T, np.empty_like(out).T)
     return out
-
-
-def _rotated_prox_derivative(vecs, d, jac):
-    """J-hat <- V^T diag(d) V J-hat in place, for the elastic-net prox
-    derivative d, which is 0 on the zeroed coordinates Z and s on the
-    support S.
-
-    It is s (J-hat - V_Z^T (V_Z J-hat)) with V_Z the rows Z of V, or
-    s V_S^T (V_S J-hat), whichever set is smaller: at most N^2 P
-    multiply-adds, those of one N x N by N x P product, and none when Z is
-    empty.  An empty S (D = 0) gives zeros.  ``_rotated_rows`` is its row
-    form.
-    """
-    zero = d == 0
-    count = np.count_nonzero(zero)
-    if 2 * count > d.size:
-        rows = vecs[~zero]
-        np.matmul(rows.T, rows @ jac, out=jac)
-    elif count:
-        rows = vecs[zero]
-        jac -= rows.T @ (rows @ jac)
-    jac *= d.max()
 
 
 @dataclass
@@ -464,9 +443,9 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
     = V^T grad_x f(x(k)) by lam_{k,j} = M_j mu_{k,j} - beta mu_{k,j+1}.
     Row k of the (K+1) x N block ``adj``, V^T grad_x f(x(k)) on entry,
     goes live at step j = k - 1 and holds lam_{k,j+1} from then on, so
-    step j works on rows j+1, ..., K.  R_j takes the rows of V at the
-    zeroed coordinates or at the support, as ``_rotated_prox_derivative``
-    does, and is the scalar s where Z is empty (``_rotated_rows``).
+    step j works on rows j+1, ..., K.  R_j is ``_rotated_rows``, the one
+    projection the forward sweep's dense step, ``sensitivity_step``, takes
+    too.
     The sum of tau c_j mu_{k,j} gives the params^T terms in one product at
     the end.  The v_j terms are gathered 32 rank-1 steps at a time, their
     coefficients -tau c_j w_j^T mu_{k,j} side by side, and go into
@@ -526,12 +505,16 @@ def _reverse_estimates(pr: StructuredProblem, run: PrimalRun, basis: _GramBasis,
 
 
 def _rotated_rows(vecs, d, rows, work):
-    """rows <- rows V^T diag(d) V in place, the row form of
-    ``_rotated_prox_derivative`` for the prox derivative d, 0 on the zeroed
-    coordinates Z and s on the support S: s (rows - (rows V_Z^T) V_Z) or
+    """rows <- rows V^T diag(d) V in place, for the elastic-net prox
+    derivative d, 0 on the zeroed coordinates Z and s on the support S:
+    s (rows - (rows V_Z^T) V_Z) with V_Z the rows Z of V, or
     s (rows V_S^T) V_S, whichever set is smaller, and s rows where Z is
-    empty.  ``work``, a block of the shape of ``rows``, takes the product
-    in the zeroed-coordinates case."""
+    empty; an empty S (D = 0) gives zeros.  ``work``, a block of the shape
+    and layout of ``rows``, takes the product in the zeroed-coordinates
+    case.  It is the one prox-derivative projection of both sweeps: the
+    reverse sweep's adjoint rows (``_reverse_estimates``) and, as the
+    transpose of an N x P block, the forward dense step
+    (``sensitivity_step``), whose ``rows`` and ``work`` are F-ordered."""
     zero = d == 0
     count = np.count_nonzero(zero)
     if 2 * count > d.size:

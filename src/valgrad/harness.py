@@ -195,7 +195,9 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     ``series`` is a list of ``Series`` sorted by (problem, P, solver,
     estimator), one per error curve the grid measured.  ``clock`` is an ns
     counter, injectable so tests can produce byte-identical CSV output; the
-    default is the monotonic wall clock.
+    default is the monotonic wall clock.  A cell whose ground truth or
+    series raise ``numpy.linalg.LinAlgError`` is aborted with none of its
+    series or other ``summary`` entries kept, and the grid goes on.
     """
     clock = time.perf_counter_ns if clock is None else clock
     series: list[Series] = []
@@ -204,14 +206,23 @@ def run_grid(cfg: ExperimentConfig, clock=None):
     for name in cfg.problems:
         for p in cfg.p_list:
             pr, u = grid_cell(cfg, name, p)
-            truth, xstar, oracle_flagged, gap = _ground_truth(pr, u)
+            marks = {key: len(entries) for key, entries in summary.items()}
+            try:
+                truth, xstar, oracle_flagged, gap = _ground_truth(pr, u)
+                cell = (None if gap > CROSS_CHECK_TOL
+                        else _run_cell(pr, u, truth, xstar, name, p, cfg, clock, summary))
+            except np.linalg.LinAlgError as exc:
+                for key, mark in marks.items():
+                    del summary[key][mark:]
+                summary["aborted"].append((name, p, f"numerical failure: {exc}"))
+                continue
             if oracle_flagged:
                 summary["oracle_flagged"].append((name, p))
             summary["cross_check_gap"].append((name, p, gap))
-            if gap > CROSS_CHECK_TOL:
+            if cell is None:
                 summary["aborted"].append((name, p, f"ground-truth cross-check failed: {gap:.3e}"))
                 continue
-            series += _run_cell(pr, u, truth, xstar, name, p, cfg, clock, summary)
+            series += cell
             summary["cells"].append((name, p))
     series.sort(key=_by_key)
     return series, summary

@@ -16,6 +16,7 @@ from valgrad.estimators import (
     _pair_estimates,
     _prox_derivatives,
     _reverse_pays,
+    _rotated_rows,
     _step_multiplier,
     analytic_estimator,
     automatic_estimator,
@@ -201,6 +202,14 @@ def test_sensitivity_step_prox_derivative_matches_dense_in_every_regime(zeroed):
         assert not np.any(got)
     else:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the projection itself against the dense V^T diag(d) V, on the reverse
+    # sweep's C-ordered adjoint rows and on the transpose of an N x P block,
+    # the forward step's layout, whose rows and work block are F-ordered
+    dense = basis.vecs.T @ (d[:, None] * basis.vecs)
+    for rows in (gen.standard_normal((7, pr.n)), gen.standard_normal((pr.n, pr.p)).T):
+        want = rows @ dense
+        _rotated_rows(basis.vecs, d, rows, np.empty_like(rows))
+        assert np.linalg.norm(rows - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _fd_jacobian(pr, u, method, iterations, eps=1e-6):

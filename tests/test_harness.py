@@ -929,17 +929,47 @@ def test_the_dual_truth_completes_the_cells_the_primal_path_aborts(tmp_path, cap
     assert len(list((tmp_path / "plots").iterdir())) == 6
 
 
-def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+def test_cli_numerical_failure_exits_3(capsys, monkeypatch):
     # a LinAlgError is a ValueError, but a failed solve is not bad input;
     # here a patched Newton step raises one where a real one gives up
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(valgrad.estimators, "_newton_step", singular)
-    code = main(["run", "--n", "10", "--p", "5", "--problems", "f1", "--iters", "5",
-                 "--out", str(tmp_path)])
+    code = main(["verify", "--n", "10", "--p", "5", "--problem", "f1", "--iters", "5"])
     assert code == 3
     assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
+
+def test_cli_run_aborts_only_the_cell_with_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # P=5's dual estimator raises a LinAlgError on the cell's second solver,
+    # after its first solver wrote a dual-beats-analytic entry: the cell is
+    # aborted with every entry it wrote, and P=3 is still written
+    dual = valgrad.harness.dual_estimator
+    calls = []
+
+    def failing(pr, u, cfg):
+        if pr.p == 5:
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return dual(pr, u, cfg)
+
+    monkeypatch.setattr(valgrad.harness, "dual_estimator", failing)
+    code = main(["run", "--n", "10", "--p", "3,5", "--problems", "f1", "--iters", "5",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out
+    assert re.findall(r"^aborted .*$", out, flags=re.M) == [
+        "aborted f1 P=5: numerical failure: Singular matrix"]
+    assert "cells completed: 1\n" in out
+    assert re.search(r"^largest ground-truth vs finite-difference gap: \S+ \(f1 P=3\)$", out,
+                     flags=re.M)
+    assert re.search(r"^dual beats analytic \(P < N\): \d/2 ", out, flags=re.M)
+    assert {s.p for s in read_csv(tmp_path / "results.csv")} == {3}
+    assert [p.name for p in (tmp_path / "plots").iterdir()] == ["f1_P3.svg"]
 
 
 @pytest.mark.parametrize("blocked", ["results.csv", "plots/f1_P3.svg"])
